@@ -185,7 +185,7 @@ def _cmd_build(args) -> int:
     }
     pretty = [f"built {len(ss.members)} members of period {ss.period}"]
     if args.delta:
-        report = signal_set_delta(ss.members, threads=args.threads)
+        report = signal_set_delta(ss.members)
         results["delta"] = _delta_json(report)
         pretty.append(
             f"delta {report.delta} attained at {len(report.witnesses)} (i, j, tau) points"
@@ -345,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--b", required=True)
     build.add_argument("--e", required=True, help="comma-separated shifts, inf for zero column")
     build.add_argument("--delta", action="store_true", help="also sweep the set's delta")
-    build.add_argument("--threads", type=int, default=1)
     build.set_defaults(func=_cmd_build)
 
     check = sub.add_parser("check", parents=[common], help="check a condition on a shift vector")

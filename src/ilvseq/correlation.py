@@ -9,10 +9,11 @@ comparisons use COMPLEX_TOL.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .sequences import PeriodicSequence
 
@@ -42,13 +43,18 @@ def _check_pair(a: PeriodicSequence, b: PeriodicSequence) -> None:
         raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
 
 
+def _lift(seqs) -> np.ndarray:
+    """Equal-period sequences of one modulus p as rows: +-1 for p = 2, omega^x otherwise."""
+    values = np.array([s.values for s in seqs], dtype=np.int64)
+    p = seqs[0].modulus
+    if p == 2:
+        return 1 - 2 * values
+    return np.exp(2j * np.pi * values / p)
+
+
 def _lifted(seq: PeriodicSequence):
-    """Arrays (x, y-double) realizing the summand x_i * y_(i+tau)."""
-    if seq.modulus == 2:
-        x = 1 - 2 * np.asarray(seq.values, dtype=np.int64)
-        return x
-    omega = np.exp(2j * np.pi * np.asarray(seq.values, dtype=np.float64) / seq.modulus)
-    return omega
+    """One sequence lifted as in _lift."""
+    return _lift([seq])[0]
 
 
 def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
@@ -73,22 +79,8 @@ def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> Correlat
     of the transform is far below 1/2 at any desk-scale period).
     """
     _check_pair(a, b)
-    if a.modulus == 2:
-        x = _lifted(a).astype(np.float64)
-        y = _lifted(b).astype(np.float64)
-        raw = np.fft.ifft(np.conj(np.fft.fft(x)) * np.fft.fft(y))
-        rounded = np.rint(raw.real)
-        if np.max(np.abs(raw.real - rounded)) > 1e-6 or np.max(np.abs(raw.imag)) > 1e-6:
-            raise RuntimeError("transform residue too large to round safely")
-        vals = tuple(int(c) for c in rounded)
-    else:
-        # ifft(conj(fft(u)) * fft(w))[tau] = sum_i conj(u_i) w_(i+tau), so feed
-        # u = conj(lift(a)) to land on sum_i lift(a)_i * conj(lift(b))_(i+tau).
-        u = np.conj(_lifted(a))
-        w = np.conj(_lifted(b))
-        raw = np.fft.ifft(np.conj(np.fft.fft(u)) * np.fft.fft(w))
-        vals = tuple(complex(c) for c in raw)
-    return CorrelationProfile(a.modulus, vals)
+    _, rows = next(_correlation_rows(_lift([a, b]), a.modulus, "fast"))
+    return CorrelationProfile(a.modulus, tuple(rows[1].tolist()))
 
 
 def autocorrelation(a: PeriodicSequence) -> CorrelationProfile:
@@ -112,7 +104,7 @@ def is_two_level(a: PeriodicSequence) -> bool:
     return all(abs(c + 1) <= COMPLEX_TOL for c in profile.values[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """One location achieving the set's maximum correlation magnitude."""
 
@@ -129,6 +121,7 @@ class DeltaReport:
     delta is an int for p = 2, a float otherwise. Witnesses list every
     (i, j, tau, value) attaining |value| = delta, in lexicographic (i, j, tau)
     order over ordered pairs, excluding the trivial (i = j, tau = 0) peak.
+    For p > 2 a magnitude within COMPLEX_TOL of delta attains it.
     """
 
     delta: object
@@ -137,28 +130,53 @@ class DeltaReport:
     member_count: int
 
 
-def _pair_scan(members, i, j, corr):
-    profile = corr(members[i], members[j])
-    best = None
-    hits = []
-    for tau, value in enumerate(profile.values):
-        if i == j and tau == 0:
-            continue
-        mag = abs(value)
-        if best is None or mag > best:
-            best = mag
-            hits = [(tau, value)]
-        elif mag == best:
-            hits.append((tau, value))
-    return best, hits
+def _correlation_rows(x: np.ndarray, modulus: int, method: str):
+    """Yield (i, rows) for each member i of the lifted r x n array x.
+
+    rows[j, tau] is the correlation of member i against member j at offset
+    tau, so at most r x n values are alive at a time. "fast" takes one
+    transform per member and one batched inverse per i; "direct" sums the
+    shift-products exactly (int64 for p = 2) over a window view of x doubled.
+    """
+    r, n = x.shape
+    if method == "direct":
+        w = x if modulus == 2 else np.conj(x)
+        # windows[j, tau, k] = w[j, (k + tau) mod n], a view: no copy of n^2 size.
+        windows = sliding_window_view(np.concatenate([w, w], axis=1), n, axis=1)[:, :n]
+        for i in range(r):
+            yield i, windows @ x[i]
+    elif modulus == 2:
+        spectra = np.fft.rfft(x.astype(np.float64), axis=1)
+        for i in range(r):
+            raw = np.fft.irfft(np.conj(spectra[i]) * spectra, n, axis=1)
+            rounded = np.rint(raw)
+            if np.max(np.abs(raw - rounded)) > 1e-6:
+                raise RuntimeError("transform residue too large to round safely")
+            yield i, rounded.astype(np.int64)
+    else:
+        # ifft(conj(fft(u)) * fft(w))[tau] = sum_k conj(u_k) w_(k+tau); with
+        # u = w = conj(x) that is sum_k x_k * conj(x)_(k+tau), as in the oracle.
+        spectra = np.fft.fft(np.conj(x), axis=1)
+        for i in range(r):
+            yield i, np.fft.ifft(np.conj(spectra[i]) * spectra, axis=1)
 
 
-def signal_set_delta(members, method: str = "direct", threads: int = 1) -> DeltaReport:
+def _witnesses(found: list):
+    """Witness objects, row by row, releasing each row's arrays once read.
+
+    The arrays and the objects are then never both whole in memory.
+    """
+    while found:
+        i, js, taus, vals = found.pop(0)
+        yield from map(Witness, repeat(i), js.tolist(), taus.tolist(), vals.tolist())
+
+
+def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     """Delta of a signal set: max |correlation| over ordered pairs and offsets.
 
     ``method`` selects the correlation path ("direct" or "fast"); the choice
-    is explicit, never silent. ``threads`` splits the ordered-pair sweep; the
-    result is identical for any thread count.
+    is explicit, never silent. Both paths feed one scan and give the same
+    delta and witness positions; for p = 2 also the same integer values.
     """
     members = list(members)
     if not members:
@@ -168,29 +186,30 @@ def signal_set_delta(members, method: str = "direct", threads: int = 1) -> Delta
     for m in members:
         if m.period != v or m.modulus != p:
             raise ValueError("all members must share one period and modulus")
-    if method == "direct":
-        corr = cross_correlation
-    elif method == "fast":
-        corr = fast_cross_correlation
-    else:
+    if method not in ("direct", "fast"):
         raise ValueError(f"unknown method {method!r}")
-
     r = len(members)
-    pairs = [(i, j) for i in range(r) for j in range(r)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scans = list(pool.map(lambda ij: _pair_scan(members, *ij, corr), pairs))
-    else:
-        scans = [_pair_scan(members, i, j, corr) for i, j in pairs]
-
-    candidates = [best for best, _ in scans if best is not None]
-    if not candidates:
+    if r * v == 1:
         raise ValueError("delta is undefined: no admissible (pair, offset) exists")
-    delta = max(candidates)
-    witnesses = []
-    for (i, j), (best, hits) in zip(pairs, scans):
-        if best == delta:
-            witnesses.extend(Witness(i, j, tau, value) for tau, value in hits)
-    if p == 2:
-        delta = int(delta)
-    return DeltaReport(delta, tuple(witnesses), v, r)
+
+    x = _lift(members)
+    tol = 0 if p == 2 else COMPLEX_TOL
+    best = -1
+    found = []  # (i, js, taus, values) per row i, every |value| >= best - tol
+    for i, rows in _correlation_rows(x, p, method):
+        mags = np.abs(rows)
+        mags[i, 0] = -1  # the trivial in-phase peak of a member with itself
+        top = mags.max()
+        if top > best:
+            best = top
+            found = [
+                (h, js[keep], taus[keep], vals[keep])
+                for h, js, taus, vals in found
+                if (keep := np.abs(vals) >= best - tol).any()
+            ]
+        js, taus = np.nonzero(mags >= best - tol)
+        if js.size:
+            found.append((i, js, taus, rows[js, taus]))
+
+    delta = int(best) if p == 2 else float(best)
+    return DeltaReport(delta, tuple(_witnesses(found)), v, r)

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import CorrelationProfile, is_two_level
-from .sequences import PeriodicSequence, add_pointwise, left_shift, shift_equivalence
+from .sequences import PeriodicSequence, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
 INFINITY = float("inf")
@@ -163,16 +164,47 @@ class SignalSet:
         return self.v * self.v
 
 
+def _least_rotation(s: tuple) -> int:
+    """Start of the lexicographically least rotation of s (Booth, IPL 10, 1980)."""
+    s = s + s
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != s[k]:
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
 def coincident_members(members) -> list[tuple[int, int, int]]:
-    """All (i, j, k) with i < j and member i equal to member j shifted by k."""
+    """All (i, j, k) with i < j and member i equal to member j shifted by k.
+
+    Members with equal least rotations, and only those, are shift-equivalent;
+    k is found for those pairs alone, so the scan is linear in the member count
+    when no two members coincide.
+    """
     members = list(members)
+    for m in members[1:]:
+        if m.period != members[0].period or m.modulus != members[0].modulus:
+            raise ValueError("all members must share one period and modulus")
+    classes: dict[tuple, list[int]] = {}
+    for i, m in enumerate(members):
+        k = _least_rotation(m.values)
+        classes.setdefault(m.values[k:] + m.values[:k], []).append(i)
     out = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            k = shift_equivalence(members[i], members[j])
-            if k is not None:
-                out.append((i, j, k))
-    return out
+    for idx in classes.values():
+        for pos, i in enumerate(idx):
+            out.extend((i, j, shift_equivalence(members[i], members[j])) for j in idx[pos + 1 :])
+    return sorted(out)
 
 
 def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> SignalSet:
@@ -194,9 +226,11 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
         raise ValueError("shift vector must be finite (no INFINITY entries)")
 
     u = interleave(a, e)
-    members = [u]
-    for j in range(v):
-        members.append(add_pointwise(u, left_shift(b, j)))
+    # Row j reads b cyclically from index j up to period v^2: L^j(b).
+    b_repeated = np.tile(np.asarray(b.values, dtype=np.int64), v + 1)
+    shifted_b = sliding_window_view(b_repeated, v * v)[:v]
+    offsets = (np.asarray(u.values, dtype=np.int64) + shifted_b) % 2
+    members = [u, *(PeriodicSequence(2, tuple(row)) for row in offsets.tolist())]
 
     notes = []
     if not is_two_level(a):

@@ -84,6 +84,7 @@ def test_build_with_delta(capsys):
     assert results["period"] == 49
     assert results["delta"]["delta"] == 17
     assert len(results["delta"]["witnesses"]) == 80
+    assert all(type(w["value"]) is int for w in results["delta"]["witnesses"])
     assert results["notes"] == []
 
 

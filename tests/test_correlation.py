@@ -1,19 +1,27 @@
 """Tests for correlation profiles, two-level detection, and delta sweeps."""
 
 import cmath
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilvseq import (
     COMPLEX_TOL,
+    PRIMITIVE_POLYS,
+    LfsrSpec,
     PeriodicSequence,
+    SearchSpec,
+    ShiftSequence,
     Witness,
     autocorrelation,
+    backtrack,
+    build_signal_set,
     cross_correlation,
     fast_cross_correlation,
     gen_legendre,
+    gen_mseq,
     is_two_level,
     left_shift,
     signal_set_delta,
@@ -25,6 +33,19 @@ B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
 binary7 = st.lists(st.integers(0, 1), min_size=7, max_size=7).map(
     lambda v: PeriodicSequence(2, tuple(v))
 )
+
+
+@st.composite
+def member_sets(draw, moduli):
+    p = draw(st.sampled_from(moduli))
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(2 if n == 1 else 1, 5))
+    return [
+        PeriodicSequence(p, tuple(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))))
+        for _ in range(r)
+    ]
+
+
 @st.composite
 def ternary_pairs(draw):
     n = draw(st.integers(2, 12))
@@ -131,7 +152,6 @@ def test_delta_single_two_level_member():
 def test_delta_threads_and_fast_agree():
     members = [A7, B7, left_shift(A7, 3)]
     base = signal_set_delta(members)
-    assert signal_set_delta(members, threads=4) == base
     fast = signal_set_delta(members, method="fast")
     assert fast.delta == base.delta
     assert fast.witnesses == base.witnesses
@@ -161,3 +181,64 @@ def test_delta_validation():
     with pytest.raises(ValueError):
         # A single period-1 member admits no (pair, offset) at all.
         signal_set_delta([PeriodicSequence(2, (1,))])
+
+
+def reference_delta(members):
+    """Per-pair cross_correlation scan: (delta, [(i, j, tau, value)]).
+
+    A magnitude within COMPLEX_TOL of the maximum attains it for p > 2.
+    """
+    tol = 0 if members[0].modulus == 2 else COMPLEX_TOL
+    scans = []
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            cells = [(t, c) for t, c in enumerate(cross_correlation(a, b).values) if i != j or t]
+            if cells:
+                top = max(abs(c) for _, c in cells)
+                scans.append((i, j, top, [(t, c) for t, c in cells if abs(c) >= top - tol]))
+    delta = max(top for _, _, top, _ in scans)
+    hits = [(i, j, t, c) for i, j, _, cells in scans for t, c in cells if abs(c) >= delta - tol]
+    return delta, hits
+
+
+def assert_engine_matches_reference(members):
+    delta, hits = reference_delta(members)
+    for method in ("direct", "fast"):
+        report = signal_set_delta(members, method=method)
+        assert type(report.delta) is int and report.delta == delta
+        assert [(w.i, w.j, w.tau, w.value) for w in report.witnesses] == hits
+        assert all(type(w.value) is int for w in report.witnesses)
+
+
+def test_engine_matches_reference_on_v7_a_vectors():
+    a_vectors = backtrack(SearchSpec(7, "A", limit=1000, strategy="backtrack")).witnesses
+    assert len(a_vectors) == 672
+    for e in random.Random(2).sample(a_vectors, 24):
+        ss = build_signal_set(A7, B7, e)
+        assert_engine_matches_reference(ss.members)
+
+
+def test_engine_matches_reference_on_v31_quadratic_set():
+    mseq = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 1, 1, 0)))
+    reversed_mseq = PeriodicSequence(2, mseq.values[::-1])
+    e = ShiftSequence(tuple((2 * j * j + 7 * j) % 31 for j in range(31)))
+    ss = build_signal_set(mseq, reversed_mseq, e)
+    assert_engine_matches_reference(ss.members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(member_sets(moduli=(2,)))
+def test_engine_matches_reference_binary(members):
+    assert_engine_matches_reference(members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(member_sets(moduli=(3, 5)))
+def test_direct_and_fast_agree_p_gt_2(members):
+    direct = signal_set_delta(members)
+    fast = signal_set_delta(members, method="fast")
+    assert abs(direct.delta - fast.delta) <= COMPLEX_TOL
+    positions = [(w.i, w.j, w.tau) for w in direct.witnesses]
+    assert positions == [(w.i, w.j, w.tau) for w in fast.witnesses]
+    _, hits = reference_delta(members)
+    assert positions == [(i, j, t) for i, j, t, _ in hits]

@@ -23,6 +23,7 @@ from ilvseq import (
     matrix_form,
     parse_shift_sequence,
     recover_shifts,
+    shift_equivalence,
     signal_set_delta,
     zero_count,
 )
@@ -158,6 +159,30 @@ def test_build_with_b_equal_a_flags_shift_but_no_coincidence():
 def test_coincident_members():
     assert coincident_members([A7, left_shift(A7, 2)]) == [(0, 1, 5)]
     assert coincident_members([A7, B7]) == []
+    with pytest.raises(ValueError):
+        coincident_members([A7, PeriodicSequence(2, (1, 0))])
+
+
+@st.composite
+def planted_members(draw):
+    """Shifts of a few small bases (some of short minimal period), shuffled."""
+    p = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 8))
+    bases = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.integers(0, n - 1)), max_size=8))
+    members = [left_shift(PeriodicSequence(p, tuple(bases[b])), k) for b, k in picks]
+    return draw(st.permutations(members))
+
+
+@given(planted_members())
+def test_coincident_members_matches_pairwise_scan(members):
+    pairwise = [
+        (i, j, k)
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+        if (k := shift_equivalence(members[i], members[j])) is not None
+    ]
+    assert coincident_members(members) == pairwise
 
 
 def test_worked_set_delta():

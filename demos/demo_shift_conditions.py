@@ -15,7 +15,7 @@ from ilvseq import (
     check_condition_B,
     check_condition_open,
     cond2_sum_residue,
-    differences_B,
+    differences,
 )
 
 e = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
@@ -35,7 +35,7 @@ print(f"multiplicity verdict: {rep_b.verdict}",
 # The extended differences wrap the vector with a +1 twist: index v + j
 # reads entry j plus one. That twist is what the construction's correlation
 # identity needs, and it shows up as the final difference at each shift.
-print("extended differences at s=1:", differences_B(e, 1).values)
+print("extended differences at s=1:", differences(e, 1, True).values)
 
 # Completeness asks the v combined differences to be a full residue system.
 # This vector misses it (6 distinct of 7 at s=1), and no length-7 vector

@@ -231,7 +231,7 @@ def _cmd_search(args) -> int:
         spec = SearchSpec(
             args.v, args.pred, limit=args.limit, strategy=args.strategy, force=args.force
         )
-        outcome = run_search(spec, threads=args.threads, progress=progress)
+        outcome = run_search(spec, progress=progress)
         strategy = args.strategy
     results = _outcome_json(outcome)
     results["strategy"] = strategy
@@ -291,20 +291,8 @@ def _cmd_reproduce(args) -> int:
         lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
     lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     if args.json:
-        report = {
-            "schema": SCHEMA_VERSION,
-            "command": "reproduce",
-            "argv": list(args._argv),
-            "inputs": {"seed": args.seed},
-            "results": {
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-                ],
-                "all_passed": ok,
-            },
-            "timing": {"seconds": time.perf_counter() - started},
-        }
-        print(json.dumps(report, indent=2))
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        _emit(args, "reproduce", {"seed": args.seed}, {"checks": checks, "all_passed": ok}, started)
         print("\n".join(lines), file=sys.stderr)
     else:
         print("\n".join(lines))
@@ -359,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--pred", required=True, choices=("A", "B", "b-not-a", "open"))
     search.add_argument("--limit", type=int, default=0, help="stop after this many witnesses")
     search.add_argument("--strategy", choices=("full", "backtrack"), default="full")
-    search.add_argument("--threads", type=int, default=1)
     search.add_argument("--force", action="store_true", help="override the budget guard")
     search.add_argument("--progress", action="store_true", help="emit examined counts to stderr")
     search.add_argument("--sample", type=int, default=0, help="random draws instead of a sweep")

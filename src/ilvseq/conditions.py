@@ -1,26 +1,65 @@
-"""Distinctness and multiplicity conditions on shift-sequence differences.
+"""Distinctness, multiplicity and completeness: one condition on differences.
 
-Three per-shift difference families over a finite length-v shift vector e:
+For a finite length-v shift vector e and a shift s in [1, v), the differences
+at s are e_j - E(j+s) mod v, where E is the +1-twist extension
+(``extended_entry``: E(k) = e_k for k < v, e_(k-v) + 1 after). Unextended, j
+runs over [0, v-s), where no index wraps; extended, j runs over all of
+[0, v), and the s wrapped terms carry the twist.
 
-* A-range: e_j - e_(j+s) for 0 <= j < v-s (no extension). Condition A asks
-  for all v-s values distinct, at every shift s in [1, v).
-* B-extended: e_j - ext(e)_(j+s) for 0 <= j < v, using the +1-twist
-  extension. Condition B allows each value at most twice, at every s.
-* COND2: the same v differences written as two explicit ranges (two
-  equivalent forms). The completeness condition asks the multiset to be all
-  of Z_v at every s; its sum is always -s mod v, which rules the condition
-  out for v > 2.
+Every condition asks that, at every shift, no difference occur more than
+``cap`` times (``CONDITIONS``):
 
-All differences are canonical residues in [0, v). ``check_*`` functions
-return full diagnostics; ``*_holds`` functions are fast boolean forms of the
-same predicates used by the search module, kept separate and cross-tested.
+* A, distinctness: unextended, cap 1.
+* B, multiplicity: extended, cap 2.
+* OPEN, completeness: extended, cap 1, so the v differences cover Z_v. Their
+  sum is always -s mod v, which rules the condition out for v > 2.
+
+All differences are canonical residues in [0, v). ``differences`` is the
+definition; the ``check_*`` reports are built on it and serve the tests as
+the oracle. ``difference_terms`` indexes the same differences as triples
+(i, k, t), each meaning e_i - e_k - t; ``Condition.holds`` counts them per
+shift and stops at the first excess, and the search's backtracker counts
+them as entries are placed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .interleaving import INFINITY, ShiftSequence, extended_entry
+
+
+class Condition(NamedTuple):
+    """At every shift, no difference occurs more than ``cap`` times."""
+
+    extended: bool
+    cap: int
+
+    def holds(self, e) -> bool:
+        """Fast verdict (accepts raw entry tuples): counts the
+        ``difference_terms`` of each shift and stops at the first excess."""
+        extended, cap = self
+        ent = e.entries if isinstance(e, ShiftSequence) else tuple(e)
+        if INFINITY in ent:
+            raise ValueError("shift vector must be finite (no INFINITY entries)")
+        v = len(ent)
+        for terms in difference_terms(v, extended):
+            counts = [0] * v
+            for i, k, t in terms:
+                d = (ent[i] - ent[k] - t) % v
+                if counts[d] == cap:
+                    return False
+                counts[d] += 1
+        return True
+
+
+CONDITIONS = {
+    "A": Condition(extended=False, cap=1),
+    "B": Condition(extended=True, cap=2),
+    "OPEN": Condition(extended=True, cap=1),
+}
 
 
 @dataclass(frozen=True)
@@ -29,7 +68,7 @@ class DifferenceProfile:
 
     v: int
     s: int
-    mode: str
+    extended: bool
     values: tuple[int, ...]
     multiplicity: tuple[tuple[int, int], ...]
 
@@ -46,63 +85,30 @@ class DifferenceProfile:
         return max(count for _, count in self.multiplicity)
 
 
-def _profile(v: int, s: int, mode: str, values: list[int]) -> DifferenceProfile:
-    counts: dict[int, int] = {}
-    for d in values:
-        counts[d] = counts.get(d, 0) + 1
-    pairs = tuple(sorted(counts.items()))
-    return DifferenceProfile(v, s, mode, tuple(values), pairs)
-
-
 def _require_finite(e: ShiftSequence) -> None:
     if not e.is_finite:
         raise ValueError("shift vector must be finite (no INFINITY entries)")
 
 
-def _require_shift(s: int, v: int) -> None:
+@lru_cache(maxsize=64)
+def _extension(e: ShiftSequence) -> tuple[int, ...]:
+    # E(0), ..., E(2v-1), built once for the v-1 shifts of a report.
+    return tuple([extended_entry(e, k) for k in range(2 * e.v)])
+
+
+def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:
+    """The differences e_j - E(j+s) mod v at shift s, for j in [0, v) if
+    extended, else for j in [0, v-s)."""
+    _require_finite(e)
+    v = e.v
     if not 1 <= s < v:
         raise ValueError(f"shift s must lie in [1, {v}), got {s}")
-
-
-def differences_A(e: ShiftSequence, s: int) -> DifferenceProfile:
-    """Unextended differences e_j - e_(j+s), j in [0, v-s)."""
-    _require_finite(e)
-    v = e.v
-    _require_shift(s, v)
-    ent = e.entries
-    values = [(ent[j] - ent[j + s]) % v for j in range(v - s)]
-    return _profile(v, s, "A-range", values)
-
-
-def differences_B(e: ShiftSequence, s: int) -> DifferenceProfile:
-    """Extended differences e_j - ext(e)_(j+s), j in [0, v)."""
-    _require_finite(e)
-    v = e.v
-    _require_shift(s, v)
-    ent = e.entries
-    values = [(ent[j] - extended_entry(e, j + s)) % v for j in range(v)]
-    return _profile(v, s, "B-extended", values)
-
-
-def differences_open(e: ShiftSequence, s: int, form: int = 2) -> DifferenceProfile:
-    """The completeness condition's v differences, in either written form.
-
-    Form 1 lists the unextended range then the wrapped terms
-    e_(v-s+j) - e_j - 1; form 2 indexes the same terms as
-    e_k - e_(k+s-v) - 1 for k in [v-s, v). The multisets always agree.
-    """
-    _require_finite(e)
-    v = e.v
-    _require_shift(s, v)
-    if form not in (1, 2):
-        raise ValueError(f"form must be 1 or 2, got {form}")
-    ent = e.entries
-    head = [(ent[j] - ent[j + s]) % v for j in range(v - s)]
-    if form == 1:
-        tail = [(ent[v - s + j] - ent[j] - 1) % v for j in range(s)]
-    else:
-        tail = [(ent[k] - ent[k + s - v] - 1) % v for k in range(v - s, v)]
-    return _profile(v, s, "COND2", head + tail)
+    ext = _extension(e)
+    values = tuple([(ext[j] - ext[j + s]) % v for j in range(v if extended else v - s)])
+    counts: dict[int, int] = {}
+    for d in values:
+        counts[d] = counts.get(d, 0) + 1
+    return DifferenceProfile(v, s, extended, values, tuple(sorted(counts.items())))
 
 
 @dataclass(frozen=True)
@@ -126,117 +132,68 @@ class ConditionReport:
     first_failure_s: int | None
 
 
-def _report(condition: str, checks: list[ShiftCheck]) -> ConditionReport:
+def _check(e: ShiftSequence, name: str) -> ConditionReport:
+    # A shift passes when no difference exceeds the cap. Cap-1 conditions
+    # report the distinct count against the number of differences, B its
+    # largest multiplicity against the cap.
+    extended, cap = CONDITIONS[name]
+    _require_finite(e)
+    checks = []
+    for s in range(1, e.v):
+        prof = differences(e, s, extended)
+        top = prof.max_multiplicity
+        if cap == 1:
+            observed, required = prof.distinct_count, len(prof.values)
+        else:
+            observed, required = top, cap
+        checks.append(ShiftCheck(s, top <= cap, observed, required, prof))
     failures = [c.s for c in checks if not c.passed]
-    return ConditionReport(
-        condition,
-        not failures,
-        tuple(checks),
-        failures[0] if failures else None,
-    )
+    return ConditionReport(name, not failures, tuple(checks), failures[0] if failures else None)
 
 
 def check_condition_A(e: ShiftSequence) -> ConditionReport:
-    """All unextended differences distinct at every shift (observed = distinct count)."""
-    _require_finite(e)
-    v = e.v
-    checks = []
-    for s in range(1, v):
-        prof = differences_A(e, s)
-        observed = prof.distinct_count
-        checks.append(ShiftCheck(s, observed == v - s, observed, v - s, prof))
-    return _report("A", checks)
+    return _check(e, "A")
 
 
 def check_condition_B(e: ShiftSequence) -> ConditionReport:
-    """Extended differences repeat at most twice at every shift (observed = max multiplicity)."""
-    _require_finite(e)
-    v = e.v
-    checks = []
-    for s in range(1, v):
-        prof = differences_B(e, s)
-        observed = prof.max_multiplicity
-        checks.append(ShiftCheck(s, observed <= 2, observed, 2, prof))
-    return _report("B", checks)
+    return _check(e, "B")
 
 
 def check_condition_open(e: ShiftSequence) -> ConditionReport:
-    """The combined differences cover Z_v at every shift (observed = distinct count)."""
-    _require_finite(e)
-    v = e.v
-    checks = []
-    for s in range(1, v):
-        prof = differences_open(e, s, form=2)
-        observed = prof.distinct_count
-        checks.append(ShiftCheck(s, observed == v, observed, v, prof))
-    return _report("OPEN", checks)
+    return _check(e, "OPEN")
 
 
 def cond2_sum_residue(e: ShiftSequence, s: int) -> int:
-    """Sum of the completeness condition's differences, mod v.
-
-    Computed from the actual multiset; the telescoping identity makes it
-    (-s) mod v for every finite e, which is what forces non-existence for
-    v > 2.
-    """
-    prof = differences_open(e, s, form=2)
-    return sum(prof.values) % e.v
+    """Sum of the extended differences at s, mod v; (-s) mod v for every finite e."""
+    return sum(differences(e, s, True).values) % e.v
 
 
-def _entries_of(e) -> tuple:
-    entries = e.entries if isinstance(e, ShiftSequence) else tuple(e)
-    if INFINITY in entries:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
-    return entries
+@lru_cache(maxsize=None)
+def difference_terms(v: int, extended: bool) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Entry s-1 lists shift s's differences as triples (i, k, t), each
+    meaning e_i - e_k - t mod v, in the order of ``differences``; t = 1 on
+    the wrapped terms."""
+    return tuple(
+        tuple(
+            (j, j + s, 0) if j + s < v else (j, j + s - v, 1)
+            for j in range(v if extended else v - s)
+        )
+        for s in range(1, v)
+    )
+
+
+def holds(e, cond: str) -> bool:
+    """Fast verdict of condition ``cond`` ("A", "B" or "OPEN")."""
+    return CONDITIONS[cond].holds(e)
 
 
 def condition_a_holds(e) -> bool:
-    """Fast boolean form of check_condition_A (accepts raw entry tuples)."""
-    ent = _entries_of(e)
-    v = len(ent)
-    for s in range(1, v):
-        seen = 0
-        for j in range(v - s):
-            bit = 1 << ((ent[j] - ent[j + s]) % v)
-            if seen & bit:
-                return False
-            seen |= bit
-    return True
+    return holds(e, "A")
 
 
 def condition_b_holds(e) -> bool:
-    """Fast boolean form of check_condition_B (accepts raw entry tuples)."""
-    ent = _entries_of(e)
-    v = len(ent)
-    for s in range(1, v):
-        counts = [0] * v
-        for j in range(v - s):
-            d = (ent[j] - ent[j + s]) % v
-            counts[d] += 1
-            if counts[d] > 2:
-                return False
-        for k in range(v - s, v):
-            d = (ent[k] - ent[k + s - v] - 1) % v
-            counts[d] += 1
-            if counts[d] > 2:
-                return False
-    return True
+    return holds(e, "B")
 
 
 def condition_open_holds(e) -> bool:
-    """Fast boolean form of check_condition_open (accepts raw entry tuples)."""
-    ent = _entries_of(e)
-    v = len(ent)
-    for s in range(1, v):
-        seen = 0
-        for j in range(v - s):
-            bit = 1 << ((ent[j] - ent[j + s]) % v)
-            if seen & bit:
-                return False
-            seen |= bit
-        for k in range(v - s, v):
-            bit = 1 << ((ent[k] - ent[k + s - v] - 1) % v)
-            if seen & bit:
-                return False
-            seen |= bit
-    return True
+    return holds(e, "OPEN")

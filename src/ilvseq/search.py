@@ -16,16 +16,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .conditions import (
-    cond2_sum_residue,
-    condition_a_holds,
-    condition_b_holds,
-    condition_open_holds,
-)
+from .conditions import CONDITIONS, cond2_sum_residue, difference_terms
 from .interleaving import ShiftSequence
 
 #: Largest v the exhaustive strategies accept without force.
@@ -82,12 +76,9 @@ _CANONICAL = {
     "b-and-not-a": "B-not-A",
 }
 
-_FAST: dict[str, Callable] = {
-    "A": condition_a_holds,
-    "B": condition_b_holds,
-    "OPEN": condition_open_holds,
-    "B-not-A": lambda ent: condition_b_holds(ent) and not condition_a_holds(ent),
-}
+
+def _b_not_a(entries) -> bool:
+    return CONDITIONS["B"].holds(entries) and not CONDITIONS["A"].holds(entries)
 
 
 def _resolve_predicate(spec: SearchSpec) -> tuple[str | None, Callable]:
@@ -96,7 +87,7 @@ def _resolve_predicate(spec: SearchSpec) -> tuple[str | None, Callable]:
     name = _CANONICAL.get(str(spec.predicate).lower())
     if name is None:
         raise ValueError(f"unknown predicate {spec.predicate!r}")
-    return name, _FAST[name]
+    return name, _b_not_a if name == "B-not-A" else CONDITIONS[name].holds
 
 
 def _guard_budget(spec: SearchSpec) -> None:
@@ -121,61 +112,33 @@ def _crosscheck_open_hit(entries: tuple[int, ...]) -> None:
             )
 
 
-def _enum_scan(v, fixed, fn, limit, crosscheck, progress, base):
-    free = v - len(fixed)
-    total = v**free
-    examined = satisfying = 0
-    witnesses = []
-    stopped = False
-    for tail in itertools.product(range(v), repeat=free):
-        entries = fixed + tail
-        examined += 1
-        if progress is not None and (base + examined) % PROGRESS_INTERVAL == 0:
-            progress(base + examined)
-        if fn(entries):
-            if crosscheck:
-                _crosscheck_open_hit(entries)
-            satisfying += 1
-            if limit:
-                witnesses.append(ShiftSequence(entries))
-                if len(witnesses) >= limit:
-                    stopped = examined < total
-                    break
-    return witnesses, examined, satisfying, not stopped
-
-
 def enumerate_space(
     spec: SearchSpec,
-    threads: int = 1,
     progress: Callable[[int], None] | None = None,
 ) -> SearchOutcome:
     """Visit every candidate in lexicographic order and apply the predicate."""
     _guard_budget(spec)
     name, fn = _resolve_predicate(spec)
-    crosscheck = name == "OPEN"
     v = spec.v
+    limit = spec.limit
     fixed = (0,) if spec.normalize else ()
-
-    if threads > 1:
-        if spec.limit:
-            raise ValueError("threaded enumeration requires limit=0")
-        free = v - len(fixed)
-        prefixes = list(itertools.product(range(v), repeat=min(2, free)))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda pre: _enum_scan(v, fixed + pre, fn, 0, crosscheck, None, 0),
-                    prefixes,
-                )
-            )
-        examined = sum(p[1] for p in parts)
-        satisfying = sum(p[2] for p in parts)
-        return SearchOutcome((), examined, satisfying, True)
-
-    witnesses, examined, satisfying, exhaustive = _enum_scan(
-        v, fixed, fn, spec.limit, crosscheck, progress, 0
-    )
-    return SearchOutcome(tuple(witnesses), examined, satisfying, exhaustive)
+    free = v - len(fixed)
+    examined = satisfying = 0
+    witnesses = []
+    for tail in itertools.product(range(v), repeat=free):
+        entries = fixed + tail
+        examined += 1
+        if progress is not None and examined % PROGRESS_INTERVAL == 0:
+            progress(examined)
+        if fn(entries):
+            if name == "OPEN":
+                _crosscheck_open_hit(entries)
+            satisfying += 1
+            if limit:
+                witnesses.append(ShiftSequence(entries))
+                if len(witnesses) >= limit:
+                    break
+    return SearchOutcome(tuple(witnesses), examined, satisfying, examined == v**free)
 
 
 class _StopSearch(Exception):
@@ -188,10 +151,12 @@ def backtrack(
 ) -> SearchOutcome:
     """Depth-first assignment with refutation-sound prefix pruning.
 
-    Prunes on the first duplicate (A, OPEN) or third repetition (B) among
-    differences whose entries are all assigned; extended-index differences
-    are deferred until both referenced entries exist. Witnesses come out in
-    the same lexicographic order as full enumeration. Named predicates only.
+    Each difference term of the predicate's condition is counted once the
+    later of its two entries is placed, and a prefix is pruned as soon as a
+    count passes the cap. B-not-A searches B and also counts the unextended
+    (t = 0) terms alone: a witness needs a repeat among them to fail A.
+    Witnesses come out in the same lexicographic order as full enumeration.
+    Named predicates only.
     """
     _guard_budget(spec)
     name, _ = _resolve_predicate(spec)
@@ -199,84 +164,63 @@ def backtrack(
         raise ValueError("backtracking requires a named predicate (A, B, B-not-A, OPEN)")
     v = spec.v
     limit = spec.limit
-    use_kind2 = name != "A"
-    cap = 2 if name in ("B", "B-not-A") else 1
-    counts = [[0] * v for _ in range(v)]
-    counts_a = [[0] * v for _ in range(v)] if name == "B-not-A" else None
-    a_dups = 0
+    b_not_a = name == "B-not-A"
+    extended, cap = CONDITIONS["B" if b_not_a else name]
+    # Terms by their later index, each with the offset of its shift's counts.
+    later = [[] for _ in range(v)]
+    for s, terms in enumerate(difference_terms(v, extended), 1):
+        for i, k, t in terms:
+            later[max(i, k)].append((s * v, i, k, t))
+    counts = [0] * (v * v)
+    counts_a = [0] * (v * v)
+    a_pairs = 0  # equal pairs among the t = 0 differences of one shift
     entries = [0] * v
     witnesses: list[ShiftSequence] = []
     examined = 0
     satisfying = 0
 
-    def apply(m):
-        nonlocal a_dups
-        val = entries[m]
-        added = []
-        added_a = []
-        ok = True
-        for s in range(1, m + 1):
-            d = (entries[m - s] - val) % v
-            counts[s][d] += 1
-            added.append((s, d))
-            if counts[s][d] > cap:
-                ok = False
-                break
-            if counts_a is not None:
-                counts_a[s][d] += 1
-                added_a.append((s, d))
-                if counts_a[s][d] == 2:
-                    a_dups += 1
-        if ok and use_kind2:
-            for s in range(max(1, v - m), v):
-                d = (val - entries[m + s - v] - 1) % v
-                counts[s][d] += 1
-                added.append((s, d))
-                if counts[s][d] > cap:
-                    ok = False
-                    break
-        return ok, added, added_a
-
-    def undo(added, added_a):
-        nonlocal a_dups
-        for s, d in added_a:
-            if counts_a[s][d] == 2:
-                a_dups -= 1
-            counts_a[s][d] -= 1
-        for s, d in added:
-            counts[s][d] -= 1
-
     def place(m):
-        nonlocal examined, satisfying
+        nonlocal examined, satisfying, a_pairs
+        terms = later[m]
+        last = m == v - 1
         for val in range(v):
             entries[m] = val
             examined += 1
             if progress is not None and examined % PROGRESS_INTERVAL == 0:
                 progress(examined)
-            ok, added, added_a = apply(m)
-            if ok:
-                if m == v - 1:
-                    if name != "B-not-A" or a_dups > 0:
-                        ent = tuple(entries)
-                        if name == "OPEN":
-                            _crosscheck_open_hit(ent)
-                        satisfying += 1
-                        if limit:
-                            witnesses.append(ShiftSequence(ent))
-                            if len(witnesses) >= limit:
-                                undo(added, added_a)
-                                raise _StopSearch
-                else:
+            added = []
+            added_a = []
+            for base, i, k, t in terms:
+                slot = base + (entries[i] - entries[k] - t) % v
+                counts[slot] += 1
+                added.append(slot)
+                if counts[slot] > cap:
+                    break
+                if b_not_a and not t:
+                    a_pairs += counts_a[slot]
+                    counts_a[slot] += 1
+                    added_a.append(slot)
+            else:
+                if not last:
                     place(m + 1)
-            undo(added, added_a)
+                elif not b_not_a or a_pairs:
+                    ent = tuple(entries)
+                    if name == "OPEN":
+                        _crosscheck_open_hit(ent)
+                    satisfying += 1
+                    if limit:
+                        witnesses.append(ShiftSequence(ent))
+                        if len(witnesses) >= limit:
+                            raise _StopSearch
+            for slot in added:
+                counts[slot] -= 1
+            for slot in added_a:
+                counts_a[slot] -= 1
+                a_pairs -= counts_a[slot]
 
     exhaustive = True
     try:
-        if spec.normalize:
-            entries[0] = 0
-            place(1)
-        else:
-            place(0)
+        place(1 if spec.normalize else 0)
     except _StopSearch:
         exhaustive = False
     return SearchOutcome(tuple(witnesses), examined, satisfying, exhaustive)
@@ -284,13 +228,12 @@ def backtrack(
 
 def run_search(
     spec: SearchSpec,
-    threads: int = 1,
     progress: Callable[[int], None] | None = None,
 ) -> SearchOutcome:
     """Dispatch on spec.strategy ("full" enumeration or "backtrack")."""
     if spec.strategy == "backtrack":
         return backtrack(spec, progress=progress)
-    return enumerate_space(spec, threads=threads, progress=progress)
+    return enumerate_space(spec, progress=progress)
 
 
 def find_B_not_A(
@@ -298,11 +241,10 @@ def find_B_not_A(
     limit: int = 0,
     strategy: str = "backtrack",
     force: bool = False,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Search for vectors passing the multiplicity condition but not distinctness."""
     spec = SearchSpec(v, "B-not-A", limit=limit, strategy=strategy, force=force)
-    return run_search(spec, threads=threads)
+    return run_search(spec)
 
 
 @dataclass(frozen=True)
@@ -323,26 +265,16 @@ class NonexistenceEntry:
 def verify_open_nonexistence(v_max: int, force: bool = False) -> dict[int, NonexistenceEntry]:
     """Exhaustively census the completeness condition for every v in [2, v_max].
 
-    Each period gets a count pass over the full normalized space, then a
-    collection pass when hits exist, so the witness list is always complete.
+    One pass per period over the normalized space; its witness limit is the
+    size of that space, so every witness is kept and the pass never stops early.
     """
     if v_max < 2:
         raise ValueError(f"v_max must be at least 2, got {v_max}")
     table = {}
     for v in range(2, v_max + 1):
-        count_run = enumerate_space(SearchSpec(v, "OPEN", limit=0, force=force))
-        witnesses: tuple[ShiftSequence, ...] = ()
-        if count_run.satisfying:
-            collect = enumerate_space(
-                SearchSpec(v, "OPEN", limit=count_run.satisfying, force=force)
-            )
-            witnesses = collect.witnesses
+        run = enumerate_space(SearchSpec(v, "OPEN", limit=v ** (v - 1), force=force))
         table[v] = NonexistenceEntry(
-            v,
-            count_run.satisfying > 0,
-            witnesses,
-            count_run.examined,
-            count_run.exhaustive,
+            v, run.satisfying > 0, run.witnesses, run.examined, run.exhaustive
         )
     return table
 

@@ -16,9 +16,8 @@ from ilvseq import (
     condition_a_holds,
     condition_b_holds,
     condition_open_holds,
-    differences_A,
-    differences_B,
-    differences_open,
+    difference_terms,
+    differences,
     zero_count,
 )
 
@@ -32,36 +31,34 @@ def shift7(entries):
 
 
 def test_differences_A_worked_example():
-    prof = differences_A(E7, 1)
+    prof = differences(E7, 1, False)
     assert prof.values == (0, 6, 1, 1, 3, 5)
     assert prof.distinct_count == 5
     assert prof.max_multiplicity == 2
     assert prof.multiplicity == ((0, 1), (1, 2), (3, 1), (5, 1), (6, 1))
     assert prof.multiplicity_map[1] == 2
-    assert (prof.v, prof.s, prof.mode) == (7, 1, "A-range")
+    assert (prof.v, prof.s, prof.extended) == (7, 1, False)
 
 
 def test_differences_B_worked_example():
-    prof = differences_B(E7, 1)
+    prof = differences(E7, 1, True)
     assert prof.values == (0, 6, 1, 1, 3, 5, 4)
     assert prof.max_multiplicity == 2
 
 
 def test_differences_B_length_two_vector():
-    prof = differences_B(ShiftSequence((0, 1)), 1)
+    prof = differences(ShiftSequence((0, 1)), 1, True)
     assert prof.values == (1, 0)
 
 
 def test_shift_range_validation():
-    for fn in (differences_A, differences_B, differences_open):
+    for extended in (False, True):
         with pytest.raises(ValueError):
-            fn(E7, 0)
+            differences(E7, 0, extended)
         with pytest.raises(ValueError):
-            fn(E7, 7)
-    with pytest.raises(ValueError):
-        differences_open(E7, 1, form=3)
-    with pytest.raises(ValueError):
-        differences_A(ShiftSequence((0, INFINITY)), 1)
+            differences(E7, 7, extended)
+        with pytest.raises(ValueError):
+            differences(ShiftSequence((0, INFINITY)), 1, extended)
 
 
 def test_check_condition_A_worked_example():
@@ -121,19 +118,19 @@ def test_fast_forms_match_reports_sampled_v7(entries):
     assert condition_open_holds(entries) == check_condition_open(e).verdict
 
 
-@given(entries7, st.integers(1, 6))
-def test_open_forms_agree(entries, s):
+@given(st.integers(2, 8).flatmap(
+    lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
+))
+def test_difference_terms_match_differences(entries):
+    # The fast term table, evaluated on a vector, is the definition itself.
+    v = len(entries)
     e = ShiftSequence(entries)
-    one = differences_open(e, s, form=1)
-    two = differences_open(e, s, form=2)
-    assert one.values == two.values
-    assert one.multiplicity == two.multiplicity
-
-
-@given(entries7, st.integers(1, 6))
-def test_extended_equals_open_multiset(entries, s):
-    e = ShiftSequence(entries)
-    assert differences_B(e, s).values == differences_open(e, s).values
+    for extended in (False, True):
+        table = difference_terms(v, extended)
+        assert len(table) == v - 1
+        for s, terms in enumerate(table, 1):
+            values = tuple((entries[i] - entries[k] - t) % v for i, k, t in terms)
+            assert values == differences(e, s, extended).values
 
 
 @given(entries7, st.integers(1, 6))

@@ -221,7 +221,11 @@ def _cmd_search(args) -> int:
     started = time.perf_counter()
     progress = None
     if args.progress:
-        progress = lambda n: print(f"examined={n}", file=sys.stderr)
+
+        def progress(n):
+            rate = n / (time.perf_counter() - started)
+            print(f"examined={n} rate={rate:.0f}/s", file=sys.stderr)
+
     if args.sample:
         outcome = sample_random(
             args.v, args.pred, args.sample, seed=args.seed, limit=args.limit
@@ -333,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", parents=[common], help="construct the v+1 member signal set")
     build.add_argument("--a", required=True)
     build.add_argument("--b", required=True)
-    build.add_argument("--e", required=True, help="comma-separated shifts, inf for zero column")
+    build.add_argument("--e", required=True, help="comma-separated finite shifts in [0, v)")
     build.add_argument("--delta", action="store_true", help="also sweep the set's delta")
     build.set_defaults(func=_cmd_build)
 
@@ -348,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--limit", type=int, default=0, help="stop after this many witnesses")
     search.add_argument("--strategy", choices=("full", "backtrack"), default="full")
     search.add_argument("--force", action="store_true", help="override the budget guard")
-    search.add_argument("--progress", action="store_true", help="emit examined counts to stderr")
+    search.add_argument("--progress", action="store_true", help="emit examined counts and rates to stderr")
     search.add_argument("--sample", type=int, default=0, help="random draws instead of a sweep")
     search.add_argument("--seed", type=int, default=0)
     search.set_defaults(func=_cmd_search)

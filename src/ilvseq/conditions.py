@@ -18,8 +18,9 @@ All differences are canonical residues in [0, v). ``differences`` is the
 definition; the ``check_*`` reports are built on it and serve the tests as
 the oracle. ``difference_terms`` indexes the same differences as triples
 (i, k, t), each meaning e_i - e_k - t; ``Condition.holds`` counts them per
-shift and stops at the first excess, and the search's backtracker counts
-them as entries are placed.
+shift and stops at the first excess, ``Condition.holds_rows`` gives the same
+verdict on a block of candidates at once (full enumeration), and the
+search's backtracker counts them as entries are placed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .interleaving import INFINITY, ShiftSequence, extended_entry
 
@@ -53,6 +56,26 @@ class Condition(NamedTuple):
                     return False
                 counts[d] += 1
         return True
+
+    def holds_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Block verdict: a bool mask over the rows of an (N, v) integer
+        array of finite entries, equal row by row to ``holds``. Per shift it
+        sorts each row's differences and rejects a row where a value occurs
+        more than ``cap`` times; only the surviving rows go on to the next
+        shift."""
+        extended, cap = self
+        n, v = rows.shape
+        ok = np.ones(n, dtype=bool)
+        alive = np.arange(n)
+        for i, k, t in _term_arrays(v, extended):
+            d = (rows[:, i] - rows[:, k] - t) % v
+            d.sort(axis=1)
+            bad = (d[:, cap:] == d[:, :-cap]).any(axis=1)
+            if bad.any():
+                ok[alive[bad]] = False
+                alive = alive[~bad]
+                rows = rows[~bad]
+        return ok
 
 
 CONDITIONS = {
@@ -179,6 +202,16 @@ def difference_terms(v: int, extended: bool) -> tuple[tuple[tuple[int, int, int]
             for j in range(v if extended else v - s)
         )
         for s in range(1, v)
+    )
+
+
+@lru_cache(maxsize=None)
+def _term_arrays(v: int, extended: bool) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    # ``difference_terms`` as index arrays i, k and offsets t per shift; t is
+    # int8 so that it keeps the dtype of small-integer rows.
+    return tuple(
+        (np.array(i, dtype=np.intp), np.array(k, dtype=np.intp), np.array(t, dtype=np.int8))
+        for i, k, t in (zip(*terms) for terms in difference_terms(v, extended))
     )
 
 

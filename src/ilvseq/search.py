@@ -3,9 +3,9 @@
 The search space for length v is all of Z_v^v, cut down to v^(v-1) by fixing
 e_0 = 0 (every predicate here is invariant under adding a constant to all
 entries, so each class has exactly one normalized representative). Full
-enumeration visits every candidate; backtracking prunes a prefix as soon as
-its determined differences already violate the predicate, which is sound
-because adding entries never removes a difference.
+enumeration visits every candidate, a numpy block at a time; backtracking
+prunes a prefix as soon as its determined differences already violate the
+predicate, which is sound because adding entries never removes a difference.
 
 ``examined`` counts candidates for full enumeration and assignment nodes for
 backtracking; ``exhaustive`` means the whole space was logically covered
@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .conditions import CONDITIONS, cond2_sum_residue, difference_terms
 from .interleaving import ShiftSequence
 
@@ -27,6 +29,11 @@ BUDGET_MAX_V = 8
 
 #: Examined-count granularity of progress callbacks.
 PROGRESS_INTERVAL = 20000
+
+#: Most rows in one block of full enumeration (a block holds v^L rows, for
+#: the largest such L). Larger blocks amortize numpy's per-call cost; these
+#: stay far below a megabyte.
+BLOCK_ROWS = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -112,32 +119,62 @@ def _crosscheck_open_hit(entries: tuple[int, ...]) -> None:
             )
 
 
+def _row_verdict(name: str | None, fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    # A bool mask over a block of candidate rows.
+    if name is None:
+        return lambda rows: np.fromiter(map(fn, map(tuple, rows.tolist())), bool, len(rows))
+    if name == "B-not-A":
+        b, a = CONDITIONS["B"], CONDITIONS["A"]
+        return lambda rows: b.holds_rows(rows) & ~a.holds_rows(rows)
+    return CONDITIONS[name].holds_rows
+
+
 def enumerate_space(
     spec: SearchSpec,
     progress: Callable[[int], None] | None = None,
 ) -> SearchOutcome:
-    """Visit every candidate in lexicographic order and apply the predicate."""
+    """Visit every candidate in lexicographic order and apply the predicate.
+
+    The space is walked in blocks of v^L rows that share their head digits;
+    the last L columns hold every tail in order. A named predicate is judged
+    a block at a time by ``Condition.holds_rows``, a callable row by row.
+    """
     _guard_budget(spec)
     name, fn = _resolve_predicate(spec)
+    verdict = _row_verdict(name, fn)
     v = spec.v
     limit = spec.limit
-    fixed = (0,) if spec.normalize else ()
-    free = v - len(fixed)
+    lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
+    free = v - lead
+    tail = 1
+    while tail < free and v ** (tail + 1) <= BLOCK_ROWS:
+        tail += 1
+    block = np.zeros((v**tail, v), dtype=np.min_scalar_type(-v))
+    block[:, v - tail :] = np.indices((v,) * tail).reshape(tail, -1).T
     examined = satisfying = 0
     witnesses = []
-    for tail in itertools.product(range(v), repeat=free):
-        entries = fixed + tail
-        examined += 1
-        if progress is not None and examined % PROGRESS_INTERVAL == 0:
-            progress(examined)
-        if fn(entries):
-            if name == "OPEN":
-                _crosscheck_open_hit(entries)
-            satisfying += 1
-            if limit:
-                witnesses.append(ShiftSequence(entries))
-                if len(witnesses) >= limit:
-                    break
+    for head in itertools.product(range(v), repeat=free - tail):
+        block[:, lead : v - tail] = head
+        hits = np.flatnonzero(verdict(block))
+        size = len(block)
+        if limit and len(witnesses) + len(hits) >= limit:
+            hits = hits[: limit - len(witnesses)]
+            size = int(hits[-1]) + 1
+        if progress is not None:
+            first = (examined // PROGRESS_INTERVAL + 1) * PROGRESS_INTERVAL
+            for tick in range(first, examined + size + 1, PROGRESS_INTERVAL):
+                progress(tick)
+        examined += size
+        satisfying += len(hits)
+        if limit or name == "OPEN":
+            for row in block[hits].tolist():
+                entries = tuple(row)
+                if name == "OPEN":
+                    _crosscheck_open_hit(entries)
+                if limit:
+                    witnesses.append(ShiftSequence(entries))
+            if limit and len(witnesses) >= limit:
+                break
     return SearchOutcome(tuple(witnesses), examined, satisfying, examined == v**free)
 
 
@@ -295,7 +332,7 @@ def sample_random(
     """
     if n < 1:
         raise ValueError("sample size must be positive")
-    spec = SearchSpec(v, predicate, normalize=normalize, force=True)
+    spec = SearchSpec(v, predicate, normalize=normalize, limit=limit, force=True)
     name, fn = _resolve_predicate(spec)
     rng = random.Random(seed)
     fixed = (0,) if normalize else ()
@@ -309,7 +346,5 @@ def sample_random(
                 _crosscheck_open_hit(entries)
             satisfying += 1
             hits.add(entries)
-    witnesses = tuple(
-        ShiftSequence(ent) for ent in sorted(hits)[: limit if limit else 0]
-    )
+    witnesses = tuple(ShiftSequence(ent) for ent in sorted(hits)[:limit])
     return SearchOutcome(witnesses, n, satisfying, False)

@@ -1,9 +1,11 @@
 """Tests for the command-line interface: reports, exit codes, error paths."""
 
 import json
+import re
 
 import pytest
 
+import ilvseq.search as search_mod
 from ilvseq import ShiftSequence, all_passed, run_all
 from ilvseq.cli import main
 
@@ -100,6 +102,15 @@ def test_build_warns_on_advisory_notes(capsys):
     assert "warning: b is a shift of a" in err
 
 
+def test_build_rejects_infinite_vector(capsys):
+    code, out, err = run_cli(
+        capsys, "build", "--a", "1001110", "--b", "1001011", "--e", "0,inf,1,0,6,3,5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: shift vector must be finite" in err
+
+
 def test_check_verdict_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "check", "--e", "0,0,1,0,6,3,5", "--cond", "A")
     assert code == 1
@@ -158,6 +169,26 @@ def test_search_sample(capsys):
     assert results["strategy"] == "sample"
     assert results["examined"] == 50
     assert results["exhaustive"] is False
+
+
+def test_search_sample_rejects_negative_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "--v", "5", "--pred", "B", "--sample", "50", "--limit", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "limit must be nonnegative" in err
+
+
+def test_search_progress_reports_rates(capsys, monkeypatch):
+    monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", 100)
+    code, out, err = run_cli(capsys, "search", "--v", "5", "--pred", "A", "--progress")
+    assert code == 0
+    assert parse_report(out)["results"]["examined"] == 625
+    lines = err.splitlines()
+    assert len(lines) == 6
+    for n, line in zip(range(100, 625, 100), lines):
+        assert re.fullmatch(rf"examined={n} rate=\d+/s", line)
 
 
 def test_verify_nonexistence(capsys):

@@ -2,11 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ilvseq import (
+    CONDITIONS,
     INFINITY,
     ShiftSequence,
     check_condition_A,
@@ -116,6 +118,28 @@ def test_fast_forms_match_reports_sampled_v7(entries):
     assert condition_a_holds(entries) == check_condition_A(e).verdict
     assert condition_b_holds(entries) == check_condition_B(e).verdict
     assert condition_open_holds(entries) == check_condition_open(e).verdict
+
+
+@st.composite
+def row_blocks(draw):
+    # A block of rows for one v; each drawn row is followed by a copy whose
+    # entry 1 repeats entry 0, so every block holds repeated entries.
+    v = draw(st.integers(2, 9))
+    drawn = draw(st.lists(
+        st.lists(st.integers(0, v - 1), min_size=v, max_size=v), min_size=1, max_size=12
+    ))
+    rows = []
+    for row in drawn:
+        rows += [row, [row[0], row[0]] + row[2:]]
+    return np.array(rows, dtype=draw(st.sampled_from([np.int8, np.int64])))
+
+
+@given(row_blocks())
+def test_block_verdict_matches_scalar(rows):
+    for cond in ("A", "B", "OPEN"):
+        mask = CONDITIONS[cond].holds_rows(rows)
+        assert mask.dtype == bool
+        assert mask.tolist() == [CONDITIONS[cond].holds(tuple(r)) for r in rows.tolist()]
 
 
 @given(st.integers(2, 8).flatmap(

@@ -1,11 +1,14 @@
 """Tests for exhaustive enumeration, backtracking, and the census helpers."""
 
+import itertools
+
 import pytest
 
 import ilvseq.search as search_mod
 from ilvseq import (
     BudgetExceededError,
     SearchOutcome,
+    CONDITIONS,
     SearchSpec,
     ShiftSequence,
     backtrack,
@@ -86,6 +89,43 @@ def test_v2_completeness_witnesses():
     out = enumerate_space(SearchSpec(2, "open", limit=5))
     assert out.satisfying == 2
     assert [w.entries for w in out.witnesses] == [(0, 0), (0, 1)]
+
+
+def _reference_hits(v, pred, normalize):
+    # Per-candidate oracle: lexicographic product and the scalar verdict.
+    a, b, complete = (CONDITIONS[c].holds for c in ("A", "B", "OPEN"))
+    fn = {"A": a, "B": b, "B-not-A": lambda e: b(e) and not a(e), "OPEN": complete}[pred]
+    space = itertools.product(range(v), repeat=v - normalize)
+    return [(n, (0,) * normalize + tail) for n, tail in enumerate(space, 1)
+            if fn((0,) * normalize + tail)]
+
+
+def test_block_enumeration_matches_per_candidate_reference(monkeypatch):
+    v = 6
+    block = v ** max(L for L in range(1, v) if v**L <= search_mod.BLOCK_ROWS)
+    interval = 1000
+    assert interval % block and block % interval
+    monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", interval)
+    for normalize in (True, False):
+        size = v ** (v - normalize)
+        for pred in ("A", "B", "B-not-A", "OPEN"):
+            hits = _reference_hits(v, pred, normalize)
+            # The first hit past the first block that is not a block's last row.
+            stops = [k for k, (n, _) in enumerate(hits, 1) if n > block and n % block]
+            for limit in [0, 10**9] + stops[:1]:
+                ticks = []
+                out = enumerate_space(
+                    SearchSpec(v, pred, normalize=normalize, limit=limit), progress=ticks.append
+                )
+                kept = hits[:limit] if limit else []
+                examined = kept[-1][0] if 0 < limit <= len(hits) else size
+                assert [w.entries for w in out.witnesses] == [e for _, e in kept]
+                assert out.examined == examined
+                assert out.satisfying == (len(kept) if 0 < limit <= len(hits) else len(hits))
+                assert out.exhaustive == (examined == size)
+                assert ticks == list(range(interval, examined + 1, interval))
+            if pred != "OPEN":
+                assert stops, "a limit must stop inside a later block"
 
 
 def test_backtrack_agrees_with_enumeration():
@@ -197,3 +237,5 @@ def test_sample_random_validation():
         sample_random(3, "A", 0)
     with pytest.raises(ValueError):
         sample_random(1, "A", 10)
+    with pytest.raises(ValueError, match="limit must be nonnegative"):
+        sample_random(5, "B", 50, limit=-1)

@@ -96,12 +96,15 @@ def _condition_json(report: ConditionReport) -> dict:
 
 
 def _outcome_json(outcome: SearchOutcome) -> dict:
-    return {
+    results = {
         "witnesses": [str(w) for w in outcome.witnesses],
         "examined": outcome.examined,
         "satisfying": outcome.satisfying,
         "exhaustive": outcome.exhaustive,
     }
+    if outcome.nodes_by_depth:
+        results["stats"] = {"nodes_by_depth": list(outcome.nodes_by_depth)}
+    return results
 
 
 def _emit(args, command: str, inputs: dict, results: dict, started: float, pretty_lines=None):

@@ -140,7 +140,7 @@ def run_all(example_e: ShiftSequence | None = None, seed: int = 0) -> list[Check
                         bound_ok = False
     record("magnitude bound holds off the diagonal phases", bound_ok, "all (h,k,s,r)")
 
-    hits = backtrack(SearchSpec(v, "B", limit=10))
+    hits = backtrack(SearchSpec(v, "B", limit=10, strategy="backtrack"))
     deltas = []
     for w in hits.witnesses:
         deltas.append(signal_set_delta(build_signal_set(a, b, w).members).delta)

@@ -5,18 +5,20 @@ e_0 = 0 (every predicate here is invariant under adding a constant to all
 entries, so each class has exactly one normalized representative). Full
 enumeration visits every candidate, a numpy block at a time; backtracking
 prunes a prefix as soon as its determined differences already violate the
-predicate, which is sound because adding entries never removes a difference.
+predicate, which is sound because adding entries never removes a difference,
+and expands a numpy block of prefixes at a time.
 
-``examined`` counts candidates for full enumeration and assignment nodes for
-backtracking; ``exhaustive`` means the whole space was logically covered
-(false only after an early stop on a witness limit, or for random sampling).
+``examined`` counts candidates for full enumeration and the assignment nodes
+of the depth-first walk for backtracking; ``exhaustive`` means the whole space
+was logically covered (false only after an early stop on a witness limit, or
+for random sampling).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,8 +33,9 @@ BUDGET_MAX_V = 8
 PROGRESS_INTERVAL = 20000
 
 #: Most rows in one block of full enumeration (a block holds v^L rows, for
-#: the largest such L). Larger blocks amortize numpy's per-call cost; these
-#: stay far below a megabyte.
+#: the largest such L), and most children of one backtracking expansion.
+#: Larger blocks amortize numpy's per-call cost; these stay far below a
+#: megabyte.
 BLOCK_ROWS = 4096
 
 
@@ -73,6 +76,9 @@ class SearchOutcome:
     examined: int
     satisfying: int
     exhaustive: bool
+    #: Depth-first backtracking nodes per placed column; they sum to
+    #: ``examined``. Empty for the other strategies.
+    nodes_by_depth: tuple[int, ...] = field(default=(), compare=False)
 
 
 _CANONICAL = {
@@ -119,6 +125,31 @@ def _crosscheck_open_hit(entries: tuple[int, ...]) -> None:
             )
 
 
+def _row_dtype(v: int) -> np.dtype:
+    # The smallest integer type holding every entry, every difference
+    # e_i - e_k - t in [-v, v) and the modulus v itself (int8 up to v = 127).
+    return np.min_scalar_type(-v - 1)
+
+
+def _tick(progress: Callable[[int], None] | None, since: int, upto: int) -> None:
+    # Report every multiple of PROGRESS_INTERVAL in (since, upto].
+    if progress is not None:
+        first = (since // PROGRESS_INTERVAL + 1) * PROGRESS_INTERVAL
+        for tick in range(first, upto + 1, PROGRESS_INTERVAL):
+            progress(tick)
+
+
+def _collect(rows: np.ndarray, name: str | None, limit: int, witnesses: list) -> None:
+    # Cross-check completeness hits, and keep witnesses when a limit asks for them.
+    if limit or name == "OPEN":
+        for row in rows.tolist():
+            entries = tuple(row)
+            if name == "OPEN":
+                _crosscheck_open_hit(entries)
+            if limit:
+                witnesses.append(ShiftSequence(entries))
+
+
 def _row_verdict(name: str | None, fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
     # A bool mask over a block of candidate rows.
     if name is None:
@@ -149,7 +180,7 @@ def enumerate_space(
     tail = 1
     while tail < free and v ** (tail + 1) <= BLOCK_ROWS:
         tail += 1
-    block = np.zeros((v**tail, v), dtype=np.min_scalar_type(-v))
+    block = np.zeros((v**tail, v), dtype=_row_dtype(v))
     block[:, v - tail :] = np.indices((v,) * tail).reshape(tail, -1).T
     examined = satisfying = 0
     witnesses = []
@@ -160,40 +191,36 @@ def enumerate_space(
         if limit and len(witnesses) + len(hits) >= limit:
             hits = hits[: limit - len(witnesses)]
             size = int(hits[-1]) + 1
-        if progress is not None:
-            first = (examined // PROGRESS_INTERVAL + 1) * PROGRESS_INTERVAL
-            for tick in range(first, examined + size + 1, PROGRESS_INTERVAL):
-                progress(tick)
+        _tick(progress, examined, examined + size)
         examined += size
         satisfying += len(hits)
-        if limit or name == "OPEN":
-            for row in block[hits].tolist():
-                entries = tuple(row)
-                if name == "OPEN":
-                    _crosscheck_open_hit(entries)
-                if limit:
-                    witnesses.append(ShiftSequence(entries))
-            if limit and len(witnesses) >= limit:
-                break
+        _collect(block[hits], name, limit, witnesses)
+        if limit and len(witnesses) >= limit:
+            break
     return SearchOutcome(tuple(witnesses), examined, satisfying, examined == v**free)
-
-
-class _StopSearch(Exception):
-    pass
 
 
 def backtrack(
     spec: SearchSpec,
     progress: Callable[[int], None] | None = None,
 ) -> SearchOutcome:
-    """Depth-first assignment with refutation-sound prefix pruning.
+    """Depth-first assignment with refutation-sound prefix pruning, a numpy
+    block of prefixes at a time.
 
     Each difference term of the predicate's condition is counted once the
     later of its two entries is placed, and a prefix is pruned as soon as a
-    count passes the cap. B-not-A searches B and also counts the unextended
-    (t = 0) terms alone: a witness needs a repeat among them to fail A.
-    Witnesses come out in the same lexicographic order as full enumeration.
-    Named predicates only.
+    count passes the cap. A row holds its entries in columns [0, v) and the
+    count of difference d at shift s in column s*v + d. A popped block of
+    parents at depth m expands to all its children at column m, one numpy
+    column op per term of ``later[m]``; the survivors go back on the stack in
+    blocks of ``BLOCK_ROWS // v`` parents, first block on top, so leaves
+    come out in the same lexicographic order as full enumeration. B-not-A
+    searches B and keeps the leaves that fail A. Named predicates only.
+
+    ``examined``, ``nodes_by_depth`` and the progress ticks are those of the
+    one-node-at-a-time depth-first walk, also on an early stop: at depth m it
+    has tried the children of every parent block finished before the active
+    one, plus those of the active block up to the current path.
     """
     _guard_budget(spec)
     name, _ = _resolve_predicate(spec)
@@ -203,64 +230,72 @@ def backtrack(
     limit = spec.limit
     b_not_a = name == "B-not-A"
     extended, cap = CONDITIONS["B" if b_not_a else name]
-    # Terms by their later index, each with the offset of its shift's counts.
+    # Terms by their later index, each with the column of its shift's counts.
     later = [[] for _ in range(v)]
     for s, terms in enumerate(difference_terms(v, extended), 1):
         for i, k, t in terms:
             later[max(i, k)].append((s * v, i, k, t))
-    counts = [0] * (v * v)
-    counts_a = [0] * (v * v)
-    a_pairs = 0  # equal pairs among the t = 0 differences of one shift
-    entries = [0] * v
+    lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
+    width = v * v
+    values = np.arange(v, dtype=_row_dtype(v))
+    step = max(1, BLOCK_ROWS // v)
+    # Per depth: children tried by finished blocks, and the active block's
+    # size and the index of each of its rows among its parent block's children.
+    done = [0] * v
+    sizes = [0] * v
+    source = [None] * v
+    stack = [(lead, np.zeros((1, width), dtype=values.dtype), np.zeros(1, dtype=np.intp))]
     witnesses: list[ShiftSequence] = []
-    examined = 0
+    examined = 0  # depth-first nodes up to the last child of the last leaf block
     satisfying = 0
 
-    def place(m):
-        nonlocal examined, satisfying, a_pairs
-        terms = later[m]
-        last = m == v - 1
-        for val in range(v):
-            entries[m] = val
-            examined += 1
-            if progress is not None and examined % PROGRESS_INTERVAL == 0:
-                progress(examined)
-            added = []
-            added_a = []
-            for base, i, k, t in terms:
-                slot = base + (entries[i] - entries[k] - t) % v
-                counts[slot] += 1
-                added.append(slot)
-                if counts[slot] > cap:
-                    break
-                if b_not_a and not t:
-                    a_pairs += counts_a[slot]
-                    counts_a[slot] += 1
-                    added_a.append(slot)
-            else:
-                if not last:
-                    place(m + 1)
-                elif not b_not_a or a_pairs:
-                    ent = tuple(entries)
-                    if name == "OPEN":
-                        _crosscheck_open_hit(ent)
-                    satisfying += 1
-                    if limit:
-                        witnesses.append(ShiftSequence(ent))
-                        if len(witnesses) >= limit:
-                            raise _StopSearch
-            for slot in added:
-                counts[slot] -= 1
-            for slot in added_a:
-                counts_a[slot] -= 1
-                a_pairs -= counts_a[slot]
+    def path_nodes(j: int) -> list[int]:
+        # Depth-first node counts per depth once child j of the active leaf
+        # block is tried.
+        nodes = []
+        for m in range(v - 1, lead - 1, -1):
+            nodes.append(done[m] + j + 1)
+            j = int(source[m][j // v])
+        return nodes[::-1]
 
-    exhaustive = True
-    try:
-        place(1 if spec.normalize else 0)
-    except _StopSearch:
-        exhaustive = False
-    return SearchOutcome(tuple(witnesses), examined, satisfying, exhaustive)
+    while stack:
+        m, parents, src = stack.pop()
+        done[m] += v * sizes[m]
+        sizes[m] = len(parents)
+        source[m] = src
+        n = len(parents) * v
+        kids = np.repeat(parents, v, axis=0)
+        kids[:, m] = np.tile(values, len(parents))
+        flat = kids.reshape(-1)
+        rowbase = np.arange(0, n * width, width)
+        bad = np.zeros(n, dtype=bool)
+        for base, i, k, t in later[m]:
+            slot = rowbase + base + (kids[:, i] - kids[:, k] - t) % v
+            count = flat[slot] + 1
+            flat[slot] = count
+            bad |= count > cap
+        keep = np.flatnonzero(~bad)
+        if m < v - 1:
+            for start in reversed(range(0, len(keep), step)):
+                part = keep[start : start + step]
+                stack.append((m + 1, kids[part], part))
+            continue
+        hits = keep
+        if b_not_a:
+            hits = keep[~CONDITIONS["A"].holds_rows(kids[keep, :v])]
+        stop = 0 < limit <= len(witnesses) + len(hits)
+        if stop:
+            hits = hits[: limit - len(witnesses)]
+        nodes = path_nodes(int(hits[-1]) if stop else n - 1)
+        _tick(progress, examined, sum(nodes))
+        examined = sum(nodes)
+        satisfying += len(hits)
+        _collect(kids[hits, :v], name, limit, witnesses)
+        if stop:
+            return SearchOutcome(tuple(witnesses), examined, satisfying, False, tuple(nodes))
+    nodes = [done[m] + v * sizes[m] for m in range(lead, v)]
+    _tick(progress, examined, sum(nodes))
+    return SearchOutcome(tuple(witnesses), sum(nodes), satisfying, True, tuple(nodes))
 
 
 def run_search(

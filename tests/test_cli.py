@@ -138,6 +138,7 @@ def test_search_counts(capsys):
     assert results["examined"] == 9
     assert results["exhaustive"] is True
     assert results["strategy"] == "full"
+    assert "stats" not in results  # only backtracking counts nodes per depth
 
 
 def test_search_witnesses_and_backtrack(capsys):
@@ -150,6 +151,8 @@ def test_search_witnesses_and_backtrack(capsys):
     results = parse_report(out)["results"]
     assert results["witnesses"] == ["0,0,0,1,0,2,3"]
     assert results["exhaustive"] is False
+    assert results["stats"] == {"nodes_by_depth": [1, 1, 2, 1, 3, 4]}
+    assert sum(results["stats"]["nodes_by_depth"]) == results["examined"] == 12
 
 
 def test_search_budget_exit_3(capsys):

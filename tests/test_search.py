@@ -1,7 +1,9 @@
 """Tests for exhaustive enumeration, backtracking, and the census helpers."""
 
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 import ilvseq.search as search_mod
@@ -12,6 +14,7 @@ from ilvseq import (
     SearchSpec,
     ShiftSequence,
     backtrack,
+    difference_terms,
     enumerate_space,
     find_B_not_A,
     run_search,
@@ -156,11 +159,152 @@ def test_normalized_witnesses_represent_all_translates():
     assert unnormalized.satisfying == v * normalized.satisfying
 
 
+class _StopSearch(Exception):
+    pass
+
+
+def _reference_backtrack(spec, progress=None):
+    """The scalar depth-first walk, one node at a time: the oracle of the
+    block walk's witnesses, node counts and progress ticks."""
+    name, _ = search_mod._resolve_predicate(spec)
+    v = spec.v
+    limit = spec.limit
+    b_not_a = name == "B-not-A"
+    extended, cap = CONDITIONS["B" if b_not_a else name]
+    later = [[] for _ in range(v)]
+    for s, terms in enumerate(difference_terms(v, extended), 1):
+        for i, k, t in terms:
+            later[max(i, k)].append((s * v, i, k, t))
+    counts = [0] * (v * v)
+    counts_a = [0] * (v * v)
+    a_pairs = 0  # equal pairs among the t = 0 differences of one shift
+    entries = [0] * v
+    nodes = [0] * v
+    witnesses = []
+    examined = 0
+    satisfying = 0
+
+    def place(m):
+        nonlocal examined, satisfying, a_pairs
+        terms = later[m]
+        last = m == v - 1
+        for val in range(v):
+            entries[m] = val
+            examined += 1
+            nodes[m] += 1
+            if progress is not None and examined % search_mod.PROGRESS_INTERVAL == 0:
+                progress(examined)
+            added = []
+            added_a = []
+            for base, i, k, t in terms:
+                slot = base + (entries[i] - entries[k] - t) % v
+                counts[slot] += 1
+                added.append(slot)
+                if counts[slot] > cap:
+                    break
+                if b_not_a and not t:
+                    a_pairs += counts_a[slot]
+                    counts_a[slot] += 1
+                    added_a.append(slot)
+            else:
+                if not last:
+                    place(m + 1)
+                elif not b_not_a or a_pairs:
+                    ent = tuple(entries)
+                    if name == "OPEN":
+                        search_mod._crosscheck_open_hit(ent)
+                    satisfying += 1
+                    if limit:
+                        witnesses.append(ShiftSequence(ent))
+                        if len(witnesses) >= limit:
+                            raise _StopSearch
+            for slot in added:
+                counts[slot] -= 1
+            for slot in added_a:
+                counts_a[slot] -= 1
+                a_pairs -= counts_a[slot]
+
+    lead = 1 if spec.normalize else 0
+    exhaustive = True
+    try:
+        place(lead)
+    except _StopSearch:
+        exhaustive = False
+    return SearchOutcome(tuple(witnesses), examined, satisfying, exhaustive, tuple(nodes[lead:]))
+
+
+_REFERENCE = {}
+
+
+def _reference_run(v, pred, normalize, limit):
+    # Cached oracle outcome and ticks. An exhaustive run with limit 0 is the
+    # limit-10^9 run without its witnesses, so only the latter is walked.
+    key = (v, pred, normalize, min(limit or 10**9, 10**9), search_mod.PROGRESS_INTERVAL)
+    if key not in _REFERENCE:
+        ticks = []
+        spec = SearchSpec(v, pred, normalize=normalize, limit=key[3], strategy="backtrack")
+        _REFERENCE[key] = _reference_backtrack(spec, ticks.append), ticks
+    out, ticks = _REFERENCE[key]
+    return (dataclasses.replace(out, witnesses=()) if not limit else out), ticks
+
+
+@pytest.mark.parametrize(
+    "v, normalize, rows",
+    [(v, normalize, rows) for v in range(2, 6) for normalize in (True, False) for rows in (8, 64)]
+    + [(6, True, 8), (6, True, 64), (6, False, 64)]
+    + [(7, True, 64), (7, True, 4096), (7, False, 4096)],
+)
+def test_block_backtrack_matches_depth_first_reference(monkeypatch, v, normalize, rows):
+    # Small blocks make limit stops land inside a block and after several;
+    # with 8 rows and v >= 5 a block holds one parent. Larger v runs only the
+    # larger blocks, since the one-parent walk of v=7 takes half a minute.
+    monkeypatch.setattr(search_mod, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", 37)
+    for pred in ("A", "B", "B-not-A", "OPEN"):
+        for limit in (0, 1, 7, 50, 10**9):
+            ticks = []
+            spec = SearchSpec(v, pred, normalize=normalize, limit=limit, strategy="backtrack")
+            out = backtrack(spec, progress=ticks.append)
+            want, want_ticks = _reference_run(v, pred, normalize, limit)
+            assert out == want, (pred, limit)
+            assert out.nodes_by_depth == want.nodes_by_depth, (pred, limit)
+            assert sum(out.nodes_by_depth) == out.examined
+            assert ticks == want_ticks, (pred, limit)
+
+
+def test_backtrack_v8_frozen_counts():
+    counts = {"A": (1600, 74760), "B": (275328, 1224328),
+              "B-not-A": (273728, 1224328), "OPEN": (0, 33032)}
+    for pred, (satisfying, examined) in counts.items():
+        out = backtrack(SearchSpec(8, pred, strategy="backtrack"))
+        assert (out.satisfying, out.examined, out.exhaustive) == (satisfying, examined, True)
+        if pred == "B":
+            assert out.nodes_by_depth == (8, 64, 512, 4032, 30464, 206976, 982272)
+
+
 def test_backtrack_v7_completeness_frozen_counts():
     out = backtrack(SearchSpec(7, "open", strategy="backtrack"))
     assert out.satisfying == 0
     assert out.examined == 6132
     assert out.exhaustive
+
+
+def test_backtrack_crosschecks_every_open_hit(monkeypatch):
+    seen = []
+    monkeypatch.setattr(search_mod, "_crosscheck_open_hit", seen.append)
+    out = backtrack(SearchSpec(2, "OPEN", normalize=False, strategy="backtrack"))
+    assert out.satisfying == 4
+    assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_row_dtype_holds_the_modulus():
+    # At v = 128 every entry fits int8, but the modulus of the differences
+    # does not; a block of that dtype used to raise OverflowError.
+    for v in (3, 127, 128, 300):
+        rows = np.zeros((1, v), dtype=search_mod._row_dtype(v))
+        assert np.iinfo(rows.dtype).max >= v and np.iinfo(rows.dtype).min <= -v
+        assert not CONDITIONS["A"].holds_rows(rows)[0]
+    assert search_mod._row_dtype(127) == np.int8
 
 
 def test_backtrack_requires_named_predicate():
@@ -187,8 +331,8 @@ def test_progress_callback(monkeypatch):
     enumerate_space(SearchSpec(4, "A"), progress=ticks.append)
     assert ticks == [16, 32, 48, 64]
     ticks.clear()
-    backtrack(SearchSpec(4, "A", strategy="backtrack"), progress=ticks.append)
-    assert all(t % 16 == 0 for t in ticks)
+    out = backtrack(SearchSpec(4, "A", strategy="backtrack"), progress=ticks.append)
+    assert ticks == list(range(16, out.examined + 1, 16))
 
 
 def test_verify_open_nonexistence_table():

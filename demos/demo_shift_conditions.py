@@ -5,8 +5,8 @@ Difference conditions on shift vectors
 Three graded questions about a length-v shift vector, all phrased on the
 differences of its entries: are they pairwise distinct (distinctness), does
 no value repeat more than twice (multiplicity), do they cover all of Z_v
-(completeness)? The first gives delta = 2v + 1 sets, the second 2v + 3, and
-the third turns out to be impossible past v = 2.
+(completeness)? The first two give delta <= 2v + 3 (2v + 1 is reached at
+v = 3 only), and the third turns out to be impossible past v = 2.
 """
 
 from ilvseq import (

@@ -5,20 +5,19 @@ Building a (49, 8, 17) signal set by interleaving
 The flagship construction: interleave a period-7 two-level sequence under a
 shift vector, add shifted copies of a second two-level sequence, and get 8
 pairwise shift-distinct period-49 sequences whose worst correlation is 17,
-just below the 2v + 3 bound implied by the multiplicity condition.
+the 2v + 3 bound implied by the multiplicity condition.
 """
 
 from ilvseq import (
     PeriodicSequence,
     ShiftSequence,
-    autocorrelation,
     build_signal_set,
+    column_correlations,
     cross_correlation,
-    lemma_correlation,
+    differences,
     matrix_form,
     recover_shifts,
     signal_set_delta,
-    zero_count,
 )
 
 a = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
@@ -40,19 +39,20 @@ print("recovered shift vector:", recover_shifts(ss.members[0], a, 7))
 report = signal_set_delta(ss.members)
 print(f"delta = {report.delta}, attained at {len(report.witnesses)} points")
 
-# Correlations between the offset members decompose column by column: the
-# value at offset tau = 7r + s is a sum of base autocorrelation values with
-# signs set by b. The identity path and the direct path agree exactly.
-prof = autocorrelation(a)
-h, k, tau = 0, 1, 8
-via_identity = lemma_correlation(prof, b, e, h, k, tau)
-via_direct = cross_correlation(ss.members[1 + h], ss.members[1 + k])[tau]
-print(f"members (1, 2) at offset {tau}: identity {via_identity}, direct {via_direct}")
+# Correlations between members decompose column by column: the value at
+# offset tau = 7r + s is a sum of base autocorrelation values with signs set
+# by b. The identity path and the direct path agree exactly.
+kernel = column_correlations(a, b, e)
+m, n, tau = 1, 2, 8
+via_identity = kernel[m, n, tau]
+via_direct = cross_correlation(ss.members[m], ss.members[n])[tau]
+print(f"members ({m}, {n}) at offset {tau}: identity {via_identity}, direct {via_direct}")
 
 # Why 17 and not more: at tau = 7r + s with s != 0, the correlation
 # magnitude is at most 1 + (v + 1) * n0, where n0 counts the columns whose
-# base-shift difference lands on zero. For this e the count is 2 at worst.
-worst = max(zero_count(e, s, r).n0 for s in range(1, 7) for r in range(7))
+# base-shift difference E(j+s) - e_j + r lands on zero: the multiplicity of
+# r among the extended differences at s. For this e the count is 2 at worst.
+worst = max(differences(e, s, True).max_multiplicity for s in range(1, 7))
 print(f"worst-case zero count over all (s, r): {worst}",
       f"=> bound {1 + 8 * worst}")
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .interleaving import INFINITY, ShiftSequence, extended_entry
+from .interleaving import INFINITY, ShiftSequence, _extension
 
 
 class Condition(NamedTuple):
@@ -111,12 +111,6 @@ class DifferenceProfile:
 def _require_finite(e: ShiftSequence) -> None:
     if not e.is_finite:
         raise ValueError("shift vector must be finite (no INFINITY entries)")
-
-
-@lru_cache(maxsize=64)
-def _extension(e: ShiftSequence) -> tuple[int, ...]:
-    # E(0), ..., E(2v-1), built once for the v-1 shifts of a report.
-    return tuple([extended_entry(e, k) for k in range(2 * e.v)])
 
 
 def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:

@@ -5,16 +5,20 @@ i, column j holds u at index i*t + j) has every column equal to some left
 shift of one base sequence, or identically zero. The shift exponents form the
 shift sequence e; the marker INFINITY denotes a zero column. Indices past the
 vector wrap with a +1 twist: entry v+j equals entry j plus one (mod v).
+
+Every correlation of a binary signal set is a signed sum of the base
+autocorrelation C_a taken at shift differences of e (``column_correlations``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import CorrelationProfile, is_two_level
+from .correlation import autocorrelation, is_two_level
 from .sequences import PeriodicSequence, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
@@ -88,26 +92,23 @@ def extended_entry(e: ShiftSequence, k: int) -> int:
     return base if k < v else (base + 1) % v
 
 
+@lru_cache(maxsize=64)
+def _extension(e: ShiftSequence) -> tuple[int, ...]:
+    # E(0), ..., E(2v-1) of a finite e, built once per vector.
+    return tuple([extended_entry(e, k) for k in range(2 * e.v)])
+
+
 def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
     """Build the interleaved sequence whose column j is L^(e_j)(a), or zero.
 
-    The result has period (period of a) * (length of e); shifts reduce mod
-    the period of a.
+    The result has period s*t, with s the period of a and t the length of
+    e: entry i*t + j is a_((e_j + i) mod s), or 0 where e_j is INFINITY.
     """
-    s_rows = a.period
-    t_cols = e.v
-    row_of = []
-    for entry in e.entries:
-        if entry == INFINITY:
-            row_of.append(None)
-        else:
-            row_of.append(entry % s_rows)
-    values = []
-    for i in range(s_rows):
-        for j in range(t_cols):
-            shift = row_of[j]
-            values.append(0 if shift is None else a[shift + i])
-    return PeriodicSequence(a.modulus, tuple(values))
+    finite = np.array([x != INFINITY for x in e.entries])
+    shifts = np.array([x if x != INFINITY else 0 for x in e.entries], dtype=np.int64)
+    rows = np.arange(a.period)[:, None]
+    values = np.asarray(a.values, dtype=np.int64)[(shifts + rows) % a.period] * finite
+    return PeriodicSequence(a.modulus, tuple(values.ravel().tolist()))
 
 
 def matrix_form(u: PeriodicSequence, s_rows: int, t_cols: int) -> np.ndarray:
@@ -207,14 +208,8 @@ def coincident_members(members) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> SignalSet:
-    """Construct the v+1 member signal set over base a, offsets b, shifts e.
-
-    Member 0 is u = interleave(a, e); member 1+j is u + L^j(b) with b read
-    cyclically up to period v^2. Requires binary a and b of equal period v
-    and a finite length-v shift vector. Two-level checks and the member
-    coincidence scan are advisory: their findings go into notes.
-    """
+def _check_construction(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> int:
+    # Binary a and b of one period v and a finite length-v e; returns v.
     if a.modulus != 2 or b.modulus != 2:
         raise ValueError("the construction is defined for binary sequences")
     v = a.period
@@ -224,7 +219,18 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
         raise ValueError(f"shift vector length {e.v} does not match period {v}")
     if not e.is_finite:
         raise ValueError("shift vector must be finite (no INFINITY entries)")
+    return v
 
+
+def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> SignalSet:
+    """Construct the v+1 member signal set over base a, offsets b, shifts e.
+
+    Member 0 is u = interleave(a, e); member 1+j is u + L^j(b) with b read
+    cyclically up to period v^2. Requires binary a and b of equal period v
+    and a finite length-v shift vector. Two-level checks and the member
+    coincidence scan are advisory: their findings go into notes.
+    """
+    v = _check_construction(a, b, e)
     u = interleave(a, e)
     # Row j reads b cyclically from index j up to period v^2: L^j(b).
     b_repeated = np.tile(np.asarray(b.values, dtype=np.int64), v + 1)
@@ -244,111 +250,26 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     return SignalSet(a, b, e, tuple(members), tuple(notes))
 
 
-@dataclass(frozen=True)
-class TauDecomposition:
-    """Offset tau on the long period split as tau = r*v + s with 0 <= s < v."""
+def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> np.ndarray:
+    """Every correlation of ``build_signal_set(a, b, e)``, column by column.
 
-    tau: int
-    r: int
-    s: int
+    Entry [m, m', r*v + s] of the int64 (v+1, v+1, v^2) result is the
+    correlation of member m against member m' at offset r*v + s:
 
+        sum over j of sigma_m(j) * sigma_m'((j+s) mod v) * C_a(E(j+s) - e_j + r),
 
-def decompose_tau(tau: int, v: int) -> TauDecomposition:
-    if v < 1:
-        raise ValueError("v must be positive")
-    if not 0 <= tau < v * v:
-        raise ValueError(f"tau {tau} is outside [0, {v * v})")
-    return TauDecomposition(tau, tau // v, tau % v)
-
-
-@dataclass(frozen=True)
-class LemmaTerms:
-    """Per-column terms of the correlation identity: shifts t_j, phases d_j."""
-
-    t: tuple[int, ...]
-    d: tuple[int, ...]
-
-    @property
-    def v(self) -> int:
-        return len(self.t)
-
-
-def lemma_terms(e: ShiftSequence, b: PeriodicSequence, h: int, k: int, tau: int) -> LemmaTerms:
-    """Terms t_j = ext(e)_(j+s) - e_j + r and d_j = b_(h+j) - b_(k+s+j).
-
-    h and k index the offset members (0 <= h, k < v); tau decomposes as
-    r*v + s on the long period.
+    with C_a the autocorrelation of a, E the extension of e, sigma_0 = 1 and
+    sigma_(1+k)(j) = (-1)^b_((j+k) mod v): column j of member 1+k is column j
+    of member 0 plus the constant b_((j+k) mod v). Exact integers throughout.
     """
-    v = e.v
-    if b.period != v:
-        raise ValueError(f"offset sequence period {b.period} does not match v={v}")
-    if not 0 <= h < v or not 0 <= k < v:
-        raise ValueError(f"member indices must lie in [0, {v})")
-    if not e.is_finite:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
-    dec = decompose_tau(tau, v)
-    r, s = dec.r, dec.s
-    t = tuple((extended_entry(e, j + s) - e.entries[j] + r) % v for j in range(v))
-    d = tuple((b[h + j] - b[k + s + j]) % b.modulus for j in range(v))
-    return LemmaTerms(t, d)
-
-
-def lemma_correlation(
-    a_profile: CorrelationProfile,
-    b: PeriodicSequence,
-    e: ShiftSequence,
-    h: int,
-    k: int,
-    tau: int,
-):
-    """Correlation of offset members h and k at offset tau, via the identity.
-
-    Evaluates sum over columns j of C_a(t_j) * omega^(d_j), where C_a is the
-    base autocorrelation profile. Exact integer for p = 2; complex otherwise.
-    Matches the direct correlation of members 1+h and 1+k of the built set.
-    """
-    v = e.v
-    if a_profile.period != v:
-        raise ValueError(
-            f"base profile period {a_profile.period} does not match v={v}"
-        )
-    terms = lemma_terms(e, b, h, k, tau)
-    p = b.modulus
-    if p == 2:
-        total = 0
-        for tj, dj in zip(terms.t, terms.d):
-            c = a_profile.values[tj]
-            total += c if dj == 0 else -c
-        return int(total)
-    omega = np.exp(2j * np.pi / p)
-    total = 0j
-    for tj, dj in zip(terms.t, terms.d):
-        total += a_profile.values[tj] * omega**dj
-    return complex(total)
-
-
-@dataclass(frozen=True)
-class ZeroCount:
-    """Count of columns with t_j = 0 at one (s, r), and the magnitude bound."""
-
-    n0: int
-    bound: int
-
-
-def zero_count(e: ShiftSequence, s: int, r: int) -> ZeroCount:
-    """n0 = #{j : ext(e)_(j+s) - e_j + r = 0 mod v}; bound = 1 + (v+1)*n0.
-
-    For a two-level base, every correlation at offsets r*v + s (s != 0,
-    off-diagonal phase) has magnitude at most ``bound``.
-    """
-    v = e.v
-    if not 0 <= s < v or not 0 <= r < v:
-        raise ValueError(f"s and r must lie in [0, {v})")
-    if not e.is_finite:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
-    n0 = sum(
-        1
-        for j in range(v)
-        if (extended_entry(e, j + s) - e.entries[j] + r) % v == 0
-    )
-    return ZeroCount(n0, 1 + (v + 1) * n0)
+    v = _check_construction(a, b, e)
+    ext = np.array(_extension(e), dtype=np.int64)
+    j = np.arange(v)
+    plus = j[:, None] + j  # plus[x, j] = j + x
+    # c_a[s, r, j] = C_a(E(j+s) - e_j + r mod v).
+    t = (ext[plus] - ext[:v])[:, None, :] + j[:, None]
+    c_a = np.array(autocorrelation(a).values, dtype=np.int64)[t % v]
+    sigma = np.ones((v + 1, v), dtype=np.int64)
+    sigma[1:] = 1 - 2 * np.array(b.values, dtype=np.int64)[plus % v]
+    out = np.einsum("mj,nsj,srj->mnrs", sigma, sigma[:, plus % v], c_a)
+    return out.reshape(v + 1, v + 1, v * v)

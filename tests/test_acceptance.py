@@ -20,6 +20,7 @@ from ilvseq import (
     check_condition_A,
     check_condition_B,
     coincident_members,
+    column_correlations,
     cond2_sum_residue,
     condition_a_holds,
     condition_b_holds,
@@ -31,7 +32,6 @@ from ilvseq import (
     gen_mseq,
     is_prime,
     is_two_level,
-    lemma_correlation,
     signal_set_delta,
     LfsrSpec,
     PRIMITIVE_POLYS,
@@ -91,7 +91,7 @@ def test_criterion_02_condition_verdicts_on_worked_vector():
 def test_criterion_03_column_identity_full_grid():
     started = time.perf_counter()
     ss = build_signal_set(A7, B7, E7)
-    prof = autocorrelation(A7)
+    kernel = column_correlations(A7, B7, E7)
     direct = {}
     for h in range(7):
         for k in range(7):
@@ -101,7 +101,7 @@ def test_criterion_03_column_identity_full_grid():
     for h in range(7):
         for k in range(7):
             for tau in range(49):
-                lhs = lemma_correlation(prof, B7, E7, h, k, tau)
+                lhs = kernel[1 + h, 1 + k, tau]
                 if lhs != direct[h, k][tau]:
                     exact = False
                 count += 1

@@ -20,7 +20,7 @@ from ilvseq import (
     condition_open_holds,
     difference_terms,
     differences,
-    zero_count,
+    extended_entry,
 )
 
 E7 = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
@@ -178,8 +178,12 @@ def test_distinctness_implies_multiplicity(entries):
 
 
 def _max_zero_count(e):
+    # Most columns j with a vanishing shift E(j+s) - e_j + r, over all (s, r).
+    v = e.v
     return max(
-        zero_count(e, s, r).n0 for s in range(1, e.v) for r in range(e.v)
+        sum((extended_entry(e, j + s) - e.entries[j] + r) % v == 0 for j in range(v))
+        for s in range(1, v)
+        for r in range(v)
     )
 
 

@@ -1,31 +1,33 @@
 """Tests for interleaving, signal-set construction, and the column identity."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilvseq import (
+    CONDITIONS,
     INFINITY,
     PeriodicSequence,
     ShiftSequence,
     autocorrelation,
     build_signal_set,
     coincident_members,
+    column_correlations,
     cross_correlation,
-    decompose_tau,
+    differences,
     extended_entry,
     format_shift_sequence,
+    gen_legendre,
     interleave,
     left_shift,
-    lemma_correlation,
-    lemma_terms,
     matrix_form,
     parse_shift_sequence,
     recover_shifts,
     shift_equivalence,
     signal_set_delta,
-    zero_count,
 )
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
@@ -114,6 +116,36 @@ def test_recover_inverts_interleave(e):
     assert recover_shifts(interleave(A7, e), A7, 7) == e
 
 
+def _interleave_reference(a, e):
+    # Row by row: entry i*t + j is a shifted by e_j read at row i, or 0.
+    values = []
+    for i in range(a.period):
+        for entry in e.entries:
+            values.append(0 if entry == INFINITY else a[entry % a.period + i])
+    return PeriodicSequence(a.modulus, tuple(values))
+
+
+@given(
+    st.sampled_from((2, 3)).flatmap(
+        lambda p: st.lists(st.integers(0, p - 1), min_size=1, max_size=6).map(
+            lambda vals: PeriodicSequence(p, tuple(vals))
+        )
+    ),
+    st.integers(1, 6).flatmap(
+        lambda t: st.lists(st.one_of(st.integers(0, t - 1), st.just(INFINITY)), min_size=t, max_size=t)
+    ),
+)
+def test_interleave_matches_double_loop(a, entries):
+    e = ShiftSequence(tuple(entries))
+    u = interleave(a, e)
+    assert u == _interleave_reference(a, e)
+    # A nonzero base whose shifts are all distinct reads its columns back.
+    if any(a.values) and len({left_shift(a, k).values for k in range(a.period)}) == a.period:
+        assert recover_shifts(u, a, e.v) == ShiftSequence(
+            tuple(x if x == INFINITY else x % a.period for x in e.entries)
+        )
+
+
 def test_build_signal_set_shape():
     ss = build_signal_set(A7, B7, E7)
     assert ss.v == 7
@@ -200,104 +232,123 @@ def test_degenerate_shift_vectors_delta():
         assert signal_set_delta(ss.members).delta == 41
 
 
-def test_decompose_tau():
-    dec = decompose_tau(8, 7)
-    assert (dec.tau, dec.r, dec.s) == (8, 1, 1)
-    assert decompose_tau(0, 7).r == 0
-    assert decompose_tau(48, 7) == decompose_tau(48, 7)
-    with pytest.raises(ValueError):
-        decompose_tau(49, 7)
-    with pytest.raises(ValueError):
-        decompose_tau(-1, 7)
+def test_lemma_correlation_frozen_values():
+    kernel = column_correlations(A7, B7, E7)
+    assert kernel.dtype == np.int64
+    assert kernel.shape == (8, 8, 49)
+    assert kernel[1, 2, 0] == -7
+    assert kernel[1, 2, 7] == 1
+    assert kernel[1, 2, 8] == 17
 
 
 def test_lemma_terms_known_vector():
-    terms = lemma_terms(E7, B7, 0, 1, 1)
-    assert terms.t == (0, 1, 6, 6, 4, 2, 3)
-    assert terms.v == 7
-    # t depends only on (s, r), not on the member indices.
-    assert lemma_terms(E7, B7, 3, 5, 1).t == terms.t
+    # At tau = 1 (r = 0, s = 1) column j's C_a argument is t_j = E(j+1) - e_j,
+    # the negated extended differences; the members only set the signs.
+    t = tuple((-d) % 7 for d in differences(E7, 1, True).values)
+    assert t == (0, 1, 6, 6, 4, 2, 3)
+    c_a = autocorrelation(A7).values
+    sigma = [[1] * 7] + [[(-1) ** B7[j + k] for j in range(7)] for k in range(7)]
+    kernel = column_correlations(A7, B7, E7)
+    for m in range(8):
+        for n in range(8):
+            expected = sum(sigma[m][j] * sigma[n][(j + 1) % 7] * c_a[t[j]] for j in range(7))
+            assert kernel[m, n, 1] == expected
 
 
-def test_lemma_terms_validation():
+def _assert_kernel_is_direct(a, b, e):
+    ss = build_signal_set(a, b, e)
+    direct = [[cross_correlation(x, y).values for y in ss.members] for x in ss.members]
+    assert column_correlations(a, b, e).tolist() == [[list(p) for p in row] for row in direct]
+
+
+@given(entries7)
+@settings(max_examples=25, deadline=None)
+def test_column_correlations_match_direct(e):
+    _assert_kernel_is_direct(A7, B7, e)
+
+
+def test_column_correlations_match_direct_legendre_v11():
+    rng = random.Random(11)
+    e = ShiftSequence(tuple(rng.randrange(11) for _ in range(11)))
+    _assert_kernel_is_direct(gen_legendre(11, 0), gen_legendre(11, 1), e)
+
+
+def test_column_correlations_validation():
     with pytest.raises(ValueError):
-        lemma_terms(E7, B7, 7, 0, 1)
+        column_correlations(PeriodicSequence(3, (0, 1, 2)), B7, E7)
     with pytest.raises(ValueError):
-        lemma_terms(E7, PeriodicSequence(2, (1, 0)), 0, 1, 1)
+        column_correlations(A7, PeriodicSequence(2, (1, 0)), E7)
     with pytest.raises(ValueError):
-        lemma_terms(ShiftSequence((0, INFINITY)), PeriodicSequence(2, (1, 0)), 0, 1, 1)
-
-
-def test_lemma_correlation_frozen_values():
-    prof = autocorrelation(A7)
-    assert lemma_correlation(prof, B7, E7, 0, 1, 0) == -7
-    assert lemma_correlation(prof, B7, E7, 0, 1, 7) == 1
-    assert lemma_correlation(prof, B7, E7, 0, 1, 8) == 17
-
-
-def test_lemma_matches_direct_spot_checks():
-    ss = build_signal_set(A7, B7, E7)
-    prof = autocorrelation(A7)
-    for h, k, tau in [(0, 1, 8), (2, 5, 17), (6, 6, 30), (4, 0, 0)]:
-        direct = cross_correlation(ss.members[1 + h], ss.members[1 + k])[tau]
-        assert lemma_correlation(prof, B7, E7, h, k, tau) == direct
-
-
-def test_lemma_profile_period_validation():
-    short = autocorrelation(PeriodicSequence(2, (1, 0)))
+        column_correlations(A7, B7, ShiftSequence((0, 1, 2)))
     with pytest.raises(ValueError):
-        lemma_correlation(short, B7, E7, 0, 1, 8)
+        column_correlations(A7, B7, ShiftSequence((0, 0, 1, 0, 6, 3, INFINITY)))
 
 
 def test_zero_count_worked_example():
-    zc = zero_count(E7, 1, 0)
-    assert zc.n0 == 1
-    assert zc.bound == 9
+    # n0(s=1, r=0) = 1 column, so |C| <= 1 + 8 * 1 = 9 at tau = 1 off the
+    # diagonal phase.
+    assert differences(E7, 1, True).multiplicity_map[0] == 1
+    kernel = column_correlations(A7, B7, E7)
+    assert max(abs(kernel[1 + h, 1 + k, 1]) for h in range(7) for k in range(7) if (h - k) % 7 != 1) <= 9
 
 
 def test_zero_count_linear_vector():
     v = 7
     linear = ShiftSequence(tuple(range(v)))
     for s in range(1, v):
-        assert zero_count(linear, s, (v - s) % v).n0 == v - s
-        assert zero_count(linear, s, (v - s - 1) % v).n0 == s
-
-
-def test_zero_count_validation():
-    with pytest.raises(ValueError):
-        zero_count(E7, 7, 0)
-    with pytest.raises(ValueError):
-        zero_count(E7, 0, -1)
-    with pytest.raises(ValueError):
-        zero_count(ShiftSequence((0, INFINITY)), 1, 0)
+        n0 = differences(linear, s, True).multiplicity_map
+        assert n0[(v - s) % v] == v - s
+        assert n0[(v - s - 1) % v] == s
 
 
 @given(entries7)
 @settings(max_examples=25, deadline=None)
 def test_magnitude_bound_off_diagonal_phases(e):
-    ss = build_signal_set(A7, B7, e)
-    bounds = {
-        (s, r): zero_count(e, s, r).bound for s in range(1, 7) for r in range(7)
-    }
-    for h in range(7):
-        for k in range(7):
-            prof = cross_correlation(ss.members[1 + h], ss.members[1 + k])
-            for s in range(1, 7):
+    kernel = column_correlations(A7, B7, e)
+    for s in range(1, 7):
+        n0 = differences(e, s, True).multiplicity_map
+        for h in range(7):
+            for k in range(7):
                 if (h - k) % 7 == s:
                     continue
                 for r in range(7):
-                    assert abs(prof[r * 7 + s]) <= bounds[s, r]
+                    assert abs(kernel[1 + h, 1 + k, r * 7 + s]) <= 1 + 8 * n0.get(r, 0)
 
 
 @given(entries7, st.integers(0, 6))
+@settings(deadline=None)
 def test_lemma_terms_translation_invariant(e, c):
+    # The terms E(j+s) - e_j + r do not see a common translation of e.
     shifted = ShiftSequence(tuple((x + c) % 7 for x in e.entries))
-    for s, r in [(1, 0), (3, 2)]:
-        tau = r * 7 + s
-        assert lemma_terms(e, B7, 0, 1, tau).t == lemma_terms(shifted, B7, 0, 1, tau).t
+    assert np.array_equal(column_correlations(A7, B7, e), column_correlations(A7, B7, shifted))
 
 
 @given(entries7, st.integers(1, 6), st.integers(0, 6))
 def test_zero_count_counts_t_zeros(e, s, r):
-    terms = lemma_terms(e, B7, 0, 0, r * 7 + s)
-    assert zero_count(e, s, r).n0 == terms.t.count(0)
+    zeros = sum((extended_entry(e, j + s) - e.entries[j] + r) % 7 == 0 for j in range(7))
+    assert differences(e, s, True).multiplicity_map.get(r, 0) == zeros
+
+
+def _off_trivial_max(a, b, e):
+    kernel = column_correlations(a, b, e)
+    for m in range(len(kernel)):
+        kernel[m, m, 0] = 0
+    return int(np.abs(kernel).max())
+
+
+def test_distinctness_delta_is_2v_plus_3_at_v7_and_2v_plus_1_at_v3():
+    # Every normalized distinctness vector gives 17 = 2v + 3 at v = 7 with
+    # the worked bases, so "delta = 2v + 1" holds at v = 3 only, where all
+    # nine normalized vectors give 7.
+    tails = np.indices((7,) * 6).reshape(6, -1).T
+    rows = np.hstack([np.zeros((len(tails), 1), dtype=tails.dtype), tails])
+    a_vectors = [ShiftSequence(tuple(row)) for row in rows[CONDITIONS["A"].holds_rows(rows)].tolist()]
+    assert len(a_vectors) == 672
+    assert {_off_trivial_max(A7, B7, e) for e in a_vectors} == {17}
+    a3, b3 = PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1))
+    v3 = [ShiftSequence((0, x, y)) for x in range(3) for y in range(3)]
+    assert {_off_trivial_max(a3, b3, e) for e in v3} == {7}
+    rng = random.Random(7)
+    sample = [(A7, B7, e) for e in rng.sample(a_vectors, 12)] + [(a3, b3, e) for e in rng.sample(v3, 4)]
+    for a, b, e in sample:
+        assert _off_trivial_max(a, b, e) == signal_set_delta(build_signal_set(a, b, e).members).delta

@@ -50,27 +50,21 @@ from .sequences import (
 SCHEMA_VERSION = "1"
 
 
-def _value_json(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
-
-
 def _profile_json(profile: CorrelationProfile) -> dict:
     return {
         "modulus": profile.modulus,
         "period": profile.period,
-        "values": [_value_json(c) for c in profile.values],
+        "values": list(profile.values),
     }
 
 
 def _delta_json(report: DeltaReport) -> dict:
     return {
-        "delta": _value_json(report.delta),
+        "delta": report.delta,
         "period": report.period,
         "member_count": report.member_count,
         "witnesses": [
-            {"i": w.i, "j": w.j, "tau": w.tau, "value": _value_json(w.value)}
+            {"i": w.i, "j": w.j, "tau": w.tau, "value": w.value}
             for w in report.witnesses
         ],
     }

@@ -208,19 +208,3 @@ def _term_arrays(v: int, extended: bool) -> tuple[tuple[np.ndarray, np.ndarray, 
         for i, k, t in (zip(*terms) for terms in difference_terms(v, extended))
     )
 
-
-def holds(e, cond: str) -> bool:
-    """Fast verdict of condition ``cond`` ("A", "B" or "OPEN")."""
-    return CONDITIONS[cond].holds(e)
-
-
-def condition_a_holds(e) -> bool:
-    return holds(e, "A")
-
-
-def condition_b_holds(e) -> bool:
-    return holds(e, "B")
-
-
-def condition_open_holds(e) -> bool:
-    return holds(e, "OPEN")

@@ -52,24 +52,14 @@ def _lift(seqs) -> np.ndarray:
     return np.exp(2j * np.pi * values / p)
 
 
-def _lifted(seq: PeriodicSequence):
-    """One sequence lifted as in _lift."""
-    return _lift([seq])[0]
-
-
 def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
     """Direct-summation correlation profile of a against b (all offsets)."""
     _check_pair(a, b)
     v = a.period
-    if a.modulus == 2:
-        x = _lifted(a)
-        y2 = np.concatenate([_lifted(b)] * 2)
-        vals = tuple(int(x @ y2[tau : tau + v]) for tau in range(v))
-    else:
-        x = _lifted(a)
-        w2 = np.concatenate([np.conj(_lifted(b))] * 2)
-        vals = tuple(complex(x @ w2[tau : tau + v]) for tau in range(v))
-    return CorrelationProfile(a.modulus, vals)
+    x, y = _lift([a, b])
+    y2 = np.tile(np.conj(y), 2)
+    value = int if a.modulus == 2 else complex
+    return CorrelationProfile(a.modulus, tuple(value(x @ y2[tau : tau + v]) for tau in range(v)))
 
 
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
@@ -93,15 +83,10 @@ def is_two_level(a: PeriodicSequence) -> bool:
 
     Exact comparison for p = 2; within COMPLEX_TOL for p > 2.
     """
-    profile = autocorrelation(a)
     v = a.period
-    if a.modulus == 2:
-        if profile.values[0] != v:
-            return False
-        return all(c == -1 for c in profile.values[1:])
-    if abs(profile.values[0] - v) > COMPLEX_TOL:
-        return False
-    return all(abs(c + 1) <= COMPLEX_TOL for c in profile.values[1:])
+    tol = 0 if a.modulus == 2 else COMPLEX_TOL
+    ideal = (v,) + (-1,) * (v - 1)
+    return all(abs(c - want) <= tol for c, want in zip(autocorrelation(a).values, ideal))
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,9 +33,9 @@ BUDGET_MAX_V = 8
 PROGRESS_INTERVAL = 20000
 
 #: Most rows in one block of full enumeration (a block holds v^L rows, for
-#: the largest such L), and most children of one backtracking expansion.
-#: Larger blocks amortize numpy's per-call cost; these stay far below a
-#: megabyte.
+#: the largest such L) or of random sampling, and most children of one
+#: backtracking expansion. Larger blocks amortize numpy's per-call cost;
+#: these stay far below a megabyte.
 BLOCK_ROWS = 4096
 
 
@@ -90,17 +90,19 @@ _CANONICAL = {
 }
 
 
-def _b_not_a(entries) -> bool:
-    return CONDITIONS["B"].holds(entries) and not CONDITIONS["A"].holds(entries)
-
-
-def _resolve_predicate(spec: SearchSpec) -> tuple[str | None, Callable]:
+def _resolve_predicate(spec: SearchSpec) -> tuple[str | None, Callable[[np.ndarray], np.ndarray]]:
+    # The canonical name (None for a callable) and the block verdict: a bool
+    # mask over the rows of an (N, v) block of candidates.
     if callable(spec.predicate):
-        return None, spec.predicate
+        fn = spec.predicate
+        return None, lambda rows: np.fromiter(map(fn, map(tuple, rows.tolist())), bool, len(rows))
     name = _CANONICAL.get(str(spec.predicate).lower())
     if name is None:
         raise ValueError(f"unknown predicate {spec.predicate!r}")
-    return name, _b_not_a if name == "B-not-A" else CONDITIONS[name].holds
+    if name == "B-not-A":
+        b, a = CONDITIONS["B"], CONDITIONS["A"]
+        return name, lambda rows: b.holds_rows(rows) & ~a.holds_rows(rows)
+    return name, CONDITIONS[name].holds_rows
 
 
 def _guard_budget(spec: SearchSpec) -> None:
@@ -150,16 +152,6 @@ def _collect(rows: np.ndarray, name: str | None, limit: int, witnesses: list) ->
                 witnesses.append(ShiftSequence(entries))
 
 
-def _row_verdict(name: str | None, fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    # A bool mask over a block of candidate rows.
-    if name is None:
-        return lambda rows: np.fromiter(map(fn, map(tuple, rows.tolist())), bool, len(rows))
-    if name == "B-not-A":
-        b, a = CONDITIONS["B"], CONDITIONS["A"]
-        return lambda rows: b.holds_rows(rows) & ~a.holds_rows(rows)
-    return CONDITIONS[name].holds_rows
-
-
 def enumerate_space(
     spec: SearchSpec,
     progress: Callable[[int], None] | None = None,
@@ -171,8 +163,7 @@ def enumerate_space(
     a block at a time by ``Condition.holds_rows``, a callable row by row.
     """
     _guard_budget(spec)
-    name, fn = _resolve_predicate(spec)
-    verdict = _row_verdict(name, fn)
+    name, verdict = _resolve_predicate(spec)
     v = spec.v
     limit = spec.limit
     lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
@@ -361,22 +352,25 @@ def sample_random(
 ) -> SearchOutcome:
     """Uniform random draws over the (normalized) space; never exhaustive.
 
-    The offered fallback beyond the exhaustive budget. ``satisfying`` counts
-    hits with multiplicity across the n draws; witnesses are deduplicated,
-    sorted, and capped by ``limit``.
+    The offered fallback beyond the exhaustive budget. The draws are judged
+    in blocks of up to ``BLOCK_ROWS`` rows by the predicate's block verdict.
+    ``satisfying`` counts hits with multiplicity across the n draws;
+    witnesses are deduplicated, sorted, and capped by ``limit``.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     spec = SearchSpec(v, predicate, normalize=normalize, limit=limit, force=True)
-    name, fn = _resolve_predicate(spec)
+    name, verdict = _resolve_predicate(spec)
     rng = random.Random(seed)
-    fixed = (0,) if normalize else ()
-    free = v - len(fixed)
+    lead = 1 if normalize else 0  # a normalized e_0 stays 0
     satisfying = 0
     hits = set()
-    for _ in range(n):
-        entries = fixed + tuple(rng.randrange(v) for _ in range(free))
-        if fn(entries):
+    for start in range(0, n, BLOCK_ROWS):
+        size = min(BLOCK_ROWS, n - start)
+        block = np.zeros((size, v), dtype=_row_dtype(v))
+        draws = [rng.randrange(v) for _ in range(size * (v - lead))]
+        block[:, lead:] = np.reshape(draws, (size, v - lead))
+        for entries in map(tuple, block[verdict(block)].tolist()):
             if name == "OPEN":
                 _crosscheck_open_hit(entries)
             satisfying += 1

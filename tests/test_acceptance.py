@@ -11,6 +11,7 @@ import random
 import time
 
 from ilvseq import (
+    CONDITIONS,
     PeriodicSequence,
     SearchSpec,
     ShiftSequence,
@@ -22,8 +23,6 @@ from ilvseq import (
     coincident_members,
     column_correlations,
     cond2_sum_residue,
-    condition_a_holds,
-    condition_b_holds,
     cross_correlation,
     enumerate_space,
     fast_cross_correlation,
@@ -136,7 +135,7 @@ def test_criterion_05_distinctness_implies_multiplicity():
         for tail in itertools.product(range(v), repeat=v - 1):
             entries = (0,) + tail
             scanned += 1
-            if condition_a_holds(entries) and not condition_b_holds(entries):
+            if CONDITIONS["A"].holds(entries) and not CONDITIONS["B"].holds(entries):
                 counterexamples += 1
     strict = find_B_not_A(7, limit=1)
     ok = counterexamples == 0 and len(strict.witnesses) >= 1

@@ -15,9 +15,6 @@ from ilvseq import (
     check_condition_B,
     check_condition_open,
     cond2_sum_residue,
-    condition_a_holds,
-    condition_b_holds,
-    condition_open_holds,
     difference_terms,
     differences,
     extended_entry,
@@ -96,28 +93,28 @@ def test_completeness_at_length_two():
 
 
 def test_fast_forms_accept_raw_tuples():
-    assert condition_b_holds((0, 0, 1, 0, 6, 3, 5))
-    assert not condition_a_holds((0, 0, 1, 0, 6, 3, 5))
-    assert condition_open_holds((0, 1))
+    assert CONDITIONS["B"].holds((0, 0, 1, 0, 6, 3, 5))
+    assert not CONDITIONS["A"].holds((0, 0, 1, 0, 6, 3, 5))
+    assert CONDITIONS["OPEN"].holds((0, 1))
     with pytest.raises(ValueError):
-        condition_a_holds((0, INFINITY))
+        CONDITIONS["A"].holds((0, INFINITY))
 
 
 def test_fast_forms_match_reports_exhaustively_v3_v4():
     for v in (3, 4):
         for entries in itertools.product(range(v), repeat=v):
             e = ShiftSequence(entries)
-            assert condition_a_holds(entries) == check_condition_A(e).verdict
-            assert condition_b_holds(entries) == check_condition_B(e).verdict
-            assert condition_open_holds(entries) == check_condition_open(e).verdict
+            assert CONDITIONS["A"].holds(entries) == check_condition_A(e).verdict
+            assert CONDITIONS["B"].holds(entries) == check_condition_B(e).verdict
+            assert CONDITIONS["OPEN"].holds(entries) == check_condition_open(e).verdict
 
 
 @given(entries7)
 def test_fast_forms_match_reports_sampled_v7(entries):
     e = ShiftSequence(entries)
-    assert condition_a_holds(entries) == check_condition_A(e).verdict
-    assert condition_b_holds(entries) == check_condition_B(e).verdict
-    assert condition_open_holds(entries) == check_condition_open(e).verdict
+    assert CONDITIONS["A"].holds(entries) == check_condition_A(e).verdict
+    assert CONDITIONS["B"].holds(entries) == check_condition_B(e).verdict
+    assert CONDITIONS["OPEN"].holds(entries) == check_condition_open(e).verdict
 
 
 @st.composite
@@ -166,15 +163,15 @@ def test_sum_identity(entries, s):
 @given(entries7, st.integers(0, 6))
 def test_conditions_translation_invariant(entries, c):
     moved = tuple((x + c) % 7 for x in entries)
-    assert condition_a_holds(entries) == condition_a_holds(moved)
-    assert condition_b_holds(entries) == condition_b_holds(moved)
-    assert condition_open_holds(entries) == condition_open_holds(moved)
+    assert CONDITIONS["A"].holds(entries) == CONDITIONS["A"].holds(moved)
+    assert CONDITIONS["B"].holds(entries) == CONDITIONS["B"].holds(moved)
+    assert CONDITIONS["OPEN"].holds(entries) == CONDITIONS["OPEN"].holds(moved)
 
 
 @given(entries7)
 def test_distinctness_implies_multiplicity(entries):
-    if condition_a_holds(entries):
-        assert condition_b_holds(entries)
+    if CONDITIONS["A"].holds(entries):
+        assert CONDITIONS["B"].holds(entries)
 
 
 def _max_zero_count(e):
@@ -192,10 +189,10 @@ def test_multiplicity_matches_zero_counts_exhaustively_v3():
     # multiplicity among the extended differences, so the two gates agree.
     for entries in itertools.product(range(3), repeat=3):
         e = ShiftSequence(entries)
-        assert condition_b_holds(entries) == (_max_zero_count(e) <= 2)
+        assert CONDITIONS["B"].holds(entries) == (_max_zero_count(e) <= 2)
 
 
 @given(entries7)
 def test_multiplicity_matches_zero_counts_sampled_v7(entries):
     e = ShiftSequence(entries)
-    assert condition_b_holds(entries) == (_max_zero_count(e) <= 2)
+    assert CONDITIONS["B"].holds(entries) == (_max_zero_count(e) <= 2)

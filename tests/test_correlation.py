@@ -24,6 +24,7 @@ from ilvseq import (
     gen_mseq,
     is_two_level,
     left_shift,
+    parse_sequence,
     signal_set_delta,
 )
 
@@ -79,6 +80,18 @@ def test_not_two_level():
     spike = PeriodicSequence(2, (1, 0, 0, 0, 0, 0, 0))
     assert not is_two_level(spike)
     assert autocorrelation(spike)[1] == 3
+
+
+def test_is_two_level_ternary():
+    # The ternary m-sequence with s_(t+2) = 2 s_(t+1) + s_t mod 3 has the
+    # ideal profile (8, -1, ..., -1) within COMPLEX_TOL; a permutation of it
+    # does not.
+    mseq = parse_sequence("10122021", modulus=3)
+    assert all(
+        (mseq[t + 2] - 2 * mseq[t + 1] - mseq[t]) % 3 == 0 for t in range(mseq.period)
+    )
+    assert is_two_level(mseq)
+    assert not is_two_level(parse_sequence("10220110", modulus=3))
 
 
 def test_pair_validation():

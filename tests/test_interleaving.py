@@ -181,6 +181,16 @@ def test_build_signal_set_advisory_notes():
     assert any("offset b" in note for note in ss2.notes)
 
 
+def test_build_notes_every_coincident_member_pair():
+    # With b = 0 every offset member equals u, so all 8 members coincide.
+    ss = build_signal_set(A7, PeriodicSequence(2, (0,) * 7), E7)
+    coincide = [note for note in ss.notes if "coincide" in note]
+    assert coincide == [
+        f"members {i} and {j} coincide (shift 0)" for i in range(8) for j in range(i + 1, 8)
+    ]
+    assert len(coincide) == 28
+
+
 def test_build_with_b_equal_a_flags_shift_but_no_coincidence():
     ss = build_signal_set(A7, A7, E7)
     assert any("b is a shift of a" in note for note in ss.notes)

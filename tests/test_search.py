@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -144,8 +145,6 @@ def test_backtrack_agrees_with_enumeration():
 
 
 def test_normalized_witnesses_represent_all_translates():
-    from ilvseq import condition_b_holds, condition_a_holds
-
     v = 4
     pred = "B-not-A"
     normalized = enumerate_space(SearchSpec(v, pred, limit=10**6))
@@ -153,7 +152,7 @@ def test_normalized_witnesses_represent_all_translates():
     for w in normalized.witnesses:
         for c in range(v):
             moved = tuple((x + c) % v for x in w.entries)
-            assert condition_b_holds(moved) and not condition_a_holds(moved)
+            assert CONDITIONS["B"].holds(moved) and not CONDITIONS["A"].holds(moved)
     # And the unnormalized census is exactly v copies of the normalized one.
     unnormalized = enumerate_space(SearchSpec(v, pred, normalize=False))
     assert unnormalized.satisfying == v * normalized.satisfying
@@ -368,11 +367,9 @@ def test_sample_random_deterministic():
 
 def test_sample_random_hits_are_real():
     out = sample_random(5, "A", 300, seed=0, limit=300)
-    from ilvseq import condition_a_holds
-
     assert out.satisfying >= len(out.witnesses) > 0
     for w in out.witnesses:
-        assert condition_a_holds(w.entries)
+        assert CONDITIONS["A"].holds(w.entries)
         assert w.entries[0] == 0
 
 
@@ -383,3 +380,51 @@ def test_sample_random_validation():
         sample_random(1, "A", 10)
     with pytest.raises(ValueError, match="limit must be nonnegative"):
         sample_random(5, "B", 50, limit=-1)
+
+
+def _even_sum(entries):
+    return sum(entries) % 2 == 0
+
+
+def _replay(v, holds, n, seed, normalize, limit):
+    # The seeded draw stream of sample_random, judged one draw at a time.
+    rng = random.Random(seed)
+    fixed = (0,) if normalize else ()
+    hits = []
+    for _ in range(n):
+        entries = fixed + tuple(rng.randrange(v) for _ in range(v - len(fixed)))
+        if holds(entries):
+            hits.append(entries)
+    witnesses = tuple(ShiftSequence(ent) for ent in sorted(set(hits))[:limit])
+    return SearchOutcome(witnesses, n, len(hits), False)
+
+
+_SAMPLE_CASES = {
+    "A": (5, CONDITIONS["A"].holds),
+    "B": (5, CONDITIONS["B"].holds),
+    "B-not-A": (5, lambda e: CONDITIONS["B"].holds(e) and not CONDITIONS["A"].holds(e)),
+    "OPEN": (2, CONDITIONS["OPEN"].holds),
+    _even_sum: (5, _even_sum),
+}
+
+
+@pytest.mark.parametrize("limit", [0, 1, 10**9])
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize(
+    "predicate", list(_SAMPLE_CASES), ids=lambda p: getattr(p, "__name__", p)
+)
+def test_sample_random_matches_replay(monkeypatch, predicate, normalize, limit):
+    # Blocks of 7 rows split the 60 draws into 9 blocks, the last one short.
+    monkeypatch.setattr(search_mod, "BLOCK_ROWS", 7)
+    checked = []
+    crosscheck = search_mod._crosscheck_open_hit
+    monkeypatch.setattr(
+        search_mod, "_crosscheck_open_hit", lambda e: checked.append(e) or crosscheck(e)
+    )
+    v, holds = _SAMPLE_CASES[predicate]
+    out = sample_random(v, predicate, 60, seed=17, normalize=normalize, limit=limit)
+    want = _replay(v, holds, 60, 17, normalize, limit)
+    assert out == want
+    assert want.satisfying > 0
+    # Every completeness hit is cross-checked against the sum identity.
+    assert len(checked) == (want.satisfying if predicate == "OPEN" else 0)

@@ -14,13 +14,16 @@ Every condition asks that, at every shift, no difference occur more than
 * OPEN, completeness: extended, cap 1, so the v differences cover Z_v. Their
   sum is always -s mod v, which rules the condition out for v > 2.
 
-All differences are canonical residues in [0, v). ``differences`` is the
-definition; the ``check_*`` reports are built on it and serve the tests as
-the oracle. ``difference_terms`` indexes the same differences as triples
-(i, k, t), each meaning e_i - e_k - t; ``Condition.holds`` counts them per
-shift and stops at the first excess, ``Condition.holds_rows`` gives the same
-verdict on a block of candidates at once (full enumeration), and the
-search's backtracker counts them as entries are placed.
+All differences are canonical residues in [0, v). The definition lives in
+one per-vector profile table, every shift's ``DifferenceProfile`` built in
+one pass in pure Python and cached; B and OPEN share the extended table.
+``differences`` reads one shift of it and the ``check_*`` reports walk it.
+The reports serve the tests as the oracle, so they use neither the term
+table below nor numpy. ``difference_terms`` indexes the same differences as
+triples (i, k, t), each meaning e_i - e_k - t; ``Condition.holds`` counts
+them per shift and stops at the first excess, ``Condition.holds_rows`` gives
+the same verdict on a block of candidates at once (full enumeration), and
+the search's backtracker counts them as entries are placed.
 """
 
 from __future__ import annotations
@@ -120,12 +123,25 @@ def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:
     v = e.v
     if not 1 <= s < v:
         raise ValueError(f"shift s must lie in [1, {v}), got {s}")
+    return _profiles(e, extended)[s - 1]
+
+
+@lru_cache(maxsize=16)
+def _profiles(e: ShiftSequence, extended: bool) -> tuple[DifferenceProfile, ...]:
+    # Entry s-1 is the profile of shift s: the definition, evaluated once per
+    # vector for every shift. B and OPEN share the extended table. One entry
+    # holds about 0.8 MB at v=127, so the bound keeps the cache near 12 MB.
     ext = _extension(e)
-    values = tuple([(ext[j] - ext[j + s]) % v for j in range(v if extended else v - s)])
-    counts: dict[int, int] = {}
-    for d in values:
-        counts[d] = counts.get(d, 0) + 1
-    return DifferenceProfile(v, s, extended, values, tuple(sorted(counts.items())))
+    v = e.v
+    table = []
+    for s in range(1, v):
+        values = tuple([(x - y) % v for x, y in zip(ext[:v if extended else v - s], ext[s:])])
+        counts = [0] * v
+        for d in values:
+            counts[d] += 1
+        multiplicity = tuple([(d, c) for d, c in enumerate(counts) if c])
+        table.append(DifferenceProfile(v, s, extended, values, multiplicity))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -156,16 +172,18 @@ def _check(e: ShiftSequence, name: str) -> ConditionReport:
     extended, cap = CONDITIONS[name]
     _require_finite(e)
     checks = []
-    for s in range(1, e.v):
-        prof = differences(e, s, extended)
+    first_failure = None
+    for prof in _profiles(e, extended):
         top = prof.max_multiplicity
         if cap == 1:
             observed, required = prof.distinct_count, len(prof.values)
         else:
             observed, required = top, cap
-        checks.append(ShiftCheck(s, top <= cap, observed, required, prof))
-    failures = [c.s for c in checks if not c.passed]
-    return ConditionReport(name, not failures, tuple(checks), failures[0] if failures else None)
+        passed = top <= cap
+        if not passed and first_failure is None:
+            first_failure = prof.s
+        checks.append(ShiftCheck(prof.s, passed, observed, required, prof))
+    return ConditionReport(name, first_failure is None, tuple(checks), first_failure)
 
 
 def check_condition_A(e: ShiftSequence) -> ConditionReport:

@@ -95,7 +95,9 @@ def extended_entry(e: ShiftSequence, k: int) -> int:
 @lru_cache(maxsize=64)
 def _extension(e: ShiftSequence) -> tuple[int, ...]:
     # E(0), ..., E(2v-1) of a finite e, built once per vector.
-    return tuple([extended_entry(e, k) for k in range(2 * e.v)])
+    if not e.is_finite:
+        raise ValueError("shift vector must be finite (no INFINITY entries)")
+    return e.entries + tuple([(x + 1) % e.v for x in e.entries])
 
 
 def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:

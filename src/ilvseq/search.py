@@ -374,6 +374,7 @@ def sample_random(
             if name == "OPEN":
                 _crosscheck_open_hit(entries)
             satisfying += 1
-            hits.add(entries)
+            if limit:
+                hits.add(entries)
     witnesses = tuple(ShiftSequence(ent) for ent in sorted(hits)[:limit])
     return SearchOutcome(witnesses, n, satisfying, False)

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from ilvseq import (
     CONDITIONS,
     INFINITY,
+    ConditionReport,
+    DifferenceProfile,
+    ShiftCheck,
     ShiftSequence,
     check_condition_A,
     check_condition_B,
@@ -152,6 +155,62 @@ def test_difference_terms_match_differences(entries):
         for s, terms in enumerate(table, 1):
             values = tuple((entries[i] - entries[k] - t) % v for i, k, t in terms)
             assert values == differences(e, s, extended).values
+
+
+def _reference_differences(e, s, extended):
+    # The definition one shift at a time, independent of the profile table.
+    v = e.v
+    ext = [extended_entry(e, k) for k in range(2 * v)]
+    values = tuple((ext[j] - ext[j + s]) % v for j in range(v if extended else v - s))
+    counts = {}
+    for d in values:
+        counts[d] = counts.get(d, 0) + 1
+    return DifferenceProfile(v, s, extended, values, tuple(sorted(counts.items())))
+
+
+def _reference_report(e, name):
+    extended, cap = CONDITIONS[name]
+    checks = []
+    for s in range(1, e.v):
+        prof = _reference_differences(e, s, extended)
+        top = prof.max_multiplicity
+        if cap == 1:
+            observed, required = prof.distinct_count, len(prof.values)
+        else:
+            observed, required = top, cap
+        checks.append(ShiftCheck(s, top <= cap, observed, required, prof))
+    failures = [c.s for c in checks if not c.passed]
+    return ConditionReport(name, not failures, tuple(checks), failures[0] if failures else None)
+
+
+CHECKERS = {"A": check_condition_A, "B": check_condition_B, "OPEN": check_condition_open}
+
+
+@st.composite
+def vector_pairs(draw):
+    v = draw(st.integers(2, 11))
+    vector = st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
+    return ShiftSequence(draw(vector)), ShiftSequence(draw(vector))
+
+
+@given(
+    vector_pairs(),
+    st.permutations([(k, call) for k in (0, 1) for call in ("A", "B", "OPEN", "differences")]),
+)
+def test_profile_table_matches_definition(pair, calls):
+    # Two vectors of one v, their reports and profiles asked for in any
+    # order (OPEN before B, the vectors interleaved): no cached table may
+    # answer for the wrong vector or the wrong extension.
+    for k, call in calls:
+        e = pair[k]
+        if call == "differences":
+            for extended in (False, True):
+                for s in range(1, e.v):
+                    assert differences(e, s, extended) == _reference_differences(e, s, extended)
+        else:
+            report = CHECKERS[call](e)
+            assert report == _reference_report(e, call)
+            assert report.verdict == CONDITIONS[call].holds(e)
 
 
 @given(entries7, st.integers(1, 6))

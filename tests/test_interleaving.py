@@ -29,6 +29,7 @@ from ilvseq import (
     shift_equivalence,
     signal_set_delta,
 )
+from ilvseq.interleaving import _extension
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -52,6 +53,14 @@ def test_shift_sequence_validation():
     assert E7.v == 7
 
 
+@given(st.integers(1, 12).flatmap(
+    lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
+))
+def test_extension_matches_extended_entry(entries):
+    e = ShiftSequence(entries)
+    assert _extension(e) == tuple(extended_entry(e, k) for k in range(2 * e.v))
+
+
 def test_parse_format_shift_sequence():
     assert parse_shift_sequence("0,0,1,0,6,3,5") == E7
     assert format_shift_sequence(E7) == "0,0,1,0,6,3,5"
@@ -72,6 +81,8 @@ def test_extended_entry():
         extended_entry(E7, -1)
     with pytest.raises(ValueError):
         extended_entry(ShiftSequence((0, INFINITY)), 3)
+    with pytest.raises(ValueError, match="finite"):
+        _extension(ShiftSequence((0, INFINITY)))
 
 
 def test_interleave_known_first_row():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,29 @@ def test_sample_random_validation():
         sample_random(1, "A", 10)
     with pytest.raises(ValueError, match="limit must be nonnegative"):
         sample_random(5, "B", 50, limit=-1)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_random_without_limit_keeps_no_hits():
+    # At v=10 about 3% of the draws pass B and nearly all hits are distinct,
+    # so a kept set of hits would grow with n; the draw blocks do not.
+    small, small_peak = _traced_peak(lambda: sample_random(10, "B", 50_000, seed=1))
+    large, large_peak = _traced_peak(lambda: sample_random(10, "B", 200_000, seed=1))
+    assert small.witnesses == large.witnesses == ()
+    assert large.satisfying > 3 * small.satisfying > 0
+    assert large_peak <= 1.1 * small_peak
+    kept = sample_random(10, "B", 50_000, seed=1, limit=10**9)
+    assert kept.satisfying == small.satisfying
+    assert len(kept.witnesses) > 0.9 * small.satisfying
+    assert dataclasses.replace(kept, witnesses=()) == small
 
 
 def _even_sum(entries):

@@ -13,7 +13,6 @@ from ilvseq import (
     SearchSpec,
     backtrack,
     enumerate_space,
-    find_B_not_A,
     sample_random,
     verify_open_nonexistence,
 )
@@ -28,7 +27,7 @@ print(f"backtracking agrees ({pruned.satisfying}) visiting {pruned.examined} nod
 
 # Vectors passing multiplicity but not distinctness exist; the first one at
 # v = 7 in lexicographic order:
-strict = find_B_not_A(7, limit=3)
+strict = backtrack(SearchSpec(7, "B-not-A", limit=3, strategy="backtrack"))
 print("multiplicity-but-not-distinctness witnesses:",
       [str(w) for w in strict.witnesses])
 

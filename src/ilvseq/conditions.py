@@ -20,10 +20,10 @@ one pass in pure Python and cached; B and OPEN share the extended table.
 ``differences`` reads one shift of it and the ``check_*`` reports walk it.
 The reports serve the tests as the oracle, so they use neither the term
 table below nor numpy. ``difference_terms`` indexes the same differences as
-triples (i, k, t), each meaning e_i - e_k - t; ``Condition.holds`` counts
-them per shift and stops at the first excess, ``Condition.holds_rows`` gives
-the same verdict on a block of candidates at once (full enumeration), and
-the search's backtracker counts them as entries are placed.
+numpy arrays (i, k, t) per shift, term j meaning e_i - e_k - t.
+``Condition.holds_rows`` reads it to judge a block of candidates at once
+(enumeration, sampling), and the search's backtracker counts its terms as
+entries are placed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .interleaving import INFINITY, ShiftSequence, _extension
+from .interleaving import ShiftSequence, _extension
 
 
 class Condition(NamedTuple):
@@ -43,34 +43,17 @@ class Condition(NamedTuple):
     extended: bool
     cap: int
 
-    def holds(self, e) -> bool:
-        """Fast verdict (accepts raw entry tuples): counts the
-        ``difference_terms`` of each shift and stops at the first excess."""
-        extended, cap = self
-        ent = e.entries if isinstance(e, ShiftSequence) else tuple(e)
-        if INFINITY in ent:
-            raise ValueError("shift vector must be finite (no INFINITY entries)")
-        v = len(ent)
-        for terms in difference_terms(v, extended):
-            counts = [0] * v
-            for i, k, t in terms:
-                d = (ent[i] - ent[k] - t) % v
-                if counts[d] == cap:
-                    return False
-                counts[d] += 1
-        return True
-
     def holds_rows(self, rows: np.ndarray) -> np.ndarray:
         """Block verdict: a bool mask over the rows of an (N, v) integer
-        array of finite entries, equal row by row to ``holds``. Per shift it
-        sorts each row's differences and rejects a row where a value occurs
-        more than ``cap`` times; only the surviving rows go on to the next
-        shift."""
+        array of finite entries, equal row by row to the reports' verdict.
+        Per shift it sorts each row's differences and rejects a row where a
+        value occurs more than ``cap`` times; only the surviving rows go on
+        to the next shift."""
         extended, cap = self
         n, v = rows.shape
         ok = np.ones(n, dtype=bool)
         alive = np.arange(n)
-        for i, k, t in _term_arrays(v, extended):
+        for i, k, t in difference_terms(v, extended):
             d = (rows[:, i] - rows[:, k] - t) % v
             d.sort(axis=1)
             bad = (d[:, cap:] == d[:, :-cap]).any(axis=1)
@@ -204,25 +187,17 @@ def cond2_sum_residue(e: ShiftSequence, s: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def difference_terms(v: int, extended: bool) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Entry s-1 lists shift s's differences as triples (i, k, t), each
-    meaning e_i - e_k - t mod v, in the order of ``differences``; t = 1 on
-    the wrapped terms."""
-    return tuple(
-        tuple(
-            (j, j + s, 0) if j + s < v else (j, j + s - v, 1)
-            for j in range(v if extended else v - s)
-        )
-        for s in range(1, v)
-    )
-
-
-@lru_cache(maxsize=None)
-def _term_arrays(v: int, extended: bool) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    # ``difference_terms`` as index arrays i, k and offsets t per shift; t is
-    # int8 so that it keeps the dtype of small-integer rows.
-    return tuple(
-        (np.array(i, dtype=np.intp), np.array(k, dtype=np.intp), np.array(t, dtype=np.int8))
-        for i, k, t in (zip(*terms) for terms in difference_terms(v, extended))
-    )
-
+def difference_terms(v: int, extended: bool) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Entry s-1 holds shift s's differences as read-only index arrays
+    (i, k, t), term j meaning e_i - e_k - t mod v, in the order of
+    ``differences``: i = j, k = (j + s) mod v, and t = 1 on the wrapped terms.
+    t is int8 so that it keeps the dtype of small-integer rows."""
+    table = []
+    for s in range(1, v):
+        i = np.arange(v if extended else v - s, dtype=np.intp)
+        k = (i + s) % v
+        t = (k < i).astype(np.int8)
+        for arr in (i, k, t):
+            arr.flags.writeable = False
+        table.append((i, k, t))
+    return tuple(table)

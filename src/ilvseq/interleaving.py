@@ -13,32 +13,34 @@ autocorrelation C_a taken at shift differences of e (``column_correlations``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import autocorrelation, is_two_level
-from .sequences import PeriodicSequence, shift_equivalence
+from .sequences import PeriodicSequence, _integers, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
 INFINITY = float("inf")
+
+
+def _entry(x):
+    # A shift entry as an int, INFINITY kept.
+    return INFINITY if x == INFINITY else int(x)
 
 
 @dataclass(frozen=True)
 class ShiftSequence:
     """Column shift exponents of an interleaved sequence.
 
-    Finite entries lie in [0, v) where v is the vector's length; INFINITY
-    marks a zero column.
+    Finite entries are integers in [0, v) where v is the vector's length;
+    INFINITY marks a zero column. A non-integral entry raises ValueError.
     """
 
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(
-            INFINITY if x == INFINITY else int(x) for x in self.entries
-        )
+        entries = _integers(self.entries, "shift entry", _entry)
         object.__setattr__(self, "entries", entries)
         v = len(entries)
         if v < 1:
@@ -92,9 +94,8 @@ def extended_entry(e: ShiftSequence, k: int) -> int:
     return base if k < v else (base + 1) % v
 
 
-@lru_cache(maxsize=64)
 def _extension(e: ShiftSequence) -> tuple[int, ...]:
-    # E(0), ..., E(2v-1) of a finite e, built once per vector.
+    # E(0), ..., E(2v-1) of a finite e.
     if not e.is_finite:
         raise ValueError("shift vector must be finite (no INFINITY entries)")
     return e.entries + tuple([(x + 1) % e.v for x in e.entries])

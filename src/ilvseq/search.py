@@ -47,15 +47,14 @@ class BudgetExceededError(RuntimeError):
 class SearchSpec:
     """What to search: period, predicate, normalization, witness limit.
 
-    ``predicate`` is one of "A", "B", "B-not-A", "OPEN" (case-insensitive;
-    "b-and-not-a" is accepted for the third), or any callable taking a raw
-    entry tuple. ``limit`` > 0 stops the search once that many witnesses are
-    collected; 0 counts everything and stores none. ``force`` overrides the
-    v <= BUDGET_MAX_V guard.
+    ``predicate`` names one of "A", "B", "B-not-A", "OPEN", case-insensitive;
+    any other value raises ``ValueError`` here. ``limit`` > 0 stops the
+    search once that many witnesses are collected; 0 counts everything and
+    stores none. ``force`` overrides the v <= BUDGET_MAX_V guard.
     """
 
     v: int
-    predicate: object
+    predicate: str
     normalize: bool = True
     limit: int = 0
     strategy: str = "full"
@@ -68,6 +67,8 @@ class SearchSpec:
             raise ValueError("limit must be nonnegative")
         if self.strategy not in ("full", "backtrack"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if str(self.predicate).lower() not in _CANONICAL:
+            raise ValueError(f"unknown predicate {self.predicate!r}")
 
 
 @dataclass(frozen=True)
@@ -81,34 +82,24 @@ class SearchOutcome:
     nodes_by_depth: tuple[int, ...] = field(default=(), compare=False)
 
 
-_CANONICAL = {
-    "a": "A",
-    "b": "B",
-    "open": "OPEN",
-    "b-not-a": "B-not-A",
-    "b-and-not-a": "B-not-A",
-}
+_CANONICAL = {"a": "A", "b": "B", "open": "OPEN", "b-not-a": "B-not-A"}
 
 
-def _resolve_predicate(spec: SearchSpec) -> tuple[str | None, Callable[[np.ndarray], np.ndarray]]:
-    # The canonical name (None for a callable) and the block verdict: a bool
-    # mask over the rows of an (N, v) block of candidates.
-    if callable(spec.predicate):
-        fn = spec.predicate
-        return None, lambda rows: np.fromiter(map(fn, map(tuple, rows.tolist())), bool, len(rows))
-    name = _CANONICAL.get(str(spec.predicate).lower())
-    if name is None:
-        raise ValueError(f"unknown predicate {spec.predicate!r}")
-    if name == "B-not-A":
-        b, a = CONDITIONS["B"], CONDITIONS["A"]
-        return name, lambda rows: b.holds_rows(rows) & ~a.holds_rows(rows)
-    return name, CONDITIONS[name].holds_rows
+def _b_not_a(rows: np.ndarray) -> np.ndarray:
+    return CONDITIONS["B"].holds_rows(rows) & ~CONDITIONS["A"].holds_rows(rows)
 
 
-def _guard_budget(spec: SearchSpec) -> None:
-    if spec.v > BUDGET_MAX_V and not spec.force:
+def _resolve_predicate(spec: SearchSpec) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
+    # The canonical name and its block verdict: a bool mask over the rows of
+    # an (N, v) block of candidates.
+    name = _CANONICAL[str(spec.predicate).lower()]
+    return name, _b_not_a if name == "B-not-A" else CONDITIONS[name].holds_rows
+
+
+def _guard_budget(v: int, force: bool) -> None:
+    if v > BUDGET_MAX_V and not force:
         raise BudgetExceededError(
-            f"v={spec.v} exceeds the exhaustive-search budget (v <= {BUDGET_MAX_V}); "
+            f"v={v} exceeds the exhaustive-search budget (v <= {BUDGET_MAX_V}); "
             "pass force to override or use random sampling"
         )
 
@@ -141,7 +132,7 @@ def _tick(progress: Callable[[int], None] | None, since: int, upto: int) -> None
             progress(tick)
 
 
-def _collect(rows: np.ndarray, name: str | None, limit: int, witnesses: list) -> None:
+def _collect(rows: np.ndarray, name: str, limit: int, witnesses: list) -> None:
     # Cross-check completeness hits, and keep witnesses when a limit asks for them.
     if limit or name == "OPEN":
         for row in rows.tolist():
@@ -159,10 +150,10 @@ def enumerate_space(
     """Visit every candidate in lexicographic order and apply the predicate.
 
     The space is walked in blocks of v^L rows that share their head digits;
-    the last L columns hold every tail in order. A named predicate is judged
-    a block at a time by ``Condition.holds_rows``, a callable row by row.
+    the last L columns hold every tail in order, and each block is judged at
+    once by the predicate's block verdict (``Condition.holds_rows``).
     """
-    _guard_budget(spec)
+    _guard_budget(spec.v, spec.force)
     name, verdict = _resolve_predicate(spec)
     v = spec.v
     limit = spec.limit
@@ -206,17 +197,15 @@ def backtrack(
     column op per term of ``later[m]``; the survivors go back on the stack in
     blocks of ``BLOCK_ROWS // v`` parents, first block on top, so leaves
     come out in the same lexicographic order as full enumeration. B-not-A
-    searches B and keeps the leaves that fail A. Named predicates only.
+    searches B and keeps the leaves that ``holds_rows`` of A rejects.
 
     ``examined``, ``nodes_by_depth`` and the progress ticks are those of the
     one-node-at-a-time depth-first walk, also on an early stop: at depth m it
     has tried the children of every parent block finished before the active
     one, plus those of the active block up to the current path.
     """
-    _guard_budget(spec)
+    _guard_budget(spec.v, spec.force)
     name, _ = _resolve_predicate(spec)
-    if name is None:
-        raise ValueError("backtracking requires a named predicate (A, B, B-not-A, OPEN)")
     v = spec.v
     limit = spec.limit
     b_not_a = name == "B-not-A"
@@ -224,7 +213,7 @@ def backtrack(
     # Terms by their later index, each with the column of its shift's counts.
     later = [[] for _ in range(v)]
     for s, terms in enumerate(difference_terms(v, extended), 1):
-        for i, k, t in terms:
+        for i, k, t in zip(*(arr.tolist() for arr in terms)):
             later[max(i, k)].append((s * v, i, k, t))
     lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
     width = v * v
@@ -299,17 +288,6 @@ def run_search(
     return enumerate_space(spec, progress=progress)
 
 
-def find_B_not_A(
-    v: int,
-    limit: int = 0,
-    strategy: str = "backtrack",
-    force: bool = False,
-) -> SearchOutcome:
-    """Search for vectors passing the multiplicity condition but not distinctness."""
-    spec = SearchSpec(v, "B-not-A", limit=limit, strategy=strategy, force=force)
-    return run_search(spec)
-
-
 @dataclass(frozen=True)
 class NonexistenceEntry:
     """One period's completeness-condition census."""
@@ -333,6 +311,8 @@ def verify_open_nonexistence(v_max: int, force: bool = False) -> dict[int, Nonex
     """
     if v_max < 2:
         raise ValueError(f"v_max must be at least 2, got {v_max}")
+    # Refuse before any work, naming the first period past the budget.
+    _guard_budget(min(v_max, BUDGET_MAX_V + 1), force)
     table = {}
     for v in range(2, v_max + 1):
         run = enumerate_space(SearchSpec(v, "OPEN", limit=v ** (v - 1), force=force))

@@ -27,6 +27,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _integers(items, what: str, convert=int) -> tuple:
+    # ``items`` mapped through ``convert``; an entry that it changes or
+    # cannot convert (1.7, inf, nan, a string) raises ValueError instead of
+    # being truncated. One bulk map and one tuple comparison keep long
+    # sequences cheap.
+    raw = tuple(items)
+    try:
+        values = tuple(map(convert, raw))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} is not an integer ({exc})") from None
+    if values != raw:
+        bad = next(x for x, y in zip(raw, values) if x != y)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return values
+
+
 @dataclass(frozen=True)
 class PeriodicSequence:
     """A period-v sequence of residues mod a prime, indexed cyclically.
@@ -39,7 +55,7 @@ class PeriodicSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(x) for x in self.values))
+        object.__setattr__(self, "values", _integers(self.values, "value"))
         if not is_prime(self.modulus):
             raise ValueError(f"modulus must be a prime >= 2, got {self.modulus}")
         if len(self.values) < 1:

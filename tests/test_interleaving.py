@@ -53,6 +53,16 @@ def test_shift_sequence_validation():
     assert E7.v == 7
 
 
+def test_shift_sequence_rejects_non_integral_entries():
+    # Truncation would turn (0, 1.7, -0.5) into 0,1,0; -inf is no zero column.
+    for entries in [(0, 1.7, -0.5), (0, -INFINITY), (0, float("nan")), (0, "1"), (0, None)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            ShiftSequence(entries)
+    e = ShiftSequence((np.int8(0), np.int64(2), INFINITY))
+    assert e.entries == (0, 2, INFINITY)
+    assert [type(x) for x in e.entries] == [int, int, float]
+
+
 @given(st.integers(1, 12).flatmap(
     lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
 ))

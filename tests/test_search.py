@@ -16,9 +16,11 @@ from ilvseq import (
     SearchSpec,
     ShiftSequence,
     backtrack,
+    check_condition_A,
+    check_condition_B,
+    check_condition_open,
     difference_terms,
     enumerate_space,
-    find_B_not_A,
     run_search,
     sample_random,
     verify_open_nonexistence,
@@ -35,8 +37,13 @@ def test_search_spec_validation():
 
 
 def test_unknown_predicate_name():
-    with pytest.raises(ValueError):
-        enumerate_space(SearchSpec(3, "shiny"))
+    # Rejected when the spec is built, before any search or sample starts.
+    for name in ("shiny", "b-not-b", None):
+        with pytest.raises(ValueError, match="unknown predicate"):
+            SearchSpec(3, name)
+    with pytest.raises(ValueError, match="unknown predicate"):
+        sample_random(3, "shiny", 10)
+    assert SearchSpec(3, "b-NOT-a").predicate == "b-NOT-a"
 
 
 def test_budget_guard(monkeypatch):
@@ -79,11 +86,6 @@ def test_enumerate_unnormalized_counts_translations():
     assert out.satisfying == 18  # 6 classes times 3 translations
 
 
-def test_enumerate_callable_predicate():
-    out = enumerate_space(SearchSpec(3, lambda ent: True))
-    assert out.satisfying == 9
-
-
 def test_v3_multiplicity_without_distinctness():
     out = enumerate_space(SearchSpec(3, "B-not-A", limit=10))
     assert out.satisfying == 3
@@ -97,12 +99,13 @@ def test_v2_completeness_witnesses():
 
 
 def _reference_hits(v, pred, normalize):
-    # Per-candidate oracle: lexicographic product and the scalar verdict.
-    a, b, complete = (CONDITIONS[c].holds for c in ("A", "B", "OPEN"))
-    fn = {"A": a, "B": b, "B-not-A": lambda e: b(e) and not a(e), "OPEN": complete}[pred]
-    space = itertools.product(range(v), repeat=v - normalize)
-    return [(n, (0,) * normalize + tail) for n, tail in enumerate(space, 1)
-            if fn((0,) * normalize + tail)]
+    # The oracle of the walk (order, limits, ticks): the lexicographic product
+    # as one array, judged at once by the block verdict.
+    space = [(0,) * normalize + tail for tail in itertools.product(range(v), repeat=v - normalize)]
+    rows = np.array(space)
+    a, b, complete = (CONDITIONS[c].holds_rows(rows) for c in ("A", "B", "OPEN"))
+    mask = {"A": a, "B": b, "B-not-A": b & ~a, "OPEN": complete}[pred]
+    return [(n + 1, space[n]) for n in np.flatnonzero(mask).tolist()]
 
 
 def test_block_enumeration_matches_per_candidate_reference(monkeypatch):
@@ -152,8 +155,8 @@ def test_normalized_witnesses_represent_all_translates():
     # Every translate of every witness satisfies the predicate too.
     for w in normalized.witnesses:
         for c in range(v):
-            moved = tuple((x + c) % v for x in w.entries)
-            assert CONDITIONS["B"].holds(moved) and not CONDITIONS["A"].holds(moved)
+            moved = ShiftSequence(tuple((x + c) % v for x in w.entries))
+            assert check_condition_B(moved).verdict and not check_condition_A(moved).verdict
     # And the unnormalized census is exactly v copies of the normalized one.
     unnormalized = enumerate_space(SearchSpec(v, pred, normalize=False))
     assert unnormalized.satisfying == v * normalized.satisfying
@@ -173,7 +176,7 @@ def _reference_backtrack(spec, progress=None):
     extended, cap = CONDITIONS["B" if b_not_a else name]
     later = [[] for _ in range(v)]
     for s, terms in enumerate(difference_terms(v, extended), 1):
-        for i, k, t in terms:
+        for i, k, t in zip(*(arr.tolist() for arr in terms)):
             later[max(i, k)].append((s * v, i, k, t))
     counts = [0] * (v * v)
     counts_a = [0] * (v * v)
@@ -308,12 +311,13 @@ def test_row_dtype_holds_the_modulus():
 
 
 def test_backtrack_requires_named_predicate():
-    with pytest.raises(ValueError):
-        backtrack(SearchSpec(3, lambda ent: True, strategy="backtrack"))
+    # A callable is no predicate name; the spec refuses it when built.
+    with pytest.raises(ValueError, match="unknown predicate"):
+        SearchSpec(3, lambda ent: True, strategy="backtrack")
 
 
 def test_backtrack_first_witness_v7():
-    out = find_B_not_A(7, limit=1)
+    out = backtrack(SearchSpec(7, "B-not-A", limit=1, strategy="backtrack"))
     assert out.witnesses[0].entries == (0, 0, 0, 1, 0, 2, 3)
     assert out.examined == 12
     assert not out.exhaustive
@@ -354,6 +358,16 @@ def test_verify_open_nonexistence_table():
         verify_open_nonexistence(1)
 
 
+def test_verify_open_nonexistence_refuses_before_enumerating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(search_mod, "enumerate_space", lambda *a, **k: calls.append(a))
+    limit = search_mod.BUDGET_MAX_V
+    for v_max in (limit + 1, limit + 5):
+        with pytest.raises(BudgetExceededError, match=f"v={limit + 1} exceeds"):
+            verify_open_nonexistence(v_max)
+    assert calls == []
+
+
 def test_sample_random_deterministic():
     one = sample_random(7, "B", 200, seed=42, limit=5)
     two = sample_random(7, "B", 200, seed=42, limit=5)
@@ -370,7 +384,7 @@ def test_sample_random_hits_are_real():
     out = sample_random(5, "A", 300, seed=0, limit=300)
     assert out.satisfying >= len(out.witnesses) > 0
     for w in out.witnesses:
-        assert CONDITIONS["A"].holds(w.entries)
+        assert check_condition_A(w).verdict
         assert w.entries[0] == 0
 
 
@@ -406,10 +420,6 @@ def test_sample_random_without_limit_keeps_no_hits():
     assert dataclasses.replace(kept, witnesses=()) == small
 
 
-def _even_sum(entries):
-    return sum(entries) % 2 == 0
-
-
 def _replay(v, holds, n, seed, normalize, limit):
     # The seeded draw stream of sample_random, judged one draw at a time.
     rng = random.Random(seed)
@@ -417,26 +427,23 @@ def _replay(v, holds, n, seed, normalize, limit):
     hits = []
     for _ in range(n):
         entries = fixed + tuple(rng.randrange(v) for _ in range(v - len(fixed)))
-        if holds(entries):
+        if holds(ShiftSequence(entries)):
             hits.append(entries)
     witnesses = tuple(ShiftSequence(ent) for ent in sorted(set(hits))[:limit])
     return SearchOutcome(witnesses, n, len(hits), False)
 
 
 _SAMPLE_CASES = {
-    "A": (5, CONDITIONS["A"].holds),
-    "B": (5, CONDITIONS["B"].holds),
-    "B-not-A": (5, lambda e: CONDITIONS["B"].holds(e) and not CONDITIONS["A"].holds(e)),
-    "OPEN": (2, CONDITIONS["OPEN"].holds),
-    _even_sum: (5, _even_sum),
+    "A": (5, lambda e: check_condition_A(e).verdict),
+    "B": (5, lambda e: check_condition_B(e).verdict),
+    "B-not-A": (5, lambda e: check_condition_B(e).verdict and not check_condition_A(e).verdict),
+    "OPEN": (2, lambda e: check_condition_open(e).verdict),
 }
 
 
 @pytest.mark.parametrize("limit", [0, 1, 10**9])
 @pytest.mark.parametrize("normalize", [True, False])
-@pytest.mark.parametrize(
-    "predicate", list(_SAMPLE_CASES), ids=lambda p: getattr(p, "__name__", p)
-)
+@pytest.mark.parametrize("predicate", list(_SAMPLE_CASES))
 def test_sample_random_matches_replay(monkeypatch, predicate, normalize, limit):
     # Blocks of 7 rows split the 60 draws into 9 blocks, the last one short.
     monkeypatch.setattr(search_mod, "BLOCK_ROWS", 7)

@@ -1,5 +1,6 @@
 """Tests for periodic sequences, shifts, and the base-sequence generators."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +37,17 @@ def test_periodic_sequence_validation():
         PeriodicSequence(2, (0, 1, 2))
     with pytest.raises(ValueError):
         PeriodicSequence(2, ())
+
+
+def test_periodic_sequence_rejects_non_integral_values():
+    # Truncation would turn (1.9, 0, -0.3) into 100.
+    for values in [(1.9, 0, -0.3), (1, float("inf")), (1, float("nan")), (1, "0"), (1, None)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            PeriodicSequence(2, values)
+    seq = PeriodicSequence(3, (np.int8(2), np.int64(1), True, 0))
+    assert seq.values == (2, 1, 1, 0)
+    assert all(type(x) is int for x in seq.values)
+    assert PeriodicSequence(2, np.array([1, 0, 1])).values == (1, 0, 1)
 
 
 def test_cyclic_indexing():

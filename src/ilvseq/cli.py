@@ -182,7 +182,7 @@ def _cmd_build(args) -> int:
     }
     pretty = [f"built {len(ss.members)} members of period {ss.period}"]
     if args.delta:
-        report = signal_set_delta(ss.members)
+        report = signal_set_delta(ss.members, method="fast")
         results["delta"] = _delta_json(report)
         pretty.append(
             f"delta {report.delta} attained at {len(report.witnesses)} (i, j, tau) points"

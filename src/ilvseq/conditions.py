@@ -94,19 +94,13 @@ class DifferenceProfile:
         return max(count for _, count in self.multiplicity)
 
 
-def _require_finite(e: ShiftSequence) -> None:
-    if not e.is_finite:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
-
-
 def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:
     """The differences e_j - E(j+s) mod v at shift s, for j in [0, v) if
     extended, else for j in [0, v-s)."""
-    _require_finite(e)
-    v = e.v
-    if not 1 <= s < v:
-        raise ValueError(f"shift s must lie in [1, {v}), got {s}")
-    return _profiles(e, extended)[s - 1]
+    table = _profiles(e, extended)  # raises first on an INFINITY entry
+    if not 1 <= s < e.v:
+        raise ValueError(f"shift s must lie in [1, {e.v}), got {s}")
+    return table[s - 1]
 
 
 @lru_cache(maxsize=16)
@@ -153,7 +147,6 @@ def _check(e: ShiftSequence, name: str) -> ConditionReport:
     # report the distinct count against the number of differences, B its
     # largest multiplicity against the cap.
     extended, cap = CONDITIONS[name]
-    _require_finite(e)
     checks = []
     first_failure = None
     for prof in _profiles(e, extended):

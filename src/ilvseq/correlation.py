@@ -15,7 +15,7 @@ from itertools import repeat
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sequences import PeriodicSequence
+from .sequences import PeriodicSequence, _same_shape
 
 #: Absolute tolerance for complex-valued (p > 2) comparisons.
 COMPLEX_TOL = 1e-9
@@ -36,15 +36,9 @@ class CorrelationProfile:
         return self.values[tau % len(self.values)]
 
 
-def _check_pair(a: PeriodicSequence, b: PeriodicSequence) -> None:
-    if a.period != b.period:
-        raise ValueError(f"period mismatch: {a.period} vs {b.period}")
-    if a.modulus != b.modulus:
-        raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
-
-
 def _lift(seqs) -> np.ndarray:
     """Equal-period sequences of one modulus p as rows: +-1 for p = 2, omega^x otherwise."""
+    _same_shape(seqs)
     values = np.array([s.values for s in seqs], dtype=np.int64)
     p = seqs[0].modulus
     if p == 2:
@@ -54,7 +48,6 @@ def _lift(seqs) -> np.ndarray:
 
 def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
     """Direct-summation correlation profile of a against b (all offsets)."""
-    _check_pair(a, b)
     v = a.period
     x, y = _lift([a, b])
     y2 = np.tile(np.conj(y), 2)
@@ -68,7 +61,6 @@ def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> Correlat
     For p = 2 the result is rounded back to exact integers (the float error
     of the transform is far below 1/2 at any desk-scale period).
     """
-    _check_pair(a, b)
     _, rows = next(_correlation_rows(_lift([a, b]), a.modulus, "fast"))
     return CorrelationProfile(a.modulus, tuple(rows[1].tolist()))
 
@@ -168,9 +160,6 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
         raise ValueError("signal set must not be empty")
     v = members[0].period
     p = members[0].modulus
-    for m in members:
-        if m.period != v or m.modulus != p:
-            raise ValueError("all members must share one period and modulus")
     if method not in ("direct", "fast"):
         raise ValueError(f"unknown method {method!r}")
     r = len(members)

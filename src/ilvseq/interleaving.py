@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import autocorrelation, is_two_level
-from .sequences import PeriodicSequence, _integers, shift_equivalence
+from .sequences import PeriodicSequence, _doubled, _integers, _same_shape, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
 INFINITY = float("inf")
@@ -168,42 +168,22 @@ class SignalSet:
         return self.v * self.v
 
 
-def _least_rotation(s: tuple) -> int:
-    """Start of the lexicographically least rotation of s (Booth, IPL 10, 1980)."""
-    s = s + s
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != s[k]:
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
 def coincident_members(members) -> list[tuple[int, int, int]]:
     """All (i, j, k) with i < j and member i equal to member j shifted by k.
 
-    Members with equal least rotations, and only those, are shift-equivalent;
-    k is found for those pairs alone, so the scan is linear in the member count
-    when no two members coincide.
+    Each member is keyed by its least rotation: the least of the n slices of
+    length n of its doubled values (bytes for moduli up to 256, else a
+    tuple), compared in C at O(n^2) byte work per member. Members with equal
+    keys, and only those, are shift-equivalent; k is found for those pairs
+    alone, so the scan stays linear in the member count when no two members
+    coincide.
     """
     members = list(members)
-    for m in members[1:]:
-        if m.period != members[0].period or m.modulus != members[0].modulus:
-            raise ValueError("all members must share one period and modulus")
-    classes: dict[tuple, list[int]] = {}
+    _same_shape(members)
+    classes: dict = {}
     for i, m in enumerate(members):
-        k = _least_rotation(m.values)
-        classes.setdefault(m.values[k:] + m.values[:k], []).append(i)
+        doubled, n = _doubled(m), m.period
+        classes.setdefault(min(doubled[k : k + n] for k in range(n)), []).append(i)
     out = []
     for idx in classes.values():
         for pos, i in enumerate(idx):

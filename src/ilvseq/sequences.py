@@ -43,6 +43,15 @@ def _integers(items, what: str, convert=int) -> tuple:
     return values
 
 
+def _same_shape(seqs) -> None:
+    # Every sequence of ``seqs`` has the first one's period and modulus.
+    for s in seqs[1:]:
+        if s.period != seqs[0].period:
+            raise ValueError(f"period mismatch: {seqs[0].period} vs {s.period}")
+        if s.modulus != seqs[0].modulus:
+            raise ValueError(f"modulus mismatch: {seqs[0].modulus} vs {s.modulus}")
+
+
 @dataclass(frozen=True)
 class PeriodicSequence:
     """A period-v sequence of residues mod a prime, indexed cyclically.
@@ -88,24 +97,25 @@ def left_shift(seq: PeriodicSequence, i: int) -> PeriodicSequence:
     return PeriodicSequence(seq.modulus, seq.values[i:] + seq.values[:i])
 
 
+def _doubled(seq: PeriodicSequence):
+    # Two periods of seq's values: bytes when they fit in a byte, else a tuple.
+    return bytes(seq.values) * 2 if seq.modulus <= 256 else seq.values * 2
+
+
 def shift_equivalence(a: PeriodicSequence, b: PeriodicSequence) -> int | None:
     """Smallest k in [0, v) with a_i = b_(i+k) for all i, or None.
 
     Requires equal periods and moduli. When b has minimal period d < v, the
     returned k is the smallest representative of its class mod d.
     """
-    if a.period != b.period:
-        raise ValueError(f"period mismatch: {a.period} vs {b.period}")
-    if a.modulus != b.modulus:
-        raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
+    _same_shape((a, b))
     v = a.period
-    if a.modulus <= 256:
-        doubled = bytes(b.values) * 2
+    doubled = _doubled(b)
+    if isinstance(doubled, bytes):
         k = doubled.find(bytes(a.values))
         return k if 0 <= k < v else None
-    doubled_t = b.values * 2
     for k in range(v):
-        if doubled_t[k : k + v] == a.values:
+        if doubled[k : k + v] == a.values:
             return k
     return None
 
@@ -133,8 +143,8 @@ class LfsrSpec:
     state: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "poly", tuple(int(x) for x in self.poly))
-        object.__setattr__(self, "state", tuple(int(x) for x in self.state))
+        object.__setattr__(self, "poly", _integers(self.poly, "polynomial bit"))
+        object.__setattr__(self, "state", _integers(self.state, "state bit"))
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
         if len(self.poly) != self.degree + 1:

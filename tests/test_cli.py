@@ -6,7 +6,14 @@ import re
 import pytest
 
 import ilvseq.search as search_mod
-from ilvseq import ShiftSequence, all_passed, run_all
+from ilvseq import (
+    ShiftSequence,
+    all_passed,
+    build_signal_set,
+    gen_legendre,
+    run_all,
+    signal_set_delta,
+)
 from ilvseq.cli import main
 
 
@@ -88,6 +95,19 @@ def test_build_with_delta(capsys):
     assert len(results["delta"]["witnesses"]) == 80
     assert all(type(w["value"]) is int for w in results["delta"]["witnesses"])
     assert results["notes"] == []
+    # A v=11 Legendre set: the command's delta path gives the direct witnesses.
+    a, b = gen_legendre(11), gen_legendre(11, 1)
+    e = ShiftSequence(tuple((j * j + 3 * j) % 11 for j in range(11)))
+    code, out, err = run_cli(
+        capsys, "build", "--a", str(a), "--b", str(b), "--e", str(e), "--delta"
+    )
+    assert code == 0
+    got = parse_report(out)["results"]["delta"]
+    want = signal_set_delta(build_signal_set(a, b, e).members, method="direct")
+    assert got["delta"] == want.delta
+    assert got["witnesses"] == [
+        {"i": w.i, "j": w.j, "tau": w.tau, "value": w.value} for w in want.witnesses
+    ]
 
 
 def test_build_warns_on_advisory_notes(capsys):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from ilvseq import (
     CONDITIONS,
     INFINITY,
+    PRIMITIVE_POLYS,
+    LfsrSpec,
     PeriodicSequence,
     ShiftSequence,
     autocorrelation,
@@ -21,6 +23,7 @@ from ilvseq import (
     extended_entry,
     format_shift_sequence,
     gen_legendre,
+    gen_mseq,
     interleave,
     left_shift,
     matrix_form,
@@ -222,14 +225,30 @@ def test_build_with_b_equal_a_flags_shift_but_no_coincidence():
 def test_coincident_members():
     assert coincident_members([A7, left_shift(A7, 2)]) == [(0, 1, 5)]
     assert coincident_members([A7, B7]) == []
+    assert coincident_members([]) == []
     with pytest.raises(ValueError):
         coincident_members([A7, PeriodicSequence(2, (1, 0))])
+    # A v=31 set plus two planted coincidences, keyed at n = 961.
+    mseq = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 0, 0, 0)))
+    rev = PeriodicSequence(2, mseq.values[::-1])
+    e = ShiftSequence(tuple((j * j + 3 * j) % 31 for j in range(31)))
+    members = list(build_signal_set(mseq, rev, e).members)
+    members += [left_shift(members[3], 100), members[0]]
+    assert members[0].period == 961
+    pairwise = [
+        (i, j, k)
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+        if (k := shift_equivalence(members[i], members[j])) is not None
+    ]
+    assert pairwise == [(0, 33, 0), (3, 32, 861)]
+    assert coincident_members(members) == pairwise
 
 
 @st.composite
 def planted_members(draw):
     """Shifts of a few small bases (some of short minimal period), shuffled."""
-    p = draw(st.sampled_from((2, 3)))
+    p = draw(st.sampled_from((2, 3, 257)))
     n = draw(st.integers(1, 8))
     bases = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=1, max_size=4))
     picks = draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.integers(0, n - 1)), max_size=8))

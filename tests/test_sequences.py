@@ -48,6 +48,13 @@ def test_periodic_sequence_rejects_non_integral_values():
     assert seq.values == (2, 1, 1, 0)
     assert all(type(x) is int for x in seq.values)
     assert PeriodicSequence(2, np.array([1, 0, 1])).values == (1, 0, 1)
+    # LfsrSpec would read (1, 0, 1.5, 1) and (1, 0.9, 0) as poly 1011, state 100.
+    for poly, state in [((1, 0, 1.5, 1), (1, 0, 0)), ((1, 0, 1, 1), (1, 0.9, 0))]:
+        with pytest.raises(ValueError, match="not an integer"):
+            LfsrSpec(3, poly, state)
+    spec = LfsrSpec(3, np.array([1, 0, 1, 1]), (np.int64(1), 0, False))
+    assert (spec.poly, spec.state) == ((1, 0, 1, 1), (1, 0, 0))
+    assert all(type(x) is int for x in spec.poly + spec.state)
 
 
 def test_cyclic_indexing():

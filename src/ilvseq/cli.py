@@ -1,7 +1,9 @@
 """Command-line interface: generation, correlation, construction, conditions, search.
 
 Every command writes one machine-readable JSON report (schema "1") to
-standard output; human-readable tables go to standard error under --pretty.
+standard output; human-readable tables go to standard error under --pretty,
+which may come before or after the command. Each command returns its inputs,
+results, table lines and exit code; ``main`` alone times, emits and exits.
 Exit codes: 0 success, 1 verdict/reproduction failure, 2 input error,
 3 exhaustive-search budget refusal.
 """
@@ -23,7 +25,6 @@ from .conditions import (
 from .correlation import (
     CorrelationProfile,
     DeltaReport,
-    autocorrelation,
     cross_correlation,
     fast_cross_correlation,
     is_two_level,
@@ -40,7 +41,6 @@ from .search import (
 )
 from .sequences import (
     LfsrSpec,
-    PeriodicSequence,
     format_sequence,
     gen_legendre,
     gen_mseq,
@@ -101,22 +101,26 @@ def _outcome_json(outcome: SearchOutcome) -> dict:
     return results
 
 
-def _emit(args, command: str, inputs: dict, results: dict, started: float, pretty_lines=None):
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "argv": list(args._argv),
-        "inputs": inputs,
-        "results": results,
-        "timing": {"seconds": time.perf_counter() - started},
-    }
-    print(json.dumps(report, indent=2))
-    if args.pretty and pretty_lines:
-        print("\n".join(pretty_lines), file=sys.stderr)
+def _emit(command: str, argv: list, inputs: dict, results, started: float, lines, pretty: bool):
+    # With no results (``reproduce`` without --json) the lines are the report.
+    if results is not None:
+        report = {
+            "schema": SCHEMA_VERSION,
+            "command": command,
+            "argv": argv,
+            "inputs": inputs,
+            "results": results,
+            "timing": {"seconds": time.perf_counter() - started},
+        }
+        print(json.dumps(report, indent=2))
+    if pretty and lines:
+        print("\n".join(lines), file=sys.stderr if results is not None else sys.stdout)
 
 
-def _cmd_gen(args) -> int:
-    started = time.perf_counter()
+# Each command returns (inputs, results, pretty lines, exit code).
+
+
+def _cmd_gen(args):
     if args.kind == "mseq":
         spec = LfsrSpec(
             args.degree,
@@ -133,19 +137,11 @@ def _cmd_gen(args) -> int:
         "period": seq.period,
         "two_level": is_two_level(seq),
     }
-    _emit(
-        args,
-        f"gen {args.kind}",
-        inputs,
-        results,
-        started,
-        [f"sequence {results['sequence']} (period {seq.period}, two-level: {results['two_level']})"],
-    )
-    return 0
+    pretty = [f"sequence {results['sequence']} (period {seq.period}, two-level: {results['two_level']})"]
+    return inputs, results, pretty, 0
 
 
-def _cmd_correlate(args) -> int:
-    started = time.perf_counter()
+def _cmd_correlate(args):
     a = parse_sequence(args.a)
     if args.auto:
         if args.b is not None:
@@ -161,12 +157,10 @@ def _cmd_correlate(args) -> int:
     if args.auto:
         results["two_level"] = is_two_level(a)
     pretty = ["tau  value"] + [f"{tau:>3}  {val}" for tau, val in enumerate(profile.values)]
-    _emit(args, "correlate", {"a": args.a, "b": args.b, "auto": args.auto}, results, started, pretty)
-    return 0
+    return {"a": args.a, "b": args.b, "auto": args.auto}, results, pretty, 0
 
 
-def _cmd_build(args) -> int:
-    started = time.perf_counter()
+def _cmd_build(args):
     a = parse_sequence(args.a)
     b = parse_sequence(args.b)
     e = parse_shift_sequence(args.e)
@@ -187,8 +181,7 @@ def _cmd_build(args) -> int:
         pretty.append(
             f"delta {report.delta} attained at {len(report.witnesses)} (i, j, tau) points"
         )
-    _emit(args, "build", {"a": args.a, "b": args.b, "e": args.e}, results, started, pretty)
-    return 0
+    return {"a": args.a, "b": args.b, "e": args.e}, results, pretty, 0
 
 
 _CHECKERS = {
@@ -198,8 +191,7 @@ _CHECKERS = {
 }
 
 
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_check(args):
     e = parse_shift_sequence(args.e)
     report = _CHECKERS[args.cond](e)
     results = _condition_json(report)
@@ -210,14 +202,13 @@ def _cmd_check(args) -> int:
             f"  s={c.s} {mark} observed {c.observed} (required {c.required}); "
             f"differences {list(c.profile.values)}"
         )
-    _emit(args, "check", {"e": args.e, "cond": args.cond}, results, started, pretty)
-    return 0 if report.verdict else 1
+    return {"e": args.e, "cond": args.cond}, results, pretty, 0 if report.verdict else 1
 
 
-def _cmd_search(args) -> int:
-    started = time.perf_counter()
+def _cmd_search(args):
     progress = None
     if args.progress:
+        started = time.perf_counter()
 
         def progress(n):
             rate = n / (time.perf_counter() - started)
@@ -240,19 +231,11 @@ def _cmd_search(args) -> int:
         f"examined {outcome.examined}, satisfying {outcome.satisfying}, "
         f"exhaustive {outcome.exhaustive}"
     ] + [f"  witness {w}" for w in outcome.witnesses]
-    _emit(
-        args,
-        "search",
-        {"v": args.v, "pred": args.pred, "limit": args.limit, "sample": args.sample},
-        results,
-        started,
-        pretty,
-    )
-    return 0
+    inputs = {"v": args.v, "pred": args.pred, "limit": args.limit, "sample": args.sample}
+    return inputs, results, pretty, 0
 
 
-def _cmd_verify_nonexistence(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify_nonexistence(args):
     table = verify_open_nonexistence(args.vmax, force=args.force)
     entries = []
     for v, ent in sorted(table.items()):
@@ -266,12 +249,7 @@ def _cmd_verify_nonexistence(args) -> int:
                 "exhaustive": ent.exhaustive,
             }
         )
-    confirmed = all(
-        (not ent.exists)
-        if v > 2
-        else tuple(w.entries for w in ent.witnesses) == _reproduce.V2_COMPLETE
-        for v, ent in table.items()
-    )
+    confirmed = _reproduce.census_confirmed(table)
     results = {"entries": entries, "confirmed": confirmed}
     pretty = ["  v  exists  examined  witnesses"]
     for row in entries:
@@ -279,71 +257,64 @@ def _cmd_verify_nonexistence(args) -> int:
             f"{row['v']:>3}  {str(row['exists']).lower():<6}  {row['examined']:>8}  "
             f"{' '.join(row['witnesses']) or '-'}"
         )
-    _emit(args, "verify-nonexistence", {"vmax": args.vmax}, results, started, pretty)
-    return 0 if confirmed else 1
+    return {"vmax": args.vmax}, results, pretty, 0 if confirmed else 1
 
 
-def _cmd_reproduce(args) -> int:
-    started = time.perf_counter()
-    results = _reproduce.run_all(seed=args.seed)
-    ok = _reproduce.all_passed(results)
-    lines = []
-    for r in results:
-        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+def _cmd_reproduce(args):
+    checks = _reproduce.run_all(seed=args.seed)
+    ok = _reproduce.all_passed(checks)
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in checks]
+    lines.append(f"{sum(r.passed for r in checks)}/{len(checks)} checks passed")
+    results = None
     if args.json:
-        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-        _emit(args, "reproduce", {"seed": args.seed}, {"checks": checks, "all_passed": ok}, started)
-        print("\n".join(lines), file=sys.stderr)
-    else:
-        print("\n".join(lines))
-    return 0 if ok else 1
+        rows = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in checks]
+        results = {"checks": rows, "all_passed": ok}
+    return {"seed": args.seed}, results, lines, 0 if ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--pretty", action="store_true", help="also print human tables to stderr"
-    )
+    pretty_help = "also print human tables to stderr"
     parser = argparse.ArgumentParser(
         prog="ilvseq",
-        parents=[common],
         description="Interleaved signal sets: generate, correlate, build, check, search.",
     )
+    parser.add_argument("--pretty", action="store_true", help=pretty_help)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(subparsers, name, func, help):
+        cmd = subparsers.add_parser(name, help=help)
+        # Suppressed when absent, so a --pretty before the command still counts.
+        cmd.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help=pretty_help)
+        cmd.set_defaults(func=func)
+        return cmd
 
     gen = sub.add_parser("gen", help="generate a two-level base sequence")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    mseq = gen_sub.add_parser("mseq", parents=[common], help="maximal-period register sequence")
+    mseq = command(gen_sub, "mseq", _cmd_gen, "maximal-period register sequence")
     mseq.add_argument("--degree", type=int, required=True)
     mseq.add_argument("--poly", required=True, help="coefficient bits, highest degree first")
     mseq.add_argument("--state", required=True, help="initial bits, oldest first")
-    mseq.set_defaults(func=_cmd_gen)
-    leg = gen_sub.add_parser("legendre", parents=[common], help="quadratic-residue indicator sequence")
+    leg = command(gen_sub, "legendre", _cmd_gen, "quadratic-residue indicator sequence")
     leg.add_argument("--v", type=int, required=True, help="odd prime period")
     leg.add_argument("--zero", type=int, default=0, choices=(0, 1))
-    leg.set_defaults(func=_cmd_gen)
 
-    corr = sub.add_parser("correlate", parents=[common], help="correlation profile of a pair")
+    corr = command(sub, "correlate", _cmd_correlate, "correlation profile of a pair")
     corr.add_argument("--a", required=True)
     corr.add_argument("--b")
     corr.add_argument("--auto", action="store_true", help="correlate --a against itself")
     corr.add_argument("--fast", action="store_true", help="transform-based path")
-    corr.set_defaults(func=_cmd_correlate)
 
-    build = sub.add_parser("build", parents=[common], help="construct the v+1 member signal set")
+    build = command(sub, "build", _cmd_build, "construct the v+1 member signal set")
     build.add_argument("--a", required=True)
     build.add_argument("--b", required=True)
     build.add_argument("--e", required=True, help="comma-separated finite shifts in [0, v)")
     build.add_argument("--delta", action="store_true", help="also sweep the set's delta")
-    build.set_defaults(func=_cmd_build)
 
-    check = sub.add_parser("check", parents=[common], help="check a condition on a shift vector")
+    check = command(sub, "check", _cmd_check, "check a condition on a shift vector")
     check.add_argument("--e", required=True)
     check.add_argument("--cond", required=True, choices=("A", "B", "open"))
-    check.set_defaults(func=_cmd_check)
 
-    search = sub.add_parser("search", parents=[common], help="search shift-vector space for a predicate")
+    search = command(sub, "search", _cmd_search, "search shift-vector space for a predicate")
     search.add_argument("--v", type=int, required=True)
     search.add_argument("--pred", required=True, choices=("A", "B", "b-not-a", "open"))
     search.add_argument("--limit", type=int, default=0, help="stop after this many witnesses")
@@ -352,40 +323,41 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--progress", action="store_true", help="emit examined counts and rates to stderr")
     search.add_argument("--sample", type=int, default=0, help="random draws instead of a sweep")
     search.add_argument("--seed", type=int, default=0)
-    search.set_defaults(func=_cmd_search)
 
-    verify = sub.add_parser(
-        "verify-nonexistence", parents=[common], help="census the completeness condition up to vmax"
+    verify = command(
+        sub, "verify-nonexistence", _cmd_verify_nonexistence,
+        "census the completeness condition up to vmax",
     )
     verify.add_argument("--vmax", type=int, required=True)
     verify.add_argument("--force", action="store_true")
-    verify.set_defaults(func=_cmd_verify_nonexistence)
 
-    rep = sub.add_parser("reproduce", parents=[common], help="run the worked-example verification suite")
+    rep = command(sub, "reproduce", _cmd_reproduce, "run the worked-example verification suite")
     rep.add_argument("--json", action="store_true", help="machine report to stdout")
     rep.add_argument("--seed", type=int, default=0)
-    rep.set_defaults(func=_cmd_reproduce)
+    # The check lines always print: to stdout, or to stderr beside --json.
+    rep.set_defaults(pretty=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args._argv = list(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, results, lines, code = args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    command = f"gen {args.kind}" if args.command == "gen" else args.command
+    _emit(command, argv, inputs, results, started, lines, args.pretty)
+    return code
 
 
 if __name__ == "__main__":

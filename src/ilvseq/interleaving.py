@@ -195,9 +195,8 @@ def _check_construction(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     # Binary a and b of one period v and a finite length-v e; returns v.
     if a.modulus != 2 or b.modulus != 2:
         raise ValueError("the construction is defined for binary sequences")
+    _same_shape((a, b))
     v = a.period
-    if b.period != v:
-        raise ValueError(f"period mismatch: a has {v}, b has {b.period}")
     if e.v != v:
         raise ValueError(f"shift vector length {e.v} does not match period {v}")
     if not e.is_finite:

@@ -131,6 +131,73 @@ def test_build_rejects_infinite_vector(capsys):
     assert "error: shift vector must be finite" in err
 
 
+def test_build_period_mismatch_reads_as_correlate(capsys):
+    for argv in (
+        ["build", "--a", "1001110", "--b", "10", "--e", "0,0,1,0,6,3,5"],
+        ["correlate", "--a", "1001110", "--b", "10"],
+    ):
+        assert run_cli(capsys, *argv) == (2, "", "error: period mismatch: 7 vs 2\n")
+
+
+def test_pretty_before_or_after_command(capsys):
+    for argv, line in (
+        (["check", "--e", "0,1", "--cond", "A"], "condition A: pass"),
+        (["gen", "legendre", "--v", "7"], "sequence 0110100"),
+    ):
+        for flagged in (["--pretty", *argv], [*argv, "--pretty"]):
+            code, out, err = run_cli(capsys, *flagged)
+            assert code == 0
+            assert err.startswith(line)
+        assert run_cli(capsys, *argv)[2] == ""
+
+
+@pytest.mark.parametrize(
+    "argv, command, inputs",
+    [
+        (
+            ["gen", "mseq", "--degree", "3", "--poly", "1011", "--state", "100"],
+            "gen mseq",
+            {"degree": 3, "poly": "1011", "state": "100"},
+        ),
+        (["gen", "legendre", "--v", "7"], "gen legendre", {"v": 7, "zero": 0}),
+        (
+            ["correlate", "--a", "1001110", "--auto"],
+            "correlate",
+            {"a": "1001110", "b": None, "auto": True},
+        ),
+        (
+            ["build", "--a", "1001110", "--b", "1001011", "--e", "0,0,1,0,6,3,5"],
+            "build",
+            {"a": "1001110", "b": "1001011", "e": "0,0,1,0,6,3,5"},
+        ),
+        (
+            ["check", "--e", "0,0,1,0,6,3,5", "--cond", "B"],
+            "check",
+            {"e": "0,0,1,0,6,3,5", "cond": "B"},
+        ),
+        (
+            ["search", "--v", "3", "--pred", "A"],
+            "search",
+            {"v": 3, "pred": "A", "limit": 0, "sample": 0},
+        ),
+        (
+            ["search", "--v", "6", "--pred", "B", "--sample", "50", "--seed", "2", "--limit", "1"],
+            "search",
+            {"v": 6, "pred": "B", "limit": 1, "sample": 50},
+        ),
+        (["verify-nonexistence", "--vmax", "3"], "verify-nonexistence", {"vmax": 3}),
+        (["reproduce", "--json", "--seed", "1"], "reproduce", {"seed": 1}),
+    ],
+)
+def test_report_names_command_and_echoes_input(capsys, argv, command, inputs):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = parse_report(out)
+    assert report["command"] == command
+    assert report["argv"] == argv
+    assert report["inputs"] == inputs
+
+
 def test_check_verdict_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "check", "--e", "0,0,1,0,6,3,5", "--cond", "A")
     assert code == 1

@@ -326,7 +326,7 @@ def test_column_correlations_match_direct_legendre_v11():
 def test_column_correlations_validation():
     with pytest.raises(ValueError):
         column_correlations(PeriodicSequence(3, (0, 1, 2)), B7, E7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="period mismatch: 7 vs 2"):
         column_correlations(A7, PeriodicSequence(2, (1, 0)), E7)
     with pytest.raises(ValueError):
         column_correlations(A7, B7, ShiftSequence((0, 1, 2)))

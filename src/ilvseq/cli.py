@@ -59,13 +59,14 @@ def _profile_json(profile: CorrelationProfile) -> dict:
 
 
 def _delta_json(report: DeltaReport) -> dict:
+    w = report.witnesses
+    columns = (w.i.tolist(), w.j.tolist(), w.tau.tolist(), w.value.tolist())
     return {
         "delta": report.delta,
         "period": report.period,
         "member_count": report.member_count,
         "witnesses": [
-            {"i": w.i, "j": w.j, "tau": w.tau, "value": w.value}
-            for w in report.witnesses
+            {"i": i, "j": j, "tau": tau, "value": value} for i, j, tau, value in zip(*columns)
         ],
     }
 

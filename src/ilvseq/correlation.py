@@ -9,8 +9,11 @@ comparisons use COMPLEX_TOL.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,14 +84,67 @@ def is_two_level(a: PeriodicSequence) -> bool:
     return all(abs(c - want) <= tol for c, want in zip(autocorrelation(a).values, ideal))
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
-    """One location achieving the set's maximum correlation magnitude."""
+class Witness(NamedTuple):
+    """One location achieving the set's maximum correlation magnitude.
+
+    A named 4-tuple: it unpacks, and equals the plain tuple (i, j, tau, value).
+    """
 
     i: int
     j: int
     tau: int
     value: object
+
+
+_BATCH = 4096  # Witness objects built per step while a WitnessSequence is read
+
+
+class WitnessSequence(Sequence):
+    """Read-only sequence of Witness over exact column arrays.
+
+    The columns ``i``, ``j``, ``tau`` (int64) and ``value`` (int64 for p = 2,
+    complex otherwise) are read-only numpy arrays. Witness objects are built
+    in batches as the sequence is iterated or indexed, and none is kept. A
+    slice is a WitnessSequence over views of the columns. It equals another
+    WitnessSequence with equal columns, and a tuple of the same Witnesses.
+    """
+
+    __slots__ = Witness._fields
+
+    def __init__(self, i: np.ndarray, j: np.ndarray, tau: np.ndarray, value: np.ndarray):
+        for name, column in zip(self.__slots__, (i, j, tau, value)):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def _columns(self):
+        return self.i, self.j, self.tau, self.value
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return WitnessSequence(*(c[k] for c in self._columns()))
+        return Witness._make(c[k].item() for c in self._columns())
+
+    def __iter__(self):
+        for start in range(0, len(self), _BATCH):
+            batch = (c[start : start + _BATCH].tolist() for c in self._columns())
+            # tuple.__new__ skips Witness.__new__'s Python frame: one C call each.
+            yield from map(tuple.__new__, repeat(Witness), zip(*batch))
+
+    def __eq__(self, other):
+        if isinstance(other, WitnessSequence):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<WitnessSequence of {len(self)} witnesses>"
 
 
 @dataclass(frozen=True)
@@ -98,11 +154,13 @@ class DeltaReport:
     delta is an int for p = 2, a float otherwise. Witnesses list every
     (i, j, tau, value) attaining |value| = delta, in lexicographic (i, j, tau)
     order over ordered pairs, excluding the trivial (i = j, tau = 0) peak.
-    For p > 2 a magnitude within COMPLEX_TOL of delta attains it.
+    For p > 2 a magnitude within COMPLEX_TOL of delta attains it. The
+    maximizers are held as exact arrays in a read-only WitnessSequence (not a
+    tuple); Witness objects are built as they are read.
     """
 
     delta: object
-    witnesses: tuple[Witness, ...]
+    witnesses: WitnessSequence
     period: int
     member_count: int
 
@@ -138,22 +196,13 @@ def _correlation_rows(x: np.ndarray, modulus: int, method: str):
             yield i, np.fft.ifft(np.conj(spectra[i]) * spectra, axis=1)
 
 
-def _witnesses(found: list):
-    """Witness objects, row by row, releasing each row's arrays once read.
-
-    The arrays and the objects are then never both whole in memory.
-    """
-    while found:
-        i, js, taus, vals = found.pop(0)
-        yield from map(Witness, repeat(i), js.tolist(), taus.tolist(), vals.tolist())
-
-
 def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     """Delta of a signal set: max |correlation| over ordered pairs and offsets.
 
     ``method`` selects the correlation path ("direct" or "fast"); the choice
     is explicit, never silent. Both paths feed one scan and give the same
     delta and witness positions; for p = 2 also the same integer values.
+    The scan ends with the maximizers as exact arrays (see WitnessSequence).
     """
     members = list(members)
     if not members:
@@ -186,4 +235,7 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
             found.append((i, js, taus, rows[js, taus]))
 
     delta = int(best) if p == 2 else float(best)
-    return DeltaReport(delta, tuple(_witnesses(found)), v, r)
+    hs, js, taus, vals = zip(*found)
+    i = np.repeat(np.array(hs, dtype=np.int64), [c.size for c in js])
+    witnesses = WitnessSequence(i, *map(np.concatenate, (js, taus, vals)))
+    return DeltaReport(delta, witnesses, v, r)

@@ -80,6 +80,15 @@ def format_shift_sequence(e: ShiftSequence) -> str:
     return ",".join("inf" if x == INFINITY else str(x) for x in e.entries)
 
 
+def quadratic_shifts(v: int, c: int, l: int) -> ShiftSequence:
+    """The quadratic shift sequence e_j = c*j^2 + l*j mod v.
+
+    At an odd prime v with c != 0 mod v it satisfies condition A: the
+    difference at shift s is 2cs*j plus a constant, distinct for distinct j.
+    """
+    return ShiftSequence(tuple((c * j * j + l * j) % v for j in range(v)))
+
+
 def extended_entry(e: ShiftSequence, k: int) -> int:
     """Entry k of the extended vector: e_k for k < v, e_(k-v) + 1 mod v after.
 

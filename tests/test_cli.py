@@ -11,6 +11,7 @@ from ilvseq import (
     all_passed,
     build_signal_set,
     gen_legendre,
+    quadratic_shifts,
     run_all,
     signal_set_delta,
 )
@@ -97,7 +98,7 @@ def test_build_with_delta(capsys):
     assert results["notes"] == []
     # A v=11 Legendre set: the command's delta path gives the direct witnesses.
     a, b = gen_legendre(11), gen_legendre(11, 1)
-    e = ShiftSequence(tuple((j * j + 3 * j) % 11 for j in range(11)))
+    e = quadratic_shifts(11, 1, 3)
     code, out, err = run_cli(
         capsys, "build", "--a", str(a), "--b", str(b), "--e", str(e), "--delta"
     )

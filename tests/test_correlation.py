@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from ilvseq import (
     is_two_level,
     left_shift,
     parse_sequence,
+    quadratic_shifts,
     signal_set_delta,
 )
 
@@ -234,7 +236,7 @@ def test_engine_matches_reference_on_v7_a_vectors():
 def test_engine_matches_reference_on_v31_quadratic_set():
     mseq = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 1, 1, 0)))
     reversed_mseq = PeriodicSequence(2, mseq.values[::-1])
-    e = ShiftSequence(tuple((2 * j * j + 7 * j) % 31 for j in range(31)))
+    e = quadratic_shifts(31, 2, 7)
     ss = build_signal_set(mseq, reversed_mseq, e)
     assert_engine_matches_reference(ss.members)
 
@@ -255,3 +257,96 @@ def test_direct_and_fast_agree_p_gt_2(members):
     assert positions == [(w.i, w.j, w.tau) for w in fast.witnesses]
     _, hits = reference_delta(members)
     assert positions == [(i, j, t) for i, j, t, _ in hits]
+
+
+def witnesses_from_profiles(members, delta):
+    """Every admissible (i, j, tau, value) with |value| = delta, pair by pair."""
+    tol = 0 if members[0].modulus == 2 else COMPLEX_TOL
+    return tuple(
+        Witness(i, j, tau, c)
+        for i, a in enumerate(members)
+        for j, b in enumerate(members)
+        for tau, c in enumerate(cross_correlation(a, b).values)
+        if (i != j or tau) and abs(abs(c) - delta) <= tol
+    )
+
+
+def assert_same_witnesses(got, want):
+    # Positions exactly; values exactly for p = 2, within COMPLEX_TOL for p > 2.
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is Witness
+        assert g[:3] == w[:3] and abs(g.value - w.value) <= COMPLEX_TOL
+
+
+WORKED_SET = build_signal_set(A7, B7, ShiftSequence((0, 0, 1, 0, 6, 3, 5))).members
+TERNARY_SET = [
+    PeriodicSequence(3, (0, 1, 2, 2, 1, 0, 1, 1)),
+    PeriodicSequence(3, (2, 0, 1, 1, 0, 0, 2, 1)),
+    PeriodicSequence(3, (1, 1, 0, 2, 2, 0, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("members", [WORKED_SET, TERNARY_SET], ids=["p2-worked", "p3"])
+@pytest.mark.parametrize("method", ["direct", "fast"])
+def test_witness_sequence_reads_as_the_tuple(members, method):
+    report = signal_set_delta(members, method=method)
+    seq = report.witnesses
+    want = witnesses_from_profiles(members, report.delta)
+    assert len(seq) == len(want) == (80 if members is WORKED_SET else 4) and seq
+    assert_same_witnesses(seq, want)
+    assert_same_witnesses([seq[0], seq[-1]], [want[0], want[-1]])
+    assert_same_witnesses(seq[1:-1:2], want[1:-1:2])
+    if members is WORKED_SET:
+        assert seq == want and want == seq and seq[1:-1:2] == want[1:-1:2]
+        assert seq[0] == want[0] and seq[-1] == want[-1]
+        assert seq != want[1:] and seq != list(want)
+    # Reading does not consume it.
+    assert tuple(seq) == tuple(seq) and list(seq) == list(iter(seq))
+    for column in (seq.i, seq.j, seq.tau, seq.value, seq[::2].tau):
+        with pytest.raises(ValueError):
+            column[0] = column[0]
+    with pytest.raises(IndexError):
+        seq[len(seq)]
+
+
+def test_witness_sequences_compare_by_columns():
+    direct = signal_set_delta(WORKED_SET)
+    fast = signal_set_delta(WORKED_SET, method="fast")
+    assert direct.witnesses == fast.witnesses and direct == fast
+    assert hash(direct) == hash(fast)
+    assert direct.witnesses != fast.witnesses[:-1]
+    # Reordering the members relabels i and j: same delta and count, other columns.
+    relabelled = signal_set_delta(WORKED_SET[::-1])
+    assert relabelled.delta == direct.delta and len(relabelled.witnesses) == 80
+    assert relabelled.witnesses != direct.witnesses
+
+
+def test_witness_is_a_named_tuple():
+    w = Witness(0, 1, 6, 7)
+    assert Witness._fields == ("i", "j", "tau", "value")
+    assert w == Witness(i=0, j=1, tau=6, value=7) == (0, 1, 6, 7)
+    assert (w.i, w.j, w.tau, w.value) == (0, 1, 6, 7)
+    i, j, tau, value = w
+    assert (i, j, tau, value) == (0, 1, 6, 7)
+    assert repr(w) == "Witness(i=0, j=1, tau=6, value=7)"
+
+
+def test_delta_report_holds_witnesses_as_arrays():
+    # 35,840 witnesses: a tuple of Witness objects held about 96 bytes each,
+    # four int64 columns hold 32.
+    mseq = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 0, 0, 0)))
+    rev = PeriodicSequence(2, mseq.values[::-1])
+    members = build_signal_set(mseq, rev, quadratic_shifts(31, 1, 3)).members
+    signal_set_delta(members, method="fast")  # let numpy's lazy set-up finish
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = signal_set_delta(members, method="fast")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.witnesses) == 35840
+    assert held <= 40 * len(report.witnesses)
+    # Read across many batches, every witness still attains delta.
+    assert sum(abs(w.value) == report.delta for w in report.witnesses) == 35840

@@ -28,6 +28,7 @@ from ilvseq import (
     left_shift,
     matrix_form,
     parse_shift_sequence,
+    quadratic_shifts,
     recover_shifts,
     shift_equivalence,
     signal_set_delta,
@@ -82,6 +83,21 @@ def test_parse_format_shift_sequence():
     assert format_shift_sequence(e) == "0,inf,1"
     with pytest.raises(ValueError):
         parse_shift_sequence("0,x,1")
+
+
+def test_quadratic_shifts():
+    assert quadratic_shifts(7, 1, 0).entries == (0, 1, 4, 2, 2, 4, 1)
+    assert quadratic_shifts(11, 1, 3) == ShiftSequence(
+        tuple((j * j + 3 * j) % 11 for j in range(11))
+    )
+    # 9 is not prime: at s = 3 the difference 6j + 9 repeats, so A fails.
+    assert not CONDITIONS["A"].holds_rows(np.array([quadratic_shifts(9, 1, 0).entries]))[0]
+
+
+@pytest.mark.parametrize("v", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_quadratic_shifts_satisfy_A_at_primes(v):
+    rows = np.array([quadratic_shifts(v, c, l).entries for c in range(1, v) for l in range(v)])
+    assert CONDITIONS["A"].holds_rows(rows).all()
 
 
 def test_extended_entry():
@@ -231,7 +247,7 @@ def test_coincident_members():
     # A v=31 set plus two planted coincidences, keyed at n = 961.
     mseq = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 0, 0, 0)))
     rev = PeriodicSequence(2, mseq.values[::-1])
-    e = ShiftSequence(tuple((j * j + 3 * j) % 31 for j in range(31)))
+    e = quadratic_shifts(31, 1, 3)
     members = list(build_signal_set(mseq, rev, e).members)
     members += [left_shift(members[3], 100), members[0]]
     assert members[0].period == 961

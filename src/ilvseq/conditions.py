@@ -15,8 +15,8 @@ Every condition asks that, at every shift, no difference occur more than
   sum is always -s mod v, which rules the condition out for v > 2.
 
 All differences are canonical residues in [0, v). The definition lives in
-one per-vector profile table, every shift's ``DifferenceProfile`` built in
-one pass in pure Python and cached; B and OPEN share the extended table.
+one table per vector, built in one pure-Python pass and cached, with the
+unextended profile at s the first v-s of the extended differences.
 ``differences`` reads one shift of it and the ``check_*`` reports walk it.
 The reports serve the tests as the oracle, so they use neither the term
 table below nor numpy. ``difference_terms`` indexes the same differences as
@@ -28,7 +28,6 @@ entries are placed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -71,8 +70,7 @@ CONDITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class DifferenceProfile:
+class DifferenceProfile(NamedTuple):
     """One shift's difference multiset, in evaluation order."""
 
     v: int
@@ -97,32 +95,36 @@ class DifferenceProfile:
 def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:
     """The differences e_j - E(j+s) mod v at shift s, for j in [0, v) if
     extended, else for j in [0, v-s)."""
-    table = _profiles(e, extended)  # raises first on an INFINITY entry
+    table = _profiles(e)  # raises first on an INFINITY entry
     if not 1 <= s < e.v:
         raise ValueError(f"shift s must lie in [1, {e.v}), got {s}")
-    return table[s - 1]
+    return table[bool(extended)][s - 1][0]
 
 
-@lru_cache(maxsize=16)
-def _profiles(e: ShiftSequence, extended: bool) -> tuple[DifferenceProfile, ...]:
-    # Entry s-1 is the profile of shift s: the definition, evaluated once per
-    # vector for every shift. B and OPEN share the extended table. One entry
-    # holds about 0.8 MB at v=127, so the bound keeps the cache near 12 MB.
+@lru_cache(maxsize=8)
+def _profiles(e: ShiftSequence) -> tuple[tuple[tuple[DifferenceProfile, int], ...], ...]:
+    # Entry [extended][s-1] is (profile of shift s, its largest multiplicity).
+    # The first v-s of the v extended differences at s are the unextended
+    # profile; counting the s wrapped terms on top gives the extended one. One
+    # entry holds about 1.5 MB at v=127, so the bound keeps the cache near 12 MB.
     ext = _extension(e)
     v = e.v
-    table = []
+    table = ([], [])
     for s in range(1, v):
-        values = tuple([(x - y) % v for x, y in zip(ext[:v if extended else v - s], ext[s:])])
+        values = tuple([(x - y) % v for x, y in zip(ext[:v], ext[s:])])
         counts = [0] * v
-        for d in values:
-            counts[d] += 1
-        multiplicity = tuple([(d, c) for d, c in enumerate(counts) if c])
-        table.append(DifferenceProfile(v, s, extended, values, multiplicity))
-    return tuple(table)
+        start = 0
+        for extended, stop in ((False, v - s), (True, v)):
+            for d in values[start:stop]:
+                counts[d] += 1
+            start = stop
+            multiplicity = tuple([(d, c) for d, c in enumerate(counts) if c])
+            prof = DifferenceProfile(v, s, extended, values[:stop], multiplicity)
+            table[extended].append((prof, max(counts)))
+    return tuple(table[0]), tuple(table[1])
 
 
-@dataclass(frozen=True)
-class ShiftCheck:
+class ShiftCheck(NamedTuple):
     """One shift's verdict: observed statistic against its requirement."""
 
     s: int
@@ -132,8 +134,7 @@ class ShiftCheck:
     profile: DifferenceProfile
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Full verdict of one condition over every shift s in [1, v)."""
 
     condition: str
@@ -149,10 +150,9 @@ def _check(e: ShiftSequence, name: str) -> ConditionReport:
     extended, cap = CONDITIONS[name]
     checks = []
     first_failure = None
-    for prof in _profiles(e, extended):
-        top = prof.max_multiplicity
+    for prof, top in _profiles(e)[extended]:
         if cap == 1:
-            observed, required = prof.distinct_count, len(prof.values)
+            observed, required = len(prof.multiplicity), len(prof.values)
         else:
             observed, required = top, cap
         passed = top <= cap

@@ -16,6 +16,7 @@ from ilvseq import (
     signal_set_delta,
 )
 from ilvseq.cli import main
+from test_conditions import _reference_report
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +211,25 @@ def test_check_verdict_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "check", "--e", "0,0,1,0,6,3,5", "--cond", "B")
     assert code == 0
     assert parse_report(out)["results"]["verdict"] is True
+
+
+@pytest.mark.parametrize("cond", ["A", "B", "open"])
+def test_check_json_matches_reference_report(capsys, cond):
+    # The JSON is written from the report's fields, whatever type holds them.
+    _, out, _ = run_cli(capsys, "check", "--e", "0,0,1,0,6,3,5", "--cond", cond)
+    expected = _reference_report(ShiftSequence((0, 0, 1, 0, 6, 3, 5)), cond.upper())
+    per_s = [
+        {
+            "s": c.s,
+            "passed": c.passed,
+            "observed": c.observed,
+            "required": c.required,
+            "values": list(c.profile.values),
+            "multiplicity": [[d, n] for d, n in c.profile.multiplicity],
+        }
+        for c in expected.checks
+    ]
+    assert parse_report(out)["results"]["per_s"] == per_s
 
 
 def test_check_rejects_infinite_vector(capsys):

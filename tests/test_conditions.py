@@ -22,6 +22,7 @@ from ilvseq import (
     differences,
     extended_entry,
 )
+from ilvseq.conditions import _profiles
 
 E7 = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
 
@@ -54,6 +55,7 @@ def test_differences_B_worked_example():
     prof = differences(E7, 1, True)
     assert prof.values == (0, 6, 1, 1, 3, 5, 4)
     assert prof.max_multiplicity == 2
+    assert differences(E7, 1, np.True_) == prof
 
 
 def test_differences_B_length_two_vector():
@@ -217,6 +219,44 @@ def test_profile_table_matches_definition(pair, calls):
             report = CHECKERS[call](e)
             assert report == _reference_report(e, call)
             assert report.verdict == verdict(call, e.entries)
+
+
+@given(st.integers(2, 11).flatmap(
+    lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
+))
+def test_unextended_profile_is_a_prefix(entries):
+    # The unextended differences at s are the first v-s extended ones.
+    v = len(entries)
+    e = ShiftSequence(entries)
+    for s in range(1, v):
+        assert differences(e, s, False).values == differences(e, s, True).values[: v - s]
+
+
+def test_one_table_per_vector():
+    # Every report and every profile of one fresh vector come from one
+    # evaluation of the table.
+    e = ShiftSequence((0, 3, 1, 4, 2, 2, 0, 5, 6, 1, 9, 7, 8))
+    before = _profiles.cache_info().misses
+    for check in CHECKERS.values():
+        check(e)
+    for extended in (False, True):
+        for s in range(1, e.v):
+            differences(e, s, extended)
+    assert _profiles.cache_info().misses == before + 1
+
+
+@pytest.mark.parametrize("name", ["A", "B", "OPEN"])
+def test_reports_are_frozen_tuples(name):
+    report = CHECKERS[name](E7)
+    assert report == _reference_report(E7, name)
+    condition, passed, checks, first_failure_s = report
+    assert (condition, passed, first_failure_s) == (name, report.verdict, report.first_failure_s)
+    assert report == (name, passed, checks, first_failure_s)
+    check = checks[0]
+    for obj, field in ((report, "verdict"), (check, "passed"), (check.profile, "values")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        assert hash(obj) == hash(tuple(obj))
 
 
 @given(entries7, st.integers(1, 6))

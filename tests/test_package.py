@@ -36,3 +36,18 @@ def test_no_module_imports_an_unread_name():
                 if name not in read:
                     unread.append(f"{path.name}:{node.lineno} {name}")
     assert unread == []
+
+
+def test_condition_reports_use_no_fast_path():
+    # The reports are the oracle that the block verdicts and the search are
+    # tested against, so they compute without numpy and the term table.
+    tree = ast.parse(Path(ilvseq.conditions.__file__).read_text())
+    bodies = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_profiles", "_check")
+    }
+    assert sorted(bodies) == ["_check", "_profiles"]
+    for name, body in bodies.items():
+        read = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+        assert not read & {"np", "difference_terms", "holds_rows"}, name

@@ -23,6 +23,12 @@ from .sequences import PeriodicSequence, _same_shape
 #: Absolute tolerance for complex-valued (p > 2) comparisons.
 COMPLEX_TOL = 1e-9
 
+#: Most correlation values in one block of the delta scan: a block holds
+#: max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, so a small set
+#: is scanned in a few numpy calls and a set with r*n above it (v >= 31) one
+#: member at a time. A block of int64 rows stays near 256 kB.
+_BLOCK_VALUES = 1 << 15
+
 
 @dataclass(frozen=True)
 class CorrelationProfile:
@@ -65,7 +71,7 @@ def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> Correlat
     of the transform is far below 1/2 at any desk-scale period).
     """
     _, rows = next(_correlation_rows(_lift([a, b]), a.modulus, "fast"))
-    return CorrelationProfile(a.modulus, tuple(rows[1].tolist()))
+    return CorrelationProfile(a.modulus, tuple(rows[0, 1].tolist()))
 
 
 def autocorrelation(a: PeriodicSequence) -> CorrelationProfile:
@@ -166,34 +172,41 @@ class DeltaReport:
 
 
 def _correlation_rows(x: np.ndarray, modulus: int, method: str):
-    """Yield (i, rows) for each member i of the lifted r x n array x.
+    """Yield (lo, rows) for each block of members of the lifted r x n array x.
 
-    rows[j, tau] is the correlation of member i against member j at offset
-    tau, so at most r x n values are alive at a time. "fast" takes one
-    transform per member and one batched inverse per i; "direct" sums the
-    shift-products exactly (int64 for p = 2) over a window view of x doubled.
+    A block is the members lo .. lo+c-1, with c = max(1, _BLOCK_VALUES // (r*n)),
+    and rows[h, j, tau] is the correlation of member lo+h against member j at
+    offset tau, so at most c x r x n values are alive at a time. A signal set
+    from v = 31 on has r*n above _BLOCK_VALUES: one member per block. "fast"
+    takes one transform per member and one batched inverse per block;
+    "direct" sums the shift-products exactly (int64 for p = 2) over a window
+    view of x doubled.
     """
     r, n = x.shape
+    step = max(1, _BLOCK_VALUES // (r * n))
+    blocks = range(0, r, step)
     if method == "direct":
         w = x if modulus == 2 else np.conj(x)
         # windows[j, tau, k] = w[j, (k + tau) mod n], a view: no copy of n^2 size.
         windows = sliding_window_view(np.concatenate([w, w], axis=1), n, axis=1)[:, :n]
-        for i in range(r):
-            yield i, windows @ x[i]
+        for lo in blocks:
+            # einsum sums each value over k in one order whatever the block
+            # size (a batched complex matmul does not), and beats matmul on int64.
+            yield lo, np.einsum("jtk,hk->hjt", windows, x[lo : lo + step])
     elif modulus == 2:
         spectra = np.fft.rfft(x.astype(np.float64), axis=1)
-        for i in range(r):
-            raw = np.fft.irfft(np.conj(spectra[i]) * spectra, n, axis=1)
+        for lo in blocks:
+            raw = np.fft.irfft(np.conj(spectra[lo : lo + step, None]) * spectra, n, axis=2)
             rounded = np.rint(raw)
             if np.max(np.abs(raw - rounded)) > 1e-6:
                 raise RuntimeError("transform residue too large to round safely")
-            yield i, rounded.astype(np.int64)
+            yield lo, rounded.astype(np.int64)
     else:
         # ifft(conj(fft(u)) * fft(w))[tau] = sum_k conj(u_k) w_(k+tau); with
         # u = w = conj(x) that is sum_k x_k * conj(x)_(k+tau), as in the oracle.
         spectra = np.fft.fft(np.conj(x), axis=1)
-        for i in range(r):
-            yield i, np.fft.ifft(np.conj(spectra[i]) * spectra, axis=1)
+        for lo in blocks:
+            yield lo, np.fft.ifft(np.conj(spectra[lo : lo + step, None]) * spectra, axis=2)
 
 
 def signal_set_delta(members, method: str = "direct") -> DeltaReport:
@@ -218,24 +231,32 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     x = _lift(members)
     tol = 0 if p == 2 else COMPLEX_TOL
     best = -1
-    found = []  # (i, js, taus, values) per row i, every |value| >= best - tol
-    for i, rows in _correlation_rows(x, p, method):
+    found = []  # (lo, pairs, taus, values) per block, every |value| >= best - tol
+    for lo, rows in _correlation_rows(x, p, method):
+        c = len(rows)
+        rows = rows.reshape(c * r, v)  # row h*r + j: member lo+h against member j
         mags = np.abs(rows)
-        mags[i, 0] = -1  # the trivial in-phase peak of a member with itself
+        mags[np.arange(c) * (r + 1) + lo, 0] = -1  # trivial in-phase peaks (i = j, tau = 0)
         top = mags.max()
         if top > best:
             best = top
             found = [
-                (h, js[keep], taus[keep], vals[keep])
-                for h, js, taus, vals in found
+                (at, pairs[keep], taus[keep], vals[keep])
+                for at, pairs, taus, vals in found
                 if (keep := np.abs(vals) >= best - tol).any()
             ]
-        js, taus = np.nonzero(mags >= best - tol)
-        if js.size:
-            found.append((i, js, taus, rows[js, taus]))
+        pairs, taus = np.nonzero(mags >= best - tol)
+        if pairs.size:
+            found.append((lo, pairs, taus, rows[pairs, taus]))
 
     delta = int(best) if p == 2 else float(best)
-    hs, js, taus, vals = zip(*found)
-    i = np.repeat(np.array(hs, dtype=np.int64), [c.size for c in js])
-    witnesses = WitnessSequence(i, *map(np.concatenate, (js, taus, vals)))
+    i = np.empty(sum(pairs.size for _, pairs, _, _ in found), dtype=np.int64)
+    j = np.empty_like(i)
+    stop = 0
+    for lo, pairs, _, _ in found:
+        start, stop = stop, stop + pairs.size
+        np.divmod(pairs, r, out=(i[start:stop], j[start:stop]))
+        i[start:stop] += lo
+    _, _, taus, vals = zip(*found)
+    witnesses = WitnessSequence(i, j, np.concatenate(taus), np.concatenate(vals))
     return DeltaReport(delta, witnesses, v, r)

@@ -13,6 +13,7 @@ autocorrelation C_a taken at shift differences of e (``column_correlations``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -213,6 +214,19 @@ def _check_construction(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     return v
 
 
+@lru_cache(maxsize=8)
+def _base_notes(a: PeriodicSequence, b: PeriodicSequence) -> tuple[str, ...]:
+    # The notes that depend on the bases alone; a search builds many sets on one pair.
+    notes = []
+    if not is_two_level(a):
+        notes.append("base a fails the two-level autocorrelation test")
+    if not is_two_level(b):
+        notes.append("offset b fails the two-level autocorrelation test")
+    if shift_equivalence(a, b) is not None:
+        notes.append("b is a shift of a; members may coincide")
+    return tuple(notes)
+
+
 def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> SignalSet:
     """Construct the v+1 member signal set over base a, offsets b, shifts e.
 
@@ -229,13 +243,7 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     offsets = (np.asarray(u.values, dtype=np.int64) + shifted_b) % 2
     members = [u, *(PeriodicSequence(2, tuple(row)) for row in offsets.tolist())]
 
-    notes = []
-    if not is_two_level(a):
-        notes.append("base a fails the two-level autocorrelation test")
-    if not is_two_level(b):
-        notes.append("offset b fails the two-level autocorrelation test")
-    if shift_equivalence(a, b) is not None:
-        notes.append("b is a shift of a; members may coincide")
+    notes = list(_base_notes(a, b))
     for i, j, k in coincident_members(members):
         notes.append(f"members {i} and {j} coincide (shift {k})")
     return SignalSet(a, b, e, tuple(members), tuple(notes))

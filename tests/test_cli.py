@@ -1,7 +1,11 @@
 """Tests for the command-line interface: reports, exit codes, error paths."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +333,17 @@ def test_reproduce_json_output(capsys):
     assert report["results"]["all_passed"] is True
     assert len(report["results"]["checks"]) == 12
     assert "12/12 checks passed" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "ilvseq", "check", "--e", "0,0,1,0,6,3,5", "--cond", "B"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = parse_report(done.stdout)
+    assert report["command"] == "check" and report["results"]["verdict"] is True
 
 
 def test_usage_error_exit_code(capsys):

@@ -4,6 +4,7 @@ import cmath
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from ilvseq import (
     autocorrelation,
     backtrack,
     build_signal_set,
+    correlation,
     cross_correlation,
     fast_cross_correlation,
     gen_legendre,
@@ -164,7 +166,7 @@ def test_delta_single_two_level_member():
     assert len(report.witnesses) == 6  # all tau != 0
 
 
-def test_delta_threads_and_fast_agree():
+def test_delta_direct_and_fast_agree():
     members = [A7, B7, left_shift(A7, 3)]
     base = signal_set_delta(members)
     fast = signal_set_delta(members, method="fast")
@@ -350,3 +352,48 @@ def test_delta_report_holds_witnesses_as_arrays():
     assert held <= 40 * len(report.witnesses)
     # Read across many batches, every witness still attains delta.
     assert sum(abs(w.value) == report.delta for w in report.witnesses) == 35840
+
+
+# Five ternary members, so blocks of three members split the set 3 + 2.
+TERNARY_SET_5 = TERNARY_SET + [
+    PeriodicSequence(3, (2, 2, 1, 0, 0, 1, 2, 0)),
+    PeriodicSequence(3, (0, 2, 2, 1, 0, 1, 1, 2)),
+]
+
+
+def witness_columns(members, method, block_values, monkeypatch):
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", block_values)
+    report = signal_set_delta(members, method=method)
+    w = report.witnesses
+    return report.delta, (w.i, w.j, w.tau, w.value)
+
+
+@pytest.mark.parametrize("members", [WORKED_SET, TERNARY_SET_5], ids=["p2-worked", "p3"])
+@pytest.mark.parametrize("method", ["direct", "fast"])
+def test_block_boundaries_do_not_move_witnesses(members, method, monkeypatch):
+    # One member per block, uneven blocks of three, and the whole set in one.
+    r, n = len(members), members[0].period
+    runs = [witness_columns(members, method, size, monkeypatch) for size in (1, 3 * r * n, 1 << 30)]
+    for delta, columns in runs[1:]:
+        assert delta == runs[0][0]
+        assert all(map(np.array_equal, columns, runs[0][1]))
+    want_delta, hits = reference_delta(members)
+    delta, (i, j, tau, value) = runs[0]
+    assert abs(delta - want_delta) <= COMPLEX_TOL
+    assert list(zip(i.tolist(), j.tolist(), tau.tolist())) == [h[:3] for h in hits]
+    assert all(abs(got - h[3]) <= COMPLEX_TOL for got, h in zip(value.tolist(), hits))
+
+
+def test_block_scan_drops_hits_of_earlier_blocks(monkeypatch):
+    # The all-zero member correlates to 7 with itself at every tau != 0; the
+    # first three members stay below that, so every earlier block's hits drop.
+    zero = PeriodicSequence(2, (0,) * 7)
+    members = [A7, B7, PeriodicSequence(2, (1, 0, 0, 0, 0, 0, 0)), zero]
+    assert signal_set_delta(members[:3]).delta < 7
+    want = [Witness(3, 3, tau, 7) for tau in range(1, 7)]
+    assert reference_delta(members) == (7, [tuple(w) for w in want])
+    for method in ("direct", "fast"):
+        for size in (1, 3 * 4 * 7, 1 << 30):
+            monkeypatch.setattr(correlation, "_BLOCK_VALUES", size)
+            report = signal_set_delta(members, method=method)
+            assert report.delta == 7 and list(report.witnesses) == want

@@ -33,7 +33,7 @@ from ilvseq import (
     shift_equivalence,
     signal_set_delta,
 )
-from ilvseq.interleaving import _extension
+from ilvseq.interleaving import _base_notes, _extension
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -236,6 +236,35 @@ def test_build_with_b_equal_a_flags_shift_but_no_coincidence():
     assert any("b is a shift of a" in note for note in ss.notes)
     assert not any("coincide (" in note for note in ss.notes)
     assert signal_set_delta(ss.members).delta == 17
+
+
+SPIKE7 = PeriodicSequence(2, (1, 0, 0, 0, 0, 0, 0))
+NOT_A = "base a fails the two-level autocorrelation test"
+NOT_B = "offset b fails the two-level autocorrelation test"
+SHIFTED = "b is a shift of a; members may coincide"
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        (SPIKE7, B7, (NOT_A,)),
+        (A7, SPIKE7, (NOT_B,)),
+        (SPIKE7, SPIKE7, (NOT_A, NOT_B, SHIFTED)),
+        (A7, left_shift(A7, 3), (SHIFTED,)),
+        # b = 0: every member equals u; b = 1: the seven offset members equal ~u.
+        (A7, PeriodicSequence(2, (0,) * 7),
+         (NOT_B, *(f"members {i} and {j} coincide (shift 0)" for i in range(8) for j in range(i + 1, 8)))),
+        (A7, PeriodicSequence(2, (1,) * 7),
+         (NOT_B, *(f"members {i} and {j} coincide (shift 0)" for i in range(1, 8) for j in range(i + 1, 8)))),
+    ],
+    ids=["a-not-two-level", "b-not-two-level", "both-and-shift", "b-shift-of-a", "b-zero", "b-one"],
+)
+def test_build_notes_cached_per_base_pair(a, b, want):
+    hits = _base_notes.cache_info().hits
+    first = build_signal_set(a, b, E7).notes
+    again = build_signal_set(a, b, E7).notes
+    assert first == again == want
+    assert _base_notes.cache_info().hits > hits
 
 
 def test_coincident_members():

@@ -111,6 +111,22 @@ def _extension(e: ShiftSequence) -> tuple[int, ...]:
     return e.entries + tuple([(x + 1) % e.v for x in e.entries])
 
 
+def _difference_table(e: ShiftSequence) -> np.ndarray:
+    # Entry [s, j] is the extended difference E(j+s) - e_j, for s, j in [0, v).
+    ext = np.array(_extension(e), dtype=np.int64)
+    j = np.arange(e.v)
+    return ext[j[:, None] + j] - ext[: e.v]
+
+
+def _max_multiplicity(e: ShiftSequence) -> int:
+    # mu(e): the most times one extended difference occurs at one shift s in
+    # [1, v), 0 at v = 1. Row s of the residues is offset by s*v, so a single
+    # bincount counts every shift's differences apart.
+    v = e.v
+    d = _difference_table(e) % v + v * np.arange(v)[:, None]
+    return int(np.bincount(d[1:].ravel(), minlength=1).max())
+
+
 def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
     """Build the interleaved sequence whose column j is L^(e_j)(a), or zero.
 
@@ -121,7 +137,7 @@ def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
     shifts = np.array([x if x != INFINITY else 0 for x in e.entries], dtype=np.int64)
     rows = np.arange(a.period)[:, None]
     values = np.asarray(a.values, dtype=np.int64)[(shifts + rows) % a.period] * finite
-    return PeriodicSequence(a.modulus, tuple(values.ravel().tolist()))
+    return PeriodicSequence._valid(a.modulus, tuple(values.ravel().tolist()))
 
 
 def matrix_form(u: PeriodicSequence, s_rows: int, t_cols: int) -> np.ndarray:
@@ -160,7 +176,9 @@ class SignalSet:
     """An interleaved base u and its v offset companions u + L^j(b).
 
     ``notes`` carries advisory diagnostics (non-two-level bases, coincident
-    members); the construction itself never rejects on quality grounds.
+    members); the construction itself never rejects on quality grounds. The
+    coincidence scan runs only where it can find something (see
+    ``build_signal_set``).
     """
 
     a: PeriodicSequence
@@ -233,7 +251,10 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     Member 0 is u = interleave(a, e); member 1+j is u + L^j(b) with b read
     cyclically up to period v^2. Requires binary a and b of equal period v
     and a finite length-v shift vector. Two-level checks and the member
-    coincidence scan are advisory: their findings go into notes.
+    coincidence scan are advisory: their findings go into notes. The scan
+    runs only when a base note fired or mu(e), the largest multiplicity of
+    one extended difference at a shift, is at least v-1: with two-level a
+    and b no two distinct members can coincide otherwise.
     """
     v = _check_construction(a, b, e)
     u = interleave(a, e)
@@ -241,11 +262,15 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     b_repeated = np.tile(np.asarray(b.values, dtype=np.int64), v + 1)
     shifted_b = sliding_window_view(b_repeated, v * v)[:v]
     offsets = (np.asarray(u.values, dtype=np.int64) + shifted_b) % 2
-    members = [u, *(PeriodicSequence(2, tuple(row)) for row in offsets.tolist())]
+    members = [u, *(PeriodicSequence._valid(2, tuple(row)) for row in offsets.tolist())]
 
     notes = list(_base_notes(a, b))
-    for i, j, k in coincident_members(members):
-        notes.append(f"members {i} and {j} coincide (shift {k})")
+    # Two-level a and b, m != m': C = -S + (v+1)*G with |S| <= v, so C = v^2 needs
+    # G >= v-1, and |G| <= mu(e) at s >= 1. At s = 0 the values are only +-v and
+    # +-1. So without a base note no two members coincide unless mu(e) >= v-1.
+    if notes or _max_multiplicity(e) >= v - 1:
+        for i, j, k in coincident_members(members):
+            notes.append(f"members {i} and {j} coincide (shift {k})")
     return SignalSet(a, b, e, tuple(members), tuple(notes))
 
 
@@ -262,11 +287,10 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     of member 0 plus the constant b_((j+k) mod v). Exact integers throughout.
     """
     v = _check_construction(a, b, e)
-    ext = np.array(_extension(e), dtype=np.int64)
     j = np.arange(v)
     plus = j[:, None] + j  # plus[x, j] = j + x
     # c_a[s, r, j] = C_a(E(j+s) - e_j + r mod v).
-    t = (ext[plus] - ext[:v])[:, None, :] + j[:, None]
+    t = _difference_table(e)[:, None, :] + j[:, None]
     c_a = np.array(autocorrelation(a).values, dtype=np.int64)[t % v]
     sigma = np.ones((v + 1, v), dtype=np.int64)
     sigma[1:] = 1 - 2 * np.array(b.values, dtype=np.int64)[plus % v]

@@ -73,6 +73,15 @@ class PeriodicSequence:
             if not 0 <= x < self.modulus:
                 raise ValueError(f"value {x} is outside [0, {self.modulus})")
 
+    @classmethod
+    def _valid(cls, modulus: int, values: tuple[int, ...]) -> PeriodicSequence:
+        # A sequence from values already known to be a tuple of Python ints in
+        # [0, modulus), modulus prime: the checks of __post_init__ are skipped.
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "modulus", modulus)
+        object.__setattr__(seq, "values", values)
+        return seq
+
     @property
     def period(self) -> int:
         return len(self.values)

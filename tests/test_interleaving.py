@@ -33,7 +33,9 @@ from ilvseq import (
     shift_equivalence,
     signal_set_delta,
 )
-from ilvseq.interleaving import _base_notes, _extension
+from ilvseq import interleaving
+from ilvseq.conditions import Condition, _profiles
+from ilvseq.interleaving import _base_notes, _extension, _max_multiplicity
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -244,7 +246,7 @@ NOT_B = "offset b fails the two-level autocorrelation test"
 SHIFTED = "b is a shift of a; members may coincide"
 
 
-@pytest.mark.parametrize(
+BASE_NOTE_CASES = pytest.mark.parametrize(
     "a, b, want",
     [
         (SPIKE7, B7, (NOT_A,)),
@@ -259,6 +261,9 @@ SHIFTED = "b is a shift of a; members may coincide"
     ],
     ids=["a-not-two-level", "b-not-two-level", "both-and-shift", "b-shift-of-a", "b-zero", "b-one"],
 )
+
+
+@BASE_NOTE_CASES
 def test_build_notes_cached_per_base_pair(a, b, want):
     hits = _base_notes.cache_info().hits
     first = build_signal_set(a, b, E7).notes
@@ -312,6 +317,110 @@ def test_coincident_members_matches_pairwise_scan(members):
     assert coincident_members(members) == pairwise
 
 
+@pytest.fixture(scope="module")
+def v7_space():
+    # Every normalized v=7 vector (e_0 = 0) and its mu(e).
+    tails = np.indices((7,) * 6).reshape(6, -1).T
+    rows = np.hstack([np.zeros((len(tails), 1), dtype=tails.dtype), tails])
+    mu = np.array([_max_multiplicity(ShiftSequence(tuple(row))) for row in rows.tolist()])
+    return rows, mu
+
+
+def _profile_mu(e):
+    return max(top for _, top in _profiles(e)[True])
+
+
+def test_max_multiplicity_matches_profiles():
+    assert _max_multiplicity(ShiftSequence((0,))) == 0
+    for v in range(2, 6):
+        for entries in np.ndindex(*(v,) * v):
+            e = ShiftSequence(entries)
+            assert _max_multiplicity(e) == _profile_mu(e)
+    rng = random.Random(16)
+    for v in range(6, 14):
+        for _ in range(300):
+            e = ShiftSequence(tuple(rng.randrange(v) for _ in range(v)))
+            assert _max_multiplicity(e) == _profile_mu(e)
+
+
+def test_heavy_v7_vectors_are_the_cap_v_minus_2_failures(v7_space):
+    rows, mu = v7_space
+    heavy = mu >= 6
+    assert heavy.sum() == 147
+    assert np.array_equal(heavy, ~Condition(extended=True, cap=5).holds_rows(rows))
+    assert set(mu[heavy].tolist()) == {6}
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    # Counts the coincidence scans that build_signal_set runs.
+    calls = []
+
+    def counting(members):
+        calls.append(len(members))
+        return coincident_members(members)
+
+    monkeypatch.setattr(interleaving, "coincident_members", counting)
+    return calls
+
+
+def _ungated_notes(a, b, ss):
+    scan = coincident_members(ss.members)
+    return _base_notes(a, b) + tuple(f"members {i} and {j} coincide (shift {k})" for i, j, k in scan)
+
+
+def test_build_scans_heavy_vectors_only(scan_calls, v7_space):
+    rows, mu = v7_space
+    heavy = [ShiftSequence(tuple(row)) for row in rows[mu >= 6].tolist()]
+    for e in heavy:
+        ss = build_signal_set(A7, B7, e)
+        assert ss.notes == _ungated_notes(A7, B7, ss)
+    assert scan_calls == [8] * 147
+    assert build_signal_set(A7, B7, E7).notes == ()
+    assert len(scan_calls) == 147
+
+
+@BASE_NOTE_CASES
+def test_build_scans_every_base_note_case(scan_calls, a, b, want):
+    assert build_signal_set(a, b, E7).notes == want
+    assert scan_calls == [8]
+
+
+def test_light_vectors_have_no_coincident_members(v7_space):
+    # The gate's premise, checked directly: below mu(e) = v-1 no correlation of
+    # distinct members reaches v^2, and the ungated scan finds nothing.
+    rows, mu = v7_space
+    light = rows[mu < 6]
+    rng = random.Random(16)
+    sample = [ShiftSequence(tuple(light[i].tolist())) for i in rng.sample(range(len(light)), 500)]
+    for e in sample:
+        assert coincident_members(build_signal_set(A7, B7, e).members) == []
+    assert max(_off_trivial_max(A7, B7, e) for e in sample) < 49
+    a, b = gen_legendre(11, 0), gen_legendre(11, 1)
+    for _ in range(20):
+        e = ShiftSequence(tuple(rng.randrange(11) for _ in range(11)))
+        assert coincident_members(build_signal_set(a, b, e).members) == []
+
+
+M31 = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 0, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "a, b, e",
+    [(A7, B7, E7), (M31, PeriodicSequence(2, M31.values[::-1]), quadratic_shifts(31, 1, 3))],
+    ids=["worked", "v31-quadratic"],
+)
+def test_built_members_equal_checked_sequences(a, b, e):
+    # Members are built without re-validation; they must be indistinguishable
+    # from sequences that went through every check.
+    for m in (*build_signal_set(a, b, e).members, interleave(a, e)):
+        checked = PeriodicSequence(m.modulus, m.values)
+        assert m == checked
+        assert hash(m) == hash(checked)
+        assert type(m.values) is tuple
+        assert all(type(x) is int for x in m.values)
+
+
 def test_worked_set_delta():
     ss = build_signal_set(A7, B7, E7)
     report = signal_set_delta(ss.members)
@@ -327,7 +436,7 @@ def test_degenerate_shift_vectors_delta():
         assert signal_set_delta(ss.members).delta == 41
 
 
-def test_lemma_correlation_frozen_values():
+def test_column_correlations_frozen_values():
     kernel = column_correlations(A7, B7, E7)
     assert kernel.dtype == np.int64
     assert kernel.shape == (8, 8, 49)
@@ -336,7 +445,7 @@ def test_lemma_correlation_frozen_values():
     assert kernel[1, 2, 8] == 17
 
 
-def test_lemma_terms_known_vector():
+def test_column_correlations_known_vector():
     # At tau = 1 (r = 0, s = 1) column j's C_a argument is t_j = E(j+1) - e_j,
     # the negated extended differences; the members only set the signs.
     t = tuple((-d) % 7 for d in differences(E7, 1, True).values)
@@ -412,7 +521,7 @@ def test_magnitude_bound_off_diagonal_phases(e):
 
 @given(entries7, st.integers(0, 6))
 @settings(deadline=None)
-def test_lemma_terms_translation_invariant(e, c):
+def test_column_correlations_translation_invariant(e, c):
     # The terms E(j+s) - e_j + r do not see a common translation of e.
     shifted = ShiftSequence(tuple((x + c) % 7 for x in e.entries))
     assert np.array_equal(column_correlations(A7, B7, e), column_correlations(A7, B7, shifted))

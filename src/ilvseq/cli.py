@@ -321,8 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--limit", type=int, default=0, help="stop after this many witnesses")
     search.add_argument("--strategy", choices=("full", "backtrack"), default="full")
     search.add_argument("--force", action="store_true", help="override the budget guard")
-    search.add_argument("--progress", action="store_true", help="emit examined counts and rates to stderr")
-    search.add_argument("--sample", type=int, default=0, help="random draws instead of a sweep")
+    mode = search.add_mutually_exclusive_group()
+    mode.add_argument("--progress", action="store_true", help="emit a sweep's examined counts and rates to stderr")
+    mode.add_argument("--sample", type=int, default=0, help="random draws instead of a sweep")
     search.add_argument("--seed", type=int, default=0)
 
     verify = command(

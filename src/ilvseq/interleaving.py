@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import autocorrelation, is_two_level
 from .sequences import PeriodicSequence, _doubled, _integers, _same_shape, shift_equivalence
@@ -118,15 +117,6 @@ def _difference_table(e: ShiftSequence) -> np.ndarray:
     return ext[j[:, None] + j] - ext[: e.v]
 
 
-def _max_multiplicity(e: ShiftSequence) -> int:
-    # mu(e): the most times one extended difference occurs at one shift s in
-    # [1, v), 0 at v = 1. Row s of the residues is offset by s*v, so a single
-    # bincount counts every shift's differences apart.
-    v = e.v
-    d = _difference_table(e) % v + v * np.arange(v)[:, None]
-    return int(np.bincount(d[1:].ravel(), minlength=1).max())
-
-
 def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
     """Build the interleaved sequence whose column j is L^(e_j)(a), or zero.
 
@@ -177,8 +167,8 @@ class SignalSet:
 
     ``notes`` carries advisory diagnostics (non-two-level bases, coincident
     members); the construction itself never rejects on quality grounds. The
-    coincidence scan runs only where it can find something (see
-    ``build_signal_set``).
+    coincidence scan runs only when a base note fired or v = 1, the only cases
+    where two members can coincide (see ``build_signal_set``).
     """
 
     a: PeriodicSequence
@@ -252,23 +242,27 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     cyclically up to period v^2. Requires binary a and b of equal period v
     and a finite length-v shift vector. Two-level checks and the member
     coincidence scan are advisory: their findings go into notes. The scan
-    runs only when a base note fired or mu(e), the largest multiplicity of
-    one extended difference at a shift, is at least v-1: with two-level a
-    and b no two distinct members can coincide otherwise.
+    runs only when a base note fired or v = 1: with two-level a and b of
+    period v >= 2 no two distinct members coincide, whatever e is.
     """
     v = _check_construction(a, b, e)
     u = interleave(a, e)
-    # Row j reads b cyclically from index j up to period v^2: L^j(b).
-    b_repeated = np.tile(np.asarray(b.values, dtype=np.int64), v + 1)
-    shifted_b = sliding_window_view(b_repeated, v * v)[:v]
-    offsets = (np.asarray(u.values, dtype=np.int64) + shifted_b) % 2
+    # Entry t of member 1+j is u_t + b_((t+j) mod v): row j of the cyclic
+    # (v, v) table of b, tiled v times.
+    cyclic = np.add.outer(np.arange(v), np.arange(v)) % v
+    offsets = np.tile(np.array(b.values, dtype=np.uint8)[cyclic], v)
+    offsets ^= np.array(u.values, dtype=np.uint8)
     members = [u, *(PeriodicSequence._valid(2, tuple(row)) for row in offsets.tolist())]
 
     notes = list(_base_notes(a, b))
-    # Two-level a and b, m != m': C = -S + (v+1)*G with |S| <= v, so C = v^2 needs
-    # G >= v-1, and |G| <= mu(e) at s >= 1. At s = 0 the values are only +-v and
-    # +-1. So without a base note no two members coincide unless mu(e) >= v-1.
-    if notes or _max_multiplicity(e) >= v - 1:
+    # Two-level a and b, v >= 2: members m != m' coincide under r*v + s only
+    # if their correlation there, a sum of v terms sigma*sigma'*C_a(E(j+s) -
+    # e_j + r), is v^2, so every term is +v. At s >= 1 that makes the v
+    # differences E(j+s) - e_j all -r mod v, but they sum to s. At s = 0 the
+    # signs force b = 0 (m = 0) or b invariant under k'-k (1+k, 1+k'), so
+    # C_b = v off 0. At v = 1 the two-level test is vacuous, and a = 1, b = 0
+    # coincide. The README has the full proof.
+    if notes or v == 1:
         for i, j, k in coincident_members(members):
             notes.append(f"members {i} and {j} coincide (shift {k})")
     return SignalSet(a, b, e, tuple(members), tuple(notes))

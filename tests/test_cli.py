@@ -11,6 +11,7 @@ import pytest
 
 import ilvseq.search as search_mod
 from ilvseq import (
+    CONDITIONS,
     ShiftSequence,
     all_passed,
     build_signal_set,
@@ -20,6 +21,7 @@ from ilvseq import (
     signal_set_delta,
 )
 from ilvseq.cli import main
+from ilvseq.conditions import Condition
 from test_conditions import _reference_report
 
 
@@ -57,6 +59,23 @@ def test_gen_bad_input_exits_2(capsys):
     code, out, err = run_cli(capsys, "gen", "legendre", "--v", "8")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "mseq", "--degree", "0", "--poly", "1", "--state", "1"], "degree must be at least 1"),
+        (
+            ["gen", "mseq", "--degree", "3", "--poly", "1021", "--state", "100"],
+            "polynomial and state bits must be 0 or 1",
+        ),
+        (["gen", "mseq", "--degree", "3", "--poly", "1011", "--state", "10"], "state needs 3 bits, got 2"),
+        (["correlate", "--a", "10x1", "--auto"], "bad sequence text: '10x1'"),
+    ],
+    ids=["degree-0", "poly-digit-2", "short-state", "bad-sequence-text"],
+)
+def test_bad_input_exits_2_with_message(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_correlate_auto(capsys):
@@ -306,6 +325,15 @@ def test_search_progress_reports_rates(capsys, monkeypatch):
         assert re.fullmatch(rf"examined={n} rate=\d+/s", line)
 
 
+def test_search_sample_refuses_progress(capsys):
+    # Sampling takes no progress callback, so the pair is a usage error.
+    for flags in (["--sample", "50", "--progress"], ["--progress", "--sample", "50"]):
+        code, out, err = run_cli(capsys, "search", "--v", "5", "--pred", "B", *flags)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
+
 def test_verify_nonexistence(capsys):
     code, out, _ = run_cli(capsys, "verify-nonexistence", "--vmax", "4")
     assert code == 0
@@ -358,3 +386,11 @@ def test_reproduction_negative_control():
     assert not all_passed(results)
     failed = [r.name for r in results if not r.passed]
     assert failed
+
+
+def test_reproduction_implication_check_negative_control(monkeypatch):
+    # With B as strict as completeness (cap 1), distinctness vectors at
+    # v = 3..5 fail it, and the implication check must say so.
+    monkeypatch.setitem(CONDITIONS, "B", Condition(extended=True, cap=1))
+    passed = {r.name: r.passed for r in run_all()}
+    assert passed["distinctness implies multiplicity (v <= 5)"] is False

@@ -25,6 +25,7 @@ from ilvseq import (
     gen_legendre,
     gen_mseq,
     interleave,
+    is_two_level,
     left_shift,
     matrix_form,
     parse_shift_sequence,
@@ -35,11 +36,13 @@ from ilvseq import (
 )
 from ilvseq import interleaving
 from ilvseq.conditions import Condition, _profiles
-from ilvseq.interleaving import _base_notes, _extension, _max_multiplicity
+from ilvseq.interleaving import _base_notes, _extension
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
 E7 = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
+M31 = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 0, 0, 0)))
+REV31 = PeriodicSequence(2, M31.values[::-1])
 
 entries7 = st.lists(st.integers(0, 6), min_size=7, max_size=7).map(
     lambda v: ShiftSequence(tuple(v))
@@ -319,36 +322,60 @@ def test_coincident_members_matches_pairwise_scan(members):
 
 @pytest.fixture(scope="module")
 def v7_space():
-    # Every normalized v=7 vector (e_0 = 0) and its mu(e).
+    # Every normalized v=7 vector (e_0 = 0), and the heavy ones: some extended
+    # difference occurs v-1 = 6 or more times at some shift.
     tails = np.indices((7,) * 6).reshape(6, -1).T
     rows = np.hstack([np.zeros((len(tails), 1), dtype=tails.dtype), tails])
-    mu = np.array([_max_multiplicity(ShiftSequence(tuple(row))) for row in rows.tolist()])
-    return rows, mu
+    return rows, ~Condition(extended=True, cap=5).holds_rows(rows)
 
 
 def _profile_mu(e):
     return max(top for _, top in _profiles(e)[True])
 
 
-def test_max_multiplicity_matches_profiles():
-    assert _max_multiplicity(ShiftSequence((0,))) == 0
-    for v in range(2, 6):
-        for entries in np.ndindex(*(v,) * v):
-            e = ShiftSequence(entries)
-            assert _max_multiplicity(e) == _profile_mu(e)
-    rng = random.Random(16)
-    for v in range(6, 14):
-        for _ in range(300):
-            e = ShiftSequence(tuple(rng.randrange(v) for _ in range(v)))
-            assert _max_multiplicity(e) == _profile_mu(e)
-
-
 def test_heavy_v7_vectors_are_the_cap_v_minus_2_failures(v7_space):
-    rows, mu = v7_space
-    heavy = mu >= 6
+    rows, heavy = v7_space
     assert heavy.sum() == 147
-    assert np.array_equal(heavy, ~Condition(extended=True, cap=5).holds_rows(rows))
-    assert set(mu[heavy].tolist()) == {6}
+    assert {_profile_mu(ShiftSequence(tuple(row))) for row in rows[heavy].tolist()} == {6}
+
+
+def _two_level(v):
+    return [
+        seq for bits in np.ndindex(*(2,) * v)
+        if is_two_level(seq := PeriodicSequence(2, bits))
+    ]
+
+
+@pytest.mark.parametrize("v", range(2, 8))
+def test_no_difference_occurs_v_times(v):
+    # The step of the no-coincidence proof at s >= 1: the v extended
+    # differences at a shift sum to s != 0 mod v, so they are never all equal.
+    rows = np.indices((v,) * v, dtype=np.int8).reshape(v, -1).T
+    assert Condition(extended=True, cap=v - 1).holds_rows(rows).all()
+
+
+def test_two_level_bases_never_give_coincident_members(v7_space):
+    # Every ordered pair of two-level bases (b = a and b a shift of a too),
+    # with the ungated scan and the full correlation table: no two distinct
+    # members coincide, and no off-trivial correlation reaches v^2.
+    bases3 = _two_level(3)
+    assert len(bases3) == 6
+    for a in bases3:
+        for b in bases3:
+            for entries in np.ndindex(3, 3, 3):
+                e = ShiftSequence(entries)
+                assert coincident_members(build_signal_set(a, b, e).members) == []
+                assert _off_trivial_max(a, b, e) < 9
+    bases7 = _two_level(7)
+    assert len(bases7) == 28
+    rows, heavy = v7_space
+    heavy_rows = rows[heavy].tolist()
+    rng = random.Random(17)
+    for a in bases7:
+        for b in bases7:
+            e = ShiftSequence(tuple(rng.choice(heavy_rows)))
+            assert coincident_members(build_signal_set(a, b, e).members) == []
+            assert _off_trivial_max(a, b, e) < 49
 
 
 @pytest.fixture
@@ -369,15 +396,17 @@ def _ungated_notes(a, b, ss):
     return _base_notes(a, b) + tuple(f"members {i} and {j} coincide (shift {k})" for i, j, k in scan)
 
 
-def test_build_scans_heavy_vectors_only(scan_calls, v7_space):
-    rows, mu = v7_space
-    heavy = [ShiftSequence(tuple(row)) for row in rows[mu >= 6].tolist()]
-    for e in heavy:
+def test_build_never_scans_two_level_bases(scan_calls, v7_space):
+    rows, heavy = v7_space
+    for e in [ShiftSequence(tuple(row)) for row in rows[heavy].tolist()] + [E7]:
         ss = build_signal_set(A7, B7, e)
-        assert ss.notes == _ungated_notes(A7, B7, ss)
-    assert scan_calls == [8] * 147
-    assert build_signal_set(A7, B7, E7).notes == ()
-    assert len(scan_calls) == 147
+        assert ss.notes == _ungated_notes(A7, B7, ss) == ()
+    for v in (31, 59):
+        a, b = gen_legendre(v, 0), gen_legendre(v, 1)
+        ss = build_signal_set(a, b, quadratic_shifts(v, 1, 3))
+        assert ss.notes == _ungated_notes(a, b, ss) == ()
+    assert build_signal_set(M31, REV31, quadratic_shifts(31, 1, 3)).notes == ()
+    assert scan_calls == []
 
 
 @BASE_NOTE_CASES
@@ -386,11 +415,29 @@ def test_build_scans_every_base_note_case(scan_calls, a, b, want):
     assert scan_calls == [8]
 
 
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        ((0,), (0,), (SHIFTED, "members 0 and 1 coincide (shift 0)")),
+        ((0,), (1,), ()),
+        ((1,), (0,), ("members 0 and 1 coincide (shift 0)",)),
+        ((1,), (1,), (SHIFTED,)),
+    ],
+)
+def test_build_scans_at_v1(scan_calls, a, b, want):
+    # Every length-1 sequence passes the two-level test, so the proof does not
+    # apply and the scan runs: with b = 0, member 1 equals u.
+    ss = build_signal_set(PeriodicSequence(2, a), PeriodicSequence(2, b), ShiftSequence((0,)))
+    assert ss.notes == want
+    assert scan_calls == [2]
+
+
 def test_light_vectors_have_no_coincident_members(v7_space):
-    # The gate's premise, checked directly: below mu(e) = v-1 no correlation of
-    # distinct members reaches v^2, and the ungated scan finds nothing.
-    rows, mu = v7_space
-    light = rows[mu < 6]
+    # Vectors below the heavy mark on the worked bases, and random vectors on
+    # Legendre bases at v = 11: the ungated scan finds nothing, and at v = 7 no
+    # off-trivial correlation reaches v^2.
+    rows, heavy = v7_space
+    light = rows[~heavy]
     rng = random.Random(16)
     sample = [ShiftSequence(tuple(light[i].tolist())) for i in rng.sample(range(len(light)), 500)]
     for e in sample:
@@ -402,12 +449,9 @@ def test_light_vectors_have_no_coincident_members(v7_space):
         assert coincident_members(build_signal_set(a, b, e).members) == []
 
 
-M31 = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 0, 0, 0)))
-
-
 @pytest.mark.parametrize(
     "a, b, e",
-    [(A7, B7, E7), (M31, PeriodicSequence(2, M31.values[::-1]), quadratic_shifts(31, 1, 3))],
+    [(A7, B7, E7), (M31, REV31, quadratic_shifts(31, 1, 3))],
     ids=["worked", "v31-quadratic"],
 )
 def test_built_members_equal_checked_sequences(a, b, e):

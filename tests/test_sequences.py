@@ -144,6 +144,30 @@ def test_gen_mseq_rejects_non_primitive():
         gen_mseq(LfsrSpec(4, (1, 1, 1, 1, 1), (1, 0, 0, 0)))
 
 
+def test_gen_mseq_every_register_closes_or_raises_early():
+    # The state map is invertible, so every orbit closes: at 2^n - 1 steps
+    # (a full period) or earlier, which raises.
+    for n in range(1, 6):
+        full = early = 0
+        for middle in np.ndindex(*(2,) * (n - 1)):
+            poly = (1, *middle, 1)
+            for state in np.ndindex(*(2,) * n):
+                if not any(state):
+                    continue
+                try:
+                    seq = gen_mseq(LfsrSpec(n, poly, state))
+                except ValueError as exc:
+                    assert str(exc).startswith("state orbit closed after")
+                    early += 1
+                else:
+                    assert seq.period == 2**n - 1
+                    assert seq.values[:n] == state
+                    full += 1
+        assert full + early == 2 ** (n - 1) * (2**n - 1)
+        assert full > 0
+        assert early > 0 or n == 1
+
+
 def test_primitive_poly_table_periods():
     for n, poly in PRIMITIVE_POLYS.items():
         spec = LfsrSpec(n, tuple(int(c) for c in poly), (1,) + (0,) * (n - 1))
@@ -164,6 +188,8 @@ def test_gen_legendre_known_values():
         gen_legendre(9)
     with pytest.raises(ValueError):
         gen_legendre(2)
+    with pytest.raises(ValueError, match="zero convention must be 0 or 1, got 2"):
+        gen_legendre(7, 2)
 
 
 def test_gen_legendre_balance():

@@ -123,10 +123,11 @@ def _emit(command: str, argv: list, inputs: dict, results, started: float, lines
 
 def _cmd_gen(args):
     if args.kind == "mseq":
+        # A character other than 0 or 1 maps to -1, which LfsrSpec refuses.
         spec = LfsrSpec(
             args.degree,
-            tuple(int(c) for c in args.poly),
-            tuple(int(c) for c in args.state),
+            tuple(map("01".find, args.poly)),
+            tuple(map("01".find, args.state)),
         )
         seq = gen_mseq(spec)
         inputs = {"degree": args.degree, "poly": args.poly, "state": args.state}
@@ -164,6 +165,10 @@ def _cmd_correlate(args):
 def _cmd_build(args):
     a = parse_sequence(args.a)
     b = parse_sequence(args.b)
+    # Name a wrong length first: an entry's range is the vector's own length.
+    length = args.e.count(",") + 1
+    if length != a.period:
+        raise ValueError(f"shift vector length {length} does not match period {a.period}")
     e = parse_shift_sequence(args.e)
     ss = build_signal_set(a, b, e)
     for note in ss.notes:
@@ -215,7 +220,7 @@ def _cmd_search(args):
             rate = n / (time.perf_counter() - started)
             print(f"examined={n} rate={rate:.0f}/s", file=sys.stderr)
 
-    if args.sample:
+    if args.sample is not None:
         outcome = sample_random(
             args.v, args.pred, args.sample, seed=args.seed, limit=args.limit
         )
@@ -232,7 +237,7 @@ def _cmd_search(args):
         f"examined {outcome.examined}, satisfying {outcome.satisfying}, "
         f"exhaustive {outcome.exhaustive}"
     ] + [f"  witness {w}" for w in outcome.witnesses]
-    inputs = {"v": args.v, "pred": args.pred, "limit": args.limit, "sample": args.sample}
+    inputs = {"v": args.v, "pred": args.pred, "limit": args.limit, "sample": args.sample or 0}
     return inputs, results, pretty, 0
 
 
@@ -323,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--force", action="store_true", help="override the budget guard")
     mode = search.add_mutually_exclusive_group()
     mode.add_argument("--progress", action="store_true", help="emit a sweep's examined counts and rates to stderr")
-    mode.add_argument("--sample", type=int, default=0, help="random draws instead of a sweep")
+    mode.add_argument("--sample", type=int, help="random draws instead of a sweep")
     search.add_argument("--seed", type=int, default=0)
 
     verify = command(

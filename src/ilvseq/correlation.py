@@ -231,32 +231,27 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     x = _lift(members)
     tol = 0 if p == 2 else COMPLEX_TOL
     best = -1
-    found = []  # (lo, pairs, taus, values) per block, every |value| >= best - tol
+    found = []  # (at, values) per block, at = (i*r + j)*v + tau, every |value| >= best - tol
     for lo, rows in _correlation_rows(x, p, method):
         c = len(rows)
-        rows = rows.reshape(c * r, v)  # row h*r + j: member lo+h against member j
+        rows = rows.reshape(-1)  # value (h*r + j)*v + tau: member lo+h against member j
         mags = np.abs(rows)
-        mags[np.arange(c) * (r + 1) + lo, 0] = -1  # trivial in-phase peaks (i = j, tau = 0)
+        mags[(np.arange(c) * (r + 1) + lo) * v] = -1  # trivial in-phase peaks (i = j, tau = 0)
         top = mags.max()
         if top > best:
             best = top
             found = [
-                (at, pairs[keep], taus[keep], vals[keep])
-                for at, pairs, taus, vals in found
+                (at[keep], vals[keep])
+                for at, vals in found
                 if (keep := np.abs(vals) >= best - tol).any()
             ]
-        pairs, taus = np.nonzero(mags >= best - tol)
-        if pairs.size:
-            found.append((lo, pairs, taus, rows[pairs, taus]))
+        at = np.flatnonzero(mags >= best - tol)
+        if at.size:
+            found.append((at + lo * r * v, rows[at]))
 
     delta = int(best) if p == 2 else float(best)
-    i = np.empty(sum(pairs.size for _, pairs, _, _ in found), dtype=np.int64)
-    j = np.empty_like(i)
-    stop = 0
-    for lo, pairs, _, _ in found:
-        start, stop = stop, stop + pairs.size
-        np.divmod(pairs, r, out=(i[start:stop], j[start:stop]))
-        i[start:stop] += lo
-    _, _, taus, vals = zip(*found)
-    witnesses = WitnessSequence(i, j, np.concatenate(taus), np.concatenate(vals))
+    at, vals = map(np.concatenate, zip(*found))
+    del found  # else the per-block arrays stay alive beside all five columns
+    i, j, taus = np.unravel_index(at, (r, r, v))
+    witnesses = WitnessSequence(i, j, taus, vals)
     return DeltaReport(delta, witnesses, v, r)

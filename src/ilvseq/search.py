@@ -200,9 +200,13 @@ def backtrack(
     searches B and keeps the leaves that ``holds_rows`` of A rejects.
 
     ``examined``, ``nodes_by_depth`` and the progress ticks are those of the
-    one-node-at-a-time depth-first walk, also on an early stop: at depth m it
-    has tried the children of every parent block finished before the active
-    one, plus those of the active block up to the current path.
+    one-node-at-a-time depth-first walk, also on an early stop. That walk
+    tries all v children of each surviving prefix in order, so on reaching a
+    node with entry e_m whose prefix is the rho-th survivor of its length
+    (rho = 0 for the root) it has tried v*rho + e_m + 1 nodes at depth m.
+    Blocks pop in lexicographic order, so a running count per depth,
+    ``tried``, gives each survivor its rank, and every row carries
+    ``before[m]`` = v*rho for each of its prefixes.
     """
     _guard_budget(spec.v, spec.force)
     name, _ = _resolve_predicate(spec)
@@ -219,30 +223,14 @@ def backtrack(
     width = v * v
     values = np.arange(v, dtype=_row_dtype(v))
     step = max(1, BLOCK_ROWS // v)
-    # Per depth: children tried by finished blocks, and the active block's
-    # size and the index of each of its rows among its parent block's children.
-    done = [0] * v
-    sizes = [0] * v
-    source = [None] * v
-    stack = [(lead, np.zeros((1, width), dtype=values.dtype), np.zeros(1, dtype=np.intp))]
+    tried = [0] * v  # at depth m: v times the survivors found so far at m - 1
+    tried[lead] = v
+    stack = [(lead, np.zeros((1, width), dtype=values.dtype), np.zeros((1, v), dtype=np.int64))]
     witnesses: list[ShiftSequence] = []
     examined = 0  # depth-first nodes up to the last child of the last leaf block
     satisfying = 0
-
-    def path_nodes(j: int) -> list[int]:
-        # Depth-first node counts per depth once child j of the active leaf
-        # block is tried.
-        nodes = []
-        for m in range(v - 1, lead - 1, -1):
-            nodes.append(done[m] + j + 1)
-            j = int(source[m][j // v])
-        return nodes[::-1]
-
     while stack:
-        m, parents, src = stack.pop()
-        done[m] += v * sizes[m]
-        sizes[m] = len(parents)
-        source[m] = src
+        m, parents, before = stack.pop()
         n = len(parents) * v
         kids = np.repeat(parents, v, axis=0)
         kids[:, m] = np.tile(values, len(parents))
@@ -256,9 +244,12 @@ def backtrack(
             bad |= count > cap
         keep = np.flatnonzero(~bad)
         if m < v - 1:
+            ahead = before[keep // v]
+            ahead[:, m + 1] = tried[m + 1] + v * np.arange(len(keep))
+            tried[m + 1] += v * len(keep)
             for start in reversed(range(0, len(keep), step)):
-                part = keep[start : start + step]
-                stack.append((m + 1, kids[part], part))
+                part = slice(start, start + step)
+                stack.append((m + 1, kids[keep[part]], ahead[part]))
             continue
         hits = keep
         if b_not_a:
@@ -266,14 +257,15 @@ def backtrack(
         stop = 0 < limit <= len(witnesses) + len(hits)
         if stop:
             hits = hits[: limit - len(witnesses)]
-        nodes = path_nodes(int(hits[-1]) if stop else n - 1)
+        last = int(hits[-1]) if stop else n - 1
+        nodes = (before[last // v, lead:] + kids[last, lead:v] + 1).tolist()
         _tick(progress, examined, sum(nodes))
         examined = sum(nodes)
         satisfying += len(hits)
         _collect(kids[hits, :v], name, limit, witnesses)
         if stop:
             return SearchOutcome(tuple(witnesses), examined, satisfying, False, tuple(nodes))
-    nodes = [done[m] + v * sizes[m] for m in range(lead, v)]
+    nodes = tried[lead:]
     _tick(progress, examined, sum(nodes))
     return SearchOutcome(tuple(witnesses), sum(nodes), satisfying, True, tuple(nodes))
 

@@ -69,10 +69,32 @@ def test_gen_bad_input_exits_2(capsys):
             ["gen", "mseq", "--degree", "3", "--poly", "1021", "--state", "100"],
             "polynomial and state bits must be 0 or 1",
         ),
+        (
+            ["gen", "mseq", "--degree", "3", "--poly", "1x11", "--state", "100"],
+            "polynomial and state bits must be 0 or 1",
+        ),
+        (
+            ["gen", "mseq", "--degree", "3", "--poly", "1011", "--state", "1x0"],
+            "polynomial and state bits must be 0 or 1",
+        ),
         (["gen", "mseq", "--degree", "3", "--poly", "1011", "--state", "10"], "state needs 3 bits, got 2"),
         (["correlate", "--a", "10x1", "--auto"], "bad sequence text: '10x1'"),
+        (
+            ["build", "--a", "1001110", "--b", "1001011", "--e", "0,0,1,0,6,3"],
+            "shift vector length 6 does not match period 7",
+        ),
+        (["search", "--v", "5", "--pred", "B", "--sample", "0"], "sample size must be positive"),
     ],
-    ids=["degree-0", "poly-digit-2", "short-state", "bad-sequence-text"],
+    ids=[
+        "degree-0",
+        "poly-digit-2",
+        "poly-non-digit",
+        "state-non-digit",
+        "short-state",
+        "bad-sequence-text",
+        "short-shift-vector",
+        "sample-0",
+    ],
 )
 def test_bad_input_exits_2_with_message(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -221,16 +221,16 @@ def _cmd_search(args):
             print(f"examined={n} rate={rate:.0f}/s", file=sys.stderr)
 
     if args.sample is not None:
-        outcome = sample_random(
-            args.v, args.pred, args.sample, seed=args.seed, limit=args.limit
-        )
+        if args.strategy or args.force:
+            raise ValueError("--strategy and --force apply to a sweep, not to --sample")
+        outcome = sample_random(args.v, args.pred, args.sample, seed=args.seed or 0, limit=args.limit)
         strategy = "sample"
     else:
-        spec = SearchSpec(
-            args.v, args.pred, limit=args.limit, strategy=args.strategy, force=args.force
-        )
+        if args.seed is not None:
+            raise ValueError("--seed applies only to --sample")
+        strategy = args.strategy or "full"
+        spec = SearchSpec(args.v, args.pred, limit=args.limit, strategy=strategy, force=args.force)
         outcome = run_search(spec, progress=progress)
-        strategy = args.strategy
     results = _outcome_json(outcome)
     results["strategy"] = strategy
     pretty = [
@@ -324,12 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--v", type=int, required=True)
     search.add_argument("--pred", required=True, choices=("A", "B", "b-not-a", "open"))
     search.add_argument("--limit", type=int, default=0, help="stop after this many witnesses")
-    search.add_argument("--strategy", choices=("full", "backtrack"), default="full")
-    search.add_argument("--force", action="store_true", help="override the budget guard")
+    search.add_argument("--strategy", choices=("full", "backtrack"), help="sweep strategy (default full)")
+    search.add_argument("--force", action="store_true", help="override a sweep's budget guard")
     mode = search.add_mutually_exclusive_group()
     mode.add_argument("--progress", action="store_true", help="emit a sweep's examined counts and rates to stderr")
     mode.add_argument("--sample", type=int, help="random draws instead of a sweep")
-    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--seed", type=int, help="seed of the --sample draws (default 0)")
 
     verify = command(
         sub, "verify-nonexistence", _cmd_verify_nonexistence,

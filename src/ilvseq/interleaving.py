@@ -110,13 +110,6 @@ def _extension(e: ShiftSequence) -> tuple[int, ...]:
     return e.entries + tuple([(x + 1) % e.v for x in e.entries])
 
 
-def _difference_table(e: ShiftSequence) -> np.ndarray:
-    # Entry [s, j] is the extended difference E(j+s) - e_j, for s, j in [0, v).
-    ext = np.array(_extension(e), dtype=np.int64)
-    j = np.arange(e.v)
-    return ext[j[:, None] + j] - ext[: e.v]
-
-
 def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
     """Build the interleaved sequence whose column j is L^(e_j)(a), or zero.
 
@@ -283,8 +276,9 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     v = _check_construction(a, b, e)
     j = np.arange(v)
     plus = j[:, None] + j  # plus[x, j] = j + x
+    ext = np.array(_extension(e), dtype=np.int64)
     # c_a[s, r, j] = C_a(E(j+s) - e_j + r mod v).
-    t = _difference_table(e)[:, None, :] + j[:, None]
+    t = (ext[plus] - ext[:v])[:, None, :] + j[:, None]
     c_a = np.array(autocorrelation(a).values, dtype=np.int64)[t % v]
     sigma = np.ones((v + 1, v), dtype=np.int64)
     sigma[1:] = 1 - 2 * np.array(b.values, dtype=np.int64)[plus % v]

@@ -52,10 +52,9 @@ class CheckResult:
     detail: str
 
 
-def run_all(example_e: ShiftSequence | None = None, seed: int = 0) -> list[CheckResult]:
-    """Run every reproduction check; inject ``example_e`` to corrupt on purpose."""
-    a, b = EXAMPLE_A, EXAMPLE_B
-    e = EXAMPLE_E if example_e is None else example_e
+def run_all(seed: int = 0) -> list[CheckResult]:
+    """Run every reproduction check on the worked example."""
+    a, b, e = EXAMPLE_A, EXAMPLE_B, EXAMPLE_E
     v = a.period
     results: list[CheckResult] = []
 

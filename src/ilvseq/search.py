@@ -336,17 +336,16 @@ def sample_random(
     rng = random.Random(seed)
     lead = 1 if normalize else 0  # a normalized e_0 stays 0
     satisfying = 0
-    hits = set()
+    hits: set[ShiftSequence] = set()
     for start in range(0, n, BLOCK_ROWS):
         size = min(BLOCK_ROWS, n - start)
         block = np.zeros((size, v), dtype=_row_dtype(v))
         draws = [rng.randrange(v) for _ in range(size * (v - lead))]
         block[:, lead:] = np.reshape(draws, (size, v - lead))
-        for entries in map(tuple, block[verdict(block)].tolist()):
-            if name == "OPEN":
-                _crosscheck_open_hit(entries)
-            satisfying += 1
-            if limit:
-                hits.add(entries)
-    witnesses = tuple(ShiftSequence(ent) for ent in sorted(hits)[:limit])
+        rows = block[verdict(block)]
+        satisfying += len(rows)
+        found: list[ShiftSequence] = []
+        _collect(rows, name, limit, found)
+        hits.update(found)  # a set, so repeated draws keep one witness each
+    witnesses = tuple(sorted(hits, key=lambda w: w.entries)[:limit])
     return SearchOutcome(witnesses, n, satisfying, False)

@@ -17,6 +17,7 @@ from ilvseq import (
     build_signal_set,
     gen_legendre,
     quadratic_shifts,
+    reproduce,
     run_all,
     signal_set_delta,
 )
@@ -84,6 +85,15 @@ def test_gen_bad_input_exits_2(capsys):
             "shift vector length 6 does not match period 7",
         ),
         (["search", "--v", "5", "--pred", "B", "--sample", "0"], "sample size must be positive"),
+        (
+            ["search", "--v", "5", "--pred", "B", "--sample", "10", "--strategy", "backtrack"],
+            "--strategy and --force apply to a sweep, not to --sample",
+        ),
+        (
+            ["search", "--v", "5", "--pred", "B", "--sample", "10", "--force"],
+            "--strategy and --force apply to a sweep, not to --sample",
+        ),
+        (["search", "--v", "5", "--pred", "B", "--seed", "3"], "--seed applies only to --sample"),
     ],
     ids=[
         "degree-0",
@@ -94,6 +104,9 @@ def test_gen_bad_input_exits_2(capsys):
         "bad-sequence-text",
         "short-shift-vector",
         "sample-0",
+        "sample-with-strategy",
+        "sample-with-force",
+        "seed-without-sample",
     ],
 )
 def test_bad_input_exits_2_with_message(capsys, argv, message):
@@ -402,9 +415,10 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
-def test_reproduction_negative_control():
+def test_reproduction_negative_control(monkeypatch):
     # A corrupted shift vector must fail at least one reproduction check.
-    results = run_all(example_e=ShiftSequence((0, 1, 2, 3, 4, 5, 6)))
+    monkeypatch.setattr(reproduce, "EXAMPLE_E", ShiftSequence((0, 1, 2, 3, 4, 5, 6)))
+    results = run_all()
     assert not all_passed(results)
     failed = [r.name for r in results if not r.passed]
     assert failed

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import ilvseq
@@ -35,6 +36,42 @@ def test_no_module_imports_an_unread_name():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in read:
                     unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []
+
+
+def _defined_names(node):
+    # The names a top-level statement binds.
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _reads(tree):
+    # Every name a tree reads, by bare name or as an attribute.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_module_defines_an_unread_private_name():
+    # A deletion can leave a private helper without callers; a top-level
+    # name with one leading underscore must be read somewhere in the
+    # package other than inside its own definition.
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(ilvseq.__file__).parent.glob("*.py"))
+    }
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            for name in _defined_names(node):
+                own = sum(1 for read in _reads(node) if read == name)
+                if name.startswith("_") and not name.startswith("__") and reads[name] == own:
+                    unread.append(f"{module}:{node.lineno} {name}")
     assert unread == []
 
 

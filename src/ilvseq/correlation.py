@@ -176,7 +176,10 @@ def _correlation_rows(x: np.ndarray, modulus: int, method: str):
 
     A block is the members lo .. lo+c-1, with c = max(1, _BLOCK_VALUES // (r*n)),
     and rows[h, j, tau] is the correlation of member lo+h against member j at
-    offset tau, so at most c x r x n values are alive at a time. A signal set
+    offset tau, so at most c x r x n values are alive at a time. For p = 2
+    rows start at column lo: rows[h, k] is member lo+h against member lo+k,
+    and a pair against a member of an earlier block is left to its mirror
+    (see signal_set_delta). For p > 2 rows span every column. A signal set
     from v = 31 on has r*n above _BLOCK_VALUES: one member per block. "fast"
     takes one transform per member and one batched inverse per block;
     "direct" sums the shift-products exactly (int64 for p = 2) over a window
@@ -185,18 +188,20 @@ def _correlation_rows(x: np.ndarray, modulus: int, method: str):
     r, n = x.shape
     step = max(1, _BLOCK_VALUES // (r * n))
     blocks = range(0, r, step)
+    binary = modulus == 2
     if method == "direct":
-        w = x if modulus == 2 else np.conj(x)
+        w = x if binary else np.conj(x)
         # windows[j, tau, k] = w[j, (k + tau) mod n], a view: no copy of n^2 size.
         windows = sliding_window_view(np.concatenate([w, w], axis=1), n, axis=1)[:, :n]
         for lo in blocks:
             # einsum sums each value over k in one order whatever the block
             # size (a batched complex matmul does not), and beats matmul on int64.
-            yield lo, np.einsum("jtk,hk->hjt", windows, x[lo : lo + step])
-    elif modulus == 2:
+            columns = windows[lo:] if binary else windows
+            yield lo, np.einsum("jtk,hk->hjt", columns, x[lo : lo + step])
+    elif binary:
         spectra = np.fft.rfft(x.astype(np.float64), axis=1)
         for lo in blocks:
-            raw = np.fft.irfft(np.conj(spectra[lo : lo + step, None]) * spectra, n, axis=2)
+            raw = np.fft.irfft(np.conj(spectra[lo : lo + step, None]) * spectra[lo:], n, axis=2)
             rounded = np.rint(raw)
             if np.max(np.abs(raw - rounded)) > 1e-6:
                 raise RuntimeError("transform residue too large to round safely")
@@ -232,11 +237,13 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     tol = 0 if p == 2 else COMPLEX_TOL
     best = -1
     found = []  # (at, values) per block, at = (i*r + j)*v + tau, every |value| >= best - tol
+    mirrored = False  # whether found holds mirrored hits, out of (i, j, tau) order
     for lo, rows in _correlation_rows(x, p, method):
-        c = len(rows)
-        rows = rows.reshape(-1)  # value (h*r + j)*v + tau: member lo+h against member j
+        c, w = rows.shape[:2]
+        s = r - w  # first column of the block: lo for p = 2, else 0
+        rows = rows.reshape(-1)  # value (h*w + k)*v + tau: member lo+h against member s+k
         mags = np.abs(rows)
-        mags[(np.arange(c) * (r + 1) + lo) * v] = -1  # trivial in-phase peaks (i = j, tau = 0)
+        mags[(np.arange(c) * (w + 1) + (lo - s)) * v] = -1  # trivial in-phase peaks (i = j, tau = 0)
         top = mags.max()
         if top > best:
             best = top
@@ -246,12 +253,35 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
                 if (keep := np.abs(vals) >= best - tol).any()
             ]
         at = np.flatnonzero(mags >= best - tol)
-        if at.size:
-            found.append((at + lo * r * v, rows[at]))
+        if not at.size:
+            continue
+        vals = rows[at]
+        if s:  # each row h of the block skipped s columns
+            at += at // (w * v) * (s * v)
+        at += (lo * r + s) * v
+        found.append((at, vals))
+        if p == 2 and w > c:
+            # A later block skips the pair (j, i) of its member j against
+            # member i of this one. C_ji(tau) = C_ij(-tau mod v) exactly for
+            # binary members, so its maximizers are (j, i, -tau mod v, value).
+            i, j, taus = np.unravel_index(at, (r, r, v))
+            later = j >= lo + c
+            found.append(((j[later] * r + i[later]) * v + -taus[later] % v, vals[later]))
+            mirrored = True
 
     delta = int(best) if p == 2 else float(best)
     at, vals = map(np.concatenate, zip(*found))
     del found  # else the per-block arrays stay alive beside all five columns
+    if mirrored:
+        # Every binary maximizer is +-delta, so its sign rides in the lowest
+        # bit of its index and one sort in place restores (i, j, tau) order:
+        # no order array and no gathers, each another column on the heap.
+        at <<= 1
+        at |= vals < 0
+        del vals
+        at.sort()
+        vals = (at & 1) * (-2 * delta) + delta
+        at >>= 1
     i, j, taus = np.unravel_index(at, (r, r, v))
     witnesses = WitnessSequence(i, j, taus, vals)
     return DeltaReport(delta, witnesses, v, r)

@@ -133,14 +133,14 @@ def _tick(progress: Callable[[int], None] | None, since: int, upto: int) -> None
 
 
 def _collect(rows: np.ndarray, name: str, limit: int, witnesses: list) -> None:
-    # Cross-check completeness hits, and keep witnesses when a limit asks for them.
+    # Cross-check completeness hits, and keep their entries when a limit asks
+    # for them; the caller builds a ShiftSequence only for the ones it returns.
     if limit or name == "OPEN":
-        for row in rows.tolist():
-            entries = tuple(row)
+        for entries in map(tuple, rows.tolist()):
             if name == "OPEN":
                 _crosscheck_open_hit(entries)
             if limit:
-                witnesses.append(ShiftSequence(entries))
+                witnesses.append(entries)
 
 
 def enumerate_space(
@@ -179,7 +179,9 @@ def enumerate_space(
         _collect(block[hits], name, limit, witnesses)
         if limit and len(witnesses) >= limit:
             break
-    return SearchOutcome(tuple(witnesses), examined, satisfying, examined == v**free)
+    return SearchOutcome(
+        tuple(map(ShiftSequence, witnesses)), examined, satisfying, examined == v**free
+    )
 
 
 def backtrack(
@@ -226,7 +228,7 @@ def backtrack(
     tried = [0] * v  # at depth m: v times the survivors found so far at m - 1
     tried[lead] = v
     stack = [(lead, np.zeros((1, width), dtype=values.dtype), np.zeros((1, v), dtype=np.int64))]
-    witnesses: list[ShiftSequence] = []
+    witnesses: list[tuple[int, ...]] = []
     examined = 0  # depth-first nodes up to the last child of the last leaf block
     satisfying = 0
     while stack:
@@ -264,10 +266,12 @@ def backtrack(
         satisfying += len(hits)
         _collect(kids[hits, :v], name, limit, witnesses)
         if stop:
-            return SearchOutcome(tuple(witnesses), examined, satisfying, False, tuple(nodes))
+            found = tuple(map(ShiftSequence, witnesses))
+            return SearchOutcome(found, examined, satisfying, False, tuple(nodes))
     nodes = tried[lead:]
     _tick(progress, examined, sum(nodes))
-    return SearchOutcome(tuple(witnesses), sum(nodes), satisfying, True, tuple(nodes))
+    found = tuple(map(ShiftSequence, witnesses))
+    return SearchOutcome(found, sum(nodes), satisfying, True, tuple(nodes))
 
 
 def run_search(
@@ -336,7 +340,7 @@ def sample_random(
     rng = random.Random(seed)
     lead = 1 if normalize else 0  # a normalized e_0 stays 0
     satisfying = 0
-    hits: set[ShiftSequence] = set()
+    hits: set[tuple[int, ...]] = set()
     for start in range(0, n, BLOCK_ROWS):
         size = min(BLOCK_ROWS, n - start)
         block = np.zeros((size, v), dtype=_row_dtype(v))
@@ -344,8 +348,8 @@ def sample_random(
         block[:, lead:] = np.reshape(draws, (size, v - lead))
         rows = block[verdict(block)]
         satisfying += len(rows)
-        found: list[ShiftSequence] = []
+        found: list[tuple[int, ...]] = []
         _collect(rows, name, limit, found)
         hits.update(found)  # a set, so repeated draws keep one witness each
-    witnesses = tuple(sorted(hits, key=lambda w: w.entries)[:limit])
+    witnesses = tuple(map(ShiftSequence, sorted(hits)[:limit]))
     return SearchOutcome(witnesses, n, satisfying, False)

@@ -1,12 +1,13 @@
 """Tests for correlation profiles, two-level detection, and delta sweeps."""
 
 import cmath
+import hashlib
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilvseq import (
@@ -31,6 +32,7 @@ from ilvseq import (
     quadratic_shifts,
     signal_set_delta,
 )
+from ilvseq.cli import main
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -235,18 +237,46 @@ def test_engine_matches_reference_on_v7_a_vectors():
         assert_engine_matches_reference(ss.members)
 
 
+MSEQ31 = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 1, 1, 0)))
+# a, b and e of a v=31 set: 32 members of period 961, one member per block.
+V31_QUADRATIC = (MSEQ31, PeriodicSequence(2, MSEQ31.values[::-1]), quadratic_shifts(31, 2, 7))
+
+
 def test_engine_matches_reference_on_v31_quadratic_set():
-    mseq = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 1, 1, 0)))
-    reversed_mseq = PeriodicSequence(2, mseq.values[::-1])
-    e = quadratic_shifts(31, 2, 7)
-    ss = build_signal_set(mseq, reversed_mseq, e)
+    ss = build_signal_set(*V31_QUADRATIC)
     assert_engine_matches_reference(ss.members)
+
+
+# sha256 of `ilvseq build --delta` standard output for V31_QUADRATIC up to
+# its timing key (3,926,198 bytes), recorded from the engine that computed all
+# r^2 ordered pairs.
+V31_BUILD_DELTA_SHA256 = "6526b0a9d804792207d256bb699fc08ba81047f68c67afe1d5aa6f2fc76262d6"
+
+
+def test_build_delta_json_of_v31_set_is_byte_identical(capsys):
+    a, b, e = V31_QUADRATIC
+    assert main(["build", "--a", str(a), "--b", str(b), "--e", str(e), "--delta"]) == 0
+    head, timing, _ = capsys.readouterr().out.partition('  "timing"')
+    assert timing and len(head) == 3926198
+    assert hashlib.sha256(head.encode()).hexdigest() == V31_BUILD_DELTA_SHA256
+
+
+DEFAULT_BLOCK_VALUES = correlation._BLOCK_VALUES
 
 
 @settings(max_examples=60, deadline=None)
 @given(member_sets(moduli=(2,)))
+# Every offset attains delta between two distinct members here, tau = 0 and
+# tau = n/2 among them: the two offsets that -tau mod n leaves in place.
+@example([parse_sequence("0101"), parse_sequence("1010")])
+@example([A7, B7, left_shift(A7, 3)])  # an odd period
 def test_engine_matches_reference_binary(members):
-    assert_engine_matches_reference(members)
+    # Default blocks hold a whole small set, so nothing is mirrored; blocks of
+    # one member fill in every pair (i, j) with j < i from its mirror (j, i).
+    for block_values in (DEFAULT_BLOCK_VALUES, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlation, "_BLOCK_VALUES", block_values)
+            assert_engine_matches_reference(members)
 
 
 @settings(max_examples=100, deadline=None)
@@ -397,3 +427,44 @@ def test_block_scan_drops_hits_of_earlier_blocks(monkeypatch):
             monkeypatch.setattr(correlation, "_BLOCK_VALUES", size)
             report = signal_set_delta(members, method=method)
             assert report.delta == 7 and list(report.witnesses) == want
+
+
+def inverse_rows(members, name):
+    """Pair rows that one fast delta hands to the inverse transform np.fft.<name>."""
+    inverse = getattr(np.fft, name)
+    rows = []
+
+    def counting(a, *args, **kwargs):
+        rows.append(a.shape[0] * a.shape[1])
+        return inverse(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation.np.fft, name, counting)
+        signal_set_delta(members, method="fast")
+    return sum(rows)
+
+
+def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
+    # One member per block: r(r+1)/2 pairs, each (i, j) with i <= j once.
+    members = build_signal_set(*V31_QUADRATIC).members
+    r = len(members)
+    assert inverse_rows(members, "irfft") == r * (r + 1) // 2 == 528
+    # One block holds the worked set, and every ordered pair is computed.
+    assert inverse_rows(WORKED_SET, "irfft") == 8 * 8
+    # For p > 2 every pair is computed, however the set is split.
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
+    assert inverse_rows(TERNARY_SET_5, "ifft") == 5 * 5
+
+
+def test_transform_residue_is_checked_on_every_block(monkeypatch):
+    # Only the last block, the last member against itself alone, is skewed.
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
+    irfft = np.fft.irfft
+
+    def skewed(a, *args, **kwargs):
+        out = irfft(a, *args, **kwargs)
+        return out + 0.25 if a.shape[1] == 1 else out
+
+    monkeypatch.setattr(correlation.np.fft, "irfft", skewed)
+    with pytest.raises(RuntimeError, match="transform residue"):
+        signal_set_delta(WORKED_SET, method="fast")

@@ -194,6 +194,7 @@ _CHECKERS = {
     "A": check_condition_A,
     "B": check_condition_B,
     "open": check_condition_open,
+    "OPEN": check_condition_open,
 }
 
 
@@ -318,11 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = command(sub, "check", _cmd_check, "check a condition on a shift vector")
     check.add_argument("--e", required=True)
-    check.add_argument("--cond", required=True, choices=("A", "B", "open"))
+    check.add_argument("--cond", required=True, choices=tuple(_CHECKERS))
 
     search = command(sub, "search", _cmd_search, "search shift-vector space for a predicate")
     search.add_argument("--v", type=int, required=True)
-    search.add_argument("--pred", required=True, choices=("A", "B", "b-not-a", "open"))
+    # The lower-case spellings and the names the library prints.
+    preds = ("A", "B", "b-not-a", "B-not-A", "open", "OPEN")
+    search.add_argument("--pred", required=True, choices=preds)
     search.add_argument("--limit", type=int, default=0, help="stop after this many witnesses")
     search.add_argument("--strategy", choices=("full", "backtrack"), help="sweep strategy (default full)")
     search.add_argument("--force", action="store_true", help="override a sweep's budget guard")

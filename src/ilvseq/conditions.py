@@ -44,22 +44,34 @@ class Condition(NamedTuple):
 
     def holds_rows(self, rows: np.ndarray) -> np.ndarray:
         """Block verdict: a bool mask over the rows of an (N, v) integer
-        array of finite entries, equal row by row to the reports' verdict.
-        Per shift it sorts each row's differences and rejects a row where a
-        value occurs more than ``cap`` times; only the surviving rows go on
-        to the next shift."""
+        array of entries in [0, v), signed or unsigned, equal row by row to
+        the reports' verdict. Per shift it sorts each row's differences and
+        rejects a row where a value occurs more than ``cap`` times; only the
+        surviving rows go on to the next shift, and none once all are out.
+
+        The search stores rows in the smallest dtype (int8 up to v = 127),
+        but numpy has no vector loop for an int8 ``%`` or an int8 sort along
+        a row. So each shift widens only its gathered columns to int32, where
+        e_i - e_k - t lies in [-v, v) and one add of v on the negative
+        entries replaces ``% v``; unsigned rows cannot wrap there."""
         extended, cap = self
         n, v = rows.shape
         ok = np.ones(n, dtype=bool)
         alive = np.arange(n)
+        modulus = np.int32(v)
         for i, k, t in difference_terms(v, extended):
-            d = (rows[:, i] - rows[:, k] - t) % v
+            d = rows[:, i].astype(np.int32)
+            d -= rows[:, k].astype(np.int32)  # in place, int32 -= uint64 would raise
+            d -= t
+            d += (d < 0) * modulus
             d.sort(axis=1)
             bad = (d[:, cap:] == d[:, :-cap]).any(axis=1)
             if bad.any():
                 ok[alive[bad]] = False
                 alive = alive[~bad]
                 rows = rows[~bad]
+                if not len(rows):
+                    break
         return ok
 
 
@@ -107,11 +119,14 @@ def _profiles(e: ShiftSequence) -> tuple[tuple[tuple[DifferenceProfile, int], ..
     # The first v-s of the v extended differences at s are the unextended
     # profile; counting the s wrapped terms on top gives the extended one. One
     # entry holds about 1.5 MB at v=127, so the bound keeps the cache near 12 MB.
+    # tuple.__new__ skips each named tuple's Python __new__: one C call each.
+    new = tuple.__new__
     ext = _extension(e)
     v = e.v
+    head = ext[:v]
     table = ([], [])
     for s in range(1, v):
-        values = tuple([(x - y) % v for x, y in zip(ext[:v], ext[s:])])
+        values = tuple([(x - y) % v for x, y in zip(head, ext[s:])])
         counts = [0] * v
         start = 0
         for extended, stop in ((False, v - s), (True, v)):
@@ -119,8 +134,8 @@ def _profiles(e: ShiftSequence) -> tuple[tuple[tuple[DifferenceProfile, int], ..
                 counts[d] += 1
             start = stop
             multiplicity = tuple([(d, c) for d, c in enumerate(counts) if c])
-            prof = DifferenceProfile(v, s, extended, values[:stop], multiplicity)
-            table[extended].append((prof, max(counts)))
+            fields = (v, s, extended, values[:stop], multiplicity)
+            table[extended].append((new(DifferenceProfile, fields), max(counts)))
     return tuple(table[0]), tuple(table[1])
 
 
@@ -147,6 +162,8 @@ def _check(e: ShiftSequence, name: str) -> ConditionReport:
     # A shift passes when no difference exceeds the cap. Cap-1 conditions
     # report the distinct count against the number of differences, B its
     # largest multiplicity against the cap.
+    # tuple.__new__ builds each named tuple in one C call, as in _profiles.
+    new = tuple.__new__
     extended, cap = CONDITIONS[name]
     checks = []
     first_failure = None
@@ -158,8 +175,9 @@ def _check(e: ShiftSequence, name: str) -> ConditionReport:
         passed = top <= cap
         if not passed and first_failure is None:
             first_failure = prof.s
-        checks.append(ShiftCheck(prof.s, passed, observed, required, prof))
-    return ConditionReport(name, first_failure is None, tuple(checks), first_failure)
+        checks.append(new(ShiftCheck, (prof.s, passed, observed, required, prof)))
+    fields = (name, first_failure is None, tuple(checks), first_failure)
+    return new(ConditionReport, fields)
 
 
 def check_condition_A(e: ShiftSequence) -> ConditionReport:

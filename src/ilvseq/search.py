@@ -121,6 +121,7 @@ def _crosscheck_open_hit(entries: tuple[int, ...]) -> None:
 def _row_dtype(v: int) -> np.dtype:
     # The smallest integer type holding every entry, every difference
     # e_i - e_k - t in [-v, v) and the modulus v itself (int8 up to v = 127).
+    # Rows are stored in it; ``holds_rows`` widens the columns it gathers.
     return np.min_scalar_type(-v - 1)
 
 
@@ -224,6 +225,7 @@ def backtrack(
     lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
     width = v * v
     values = np.arange(v, dtype=_row_dtype(v))
+    modulus = values.dtype.type(v)
     step = max(1, BLOCK_ROWS // v)
     tried = [0] * v  # at depth m: v times the survivors found so far at m - 1
     tried[lead] = v
@@ -240,7 +242,9 @@ def backtrack(
         rowbase = np.arange(0, n * width, width)
         bad = np.zeros(n, dtype=bool)
         for base, i, k, t in later[m]:
-            slot = rowbase + base + (kids[:, i] - kids[:, k] - t) % v
+            d = kids[:, i] - kids[:, k] - t  # in [-v, v): one add of v, no int8 %
+            d += (d < 0) * modulus
+            slot = rowbase + base + d
             count = flat[slot] + 1
             flat[slot] = count
             bad |= count > cap

@@ -258,6 +258,26 @@ def test_report_names_command_and_echoes_input(capsys, argv, command, inputs):
     assert report["inputs"] == inputs
 
 
+@pytest.mark.parametrize(
+    "head, flag, spellings",
+    [
+        (["search", "--v", "4", "--limit", "3"], "--pred", ("b-not-a", "B-not-A")),
+        (["search", "--v", "3", "--strategy", "backtrack"], "--pred", ("open", "OPEN")),
+        (["check", "--e", "0,1"], "--cond", ("open", "OPEN")),
+        (["check", "--e", "0,0,1,0,6,3,5"], "--cond", ("open", "OPEN")),
+    ],
+)
+def test_cli_accepts_the_names_the_library_prints(capsys, head, flag, spellings):
+    # Both spellings give one result; the inputs echo the spelling given.
+    reports = []
+    for name in spellings:
+        code, out, _ = run_cli(capsys, *head, flag, name)
+        report = parse_report(out)
+        assert report["inputs"][flag[2:]] == name
+        reports.append((code, report["results"]))
+    assert reports[0] == reports[1]
+
+
 def test_check_verdict_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "check", "--e", "0,0,1,0,6,3,5", "--cond", "A")
     assert code == 1

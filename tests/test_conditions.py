@@ -1,12 +1,14 @@
 """Tests for the distinctness, multiplicity, and completeness conditions."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ilvseq.search as search_mod
 from ilvseq import (
     CONDITIONS,
     INFINITY,
@@ -21,6 +23,7 @@ from ilvseq import (
     difference_terms,
     differences,
     extended_entry,
+    quadratic_shifts,
 )
 from ilvseq.conditions import _profiles
 
@@ -148,6 +151,72 @@ def test_block_verdict_matches_scalar(rows):
         mask = CONDITIONS[cond].holds_rows(rows)
         assert mask.dtype == bool
         assert mask.tolist() == [check(e).verdict for e in vectors]
+
+
+INTEGER_DTYPES = [
+    np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64
+]
+
+
+@pytest.mark.parametrize("v", [4, 5])
+def test_block_verdict_on_every_integer_dtype(v):
+    # Unsigned rows must not wrap below zero before the reduction mod v.
+    space = list(itertools.product(range(v), repeat=v))
+    expected = {
+        name: [check(ShiftSequence(e)).verdict for e in space]
+        for name, check in CHECKERS.items()
+    }
+    for dtype in INTEGER_DTYPES:
+        rows = np.array(space, dtype=dtype)
+        for name, want in expected.items():
+            assert CONDITIONS[name].holds_rows(rows).tolist() == want, (dtype, name)
+
+
+@pytest.mark.parametrize("v, dtype", [(127, np.int8), (131, np.int16)])
+def test_block_verdict_at_row_dtype_edges(v, dtype):
+    # v = 127 is the last v with int8 rows and v = 131 the first wide one.
+    # The block holds A vectors (quadratic), B-not-A ones (a quadratic with
+    # e_0 set to v - 1), rows at the top of the range and seeded random rows.
+    assert search_mod._row_dtype(v) == dtype
+    rng = np.random.default_rng(v)
+    rows = [quadratic_shifts(v, c, l).entries for c, l in ((1, 0), (3, 5), (v - 1, v - 2))]
+    rows += [(v - 1,) + quadratic_shifts(v, 1, 0).entries[1:]]
+    rows += [(v - 1,) * v, tuple(range(v - 1, -1, -1)), tuple(j % 2 * (v - 1) for j in range(v))]
+    rows += [tuple(r) for r in rng.integers(0, v, size=(4, v)).tolist()]
+    block = np.array(rows, dtype=dtype)
+    for name, check in CHECKERS.items():
+        mask = CONDITIONS[name].holds_rows(block).tolist()
+        assert mask == [check(ShiftSequence(r)).verdict for r in rows], name
+    assert CONDITIONS["A"].holds_rows(block)[:4].tolist() == [True, True, True, False]
+    assert CONDITIONS["B"].holds_rows(block)[:4].all()
+
+
+@pytest.mark.parametrize("name", ["A", "B", "OPEN"])
+def test_block_verdict_of_an_empty_block(name):
+    mask = CONDITIONS[name].holds_rows(np.zeros((0, 7), dtype=np.int8))
+    assert mask.dtype == bool and mask.shape == (0,)
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 8, 31])
+def test_report_types_keep_their_names_and_fields(v):
+    # Every report, check and profile is an instance of its named tuple with
+    # that type's fields, and equals both a plainly built copy and the plain
+    # tuple of its values.
+    rng = random.Random(v)
+    e = ShiftSequence(tuple(rng.randrange(v) for _ in range(v)))
+    for name, check in CHECKERS.items():
+        report = check(e)
+        parts = [(report, ConditionReport)]
+        parts += [(c, ShiftCheck) for c in report.checks]
+        parts += [(c.profile, DifferenceProfile) for c in report.checks]
+        assert len(parts) == 1 + 2 * (v - 1)
+        for part, kind in parts:
+            assert type(part) is kind
+            assert kind._fields == tuple(part._asdict())
+            assert list(part._asdict().values()) == list(part)
+            assert part == tuple(part) and part == kind(*part)
+            assert type(kind(*part)) is kind
+        assert report == _reference_report(e, name)
 
 
 @given(st.integers(2, 8).flatmap(

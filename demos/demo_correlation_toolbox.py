@@ -32,11 +32,6 @@ print("identical:", fast.values == direct.values)
 # Correlation profiles index cyclically, like the sequences themselves.
 print("C(0) =", direct[0], " C(7) = C(0):", direct[7] == direct[0])
 
-# For p > 2 the values are complex; magnitudes are what matter then.
-t = PeriodicSequence(3, (0, 1, 2, 0, 2, 1))
-prof3 = cross_correlation(t, t)
-print("ternary magnitudes:", [round(abs(c), 6) for c in prof3.values])
-
 # The delta of a set is the largest correlation magnitude over all ordered
 # member pairs and offsets, skipping only each member's trivial peak at
 # offset 0. Witnesses list every (i, j, tau) where the maximum is attained.

@@ -202,12 +202,12 @@ def difference_terms(v: int, extended: bool) -> tuple[tuple[np.ndarray, np.ndarr
     """Entry s-1 holds shift s's differences as read-only index arrays
     (i, k, t), term j meaning e_i - e_k - t mod v, in the order of
     ``differences``: i = j, k = (j + s) mod v, and t = 1 on the wrapped terms.
-    t is int8 so that it keeps the dtype of small-integer rows."""
+    t is int32, the dtype in which ``holds_rows`` builds the differences."""
     table = []
     for s in range(1, v):
         i = np.arange(v if extended else v - s, dtype=np.intp)
         k = (i + s) % v
-        t = (k < i).astype(np.int8)
+        t = (k < i).astype(np.int32)
         for arr in (i, k, t):
             arr.flags.writeable = False
         table.append((i, k, t))

@@ -89,6 +89,24 @@ def quadratic_shifts(v: int, c: int, l: int) -> ShiftSequence:
     return ShiftSequence(tuple((c * j * j + l * j) % v for j in range(v)))
 
 
+def twisted_rotation(e: ShiftSequence, k: int = 1) -> ShiftSequence:
+    """e rotated left k times with the +1 twist: once, (e_1, ..., e_(v-1), e_0 + 1).
+
+    Entry j is e_((j+k) mod v) + floor((j+k)/v) mod v, so any integer k works
+    and k = v adds 1 to every entry; INFINITY entries stay INFINITY. For any
+    binary a and b, member pi(m) of build_signal_set(a, b, twisted_rotation(e))
+    is member m of build_signal_set(a, b, e) shifted left by one, with
+    pi(0) = 0 and pi(1+j) = 1 + (j+1 mod v). So delta is equal, and witness
+    (i, j, tau, value) maps to (pi(i), pi(j), tau, value); README has the proof.
+    """
+    v = e.v
+    rotated = []
+    for j in range(v):
+        x = e.entries[(j + k) % v]
+        rotated.append(x if x == INFINITY else (x + (j + k) // v) % v)
+    return ShiftSequence(tuple(rotated))
+
+
 def extended_entry(e: ShiftSequence, k: int) -> int:
     """Entry k of the extended vector: e_k for k < v, e_(k-v) + 1 mod v after.
 

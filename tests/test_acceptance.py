@@ -32,7 +32,9 @@ from ilvseq import (
     gen_mseq,
     is_prime,
     is_two_level,
+    quadratic_shifts,
     signal_set_delta,
+    twisted_rotation,
     LfsrSpec,
     PRIMITIVE_POLYS,
 )
@@ -244,3 +246,39 @@ def test_criterion_10_fast_path_equals_naive():
             compared += 1
     detail = f"transform path identical to direct summation on {compared} random pairs"
     assert verdict(10, ok, detail)
+
+
+def test_criterion_11_rotation_closure_of_the_quadratic_family():
+    # At prime v the quadratic vectors c*j^2 + l*j (c != 0) are v(v-1)
+    # normalized A-vectors. Twisted rotation keeps delta (README), and
+    # rotating them, each rotation translated back to e_0 = 0, gives
+    # v^2(v-1) vectors, all B, on exactly v(v-1) of which A holds.
+    rng = random.Random(11)
+    ok = True
+    counts = []
+    for v in [p for p in range(11, 32) if is_prime(p)]:
+        j = np.arange(v)
+        family = np.array([(c * j * j + l * j) % v for c in range(1, v) for l in range(v)])
+        # Row k*len(family) + f is rotation k of family[f]: entry j is
+        # e_((j+k) mod v) + floor((j+k)/v), translated back to e_0 = 0.
+        rotated = np.concatenate([family[:, (j + k) % v] + (j + k) // v for k in range(v)])
+        rotated = (rotated - rotated[:, :1]) % v
+        closure, where = np.unique(rotated, axis=0, return_inverse=True)
+        where = where.reshape(-1)
+        a_ok = CONDITIONS["A"].holds_rows(closure)
+        b_ok = CONDITIONS["B"].holds_rows(closure)
+        quadratics = {tuple(row) for row in family.tolist()}
+        ok &= len(closure) == v * v * (v - 1) and bool(b_ok.all())
+        ok &= {tuple(row) for row in closure[a_ok].tolist()} == quadratics
+        # A seeded sample through the library: the rotation, and the reports' verdicts.
+        for _ in range(8):
+            f, k = rng.randrange(len(family)), rng.randrange(v)
+            e = twisted_rotation(quadratic_shifts(v, 1 + f // v, f % v), k).entries
+            n = k * len(family) + f
+            ok &= tuple((x - e[0]) % v for x in e) == tuple(rotated[n].tolist())
+            e = ShiftSequence(e)
+            ok &= check_condition_A(e).verdict == a_ok[where[n]]
+            ok &= check_condition_B(e).verdict == b_ok[where[n]]
+        counts.append(f"{v}: {len(closure)}")
+    detail = f"rotation closure of the quadratic family, all B, A on v(v-1): {', '.join(counts)}"
+    assert verdict(11, ok, detail)

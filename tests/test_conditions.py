@@ -231,7 +231,7 @@ def test_difference_terms_match_differences(entries):
         table = difference_terms(v, extended)
         assert len(table) == v - 1
         for s, (i, k, t) in enumerate(table, 1):
-            assert (i.dtype, k.dtype, t.dtype) == (np.intp, np.intp, np.int8)
+            assert (i.dtype, k.dtype, t.dtype) == (np.intp, np.intp, np.int32)
             assert not (i.flags.writeable or k.flags.writeable or t.flags.writeable)
             values = tuple(((row[i] - row[k] - t) % v).tolist())
             assert values == differences(e, s, extended).values

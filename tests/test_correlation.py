@@ -1,6 +1,5 @@
 """Tests for correlation profiles, two-level detection, and delta sweeps."""
 
-import cmath
 import hashlib
 import random
 import tracemalloc
@@ -11,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilvseq import (
-    COMPLEX_TOL,
     PRIMITIVE_POLYS,
     LfsrSpec,
     PeriodicSequence,
@@ -43,22 +41,13 @@ binary7 = st.lists(st.integers(0, 1), min_size=7, max_size=7).map(
 
 
 @st.composite
-def member_sets(draw, moduli):
-    p = draw(st.sampled_from(moduli))
+def member_sets(draw):
     n = draw(st.integers(1, 12))
     r = draw(st.integers(2 if n == 1 else 1, 5))
     return [
-        PeriodicSequence(p, tuple(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))))
+        PeriodicSequence(2, tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
         for _ in range(r)
     ]
-
-
-@st.composite
-def ternary_pairs(draw):
-    n = draw(st.integers(2, 12))
-    va = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    vb = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return PeriodicSequence(3, tuple(va)), PeriodicSequence(3, tuple(vb))
 
 
 def test_autocorrelation_two_level_bases():
@@ -88,18 +77,6 @@ def test_not_two_level():
     assert autocorrelation(spike)[1] == 3
 
 
-def test_is_two_level_ternary():
-    # The ternary m-sequence with s_(t+2) = 2 s_(t+1) + s_t mod 3 has the
-    # ideal profile (8, -1, ..., -1) within COMPLEX_TOL; a permutation of it
-    # does not.
-    mseq = parse_sequence("10122021", modulus=3)
-    assert all(
-        (mseq[t + 2] - 2 * mseq[t + 1] - mseq[t]) % 3 == 0 for t in range(mseq.period)
-    )
-    assert is_two_level(mseq)
-    assert not is_two_level(parse_sequence("10220110", modulus=3))
-
-
 def test_pair_validation():
     with pytest.raises(ValueError):
         cross_correlation(A7, PeriodicSequence(2, (1, 0)))
@@ -115,13 +92,22 @@ def test_legendre_two_level_exactly_for_3_mod_4():
         assert not is_two_level(gen_legendre(17, conv))
 
 
-def test_ternary_correlation_complex_values():
-    seq = PeriodicSequence(3, (0, 1, 2))
-    prof = autocorrelation(seq)
-    assert abs(prof[0] - 3) <= COMPLEX_TOL
-    # Every offset-1 summand is omega^(-1), so the value is 3 * omega^2.
-    expected = 3 * cmath.exp(4j * cmath.pi / 3)
-    assert abs(prof[1] - expected) <= 1e-9
+def test_non_binary_input_is_refused():
+    # The engine is binary: every entry refuses another modulus, whatever the path.
+    ternary = parse_sequence("10122021", modulus=3)
+    other = parse_sequence("10220110", modulus=3)
+    calls = [
+        lambda: cross_correlation(ternary, other),
+        lambda: fast_cross_correlation(ternary, other),
+        lambda: autocorrelation(ternary),
+        lambda: is_two_level(ternary),
+        lambda: signal_set_delta([ternary, other]),
+        lambda: signal_set_delta([ternary, other], method="fast"),
+        lambda: signal_set_delta([ternary]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="binary"):
+            call()
 
 
 @given(binary7, binary7, st.integers(0, 6))
@@ -143,14 +129,6 @@ def test_binary_parity_and_total(a, b):
 @given(binary7, binary7)
 def test_fast_matches_direct_binary(a, b):
     assert fast_cross_correlation(a, b).values == cross_correlation(a, b).values
-
-
-@given(ternary_pairs())
-def test_fast_matches_direct_ternary(pair):
-    a, b = pair
-    fast = fast_cross_correlation(a, b)
-    direct = cross_correlation(a, b)
-    assert all(abs(x - y) <= 1e-9 for x, y in zip(fast.values, direct.values))
 
 
 def test_delta_of_shifted_pair():
@@ -203,20 +181,16 @@ def test_delta_validation():
 
 
 def reference_delta(members):
-    """Per-pair cross_correlation scan: (delta, [(i, j, tau, value)]).
-
-    A magnitude within COMPLEX_TOL of the maximum attains it for p > 2.
-    """
-    tol = 0 if members[0].modulus == 2 else COMPLEX_TOL
+    """Per-pair cross_correlation scan: (delta, [(i, j, tau, value)]), exactly."""
     scans = []
     for i, a in enumerate(members):
         for j, b in enumerate(members):
             cells = [(t, c) for t, c in enumerate(cross_correlation(a, b).values) if i != j or t]
             if cells:
                 top = max(abs(c) for _, c in cells)
-                scans.append((i, j, top, [(t, c) for t, c in cells if abs(c) >= top - tol]))
+                scans.append((i, j, top, [(t, c) for t, c in cells if abs(c) == top]))
     delta = max(top for _, _, top, _ in scans)
-    hits = [(i, j, t, c) for i, j, _, cells in scans for t, c in cells if abs(c) >= delta - tol]
+    hits = [(i, j, t, c) for i, j, _, cells in scans for t, c in cells if abs(c) == delta]
     return delta, hits
 
 
@@ -226,6 +200,7 @@ def assert_engine_matches_reference(members):
         report = signal_set_delta(members, method=method)
         assert type(report.delta) is int and report.delta == delta
         assert [(w.i, w.j, w.tau, w.value) for w in report.witnesses] == hits
+        assert all(column.dtype == np.int64 for column in report.witnesses._columns())
         assert all(type(w.value) is int for w in report.witnesses)
 
 
@@ -265,7 +240,7 @@ DEFAULT_BLOCK_VALUES = correlation._BLOCK_VALUES
 
 
 @settings(max_examples=60, deadline=None)
-@given(member_sets(moduli=(2,)))
+@given(member_sets())
 # Every offset attains delta between two distinct members here, tau = 0 and
 # tau = n/2 among them: the two offsets that -tau mod n leaves in place.
 @example([parse_sequence("0101"), parse_sequence("1010")])
@@ -279,60 +254,41 @@ def test_engine_matches_reference_binary(members):
             assert_engine_matches_reference(members)
 
 
-@settings(max_examples=100, deadline=None)
-@given(member_sets(moduli=(3, 5)))
-def test_direct_and_fast_agree_p_gt_2(members):
-    direct = signal_set_delta(members)
-    fast = signal_set_delta(members, method="fast")
-    assert abs(direct.delta - fast.delta) <= COMPLEX_TOL
-    positions = [(w.i, w.j, w.tau) for w in direct.witnesses]
-    assert positions == [(w.i, w.j, w.tau) for w in fast.witnesses]
-    _, hits = reference_delta(members)
-    assert positions == [(i, j, t) for i, j, t, _ in hits]
-
-
 def witnesses_from_profiles(members, delta):
     """Every admissible (i, j, tau, value) with |value| = delta, pair by pair."""
-    tol = 0 if members[0].modulus == 2 else COMPLEX_TOL
     return tuple(
         Witness(i, j, tau, c)
         for i, a in enumerate(members)
         for j, b in enumerate(members)
         for tau, c in enumerate(cross_correlation(a, b).values)
-        if (i != j or tau) and abs(abs(c) - delta) <= tol
+        if (i != j or tau) and abs(c) == delta
     )
 
 
 def assert_same_witnesses(got, want):
-    # Positions exactly; values exactly for p = 2, within COMPLEX_TOL for p > 2.
+    # Positions and values exactly, every field a Python int.
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert type(g) is Witness
-        assert g[:3] == w[:3] and abs(g.value - w.value) <= COMPLEX_TOL
+        assert type(g) is Witness and all(type(field) is int for field in g)
+        assert g == w
 
 
 WORKED_SET = build_signal_set(A7, B7, ShiftSequence((0, 0, 1, 0, 6, 3, 5))).members
-TERNARY_SET = [
-    PeriodicSequence(3, (0, 1, 2, 2, 1, 0, 1, 1)),
-    PeriodicSequence(3, (2, 0, 1, 1, 0, 0, 2, 1)),
-    PeriodicSequence(3, (1, 1, 0, 2, 2, 0, 1, 0)),
-]
 
 
-@pytest.mark.parametrize("members", [WORKED_SET, TERNARY_SET], ids=["p2-worked", "p3"])
+@pytest.mark.parametrize("members", [WORKED_SET], ids=["p2-worked"])
 @pytest.mark.parametrize("method", ["direct", "fast"])
 def test_witness_sequence_reads_as_the_tuple(members, method):
     report = signal_set_delta(members, method=method)
     seq = report.witnesses
     want = witnesses_from_profiles(members, report.delta)
-    assert len(seq) == len(want) == (80 if members is WORKED_SET else 4) and seq
+    assert len(seq) == len(want) == 80 and seq
     assert_same_witnesses(seq, want)
     assert_same_witnesses([seq[0], seq[-1]], [want[0], want[-1]])
     assert_same_witnesses(seq[1:-1:2], want[1:-1:2])
-    if members is WORKED_SET:
-        assert seq == want and want == seq and seq[1:-1:2] == want[1:-1:2]
-        assert seq[0] == want[0] and seq[-1] == want[-1]
-        assert seq != want[1:] and seq != list(want)
+    assert seq == want and want == seq and seq[1:-1:2] == want[1:-1:2]
+    assert seq[0] == want[0] and seq[-1] == want[-1]
+    assert seq != want[1:] and seq != list(want)
     # Reading does not consume it.
     assert tuple(seq) == tuple(seq) and list(seq) == list(iter(seq))
     for column in (seq.i, seq.j, seq.tau, seq.value, seq[::2].tau):
@@ -384,10 +340,11 @@ def test_delta_report_holds_witnesses_as_arrays():
     assert sum(abs(w.value) == report.delta for w in report.witnesses) == 35840
 
 
-# Five ternary members, so blocks of three members split the set 3 + 2.
-TERNARY_SET_5 = TERNARY_SET + [
-    PeriodicSequence(3, (2, 2, 1, 0, 0, 1, 2, 0)),
-    PeriodicSequence(3, (0, 2, 2, 1, 0, 1, 1, 2)),
+# Five binary members, so blocks of three members split the set 3 + 2. Half
+# of its 8 witnesses, of both signs, pair a member of the second block with
+# one of the first, so there the split reads them off their mirrors.
+BINARY_SET_5 = [
+    parse_sequence(bits) for bits in ("01100111", "00110010", "10111111", "01101011", "00000110")
 ]
 
 
@@ -398,20 +355,23 @@ def witness_columns(members, method, block_values, monkeypatch):
     return report.delta, (w.i, w.j, w.tau, w.value)
 
 
-@pytest.mark.parametrize("members", [WORKED_SET, TERNARY_SET_5], ids=["p2-worked", "p3"])
+@pytest.mark.parametrize("members", [WORKED_SET, BINARY_SET_5], ids=["p2-worked", "p2-five"])
 @pytest.mark.parametrize("method", ["direct", "fast"])
 def test_block_boundaries_do_not_move_witnesses(members, method, monkeypatch):
     # One member per block, uneven blocks of three, and the whole set in one.
     r, n = len(members), members[0].period
     runs = [witness_columns(members, method, size, monkeypatch) for size in (1, 3 * r * n, 1 << 30)]
+    for delta, columns in runs:
+        assert type(delta) is int and all(column.dtype == np.int64 for column in columns)
     for delta, columns in runs[1:]:
         assert delta == runs[0][0]
         assert all(map(np.array_equal, columns, runs[0][1]))
     want_delta, hits = reference_delta(members)
-    delta, (i, j, tau, value) = runs[0]
-    assert abs(delta - want_delta) <= COMPLEX_TOL
-    assert list(zip(i.tolist(), j.tolist(), tau.tolist())) == [h[:3] for h in hits]
-    assert all(abs(got - h[3]) <= COMPLEX_TOL for got, h in zip(value.tolist(), hits))
+    delta, columns = runs[0]
+    assert delta == want_delta
+    assert list(zip(*(column.tolist() for column in columns))) == hits
+    if members is BINARY_SET_5:
+        assert len(hits) == 8 and sum(i >= 3 > j for i, j, _, _ in hits) == 4
 
 
 def test_block_scan_drops_hits_of_earlier_blocks(monkeypatch):
@@ -451,9 +411,10 @@ def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
     assert inverse_rows(members, "irfft") == r * (r + 1) // 2 == 528
     # One block holds the worked set, and every ordered pair is computed.
     assert inverse_rows(WORKED_SET, "irfft") == 8 * 8
-    # For p > 2 every pair is computed, however the set is split.
+    # Split one member per block, a set again computes each pair once.
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
-    assert inverse_rows(TERNARY_SET_5, "ifft") == 5 * 5
+    assert inverse_rows(WORKED_SET, "irfft") == 8 * 9 // 2
+    assert inverse_rows(BINARY_SET_5, "irfft") == 5 * 6 // 2
 
 
 def test_transform_residue_is_checked_on_every_block(monkeypatch):

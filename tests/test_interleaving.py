@@ -1,5 +1,6 @@
 """Tests for interleaving, signal-set construction, and the column identity."""
 
+import itertools
 import random
 
 import numpy as np
@@ -33,6 +34,7 @@ from ilvseq import (
     recover_shifts,
     shift_equivalence,
     signal_set_delta,
+    twisted_rotation,
 )
 from ilvseq import interleaving
 from ilvseq.conditions import Condition, _profiles
@@ -600,3 +602,66 @@ def test_distinctness_delta_is_2v_plus_3_at_v7_and_2v_plus_1_at_v3():
     sample = [(A7, B7, e) for e in rng.sample(a_vectors, 12)] + [(a3, b3, e) for e in rng.sample(v3, 4)]
     for a, b, e in sample:
         assert _off_trivial_max(a, b, e) == signal_set_delta(build_signal_set(a, b, e).members).delta
+
+
+def test_twisted_rotation_entries():
+    e = ShiftSequence((0, 2, INFINITY, 1))
+    assert twisted_rotation(e) == ShiftSequence((2, INFINITY, 1, 1))
+    assert twisted_rotation(e, 0) == e
+    # Rotating v times adds 1 to every finite entry.
+    assert twisted_rotation(e, 4) == ShiftSequence((1, 3, INFINITY, 2))
+    once = e
+    for k in range(1, 13):
+        once = twisted_rotation(once)
+        assert twisted_rotation(e, k) == once
+        assert twisted_rotation(once, -k) == e
+
+
+def assert_rotation_maps_the_set(a, b, e, method="direct"):
+    # Each step of the proof, exactly: the members, the delta, the witnesses.
+    pi = np.array([0] + [1 + (j + 1) % e.v for j in range(e.v)])  # pi(1+j) = 1 + (j+1 mod v)
+    original = build_signal_set(a, b, e)
+    rotated = build_signal_set(a, b, twisted_rotation(e))
+    for m, member in enumerate(original.members):
+        assert rotated.members[pi[m]] == left_shift(member, 1)
+    want = signal_set_delta(original.members, method)
+    got = signal_set_delta(rotated.members, method)
+    assert got.delta == want.delta
+    w = want.witnesses
+    i, j = pi[w.i], pi[w.j]
+    order = np.lexsort((w.tau, j, i))  # pi reorders (i, j): sort the image again
+    mapped = (i[order], j[order], w.tau[order], w.value[order])
+    columns = (got.witnesses.i, got.witnesses.j, got.witnesses.tau, got.witnesses.value)
+    assert all(map(np.array_equal, columns, mapped))
+    return got
+
+
+def test_twisted_rotation_maps_every_small_set():
+    # Every vector at v = 2 and 3 with every pair of binary bases, two-level or not.
+    for v in (2, 3):
+        bases = [PeriodicSequence(2, bits) for bits in itertools.product((0, 1), repeat=v)]
+        for entries in itertools.product(range(v), repeat=v):
+            e = ShiftSequence(entries)
+            for a, b in itertools.product(bases, repeat=2):
+                assert_rotation_maps_the_set(a, b, e)
+
+
+def test_twisted_rotation_maps_seeded_v7_sets():
+    rng = random.Random(8)
+    for _ in range(24):
+        a, b = (PeriodicSequence(2, tuple(rng.randrange(2) for _ in range(7))) for _ in "ab")
+        e = ShiftSequence(tuple(rng.randrange(7) for _ in range(7)))
+        for method in ("direct", "fast"):
+            assert_rotation_maps_the_set(a, b, e, method)
+
+
+@pytest.mark.parametrize("v, count", [(31, 35840), (59, 470400)])
+def test_twisted_rotation_of_legendre_sets(v, count):
+    # The rotated quadratic vector fails A but keeps B, and its set keeps
+    # the quadratic set's delta 2v+3 with every witness mapped.
+    e = quadratic_shifts(v, 1, 3)
+    rows = np.array([e.entries, twisted_rotation(e).entries])
+    assert CONDITIONS["A"].holds_rows(rows).tolist() == [True, False]
+    assert CONDITIONS["B"].holds_rows(rows).tolist() == [True, True]
+    got = assert_rotation_maps_the_set(gen_legendre(v, 0), gen_legendre(v, 1), e, "fast")
+    assert got.delta == 2 * v + 3 and len(got.witnesses) == count

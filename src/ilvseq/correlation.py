@@ -3,8 +3,13 @@
 The correlation of a against b at offset tau is the sum over one period of
 (-1)^(a_i + b_(i+tau)): agreements minus disagreements, an exact integer.
 The construction is binary, and so is this module: every entry refuses a
-modulus other than 2, and every value, delta and comparison is an exact
-integer (the transform path rounds back under a residue guard).
+modulus other than 2, and every value, delta and witness is an exact integer.
+The delta engine computes in floats without giving that up. The direct path
+sums the +-1 products in float32: every partial sum is an integer of size at
+most the period n, and float32 holds every integer up to 2^24 exactly, so the
+sum is exact in any order; above period 2^24 the direct path refuses. The
+transform path rounds back in float64 under a residue guard. The scan reads
+the rows as floats and converts only the maximizers to int64.
 """
 
 from __future__ import annotations
@@ -23,8 +28,13 @@ from .sequences import PeriodicSequence, _same_shape
 #: Most correlation values in one block of the delta scan: a block holds
 #: max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, so a small set
 #: is scanned in a few numpy calls and a set with r*n above it (v >= 31) one
-#: member at a time. A block of int64 rows stays near 256 kB.
+#: member at a time. A block of rows stays near 128 kB (float32, direct) or
+#: 256 kB (float64, fast).
 _BLOCK_VALUES = 1 << 15
+
+#: Longest period the direct path sums: float32 holds every integer up to 2^24
+#: exactly, and no partial sum of n products of +-1 exceeds n in size.
+_FLOAT32_EXACT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -42,16 +52,16 @@ class CorrelationProfile:
         return self.values[tau % len(self.values)]
 
 
-def _lift(seqs) -> np.ndarray:
-    """Equal-period binary sequences as int64 rows of +-1; other moduli raise."""
+def _lift(seqs, dtype=np.int64) -> np.ndarray:
+    """Equal-period binary sequences as rows of +-1 in dtype; other moduli raise."""
     _same_shape(seqs)
     p = seqs[0].modulus
     if p != 2:
         raise ValueError(f"correlation is defined for binary sequences, not modulus {p}")
     # Binary values fit a byte, so the members join into one bytes object
-    # instead of passing through a list of Python tuples.
+    # instead of passing through a list of Python tuples, and index a +-1 table.
     values = np.frombuffer(b"".join([bytes(s.values) for s in seqs]), np.uint8)
-    return 1 - 2 * values.astype(np.int64).reshape(len(seqs), -1)
+    return np.array((1, -1), dtype)[values].reshape(len(seqs), -1)
 
 
 def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
@@ -68,8 +78,8 @@ def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> Correlat
     The result is rounded back to exact integers (the float error of the
     transform is far below 1/2 at any desk-scale period).
     """
-    _, rows = next(_correlation_rows(_lift([a, b]), "fast"))
-    return CorrelationProfile(2, tuple(rows[0, 1].tolist()))
+    _, rows = next(_correlation_rows([a, b], "fast"))
+    return CorrelationProfile(2, tuple(rows[0, 1].astype(np.int64).tolist()))
 
 
 def autocorrelation(a: PeriodicSequence) -> CorrelationProfile:
@@ -163,36 +173,45 @@ class DeltaReport:
     member_count: int
 
 
-def _correlation_rows(x: np.ndarray, method: str):
-    """Yield (lo, rows) for each block of members of the lifted r x n array x.
+def _correlation_rows(members, method: str):
+    """Yield (lo, rows) for each block of the r members of period n.
 
     A block is the members lo .. lo+c-1, with c = max(1, _BLOCK_VALUES // (r*n)).
     Its rows start at column lo: rows[h, k, tau] is the correlation of member
     lo+h against member lo+k at offset tau, so at most c x r x n values are
     alive at a time, and a pair against a member of an earlier block is left
     to its mirror (see signal_set_delta). A signal set from v = 31 on has r*n
-    above _BLOCK_VALUES: one member per block. "fast" takes one real
-    transform per member and one batched inverse per block, rounded back to
-    int64; "direct" sums the int64 shift-products exactly over a window view
-    of x doubled.
+    above _BLOCK_VALUES: one member per block. The rows are floats holding
+    exact integers. "fast" takes one real float64 transform per member and
+    one batched inverse per block, rounded under a residue guard. "direct"
+    sums the shift-products of the float32 +-1 rows over a window view of
+    them doubled: each product is +-1 and each partial sum an integer of size
+    at most n, exact in float32 in any order while n <= _FLOAT32_EXACT; a
+    longer period raises before anything is lifted.
     """
-    r, n = x.shape
+    r, n = len(members), members[0].period
     step = max(1, _BLOCK_VALUES // (r * n))
     blocks = range(0, r, step)
     if method == "direct":
+        if n > _FLOAT32_EXACT:
+            raise ValueError(
+                f"direct correlation is exact in float32 only up to period {_FLOAT32_EXACT} "
+                f"(2^24), not {n}; use method=\"fast\""
+            )
+        x = _lift(members, np.float32)
         # windows[j, tau, k] = x[j, (k + tau) mod n], a view: no copy of n^2 size.
         windows = sliding_window_view(np.concatenate([x, x], axis=1), n, axis=1)[:, :n]
         for lo in blocks:
-            # einsum beats matmul on int64.
             yield lo, np.einsum("jtk,hk->hjt", windows[lo:], x[lo : lo + step])
     else:
-        spectra = np.fft.rfft(x.astype(np.float64), axis=1)
+        spectra = np.fft.rfft(_lift(members, np.float64), axis=1)
         for lo in blocks:
             raw = np.fft.irfft(np.conj(spectra[lo : lo + step, None]) * spectra[lo:], n, axis=2)
             rounded = np.rint(raw)
-            if np.max(np.abs(raw - rounded)) > 1e-6:
+            raw -= rounded
+            if np.abs(raw, out=raw).max() > 1e-6:
                 raise RuntimeError("transform residue too large to round safely")
-            yield lo, rounded.astype(np.int64)
+            yield lo, rounded
 
 
 def signal_set_delta(members, method: str = "direct") -> DeltaReport:
@@ -213,16 +232,15 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     if r * v == 1:
         raise ValueError("delta is undefined: no admissible (pair, offset) exists")
 
-    x = _lift(members)
     best = -1
     found = []  # (at, values) per block, at = (i*r + j)*v + tau, every |value| >= best
     mirrored = False  # whether found holds mirrored hits, out of (i, j, tau) order
-    for lo, rows in _correlation_rows(x, method):
+    for lo, rows in _correlation_rows(members, method):
         c, w = rows.shape[:2]  # w = r - lo columns, from member lo on
         rows = rows.reshape(-1)  # value (h*w + k)*v + tau: member lo+h against member lo+k
         mags = np.abs(rows)
         mags[np.arange(c) * (w + 1) * v] = -1  # trivial in-phase peaks (i = j, tau = 0)
-        top = mags.max()
+        top = int(mags.max())
         if top > best:
             best = top
             found = [
@@ -233,7 +251,7 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
         at = np.flatnonzero(mags >= best)
         if not at.size:
             continue
-        vals = rows[at]
+        vals = rows[at].astype(np.int64)
         if lo:  # each row h of the block skipped lo columns
             at += at // (w * v) * (lo * v)
         at += lo * (r + 1) * v
@@ -247,7 +265,7 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
             found.append(((j[later] * r + i[later]) * v + -taus[later] % v, vals[later]))
             mirrored = True
 
-    delta = int(best)
+    delta = best
     at, vals = map(np.concatenate, zip(*found))
     del found  # else the per-block arrays stay alive beside all five columns
     if mirrored:

@@ -130,6 +130,24 @@ def test_correlate_pair_fast_matches_direct(capsys):
     assert direct == fast
 
 
+@pytest.mark.parametrize("partner", [["--b", "1001011"], ["--auto"]])
+def test_correlate_fast_json_equals_direct_json(capsys, partner):
+    # Same values of the same JSON types: a float leaking from the transform
+    # prints 3.0, which compares equal to 3 once parsed but not as text.
+    args = ["correlate", "--a", "1001110", *partner]
+    reports = []
+    for extra in ([], ["--fast"]):
+        code, out, _ = run_cli(capsys, *args, *extra)
+        assert code == 0
+        report = parse_report(out)
+        for key in ("timing", "argv"):
+            del report[key]
+        assert report["results"].pop("method") == ("fast" if extra else "direct")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
+    assert all(type(c) is int for c in json.loads(reports[1])["results"]["profile"]["values"])
+
+
 def test_correlate_requires_partner(capsys):
     code, _, err = run_cli(capsys, "correlate", "--a", "1001110")
     assert code == 2

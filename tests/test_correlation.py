@@ -131,6 +131,18 @@ def test_fast_matches_direct_binary(a, b):
     assert fast_cross_correlation(a, b).values == cross_correlation(a, b).values
 
 
+def test_fast_profile_values_are_python_ints():
+    # The transform computes in float64; the profile must hold exact ints,
+    # as cross_correlation's does, at odd, even and v=31 member periods.
+    pairs = [(A7, B7), (parse_sequence("0110"), parse_sequence("1100")), (A7, A7)]
+    members = build_signal_set(*V31_QUADRATIC).members
+    pairs.append((members[0], members[5]))
+    for a, b in pairs:
+        values = fast_cross_correlation(a, b).values
+        assert all(type(c) is int for c in values)
+        assert values == cross_correlation(a, b).values
+
+
 def test_delta_of_shifted_pair():
     report = signal_set_delta([A7, left_shift(A7, 1)])
     assert report.delta == 7
@@ -429,3 +441,42 @@ def test_transform_residue_is_checked_on_every_block(monkeypatch):
     monkeypatch.setattr(correlation.np.fft, "irfft", skewed)
     with pytest.raises(RuntimeError, match="transform residue"):
         signal_set_delta(WORKED_SET, method="fast")
+
+
+def test_direct_path_refuses_periods_float32_cannot_sum_exactly(monkeypatch):
+    # float32 holds every integer up to 2^24, and 2^24 + 1 is the first it rounds.
+    assert correlation._FLOAT32_EXACT == 1 << 24
+    assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
+    # A lowered bound stands in for period 2^24: no test builds a member that long.
+    want_delta, hits = reference_delta(WORKED_SET)
+    monkeypatch.setattr(correlation, "_FLOAT32_EXACT", 49)
+    assert signal_set_delta(WORKED_SET).delta == want_delta  # period 49 is within
+    monkeypatch.setattr(correlation, "_FLOAT32_EXACT", 48)
+    with pytest.raises(ValueError, match=r'up to period 48 \(2\^24\), not 49; use method="fast"'):
+        signal_set_delta(WORKED_SET)
+    report = signal_set_delta(WORKED_SET, method="fast")
+    assert report.delta == want_delta and list(report.witnesses) == hits
+    # The refusal comes before the members are lifted: at v=31 the lifted rows
+    # alone take 123 kB, and the refusal allocates a small fraction of that.
+    members = build_signal_set(*V31_QUADRATIC).members
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\^24"):
+            signal_set_delta(members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+
+
+@pytest.mark.parametrize("block_values", [DEFAULT_BLOCK_VALUES, 1])
+def test_largest_magnitude_correlations_are_exact(block_values, monkeypatch):
+    # An all-0 and an all-1 member of period 961: every correlation is +-961,
+    # the largest any pair of that period reaches, so every admissible
+    # (i, j, tau) is a witness, mirrored ones too when a block is one member.
+    n = 961
+    members = [PeriodicSequence(2, (0,) * n), PeriodicSequence(2, (1,) * n)]
+    want_delta, hits = reference_delta(members)
+    assert want_delta == n and len(hits) == 4 * n - 2
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", block_values)
+    assert_engine_matches_reference(members)

@@ -6,7 +6,11 @@ entries, so each class has exactly one normalized representative). Full
 enumeration visits every candidate, a numpy block at a time; backtracking
 prunes a prefix as soon as its determined differences already violate the
 predicate, which is sound because adding entries never removes a difference,
-and expands a numpy block of prefixes at a time.
+and expands a numpy block of prefixes at a time, keeping one bit per
+difference (so v <= 64).
+
+Enumeration and sampling judge B-not-A as ``holds_rows`` of B and not of A;
+backtracking decides it inside its walk of B.
 
 ``examined`` counts candidates for full enumeration and the assignment nodes
 of the depth-first walk for backtracking; ``exhaustive`` means the whole space
@@ -86,6 +90,7 @@ _CANONICAL = {"a": "A", "b": "B", "open": "OPEN", "b-not-a": "B-not-A"}
 
 
 def _b_not_a(rows: np.ndarray) -> np.ndarray:
+    # The block verdict of enumeration and sampling; backtrack has its own.
     return CONDITIONS["B"].holds_rows(rows) & ~CONDITIONS["A"].holds_rows(rows)
 
 
@@ -123,6 +128,24 @@ def _row_dtype(v: int) -> np.dtype:
     # e_i - e_k - t in [-v, v) and the modulus v itself (int8 up to v = 127).
     # Rows are stored in it; ``holds_rows`` widens the columns it gathers.
     return np.min_scalar_type(-v - 1)
+
+
+def _mask_dtype(v: int) -> np.dtype:
+    # The smallest unsigned type with a bit for every difference in [0, v):
+    # uint8 up to v = 8, uint16 to 16, uint32 to 32 and uint64 to 64.
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if np.iinfo(dtype).bits >= v:
+            return np.dtype(dtype)
+    raise ValueError(f"backtracking keeps one bit per difference, so v <= 64; got v={v}")
+
+
+def _children(parents: np.ndarray, m: int, index: np.ndarray) -> np.ndarray:
+    # The (v, len(index)) entries of the children ``index`` of a column-major
+    # block of parents expanded at column m: child c is parent c // v with
+    # e_m = c % v (the parents' column m is still 0).
+    kids = parents[:, index // len(parents)]
+    kids[m] = index % len(parents)
+    return kids
 
 
 def _tick(progress: Callable[[int], None] | None, since: int, upto: int) -> None:
@@ -192,15 +215,25 @@ def backtrack(
     """Depth-first assignment with refutation-sound prefix pruning, a numpy
     block of prefixes at a time.
 
-    Each difference term of the predicate's condition is counted once the
-    later of its two entries is placed, and a prefix is pruned as soon as a
-    count passes the cap. A row holds its entries in columns [0, v) and the
-    count of difference d at shift s in column s*v + d. A popped block of
-    parents at depth m expands to all its children at column m, one numpy
-    column op per term of ``later[m]``; the survivors go back on the stack in
-    blocks of ``BLOCK_ROWS // v`` parents, first block on top, so leaves
-    come out in the same lexicographic order as full enumeration. B-not-A
-    searches B and keeps the leaves that ``holds_rows`` of A rejects.
+    Each difference term of the predicate's condition is recorded once the
+    later of its two entries is placed, as the bit ``1 << d`` of its
+    difference d in that shift's masks: a "seen once" mask per shift, and a
+    "seen twice" mask when the cap is 2. A prefix is pruned as soon as a
+    difference passes the cap. Blocks are column-major, so every term op
+    runs on contiguous rows: a block of n prefixes holds its entries in a
+    (v, n) array of ``_row_dtype(v)`` and its masks in a (words, n) array of
+    ``_mask_dtype(v)``. A popped block of parents at depth m expands to all
+    its children at column m. Each term of ``later[m]`` reads the bits of a
+    parent's v children off one row of a (v, v) table (the difference is
+    c - e_m or e_m - c - 1 for the parent's entry c in the term's other
+    column) and then updates the masks with a few unsigned row ops. The
+    survivors go back on the stack in blocks of ``BLOCK_ROWS // v`` parents,
+    first block on top, so leaves come out in the same lexicographic order
+    as full enumeration. B-not-A searches B and also records B's unwrapped
+    terms (t = 0), which are A's, in cap-1 masks of A that set one "A
+    already failed" row; a leaf is a hit when it survives B and that row is
+    set. One bit per difference limits the walk to v <= 64: a larger v
+    raises ``ValueError`` before any work.
 
     ``examined``, ``nodes_by_depth`` and the progress ticks are those of the
     one-node-at-a-time depth-first walk, also on an early stop. That walk
@@ -215,60 +248,75 @@ def backtrack(
     name, _ = _resolve_predicate(spec)
     v = spec.v
     limit = spec.limit
+    mask = _mask_dtype(v)
     b_not_a = name == "B-not-A"
     extended, cap = CONDITIONS["B" if b_not_a else name]
-    # Terms by their later index, each with the column of its shift's counts.
+    # Mask rows: "seen once" at shift s in row s-1, "seen twice" (cap 2) in
+    # row v-1+s-1, then for B-not-A A's "seen once" and the "A failed" row.
+    shifts = v - 1
+    failed = (cap + 1) * shifts
+    words = failed + 1 if b_not_a else cap * shifts
+    # The difference e_i - e_k - t of a term whose later entry e_m is j is
+    # c - j when unwrapped (k = m, c = e_i, t = 0) and j - c - 1 when wrapped
+    # (i = m, c = e_k, t = 1). So the bits 1 << d of the v children of a
+    # parent with entry c are row c of a (v, v) table, one per kind.
+    j, one = np.arange(v), mask.type(1)
+    tables = tuple(one << (d % v).astype(mask) for d in (j[:, None] - j, j - j[:, None] - 1))
+    # Terms by their later index: the column read off the parent, the bit
+    # table, and the mask rows (None where no such mask is kept).
     later = [[] for _ in range(v)]
-    for s, terms in enumerate(difference_terms(v, extended), 1):
+    for s, terms in enumerate(difference_terms(v, extended)):
         for i, k, t in zip(*(arr.tolist() for arr in terms)):
-            later[max(i, k)].append((s * v, i, k, t))
+            twice = s + shifts if cap == 2 else None
+            seen_a = cap * shifts + s if b_not_a and not t else None
+            later[max(i, k)].append((min(i, k), tables[t], s, twice, seen_a))
     lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
-    width = v * v
-    values = np.arange(v, dtype=_row_dtype(v))
-    modulus = values.dtype.type(v)
     step = max(1, BLOCK_ROWS // v)
     tried = [0] * v  # at depth m: v times the survivors found so far at m - 1
     tried[lead] = v
-    stack = [(lead, np.zeros((1, width), dtype=values.dtype), np.zeros((1, v), dtype=np.int64))]
+    root = (np.zeros((v, 1), dtype=_row_dtype(v)), np.zeros((words, 1), dtype=mask))
+    stack = [(lead, *root, np.zeros((1, v), dtype=np.int64))]
     witnesses: list[tuple[int, ...]] = []
     examined = 0  # depth-first nodes up to the last child of the last leaf block
     satisfying = 0
     while stack:
-        m, parents, before = stack.pop()
-        n = len(parents) * v
-        kids = np.repeat(parents, v, axis=0)
-        kids[:, m] = np.tile(values, len(parents))
-        flat = kids.reshape(-1)
-        rowbase = np.arange(0, n * width, width)
-        bad = np.zeros(n, dtype=bool)
-        for base, i, k, t in later[m]:
-            d = kids[:, i] - kids[:, k] - t  # in [-v, v): one add of v, no int8 %
-            d += (d < 0) * modulus
-            slot = rowbase + base + d
-            count = flat[slot] + 1
-            flat[slot] = count
-            bad |= count > cap
-        keep = np.flatnonzero(~bad)
+        m, parents, parent_masks, before = stack.pop()
+        n = parents.shape[1] * v
+        masks = np.repeat(parent_masks, v, axis=1)
+        bad = np.zeros(n, dtype=mask)
+        for other, table, once, twice, seen_a in later[m]:
+            bit = table.take(parents[other], axis=0).reshape(n)
+            if twice is None:
+                bad |= masks[once] & bit
+            else:
+                bad |= masks[twice] & bit
+                masks[twice] |= masks[once] & bit
+            masks[once] |= bit
+            if seen_a is not None:
+                masks[failed] |= masks[seen_a] & bit
+                masks[seen_a] |= bit
+        keep = np.flatnonzero(bad == 0)
         if m < v - 1:
+            kids = _children(parents, m, keep)
             ahead = before[keep // v]
             ahead[:, m + 1] = tried[m + 1] + v * np.arange(len(keep))
             tried[m + 1] += v * len(keep)
             for start in reversed(range(0, len(keep), step)):
                 part = slice(start, start + step)
-                stack.append((m + 1, kids[keep[part]], ahead[part]))
+                stack.append((m + 1, kids[:, part], masks[:, keep[part]], ahead[part]))
             continue
-        hits = keep
-        if b_not_a:
-            hits = keep[~CONDITIONS["A"].holds_rows(kids[keep, :v])]
+        hits = keep[masks[failed, keep] != 0] if b_not_a else keep
         stop = 0 < limit <= len(witnesses) + len(hits)
         if stop:
             hits = hits[: limit - len(witnesses)]
         last = int(hits[-1]) if stop else n - 1
-        nodes = (before[last // v, lead:] + kids[last, lead:v] + 1).tolist()
+        nodes = (before[last // v, lead:] + parents[lead:, last // v] + 1).tolist()
+        nodes[-1] += last % v  # a parent's e_m is 0; the last node's is last % v
         _tick(progress, examined, sum(nodes))
         examined = sum(nodes)
         satisfying += len(hits)
-        _collect(kids[hits, :v], name, limit, witnesses)
+        if limit or name == "OPEN":  # the leaves' entries only when _collect reads them
+            _collect(_children(parents, m, hits).T, name, limit, witnesses)
         if stop:
             found = tuple(map(ShiftSequence, witnesses))
             return SearchOutcome(found, examined, satisfying, False, tuple(nodes))

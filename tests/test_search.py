@@ -251,17 +251,31 @@ def _reference_run(v, pred, normalize, limit):
     return (dataclasses.replace(out, witnesses=()) if not limit else out), ticks
 
 
-@pytest.mark.parametrize(
-    "v, normalize, rows",
+_BLOCK_CASES = (
     [(v, normalize, rows) for v in range(2, 6) for normalize in (True, False) for rows in (8, 64)]
     + [(6, True, 8), (6, True, 64), (6, False, 64)]
-    + [(7, True, 64), (7, True, 4096), (7, False, 4096)],
+    + [(7, True, 64), (7, True, 4096), (7, False, 4096)]
 )
-def test_block_backtrack_matches_depth_first_reference(monkeypatch, v, normalize, rows):
+
+
+@pytest.mark.parametrize(
+    "v, normalize, rows, word",
+    [pytest.param(*case, None, id="-".join(map(str, case))) for case in _BLOCK_CASES]
+    + [
+        pytest.param(v, normalize, 64, word, id=f"{v}-{normalize}-64-{word.__name__}")
+        for v in range(2, 7)
+        for normalize in (True, False)
+        for word in (np.uint16, np.uint32, np.uint64)
+    ],
+)
+def test_block_backtrack_matches_depth_first_reference(monkeypatch, v, normalize, rows, word):
     # Small blocks make limit stops land inside a block and after several;
     # with 8 rows and v >= 5 a block holds one parent. Larger v runs only the
     # larger blocks, since the one-parent walk of v=7 takes half a minute.
+    # A wider mask word than v needs must leave every count as it is.
     monkeypatch.setattr(search_mod, "BLOCK_ROWS", rows)
+    if word is not None:
+        monkeypatch.setattr(search_mod, "_mask_dtype", lambda v: np.dtype(word))
     monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", 37)
     for pred in ("A", "B", "B-not-A", "OPEN"):
         for limit in (0, 1, 7, 50, 10**9):
@@ -275,14 +289,78 @@ def test_block_backtrack_matches_depth_first_reference(monkeypatch, v, normalize
             assert ticks == want_ticks, (pred, limit)
 
 
+@pytest.mark.parametrize(
+    "v, pred, limit, satisfying, examined",
+    [(9, "A", 0, 1998, 372690), (9, "OPEN", 0, 0, 126774)]
+    + [(9, pred, limit, limit, None) for pred in ("B", "B-not-A") for limit in (1, 7)]
+    + [(13, "A", 1, 1, 6801), (19, "B-not-A", 1, 1, 88), (26, "B-not-A", 1, 1, 27718)],
+)
+def test_wide_mask_words_match_depth_first_reference(v, pred, limit, satisfying, examined):
+    # Real uint16 (v = 9, 13) and uint32 (v = 19, 26) masks, against the
+    # scalar walk and the counts that walk gives.
+    spec = SearchSpec(v, pred, limit=limit, strategy="backtrack", force=True)
+    assert search_mod._mask_dtype(v) == (np.uint16 if v <= 16 else np.uint32)
+    ticks, want_ticks = [], []
+    out = backtrack(spec, progress=ticks.append)
+    want = _reference_backtrack(spec, want_ticks.append)
+    assert out == want
+    assert out.nodes_by_depth == want.nodes_by_depth
+    assert ticks == want_ticks
+    assert out.satisfying == satisfying
+    assert out.exhaustive == (limit == 0)
+    if examined is not None:
+        assert out.examined == examined
+
+
 def test_backtrack_v8_frozen_counts():
-    counts = {"A": (1600, 74760), "B": (275328, 1224328),
-              "B-not-A": (273728, 1224328), "OPEN": (0, 33032)}
-    for pred, (satisfying, examined) in counts.items():
+    counts = {
+        "A": (1600, (8, 64, 448, 2688, 11136, 27648, 32768)),
+        "B": (275328, (8, 64, 512, 4032, 30464, 206976, 982272)),
+        "B-not-A": (273728, (8, 64, 512, 4032, 30464, 206976, 982272)),
+        "OPEN": (0, (8, 64, 448, 2688, 11136, 16640, 2048)),
+    }
+    for pred, (satisfying, nodes) in counts.items():
         out = backtrack(SearchSpec(8, pred, strategy="backtrack"))
-        assert (out.satisfying, out.examined, out.exhaustive) == (satisfying, examined, True)
-        if pred == "B":
-            assert out.nodes_by_depth == (8, 64, 512, 4032, 30464, 206976, 982272)
+        assert (out.satisfying, out.exhaustive) == (satisfying, True)
+        assert out.nodes_by_depth == nodes
+        assert out.examined == sum(nodes)
+    assert sum(counts["A"][1]) == 74760 and sum(counts["OPEN"][1]) == 33032
+    assert sum(counts["B"][1]) == 1224328
+
+
+def test_mask_dtype_is_the_narrowest_word():
+    widths = {2: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32,
+              32: np.uint32, 33: np.uint64, 64: np.uint64}
+    for v, word in widths.items():
+        assert search_mod._mask_dtype(v) == word
+
+
+def test_backtrack_refuses_v_above_64(monkeypatch):
+    # One bit per difference: v = 65 is refused before any work, v = 64 is
+    # walked in uint64 words, and full enumeration and sampling take any v.
+    with pytest.raises(ValueError, match="v <= 64"):
+        search_mod._mask_dtype(65)
+    calls = []
+    monkeypatch.setattr(search_mod, "difference_terms", lambda *a: calls.append(a) or ())
+    for v in (65, 200):
+        with pytest.raises(ValueError, match="v <= 64"):
+            backtrack(SearchSpec(v, "A", limit=1, strategy="backtrack", force=True))
+    assert calls == []
+    # With no terms nothing is pruned, so the walk dives straight to its
+    # first leaf, the all-zero vector.
+    out = backtrack(SearchSpec(64, "A", limit=1, strategy="backtrack", force=True))
+    assert calls == [(64, False)]
+    assert [w.entries for w in out.witnesses] == [(0,) * 64]
+    assert out.nodes_by_depth == (1,) * 63
+    monkeypatch.undo()
+
+    def stop(tick):
+        raise _StopSearch
+
+    monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", 1)
+    with pytest.raises(_StopSearch):  # the first block was judged
+        enumerate_space(SearchSpec(65, "B", limit=1, force=True), progress=stop)
+    assert sample_random(65, "B", 3, seed=1).examined == 3
 
 
 def test_backtrack_v7_completeness_frozen_counts():

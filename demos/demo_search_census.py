@@ -32,11 +32,12 @@ print("multiplicity-but-not-distinctness witnesses:",
       [str(w) for w in strict.witnesses])
 
 # The completeness census: witnesses exist at v = 2 and then never again.
-# Each row is an exhaustive sweep of the normalized space.
+# Each row covers all v^(v-1) normalized candidates with one backtracking
+# walk; ``nodes`` is how many nodes that walk visited.
 table = verify_open_nonexistence(7)
 for v, entry in sorted(table.items()):
     mark = [str(w) for w in entry.witnesses] if entry.exists else "none"
-    print(f"  v={v}: {entry.examined:>7} candidates, witnesses {mark}")
+    print(f"  v={v}: {entry.examined:>7} candidates in {entry.nodes:>5} nodes, witnesses {mark}")
 
 # Past v = 8 exhaustive sweeps are refused (the space grows as v^(v-1));
 # seeded random sampling is the supported fallback there.

@@ -254,6 +254,7 @@ def _cmd_verify_nonexistence(args):
                 "witnesses": [str(w) for w in ent.witnesses],
                 "examined": ent.examined,
                 "exhaustive": ent.exhaustive,
+                "nodes": ent.nodes,
             }
         )
     confirmed = _reproduce.census_confirmed(table)

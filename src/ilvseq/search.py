@@ -14,8 +14,9 @@ backtracking decides it inside its walk of B.
 
 ``examined`` counts candidates for full enumeration and the assignment nodes
 of the depth-first walk for backtracking; ``exhaustive`` means the whole space
-was logically covered (false only after an early stop on a witness limit, or
-for random sampling).
+was logically covered (false only when a witness limit stops the search
+before its last candidate or node, and for random sampling). The
+completeness census walks the space by backtracking.
 """
 
 from __future__ import annotations
@@ -242,7 +243,10 @@ def backtrack(
     (rho = 0 for the root) it has tried v*rho + e_m + 1 nodes at depth m.
     Blocks pop in lexicographic order, so a running count per depth,
     ``tried``, gives each survivor its rank, and every row carries
-    ``before[m]`` = v*rho for each of its prefixes.
+    ``before[m]`` = v*rho for each of its prefixes. Progress is reported at
+    every popped block, at the count on reaching its first child, and at
+    the last node judged in each leaf block; deeper than the block, ``tried``
+    then holds just the nodes of the earlier subtrees, all of them walked.
     """
     _guard_budget(spec.v, spec.force)
     name, _ = _resolve_predicate(spec)
@@ -277,11 +281,16 @@ def backtrack(
     root = (np.zeros((v, 1), dtype=_row_dtype(v)), np.zeros((words, 1), dtype=mask))
     stack = [(lead, *root, np.zeros((1, v), dtype=np.int64))]
     witnesses: list[tuple[int, ...]] = []
-    examined = 0  # depth-first nodes up to the last child of the last leaf block
+    reported = 0  # the depth-first count of the last progress report
     satisfying = 0
     while stack:
         m, parents, parent_masks, before = stack.pop()
         n = parents.shape[1] * v
+        if progress is not None:  # the count on reaching the block's first child
+            first = before[0, lead : m + 1].sum() + parents[lead : m + 1, 0].sum()
+            first = int(first) + m + 1 - lead + sum(tried[m + 1 :])
+            _tick(progress, reported, first)
+            reported = first
         masks = np.repeat(parent_masks, v, axis=1)
         bad = np.zeros(n, dtype=mask)
         for other, table, once, twice, seen_a in later[m]:
@@ -312,16 +321,21 @@ def backtrack(
         last = int(hits[-1]) if stop else n - 1
         nodes = (before[last // v, lead:] + parents[lead:, last // v] + 1).tolist()
         nodes[-1] += last % v  # a parent's e_m is 0; the last node's is last % v
-        _tick(progress, examined, sum(nodes))
         examined = sum(nodes)
+        _tick(progress, reported, examined)
+        reported = examined
         satisfying += len(hits)
         if limit or name == "OPEN":  # the leaves' entries only when _collect reads them
             _collect(_children(parents, m, hits).T, name, limit, witnesses)
         if stop:
+            # Every block is expanded once the stack is empty, so ``tried`` is
+            # then the whole walk's: the stop covered it all when it is the
+            # walk's last node, which is then the last candidate.
+            covered = not stack and nodes == tried[lead:]
             found = tuple(map(ShiftSequence, witnesses))
-            return SearchOutcome(found, examined, satisfying, False, tuple(nodes))
+            return SearchOutcome(found, examined, satisfying, covered, tuple(nodes))
     nodes = tried[lead:]
-    _tick(progress, examined, sum(nodes))
+    _tick(progress, reported, sum(nodes))
     found = tuple(map(ShiftSequence, witnesses))
     return SearchOutcome(found, sum(nodes), satisfying, True, tuple(nodes))
 
@@ -338,13 +352,18 @@ def run_search(
 
 @dataclass(frozen=True)
 class NonexistenceEntry:
-    """One period's completeness-condition census."""
+    """One period's completeness-condition census.
+
+    ``examined`` is the number of candidates covered, v^(v-1); ``nodes`` is
+    the number of nodes the backtracking walk visited to cover them.
+    """
 
     v: int
     exists: bool
     witnesses: tuple[ShiftSequence, ...]
     examined: int
     exhaustive: bool
+    nodes: int
 
     @property
     def witness(self) -> ShiftSequence | None:
@@ -354,18 +373,23 @@ class NonexistenceEntry:
 def verify_open_nonexistence(v_max: int, force: bool = False) -> dict[int, NonexistenceEntry]:
     """Exhaustively census the completeness condition for every v in [2, v_max].
 
-    One pass per period over the normalized space; its witness limit is the
-    size of that space, so every witness is kept and the pass never stops early.
+    One backtracking walk per period covers its normalized space of v^(v-1)
+    candidates. Its witness limit is the size of that space, so every witness
+    is kept and the walk never stops before covering it all. Full enumeration
+    covers the same space with the same witnesses in the same order.
     """
     if v_max < 2:
         raise ValueError(f"v_max must be at least 2, got {v_max}")
-    # Refuse before any work, naming the first period past the budget.
+    # Refuse before any work, naming the first period past the budget, or
+    # past the walk's one bit per difference.
     _guard_budget(min(v_max, BUDGET_MAX_V + 1), force)
+    _mask_dtype(v_max)
     table = {}
     for v in range(2, v_max + 1):
-        run = enumerate_space(SearchSpec(v, "OPEN", limit=v ** (v - 1), force=force))
+        size = v ** (v - 1)
+        run = backtrack(SearchSpec(v, "OPEN", limit=size, strategy="backtrack", force=force))
         table[v] = NonexistenceEntry(
-            v, run.satisfying > 0, run.witnesses, run.examined, run.exhaustive
+            v, run.satisfying > 0, run.witnesses, size, run.exhaustive, run.examined
         )
     return table
 

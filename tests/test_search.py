@@ -166,9 +166,10 @@ class _StopSearch(Exception):
     pass
 
 
-def _reference_backtrack(spec, progress=None):
+def _reference_backtrack(spec, progress=None, firsts=None):
     """The scalar depth-first walk, one node at a time: the oracle of the
-    block walk's witnesses, node counts and progress ticks."""
+    block walk's witnesses, node counts and progress ticks. ``firsts``, if
+    given, gets the count on reaching each first child (entry 0)."""
     name, _ = search_mod._resolve_predicate(spec)
     v = spec.v
     limit = spec.limit
@@ -197,6 +198,8 @@ def _reference_backtrack(spec, progress=None):
             nodes[m] += 1
             if progress is not None and examined % search_mod.PROGRESS_INTERVAL == 0:
                 progress(examined)
+            if firsts is not None and val == 0:
+                firsts.append(examined)
             added = []
             added_a = []
             for base, i, k, t in terms:
@@ -437,13 +440,100 @@ def test_verify_open_nonexistence_table():
 
 
 def test_verify_open_nonexistence_refuses_before_enumerating(monkeypatch):
+    # Both walkers are patched, so a census that did any work before its
+    # refusal, whichever way it covers the space, leaves a call behind.
     calls = []
-    monkeypatch.setattr(search_mod, "enumerate_space", lambda *a, **k: calls.append(a))
+    for walker in ("enumerate_space", "backtrack"):
+        monkeypatch.setattr(search_mod, walker, lambda *a, **k: calls.append(a))
     limit = search_mod.BUDGET_MAX_V
     for v_max in (limit + 1, limit + 5):
         with pytest.raises(BudgetExceededError, match=f"v={limit + 1} exceeds"):
             verify_open_nonexistence(v_max)
+    # Forced, the census still refuses a period past the walk's 64 bits.
+    with pytest.raises(ValueError, match="v <= 64"):
+        verify_open_nonexistence(65, force=True)
     assert calls == []
+
+
+def test_verify_open_nonexistence_matches_enumeration():
+    # The census walks by backtracking; full enumeration of every v <= 8
+    # rebuilds the same table, and ``nodes`` is the walk's node count.
+    table = verify_open_nonexistence(8)
+    assert sorted(table) == list(range(2, 9))
+    for v, entry in table.items():
+        size = v ** (v - 1)
+        full = enumerate_space(SearchSpec(v, "OPEN", limit=size))
+        assert full.examined == entry.examined == size
+        assert full.exhaustive and entry.exhaustive
+        assert entry.witnesses == full.witnesses
+        assert entry.exists == (full.satisfying > 0)
+        assert entry.nodes == backtrack(SearchSpec(v, "OPEN", strategy="backtrack")).examined
+    assert [table[v].nodes for v in table] == [2, 12, 68, 330, 1590, 6132, 33032]
+
+
+def test_backtrack_exhaustive_flag_matches_enumeration():
+    # A limit met on the walk's last node, the last candidate, covers
+    # the whole space, as it does for enumeration; met on any other node,
+    # even the last child of the last block judged, it does not.
+    agreed = []
+    for v in range(2, 7):
+        for normalize in (True, False):
+            for pred in ("A", "B", "B-not-A", "OPEN"):
+                hits = enumerate_space(SearchSpec(v, pred, normalize=normalize)).satisfying
+                for limit in {max(1, hits - 1), max(1, hits), hits + 1}:
+                    spec = SearchSpec(v, pred, normalize=normalize, limit=limit)
+                    full = enumerate_space(spec)
+                    walk = backtrack(dataclasses.replace(spec, strategy="backtrack"))
+                    assert walk.witnesses == full.witnesses, (v, normalize, pred, limit)
+                    assert walk.satisfying == full.satisfying, (v, normalize, pred, limit)
+                    assert walk.exhaustive == full.exhaustive, (v, normalize, pred, limit)
+                    agreed.append(limit == hits and full.exhaustive)
+    assert any(agreed)  # some limits are met exactly on the last candidate
+
+
+def test_backtrack_reports_progress_before_any_leaf(monkeypatch):
+    # Every popped block reports its first child's count, so a raising
+    # callback stops the walk at its first block: before any survivor is
+    # expanded, and also at v = 64, whose first leaf is far away.
+    def stop(tick):
+        raise _StopSearch(tick)
+
+    expanded = []
+    children = search_mod._children
+    monkeypatch.setattr(
+        search_mod, "_children", lambda *a: expanded.append(a[1]) or children(*a)
+    )
+    monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", 1)
+    for v in (8, 64):
+        with pytest.raises(_StopSearch) as raised:
+            backtrack(SearchSpec(v, "A", limit=1, strategy="backtrack", force=True), progress=stop)
+        assert raised.value.args == (1,)
+        assert expanded == []
+
+
+
+@pytest.mark.parametrize("v, normalize", [(4, True), (4, False), (5, True), (6, True)])
+def test_backtrack_block_reports_are_first_child_counts(monkeypatch, v, normalize):
+    # With one parent per block every surviving prefix is popped alone, so
+    # its block's report is the depth-first count on reaching its first
+    # child: the reference walk's count at every node with entry 0, in
+    # order. The leaf blocks' own reports (their last child, entry v - 1)
+    # are never such a count.
+    monkeypatch.setattr(search_mod, "BLOCK_ROWS", 1)
+    reports = []
+    tick = search_mod._tick
+    monkeypatch.setattr(
+        search_mod, "_tick", lambda *args: reports.append(args[2]) or tick(*args)
+    )
+    for pred in ("A", "B", "B-not-A", "OPEN"):
+        spec = SearchSpec(v, pred, normalize=normalize, strategy="backtrack")
+        firsts = []
+        want = _reference_backtrack(spec, firsts=firsts)
+        reports.clear()
+        out = backtrack(spec, progress=lambda tick: None)
+        assert out == want
+        assert [r for r in reports if r in set(firsts)] == firsts, pred
+        assert reports == sorted(reports) and reports[-1] == out.examined
 
 
 def test_sample_random_deterministic():

@@ -35,7 +35,7 @@ from .search import (
     BudgetExceededError,
     SearchOutcome,
     SearchSpec,
-    run_search,
+    backtrack,
     sample_random,
     verify_open_nonexistence,
 )
@@ -231,7 +231,7 @@ def _cmd_search(args):
             raise ValueError("--seed applies only to --sample")
         strategy = args.strategy or "full"
         spec = SearchSpec(args.v, args.pred, limit=args.limit, strategy=strategy, force=args.force)
-        outcome = run_search(spec, progress=progress)
+        outcome = backtrack(spec, progress=progress)
     results = _outcome_json(outcome)
     results["strategy"] = strategy
     pretty = [
@@ -328,7 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
     preds = ("A", "B", "b-not-a", "B-not-A", "open", "OPEN")
     search.add_argument("--pred", required=True, choices=preds)
     search.add_argument("--limit", type=int, default=0, help="stop after this many witnesses")
-    search.add_argument("--strategy", choices=("full", "backtrack"), help="sweep strategy (default full)")
+    search.add_argument(
+        "--strategy", choices=("full", "backtrack"),
+        help="count a sweep's covered candidates (full, the default) or its walk's nodes (backtrack)",
+    )
     search.add_argument("--force", action="store_true", help="override a sweep's budget guard")
     mode = search.add_mutually_exclusive_group()
     mode.add_argument("--progress", action="store_true", help="emit a sweep's examined counts and rates to stderr")

@@ -1,27 +1,23 @@
-"""Exhaustive and pruned search over finite shift vectors.
+"""Exhaustive and sampled search over finite shift vectors.
 
 The search space for length v is all of Z_v^v, cut down to v^(v-1) by fixing
 e_0 = 0 (every predicate here is invariant under adding a constant to all
-entries, so each class has exactly one normalized representative). Full
-enumeration visits every candidate, a numpy block at a time; backtracking
-prunes a prefix as soon as its determined differences already violate the
-predicate, which is sound because adding entries never removes a difference,
-and expands a numpy block of prefixes at a time, keeping one bit per
-difference (so v <= 64).
+entries, so each class has exactly one normalized representative). The one
+exhaustive walker, ``backtrack``, prunes a prefix as soon as its determined
+differences already violate the predicate, which is sound because adding
+entries never removes a difference, and expands a numpy block of prefixes at
+a time, keeping one bit per difference (so v <= 64). Its witnesses come out
+in lexicographic order; B-not-A is decided inside the walk of B.
 
-Enumeration and sampling judge B-not-A as ``holds_rows`` of B and not of A;
-backtracking decides it inside its walk of B.
-
-``examined`` counts candidates for full enumeration and the assignment nodes
-of the depth-first walk for backtracking; ``exhaustive`` means the whole space
-was logically covered (false only when a witness limit stops the search
-before its last candidate or node, and for random sampling). The
-completeness census walks the space by backtracking.
+``SearchSpec.strategy`` sets only what the walk counts as ``examined``: the
+candidates it covers ("full") or its assignment nodes ("backtrack").
+``exhaustive`` means the whole space was logically covered (false only when a
+witness limit stops the walk before its last candidate, and for random
+sampling). The completeness census walks the space too.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -37,8 +33,7 @@ BUDGET_MAX_V = 8
 #: Examined-count granularity of progress callbacks.
 PROGRESS_INTERVAL = 20000
 
-#: Most rows in one block of full enumeration (a block holds v^L rows, for
-#: the largest such L) or of random sampling, and most children of one
+#: Most rows in one block of random sampling, and most children of one
 #: backtracking expansion. Larger blocks amortize numpy's per-call cost;
 #: these stay far below a megabyte.
 BLOCK_ROWS = 4096
@@ -55,7 +50,10 @@ class SearchSpec:
     ``predicate`` names one of "A", "B", "B-not-A", "OPEN", case-insensitive;
     any other value raises ``ValueError`` here. ``limit`` > 0 stops the
     search once that many witnesses are collected; 0 counts everything and
-    stores none. ``force`` overrides the v <= BUDGET_MAX_V guard.
+    stores none. ``strategy`` is "full" (the default) to count ``examined``
+    as the candidates the walk covers, or "backtrack" to count its nodes;
+    both give the same witnesses and ``satisfying`` (see ``backtrack``).
+    ``force`` overrides the v <= BUDGET_MAX_V guard.
     """
 
     v: int
@@ -83,7 +81,7 @@ class SearchOutcome:
     satisfying: int
     exhaustive: bool
     #: Depth-first backtracking nodes per placed column; they sum to
-    #: ``examined``. Empty for the other strategies.
+    #: ``examined``. Empty for a "full" sweep and for random sampling.
     nodes_by_depth: tuple[int, ...] = field(default=(), compare=False)
 
 
@@ -91,7 +89,7 @@ _CANONICAL = {"a": "A", "b": "B", "open": "OPEN", "b-not-a": "B-not-A"}
 
 
 def _b_not_a(rows: np.ndarray) -> np.ndarray:
-    # The block verdict of enumeration and sampling; backtrack has its own.
+    # The block verdict of random sampling; backtrack decides B-not-A itself.
     return CONDITIONS["B"].holds_rows(rows) & ~CONDITIONS["A"].holds_rows(rows)
 
 
@@ -149,6 +147,12 @@ def _children(parents: np.ndarray, m: int, index: np.ndarray) -> np.ndarray:
     return kids
 
 
+def _rank(entries: list[int], v: int) -> int:
+    # A candidate's lexicographic rank in Z_v^v, the same among the normalized
+    # ones when e_0 = 0; a Python int, as v^v overflows int64 past v = 15.
+    return sum(e * v ** (v - 1 - i) for i, e in enumerate(entries))
+
+
 def _tick(progress: Callable[[int], None] | None, since: int, upto: int) -> None:
     # Report every multiple of PROGRESS_INTERVAL in (since, upto].
     if progress is not None:
@@ -166,47 +170,6 @@ def _collect(rows: np.ndarray, name: str, limit: int, witnesses: list) -> None:
                 _crosscheck_open_hit(entries)
             if limit:
                 witnesses.append(entries)
-
-
-def enumerate_space(
-    spec: SearchSpec,
-    progress: Callable[[int], None] | None = None,
-) -> SearchOutcome:
-    """Visit every candidate in lexicographic order and apply the predicate.
-
-    The space is walked in blocks of v^L rows that share their head digits;
-    the last L columns hold every tail in order, and each block is judged at
-    once by the predicate's block verdict (``Condition.holds_rows``).
-    """
-    _guard_budget(spec.v, spec.force)
-    name, verdict = _resolve_predicate(spec)
-    v = spec.v
-    limit = spec.limit
-    lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
-    free = v - lead
-    tail = 1
-    while tail < free and v ** (tail + 1) <= BLOCK_ROWS:
-        tail += 1
-    block = np.zeros((v**tail, v), dtype=_row_dtype(v))
-    block[:, v - tail :] = np.indices((v,) * tail).reshape(tail, -1).T
-    examined = satisfying = 0
-    witnesses = []
-    for head in itertools.product(range(v), repeat=free - tail):
-        block[:, lead : v - tail] = head
-        hits = np.flatnonzero(verdict(block))
-        size = len(block)
-        if limit and len(witnesses) + len(hits) >= limit:
-            hits = hits[: limit - len(witnesses)]
-            size = int(hits[-1]) + 1
-        _tick(progress, examined, examined + size)
-        examined += size
-        satisfying += len(hits)
-        _collect(block[hits], name, limit, witnesses)
-        if limit and len(witnesses) >= limit:
-            break
-    return SearchOutcome(
-        tuple(map(ShiftSequence, witnesses)), examined, satisfying, examined == v**free
-    )
 
 
 def backtrack(
@@ -229,20 +192,27 @@ def backtrack(
     c - e_m or e_m - c - 1 for the parent's entry c in the term's other
     column) and then updates the masks with a few unsigned row ops. The
     survivors go back on the stack in blocks of ``BLOCK_ROWS // v`` parents,
-    first block on top, so leaves come out in the same lexicographic order
-    as full enumeration. B-not-A searches B and also records B's unwrapped
-    terms (t = 0), which are A's, in cap-1 masks of A that set one "A
-    already failed" row; a leaf is a hit when it survives B and that row is
-    set. One bit per difference limits the walk to v <= 64: a larger v
-    raises ``ValueError`` before any work.
+    first block on top, so leaves come out in lexicographic order. B-not-A
+    searches B and also records B's unwrapped terms (t = 0), which are A's,
+    in cap-1 masks of A that set one "A already failed" row; a leaf is a hit
+    when it survives B and that row is set. One bit per difference limits
+    the walk to v <= 64: a larger v raises ``ValueError`` before any work.
 
-    ``examined``, ``nodes_by_depth`` and the progress ticks are those of the
-    one-node-at-a-time depth-first walk, also on an early stop. That walk
-    tries all v children of each surviving prefix in order, so on reaching a
-    node with entry e_m whose prefix is the rho-th survivor of its length
-    (rho = 0 for the root) it has tried v*rho + e_m + 1 nodes at depth m.
-    Blocks pop in lexicographic order, so a running count per depth,
-    ``tried``, gives each survivor its rank, and every row carries
+    With ``spec.strategy == "full"`` the walk reports what a sweep of every
+    candidate in lexicographic order would: ``examined`` is the number of
+    candidates covered, v^free on an exhaustive run and the rank of the
+    limit-th witness plus one on a stop, and ``nodes_by_depth`` is empty.
+    Each popped block reports the rank of its first child's prefix padded
+    with zeros, and each leaf block the rank of its last judged child plus
+    one: every earlier candidate has been judged or pruned by then.
+
+    With "backtrack", ``examined``, ``nodes_by_depth`` and the progress ticks
+    are those of the one-node-at-a-time depth-first walk, also on an early
+    stop. That walk tries all v children of each surviving prefix in order,
+    so on reaching a node with entry e_m whose prefix is the rho-th survivor
+    of its length (rho = 0 for the root) it has tried v*rho + e_m + 1 nodes
+    at depth m. Blocks pop in lexicographic order, so a running count per
+    depth, ``tried``, gives each survivor its rank, and every row carries
     ``before[m]`` = v*rho for each of its prefixes. Progress is reported at
     every popped block, at the count on reaching its first child, and at
     the last node judged in each leaf block; deeper than the block, ``tried``
@@ -254,6 +224,7 @@ def backtrack(
     limit = spec.limit
     mask = _mask_dtype(v)
     b_not_a = name == "B-not-A"
+    full = spec.strategy == "full"
     extended, cap = CONDITIONS["B" if b_not_a else name]
     # Mask rows: "seen once" at shift s in row s-1, "seen twice" (cap 2) in
     # row v-1+s-1, then for B-not-A A's "seen once" and the "A failed" row.
@@ -281,14 +252,17 @@ def backtrack(
     root = (np.zeros((v, 1), dtype=_row_dtype(v)), np.zeros((words, 1), dtype=mask))
     stack = [(lead, *root, np.zeros((1, v), dtype=np.int64))]
     witnesses: list[tuple[int, ...]] = []
-    reported = 0  # the depth-first count of the last progress report
+    reported = 0  # the count of the last progress report
     satisfying = 0
     while stack:
         m, parents, parent_masks, before = stack.pop()
         n = parents.shape[1] * v
-        if progress is not None:  # the count on reaching the block's first child
-            first = before[0, lead : m + 1].sum() + parents[lead : m + 1, 0].sum()
-            first = int(first) + m + 1 - lead + sum(tried[m + 1 :])
+        if progress is not None:
+            if full:  # the candidates before the first child; columns m.. are 0
+                first = _rank(parents[:, 0].tolist(), v)
+            else:  # the depth-first count on reaching the block's first child
+                first = before[0, lead : m + 1].sum() + parents[lead : m + 1, 0].sum()
+                first = int(first) + m + 1 - lead + sum(tried[m + 1 :])
             _tick(progress, reported, first)
             reported = first
         masks = np.repeat(parent_masks, v, axis=1)
@@ -321,7 +295,7 @@ def backtrack(
         last = int(hits[-1]) if stop else n - 1
         nodes = (before[last // v, lead:] + parents[lead:, last // v] + 1).tolist()
         nodes[-1] += last % v  # a parent's e_m is 0; the last node's is last % v
-        examined = sum(nodes)
+        examined = _rank(parents[:, last // v].tolist(), v) + last % v + 1 if full else sum(nodes)
         _tick(progress, reported, examined)
         reported = examined
         satisfying += len(hits)
@@ -331,23 +305,15 @@ def backtrack(
             # Every block is expanded once the stack is empty, so ``tried`` is
             # then the whole walk's: the stop covered it all when it is the
             # walk's last node, which is then the last candidate.
-            covered = not stack and nodes == tried[lead:]
-            found = tuple(map(ShiftSequence, witnesses))
-            return SearchOutcome(found, examined, satisfying, covered, tuple(nodes))
-    nodes = tried[lead:]
-    _tick(progress, reported, sum(nodes))
+            exhaustive = not stack and nodes == tried[lead:]
+            break
+    else:
+        exhaustive = True
+        nodes = tried[lead:]
+        examined = v ** (v - lead) if full else sum(nodes)
+        _tick(progress, reported, examined)
     found = tuple(map(ShiftSequence, witnesses))
-    return SearchOutcome(found, sum(nodes), satisfying, True, tuple(nodes))
-
-
-def run_search(
-    spec: SearchSpec,
-    progress: Callable[[int], None] | None = None,
-) -> SearchOutcome:
-    """Dispatch on spec.strategy ("full" enumeration or "backtrack")."""
-    if spec.strategy == "backtrack":
-        return backtrack(spec, progress=progress)
-    return enumerate_space(spec, progress=progress)
+    return SearchOutcome(found, examined, satisfying, exhaustive, () if full else tuple(nodes))
 
 
 @dataclass(frozen=True)
@@ -375,8 +341,7 @@ def verify_open_nonexistence(v_max: int, force: bool = False) -> dict[int, Nonex
 
     One backtracking walk per period covers its normalized space of v^(v-1)
     candidates. Its witness limit is the size of that space, so every witness
-    is kept and the walk never stops before covering it all. Full enumeration
-    covers the same space with the same witnesses in the same order.
+    is kept and the walk never stops before covering it all.
     """
     if v_max < 2:
         raise ValueError(f"v_max must be at least 2, got {v_max}")

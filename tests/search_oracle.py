@@ -1,0 +1,44 @@
+"""Full enumeration of shift-vector space: the oracle of every exhaustive sweep.
+
+The library walks the space by backtracking only; this module builds every
+candidate in lexicographic order and judges each with the conditions' block
+verdicts (``Condition.holds_rows``), so a "full" sweep's witnesses, counts,
+limits and progress ticks can be checked against it. It reaches v = 8
+normalized (2,097,152 rows) in about a second.
+"""
+
+import numpy as np
+
+from ilvseq import CONDITIONS
+
+#: Rows judged at once: the verdicts widen the columns they gather, so B
+#: over the whole v = 8 space at once peaks near 150 MB above its rows.
+SLICE_ROWS = 1 << 16
+
+_CANONICAL = {"a": "A", "b": "B", "b-not-a": "B-not-A", "open": "OPEN"}
+
+
+def _holds(pred, rows):
+    if pred == "B-not-A":
+        return CONDITIONS["B"].holds_rows(rows) & ~CONDITIONS["A"].holds_rows(rows)
+    return CONDITIONS[pred].holds_rows(rows)
+
+
+def reference_hits(v, pred, normalize=True):
+    """Every hit of ``pred`` in lexicographic order, as (rank + 1, entries).
+
+    The rank counts the candidates before the hit, so rank + 1 is what a
+    sweep stopped at that hit has examined. A normalized space fixes e_0 = 0
+    and has v^(v-1) candidates, an unnormalized one v^v.
+    """
+    pred = _CANONICAL[pred.lower()]
+    lead = int(normalize)
+    free = v - lead
+    rows = np.zeros((v**free, v), dtype=np.int8)
+    rows[:, lead:] = np.indices((v,) * free, dtype=np.int8).reshape(free, -1).T
+    hits = []
+    for start in range(0, len(rows), SLICE_ROWS):
+        part = rows[start : start + SLICE_ROWS]
+        found = np.flatnonzero(_holds(pred, part))
+        hits += zip((found + start + 1).tolist(), map(tuple, part[found].tolist()))
+    return hits

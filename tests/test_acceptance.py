@@ -26,7 +26,6 @@ from ilvseq import (
     column_correlations,
     cond2_sum_residue,
     cross_correlation,
-    enumerate_space,
     fast_cross_correlation,
     gen_legendre,
     gen_mseq,
@@ -38,6 +37,7 @@ from ilvseq import (
     LfsrSpec,
     PRIMITIVE_POLYS,
 )
+from search_oracle import reference_hits
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -149,12 +149,15 @@ def test_criterion_05_distinctness_implies_multiplicity():
 
 
 def test_criterion_06_completeness_census():
+    # The walk, as a "full" sweep and as a node count, against the test-side
+    # enumeration of every candidate.
     started = time.perf_counter()
     counts = {}
     for v in range(3, 8):
-        full = enumerate_space(SearchSpec(v, "open"))
+        enumerated = reference_hits(v, "open")
+        full = backtrack(SearchSpec(v, "open"))
         pruned = backtrack(SearchSpec(v, "open", strategy="backtrack"))
-        counts[v] = (full.satisfying, full.examined, pruned.satisfying)
+        counts[v] = (len(enumerated), full.examined, pruned.satisfying, full.satisfying)
     elapsed = time.perf_counter() - started
     # At v=2 the only shift is s=1. Its two differences are d = e0 - e1 and
     # e1 - e0 - 1 = d + 1 (mod 2), which always cover Z_2: every vector is
@@ -162,20 +165,21 @@ def test_criterion_06_completeness_census():
     every_v2 = list(itertools.product(range(2), repeat=2))
     assert all({(e0 - e1) % 2, (e1 - e0 - 1) % 2} == {0, 1} for e0, e1 in every_v2)
     expected_v2 = [(0, v0) for v0 in range(2)]
-    two = enumerate_space(SearchSpec(2, "open", limit=4))
+    two = backtrack(SearchSpec(2, "open", limit=4))
     witnesses_v2 = [w.entries for w in two.witnesses]
-    two_full = enumerate_space(SearchSpec(2, "open", normalize=False, limit=4))
+    two_full = backtrack(SearchSpec(2, "open", normalize=False, limit=4))
     none_above = all(c[0] == 0 and c[2] == 0 for c in counts.values())
-    agree = all(c[0] == c[2] for c in counts.values())
+    agree = all(c[0] == c[2] == c[3] for c in counts.values())
     space_v7 = counts[7][1] == 117_649
     all_v2 = (
-        witnesses_v2 == expected_v2
+        witnesses_v2 == expected_v2 == [e for _, e in reference_hits(2, "open")]
         and [w.entries for w in two_full.witnesses] == every_v2
+        and every_v2 == [e for _, e in reference_hits(2, "open", normalize=False)]
     )
     ok = none_above and agree and space_v7 and elapsed < 10.0 and all_v2
     detail = (
         f"zero satisfying vectors for v in 3..7 ({counts[7][1]} candidates at v=7, "
-        f"{elapsed:.2f}s, both strategies agree); v=2 witnesses {witnesses_v2}: "
+        f"{elapsed:.2f}s, both strategies agree with enumeration); v=2 witnesses {witnesses_v2}: "
         f"every normalized vector is complete, since d and d+1 cover Z_2"
     )
     assert verdict(6, ok, detail)

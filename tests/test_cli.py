@@ -388,13 +388,13 @@ def test_search_sample_rejects_negative_limit(capsys):
 
 
 def test_search_backtrack_refuses_v_above_64(capsys):
-    # Refused before any work, with the usage exit code; sampling takes v = 65.
-    code, out, err = run_cli(
-        capsys, "search", "--v", "65", "--pred", "A", "--strategy", "backtrack", "--force"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "v <= 64" in err
+    # Refused before any work, with the usage exit code, by the default
+    # "full" sweep too, which is the same walk; sampling takes v = 65.
+    for strategy in ([], ["--strategy", "full"], ["--strategy", "backtrack"]):
+        code, out, err = run_cli(capsys, "search", "--v", "65", "--pred", "A", *strategy, "--force")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "v <= 64" in err
     code, out, err = run_cli(capsys, "search", "--v", "65", "--pred", "B", "--sample", "5")
     assert code == 0
     assert parse_report(out)["results"]["examined"] == 5

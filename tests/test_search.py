@@ -1,7 +1,6 @@
-"""Tests for exhaustive enumeration, backtracking, and the census helpers."""
+"""Tests for the backtracking walk, its "full" sweep, sampling and the census."""
 
 import dataclasses
-import itertools
 import random
 import tracemalloc
 
@@ -20,11 +19,10 @@ from ilvseq import (
     check_condition_B,
     check_condition_open,
     difference_terms,
-    enumerate_space,
-    run_search,
     sample_random,
     verify_open_nonexistence,
 )
+from search_oracle import reference_hits
 
 
 def test_search_spec_validation():
@@ -49,23 +47,25 @@ def test_unknown_predicate_name():
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(search_mod, "BUDGET_MAX_V", 3)
     with pytest.raises(BudgetExceededError):
-        enumerate_space(SearchSpec(4, "A"))
+        backtrack(SearchSpec(4, "A"))
     with pytest.raises(BudgetExceededError):
         backtrack(SearchSpec(4, "A", strategy="backtrack"))
-    forced = enumerate_space(SearchSpec(4, "A", force=True))
+    forced = backtrack(SearchSpec(4, "A", force=True))
     assert forced.examined == 4**3
+    assert forced.satisfying == len(reference_hits(4, "A"))
 
 
 def test_enumerate_v3_distinctness_census():
-    out = enumerate_space(SearchSpec(3, "A"))
+    out = backtrack(SearchSpec(3, "A"))
     assert out.examined == 3**2
-    assert out.satisfying == 6
+    assert out.satisfying == 6 == len(reference_hits(3, "A"))
     assert out.exhaustive
     assert out.witnesses == ()  # limit=0 counts only
 
 
 def test_enumerate_witness_collection_and_order():
-    out = enumerate_space(SearchSpec(3, "A", limit=10))
+    out = backtrack(SearchSpec(3, "A", limit=10))
+    assert [w.entries for w in out.witnesses] == [e for _, e in reference_hits(3, "A")]
     assert len(out.witnesses) == 6
     assert out.exhaustive  # limit above the hit count consumes the space
     assert out.witnesses[0].entries == (0, 0, 1)
@@ -73,56 +73,52 @@ def test_enumerate_witness_collection_and_order():
 
 
 def test_enumerate_early_stop():
-    out = enumerate_space(SearchSpec(3, "A", limit=2))
+    out = backtrack(SearchSpec(3, "A", limit=2))
     assert len(out.witnesses) == 2
     assert out.satisfying == 2
     assert not out.exhaustive
-    assert out.examined < 9
+    assert out.examined == reference_hits(3, "A")[1][0] < 9
 
 
 def test_enumerate_unnormalized_counts_translations():
-    out = enumerate_space(SearchSpec(3, "A", normalize=False))
+    out = backtrack(SearchSpec(3, "A", normalize=False))
     assert out.examined == 27
     assert out.satisfying == 18  # 6 classes times 3 translations
+    assert out.satisfying == len(reference_hits(3, "A", normalize=False))
 
 
 def test_v3_multiplicity_without_distinctness():
-    out = enumerate_space(SearchSpec(3, "B-not-A", limit=10))
+    out = backtrack(SearchSpec(3, "B-not-A", limit=10))
     assert out.satisfying == 3
     assert [w.entries for w in out.witnesses] == [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
+    assert [e for _, e in reference_hits(3, "B-not-A")] == [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
 
 
 def test_v2_completeness_witnesses():
-    out = enumerate_space(SearchSpec(2, "open", limit=5))
+    out = backtrack(SearchSpec(2, "open", limit=5))
     assert out.satisfying == 2
     assert [w.entries for w in out.witnesses] == [(0, 0), (0, 1)]
-
-
-def _reference_hits(v, pred, normalize):
-    # The oracle of the walk (order, limits, ticks): the lexicographic product
-    # as one array, judged at once by the block verdict.
-    space = [(0,) * normalize + tail for tail in itertools.product(range(v), repeat=v - normalize)]
-    rows = np.array(space)
-    a, b, complete = (CONDITIONS[c].holds_rows(rows) for c in ("A", "B", "OPEN"))
-    mask = {"A": a, "B": b, "B-not-A": b & ~a, "OPEN": complete}[pred]
-    return [(n + 1, space[n]) for n in np.flatnonzero(mask).tolist()]
+    assert [e for _, e in reference_hits(2, "OPEN")] == [(0, 0), (0, 1)]
 
 
 def test_block_enumeration_matches_per_candidate_reference(monkeypatch):
-    v = 6
-    block = v ** max(L for L in range(1, v) if v**L <= search_mod.BLOCK_ROWS)
+    # The "full" sweep against the enumeration oracle: witnesses in order,
+    # ``examined`` the rank of the limit-th hit plus one (the whole space
+    # when the limit is not met), and a tick at every multiple of the
+    # interval up to it. 1000 divides no power of v, so ticks fall inside
+    # blocks; the limits stop at the first hits, the 1000th, one in the
+    # middle and the last one. Keeping a quarter million witnesses takes
+    # seconds, so at v = 8 no run keeps more than 2000.
     interval = 1000
-    assert interval % block and block % interval
     monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", interval)
-    for normalize in (True, False):
+    for v, normalize in ((6, True), (6, False), (8, True)):
         size = v ** (v - normalize)
         for pred in ("A", "B", "B-not-A", "OPEN"):
-            hits = _reference_hits(v, pred, normalize)
-            # The first hit past the first block that is not a block's last row.
-            stops = [k for k, (n, _) in enumerate(hits, 1) if n > block and n % block]
-            for limit in [0, 10**9] + stops[:1]:
+            hits = reference_hits(v, pred, normalize)
+            limits = {0, 1, 7, 1000, max(1, len(hits) // 2), max(1, len(hits)), 10**9}
+            for limit in sorted(k for k in limits if v < 8 or min(k, len(hits)) <= 2000):
                 ticks = []
-                out = enumerate_space(
+                out = backtrack(
                     SearchSpec(v, pred, normalize=normalize, limit=limit), progress=ticks.append
                 )
                 kept = hits[:limit] if limit else []
@@ -131,35 +127,37 @@ def test_block_enumeration_matches_per_candidate_reference(monkeypatch):
                 assert out.examined == examined
                 assert out.satisfying == (len(kept) if 0 < limit <= len(hits) else len(hits))
                 assert out.exhaustive == (examined == size)
+                assert out.nodes_by_depth == ()
                 assert ticks == list(range(interval, examined + 1, interval))
-            if pred != "OPEN":
-                assert stops, "a limit must stop inside a later block"
 
 
 def test_backtrack_agrees_with_enumeration():
+    # Both strategies find the enumeration oracle's witnesses, in its order.
     cases = [(v, True) for v in (2, 3, 4, 5)] + [(v, False) for v in (2, 3, 4)]
     for v, normalize in cases:
         for pred in ("A", "B", "B-not-A", "open"):
-            full = enumerate_space(SearchSpec(v, pred, normalize=normalize, limit=10**6))
-            pruned = backtrack(
-                SearchSpec(v, pred, normalize=normalize, limit=10**6, strategy="backtrack")
-            )
-            assert pruned.satisfying == full.satisfying
-            assert pruned.witnesses == full.witnesses
+            want = [e for _, e in reference_hits(v, pred, normalize)]
+            for strategy in ("full", "backtrack"):
+                spec = SearchSpec(v, pred, normalize=normalize, limit=10**6, strategy=strategy)
+                out = backtrack(spec)
+                assert out.satisfying == len(want)
+                assert [w.entries for w in out.witnesses] == want
 
 
 def test_normalized_witnesses_represent_all_translates():
     v = 4
     pred = "B-not-A"
-    normalized = enumerate_space(SearchSpec(v, pred, limit=10**6))
+    normalized = backtrack(SearchSpec(v, pred, limit=10**6))
+    assert [w.entries for w in normalized.witnesses] == [e for _, e in reference_hits(v, pred)]
     # Every translate of every witness satisfies the predicate too.
     for w in normalized.witnesses:
         for c in range(v):
             moved = ShiftSequence(tuple((x + c) % v for x in w.entries))
             assert check_condition_B(moved).verdict and not check_condition_A(moved).verdict
     # And the unnormalized census is exactly v copies of the normalized one.
-    unnormalized = enumerate_space(SearchSpec(v, pred, normalize=False))
+    unnormalized = backtrack(SearchSpec(v, pred, normalize=False))
     assert unnormalized.satisfying == v * normalized.satisfying
+    assert unnormalized.satisfying == len(reference_hits(v, pred, normalize=False))
 
 
 class _StopSearch(Exception):
@@ -327,6 +325,10 @@ def test_backtrack_v8_frozen_counts():
         assert (out.satisfying, out.exhaustive) == (satisfying, True)
         assert out.nodes_by_depth == nodes
         assert out.examined == sum(nodes)
+        # The same walk as a "full" sweep covers all 8^7 candidates.
+        full = backtrack(SearchSpec(8, pred))
+        assert (full.examined, full.satisfying, full.exhaustive) == (8**7, satisfying, True)
+        assert full.nodes_by_depth == ()
     assert sum(counts["A"][1]) == 74760 and sum(counts["OPEN"][1]) == 33032
     assert sum(counts["B"][1]) == 1224328
 
@@ -339,15 +341,17 @@ def test_mask_dtype_is_the_narrowest_word():
 
 
 def test_backtrack_refuses_v_above_64(monkeypatch):
-    # One bit per difference: v = 65 is refused before any work, v = 64 is
-    # walked in uint64 words, and full enumeration and sampling take any v.
+    # One bit per difference: v = 65 is refused before any work, by a
+    # "full" sweep as by the node-counting one, since both are the same
+    # walk; v = 64 is walked in uint64 words, and sampling takes any v.
     with pytest.raises(ValueError, match="v <= 64"):
         search_mod._mask_dtype(65)
     calls = []
     monkeypatch.setattr(search_mod, "difference_terms", lambda *a: calls.append(a) or ())
     for v in (65, 200):
-        with pytest.raises(ValueError, match="v <= 64"):
-            backtrack(SearchSpec(v, "A", limit=1, strategy="backtrack", force=True))
+        for strategy in ("full", "backtrack"):
+            with pytest.raises(ValueError, match="v <= 64"):
+                backtrack(SearchSpec(v, "A", limit=1, strategy=strategy, force=True))
     assert calls == []
     # With no terms nothing is pruned, so the walk dives straight to its
     # first leaf, the all-zero vector.
@@ -356,13 +360,6 @@ def test_backtrack_refuses_v_above_64(monkeypatch):
     assert [w.entries for w in out.witnesses] == [(0,) * 64]
     assert out.nodes_by_depth == (1,) * 63
     monkeypatch.undo()
-
-    def stop(tick):
-        raise _StopSearch
-
-    monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", 1)
-    with pytest.raises(_StopSearch):  # the first block was judged
-        enumerate_space(SearchSpec(65, "B", limit=1, force=True), progress=stop)
     assert sample_random(65, "B", 3, seed=1).examined == 3
 
 
@@ -404,16 +401,10 @@ def test_backtrack_first_witness_v7():
     assert not out.exhaustive
 
 
-def test_run_search_dispatch():
-    spec = SearchSpec(3, "A", strategy="backtrack")
-    assert run_search(spec).satisfying == 6
-    assert run_search(SearchSpec(3, "A")).examined == 9
-
-
 def test_progress_callback(monkeypatch):
     monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", 16)
     ticks = []
-    enumerate_space(SearchSpec(4, "A"), progress=ticks.append)
+    backtrack(SearchSpec(4, "A"), progress=ticks.append)
     assert ticks == [16, 32, 48, 64]
     ticks.clear()
     out = backtrack(SearchSpec(4, "A", strategy="backtrack"), progress=ticks.append)
@@ -440,11 +431,10 @@ def test_verify_open_nonexistence_table():
 
 
 def test_verify_open_nonexistence_refuses_before_enumerating(monkeypatch):
-    # Both walkers are patched, so a census that did any work before its
-    # refusal, whichever way it covers the space, leaves a call behind.
+    # The census's walker is patched, so a census that did any work before
+    # its refusal leaves a call behind.
     calls = []
-    for walker in ("enumerate_space", "backtrack"):
-        monkeypatch.setattr(search_mod, walker, lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(search_mod, "backtrack", lambda *a, **k: calls.append(a))
     limit = search_mod.BUDGET_MAX_V
     for v_max in (limit + 1, limit + 5):
         with pytest.raises(BudgetExceededError, match=f"v={limit + 1} exceeds"):
@@ -456,38 +446,47 @@ def test_verify_open_nonexistence_refuses_before_enumerating(monkeypatch):
 
 
 def test_verify_open_nonexistence_matches_enumeration():
-    # The census walks by backtracking; full enumeration of every v <= 8
-    # rebuilds the same table, and ``nodes`` is the walk's node count.
+    # The census walks by backtracking; the enumeration oracle of every
+    # v <= 8 rebuilds the same table, as does the walk's "full" sweep, and
+    # ``nodes`` is the walk's node count.
     table = verify_open_nonexistence(8)
     assert sorted(table) == list(range(2, 9))
     for v, entry in table.items():
         size = v ** (v - 1)
-        full = enumerate_space(SearchSpec(v, "OPEN", limit=size))
+        hits = reference_hits(v, "OPEN")
+        full = backtrack(SearchSpec(v, "OPEN", limit=size))
         assert full.examined == entry.examined == size
         assert full.exhaustive and entry.exhaustive
+        assert [w.entries for w in entry.witnesses] == [e for _, e in hits]
         assert entry.witnesses == full.witnesses
-        assert entry.exists == (full.satisfying > 0)
+        assert entry.exists == (len(hits) > 0) == (full.satisfying > 0)
         assert entry.nodes == backtrack(SearchSpec(v, "OPEN", strategy="backtrack")).examined
     assert [table[v].nodes for v in table] == [2, 12, 68, 330, 1590, 6132, 33032]
 
 
 def test_backtrack_exhaustive_flag_matches_enumeration():
     # A limit met on the walk's last node, the last candidate, covers
-    # the whole space, as it does for enumeration; met on any other node,
-    # even the last child of the last block judged, it does not.
+    # the whole space, as it does for the enumeration oracle; met on any
+    # other node, even the last child of the last block judged, it does not.
     agreed = []
     for v in range(2, 7):
         for normalize in (True, False):
+            size = v ** (v - normalize)
             for pred in ("A", "B", "B-not-A", "OPEN"):
-                hits = enumerate_space(SearchSpec(v, pred, normalize=normalize)).satisfying
+                want = reference_hits(v, pred, normalize)
+                hits = len(want)
                 for limit in {max(1, hits - 1), max(1, hits), hits + 1}:
+                    case = (v, normalize, pred, limit)
+                    examined = want[limit - 1][0] if limit <= hits else size
                     spec = SearchSpec(v, pred, normalize=normalize, limit=limit)
-                    full = enumerate_space(spec)
+                    full = backtrack(spec)
                     walk = backtrack(dataclasses.replace(spec, strategy="backtrack"))
-                    assert walk.witnesses == full.witnesses, (v, normalize, pred, limit)
-                    assert walk.satisfying == full.satisfying, (v, normalize, pred, limit)
-                    assert walk.exhaustive == full.exhaustive, (v, normalize, pred, limit)
-                    agreed.append(limit == hits and full.exhaustive)
+                    assert full.examined == examined, case
+                    for out in (full, walk):
+                        assert [w.entries for w in out.witnesses] == [e for _, e in want[:limit]]
+                        assert out.satisfying == min(limit, hits), case
+                        assert out.exhaustive == (examined == size), case
+                    agreed.append(limit == hits and examined == size)
     assert any(agreed)  # some limits are met exactly on the last candidate
 
 
@@ -510,6 +509,28 @@ def test_backtrack_reports_progress_before_any_leaf(monkeypatch):
         assert raised.value.args == (1,)
         assert expanded == []
 
+
+def test_full_sweep_reports_progress_before_any_leaf(monkeypatch):
+    # A "full" sweep reports a candidate count only once every earlier
+    # candidate is decided. For A the first, the all-zero vector, is pruned
+    # with (0, 0, 0) at column 2, so a raising callback stops the sweep at
+    # its first tick, on popping the first block of depth 3: before any
+    # deeper survivor is expanded, and also at v = 64.
+    def stop(tick):
+        raise _StopSearch(tick)
+
+    expanded = []
+    children = search_mod._children
+    monkeypatch.setattr(
+        search_mod, "_children", lambda *a: expanded.append(a[1]) or children(*a)
+    )
+    monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", 1)
+    for v in (8, 64):
+        expanded.clear()
+        with pytest.raises(_StopSearch) as raised:
+            backtrack(SearchSpec(v, "A", limit=1, force=True), progress=stop)
+        assert raised.value.args == (1,)
+        assert expanded == [1, 2]
 
 
 @pytest.mark.parametrize("v, normalize", [(4, True), (4, False), (5, True), (6, True)])

@@ -52,7 +52,7 @@ SCHEMA_VERSION = "1"
 
 def _profile_json(profile: CorrelationProfile) -> dict:
     return {
-        "modulus": profile.modulus,
+        "modulus": 2,
         "period": profile.period,
         "values": list(profile.values),
     }

@@ -22,8 +22,9 @@ The reports serve the tests as the oracle, so they use neither the term
 table below nor numpy. ``difference_terms`` indexes the same differences as
 numpy arrays (i, k, t) per shift, term j meaning e_i - e_k - t.
 ``Condition.holds_rows`` reads it to judge a block of candidates at once
-(enumeration, sampling), and the search's backtracker records its terms as
-bits of per-shift masks as entries are placed.
+(random sampling, ``reproduce`` and the tests' enumeration oracle), and the
+search's backtracker records its terms as bits of per-shift masks as entries
+are placed.
 """
 
 from __future__ import annotations

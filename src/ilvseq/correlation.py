@@ -2,8 +2,9 @@
 
 The correlation of a against b at offset tau is the sum over one period of
 (-1)^(a_i + b_(i+tau)): agreements minus disagreements, an exact integer.
-The construction is binary, and so is this module: every entry refuses a
-modulus other than 2, and every value, delta and witness is an exact integer.
+The construction is binary, and so is every ``PeriodicSequence``: it refuses
+any other modulus when it is built, so this module never checks the alphabet.
+Every value, delta and witness is an exact integer.
 The delta engine computes in floats without giving that up. The direct path
 sums the +-1 products in float32: every partial sum is an integer of size at
 most the period n, and float32 holds every integer up to 2^24 exactly, so the
@@ -41,7 +42,6 @@ _FLOAT32_EXACT = 1 << 24
 class CorrelationProfile:
     """All correlation values of one ordered pair, indexed by offset tau."""
 
-    modulus: int
     values: tuple
 
     @property
@@ -53,11 +53,8 @@ class CorrelationProfile:
 
 
 def _lift(seqs, dtype=np.int64) -> np.ndarray:
-    """Equal-period binary sequences as rows of +-1 in dtype; other moduli raise."""
+    """Equal-period binary sequences as rows of +-1 in dtype."""
     _same_shape(seqs)
-    p = seqs[0].modulus
-    if p != 2:
-        raise ValueError(f"correlation is defined for binary sequences, not modulus {p}")
     # Binary values fit a byte, so the members join into one bytes object
     # instead of passing through a list of Python tuples, and index a +-1 table.
     values = np.frombuffer(b"".join([bytes(s.values) for s in seqs]), np.uint8)
@@ -69,7 +66,7 @@ def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationPr
     v = a.period
     x, y = _lift([a, b])
     y2 = np.tile(y, 2)
-    return CorrelationProfile(2, tuple(int(x @ y2[tau : tau + v]) for tau in range(v)))
+    return CorrelationProfile(tuple(int(x @ y2[tau : tau + v]) for tau in range(v)))
 
 
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
@@ -79,7 +76,7 @@ def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> Correlat
     transform is far below 1/2 at any desk-scale period).
     """
     _, rows = next(_correlation_rows([a, b], "fast"))
-    return CorrelationProfile(2, tuple(rows[0, 1].astype(np.int64).tolist()))
+    return CorrelationProfile(tuple(rows[0, 1].astype(np.int64).tolist()))
 
 
 def autocorrelation(a: PeriodicSequence) -> CorrelationProfile:

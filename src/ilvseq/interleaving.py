@@ -138,7 +138,7 @@ def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
     shifts = np.array([x if x != INFINITY else 0 for x in e.entries], dtype=np.int64)
     rows = np.arange(a.period)[:, None]
     values = np.asarray(a.values, dtype=np.int64)[(shifts + rows) % a.period] * finite
-    return PeriodicSequence._valid(a.modulus, tuple(values.ravel().tolist()))
+    return PeriodicSequence._valid(tuple(values.ravel().tolist()))
 
 
 def matrix_form(u: PeriodicSequence, s_rows: int, t_cols: int) -> np.ndarray:
@@ -165,7 +165,7 @@ def recover_shifts(u: PeriodicSequence, a: PeriodicSequence, t_cols: int) -> Shi
         if not any(col):
             entries.append(INFINITY)
             continue
-        k = shift_equivalence(PeriodicSequence(a.modulus, col), a)
+        k = shift_equivalence(PeriodicSequence(2, col), a)
         if k is None:
             raise ValueError(f"column {j} is neither zero nor a shift of the base")
         entries.append(k)
@@ -201,11 +201,10 @@ def coincident_members(members) -> list[tuple[int, int, int]]:
     """All (i, j, k) with i < j and member i equal to member j shifted by k.
 
     Each member is keyed by its least rotation: the least of the n slices of
-    length n of its doubled values (bytes for moduli up to 256, else a
-    tuple), compared in C at O(n^2) byte work per member. Members with equal
-    keys, and only those, are shift-equivalent; k is found for those pairs
-    alone, so the scan stays linear in the member count when no two members
-    coincide.
+    length n of its doubled values, as bytes, compared in C at O(n^2) byte
+    work per member. Members with equal keys, and only those, are
+    shift-equivalent; k is found for those pairs alone, so the scan stays
+    linear in the member count when no two members coincide.
     """
     members = list(members)
     _same_shape(members)
@@ -221,9 +220,7 @@ def coincident_members(members) -> list[tuple[int, int, int]]:
 
 
 def _check_construction(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> int:
-    # Binary a and b of one period v and a finite length-v e; returns v.
-    if a.modulus != 2 or b.modulus != 2:
-        raise ValueError("the construction is defined for binary sequences")
+    # a and b of one period v and a finite length-v e; returns v.
     _same_shape((a, b))
     v = a.period
     if e.v != v:
@@ -263,7 +260,7 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     cyclic = np.add.outer(np.arange(v), np.arange(v)) % v
     offsets = np.tile(np.array(b.values, dtype=np.uint8)[cyclic], v)
     offsets ^= np.array(u.values, dtype=np.uint8)
-    members = [u, *(PeriodicSequence._valid(2, tuple(row)) for row in offsets.tolist())]
+    members = [u, *(PeriodicSequence._valid(tuple(row)) for row in offsets.tolist())]
 
     notes = list(_base_notes(a, b))
     # Two-level a and b, v >= 2: members m != m' coincide under r*v + s only

@@ -1,8 +1,10 @@
-"""Periodic p-ary sequences and generators for two-level autocorrelation families.
+"""Periodic binary sequences and generators for two-level autocorrelation families.
 
-A sequence is a fixed tuple of residues modulo a prime p, read cyclically:
-index i always means index i mod v, where v is the stored period. Sequences
-are immutable; every operation returns a new object.
+A sequence is a fixed tuple of bits, read cyclically: index i always means
+index i mod v, where v is the stored period. Sequences are immutable; every
+operation returns a new object. ``PeriodicSequence`` is the one place that
+decides the alphabet: it refuses a modulus other than 2 and a value outside
+{0, 1}, so no other module checks either.
 """
 
 from __future__ import annotations
@@ -44,20 +46,20 @@ def _integers(items, what: str, convert=int) -> tuple:
 
 
 def _same_shape(seqs) -> None:
-    # Every sequence of ``seqs`` has the first one's period and modulus.
+    # Every sequence of ``seqs`` has the first one's period.
     for s in seqs[1:]:
         if s.period != seqs[0].period:
             raise ValueError(f"period mismatch: {seqs[0].period} vs {s.period}")
-        if s.modulus != seqs[0].modulus:
-            raise ValueError(f"modulus mismatch: {seqs[0].modulus} vs {s.modulus}")
 
 
 @dataclass(frozen=True)
 class PeriodicSequence:
-    """A period-v sequence of residues mod a prime, indexed cyclically.
+    """A period-v binary sequence, indexed cyclically.
 
-    The period is the declared length of ``values``; it is not reduced to the
-    minimal period, so a doubled-up sequence keeps its declared length.
+    ``modulus`` must be 2 and every value 0 or 1; anything else raises
+    ValueError. The period is the declared length of ``values``; it is not
+    reduced to the minimal period, so a doubled-up sequence keeps its
+    declared length.
     """
 
     modulus: int
@@ -65,20 +67,20 @@ class PeriodicSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _integers(self.values, "value"))
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus must be a prime >= 2, got {self.modulus}")
+        if self.modulus != 2:
+            raise ValueError(f"sequences are binary: modulus must be 2, got {self.modulus}")
         if len(self.values) < 1:
             raise ValueError("a sequence needs at least one element")
         for x in self.values:
-            if not 0 <= x < self.modulus:
-                raise ValueError(f"value {x} is outside [0, {self.modulus})")
+            if not 0 <= x < 2:
+                raise ValueError(f"value {x} is outside [0, 2)")
 
     @classmethod
-    def _valid(cls, modulus: int, values: tuple[int, ...]) -> PeriodicSequence:
+    def _valid(cls, values: tuple[int, ...]) -> PeriodicSequence:
         # A sequence from values already known to be a tuple of Python ints in
-        # [0, modulus), modulus prime: the checks of __post_init__ are skipped.
+        # {0, 1}: the checks of __post_init__ are skipped.
         seq = object.__new__(cls)
-        object.__setattr__(seq, "modulus", modulus)
+        object.__setattr__(seq, "modulus", 2)
         object.__setattr__(seq, "values", values)
         return seq
 
@@ -103,39 +105,29 @@ def left_shift(seq: PeriodicSequence, i: int) -> PeriodicSequence:
     """Return L^i(seq), the sequence starting i places later (i reduced mod v)."""
     v = seq.period
     i %= v
-    return PeriodicSequence(seq.modulus, seq.values[i:] + seq.values[:i])
+    return PeriodicSequence(2, seq.values[i:] + seq.values[:i])
 
 
-def _doubled(seq: PeriodicSequence):
-    # Two periods of seq's values: bytes when they fit in a byte, else a tuple.
-    return bytes(seq.values) * 2 if seq.modulus <= 256 else seq.values * 2
+def _doubled(seq: PeriodicSequence) -> bytes:
+    # Two periods of seq's values, one byte each.
+    return bytes(seq.values) * 2
 
 
 def shift_equivalence(a: PeriodicSequence, b: PeriodicSequence) -> int | None:
     """Smallest k in [0, v) with a_i = b_(i+k) for all i, or None.
 
-    Requires equal periods and moduli. When b has minimal period d < v, the
+    Requires equal periods. When b has minimal period d < v, the
     returned k is the smallest representative of its class mod d.
     """
     _same_shape((a, b))
-    v = a.period
-    doubled = _doubled(b)
-    if isinstance(doubled, bytes):
-        k = doubled.find(bytes(a.values))
-        return k if 0 <= k < v else None
-    for k in range(v):
-        if doubled[k : k + v] == a.values:
-            return k
-    return None
+    k = _doubled(b).find(bytes(a.values))
+    return k if 0 <= k < a.period else None
 
 
 def add_pointwise(x: PeriodicSequence, y: PeriodicSequence) -> PeriodicSequence:
-    """Elementwise sum mod p; the result's period is lcm of the two periods."""
-    if x.modulus != y.modulus:
-        raise ValueError(f"modulus mismatch: {x.modulus} vs {y.modulus}")
-    p = x.modulus
+    """Elementwise sum mod 2; the result's period is lcm of the two periods."""
     n = math.lcm(x.period, y.period)
-    return PeriodicSequence(p, tuple((x[i] + y[i]) % p for i in range(n)))
+    return PeriodicSequence(2, tuple((x[i] + y[i]) % 2 for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -228,8 +220,8 @@ def gen_legendre(v: int, zero_convention: int = 0) -> PeriodicSequence:
     return PeriodicSequence(2, tuple(values))
 
 
-def parse_sequence(text: str, modulus: int = 2) -> PeriodicSequence:
-    """Parse a compact digit string ("1001110") or comma-separated residues."""
+def parse_sequence(text: str) -> PeriodicSequence:
+    """Parse a compact bit string ("1001110") or comma-separated bits ("1,0,0")."""
     text = text.strip()
     if not text:
         raise ValueError("empty sequence text")
@@ -242,11 +234,9 @@ def parse_sequence(text: str, modulus: int = 2) -> PeriodicSequence:
         if not text.isdigit():
             raise ValueError(f"bad sequence text: {text!r}")
         values = tuple(int(ch) for ch in text)
-    return PeriodicSequence(modulus, values)
+    return PeriodicSequence(2, values)
 
 
 def format_sequence(seq: PeriodicSequence) -> str:
-    """Compact digit string for p <= 9, comma-separated residues otherwise."""
-    if seq.modulus <= 9:
-        return "".join(str(x) for x in seq.values)
-    return ",".join(str(x) for x in seq.values)
+    """Compact bit string, as ``parse_sequence`` reads it."""
+    return "".join(str(x) for x in seq.values)

@@ -14,9 +14,11 @@ import numpy as np
 
 from ilvseq import (
     CONDITIONS,
+    INFINITY,
     PeriodicSequence,
     SearchSpec,
     ShiftSequence,
+    add_pointwise,
     autocorrelation,
     backtrack,
     build_signal_set,
@@ -29,8 +31,10 @@ from ilvseq import (
     fast_cross_correlation,
     gen_legendre,
     gen_mseq,
+    interleave,
     is_prime,
     is_two_level,
+    left_shift,
     quadratic_shifts,
     signal_set_delta,
     twisted_rotation,
@@ -286,3 +290,49 @@ def test_criterion_11_rotation_closure_of_the_quadratic_family():
         counts.append(f"{v}: {len(closure)}")
     detail = f"rotation closure of the quadratic family, all B, A on v(v-1): {', '.join(counts)}"
     assert verdict(11, ok, detail)
+
+
+def test_criterion_12_two_or_more_infinity_columns_never_reach_v_plus_2():
+    # build_signal_set refuses INFINITY, so the members are built as it
+    # builds them: u = interleave(a, e) and u + L^k(b). With m >= 2 INFINITY
+    # columns (and at least one finite), the pair (0, 1+k) at tau = v is
+    # -sum(beta) + (v+1)*G(k), beta = (-1)^b and G(k) the sum of beta(p+k)
+    # over the INFINITY columns p; at the k maximizing |G(k)| >= 2 it is at
+    # least 2v+1 in size (README has the proof).
+    def members(a, b, e):
+        u = interleave(a, e)
+        return [u, *(add_pointwise(u, left_shift(b, k)) for k in range(e.v))]
+
+    ok = members(A7, B7, E7) == list(build_signal_set(A7, B7, E7).members)
+    a3, b3 = PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1))
+    cases = [  # every v = 3 vector with two INFINITY columns
+        (a3, b3, ShiftSequence(tuple(INFINITY if j in columns else x for j in range(3))))
+        for columns in itertools.combinations(range(3), 2)
+        for x in range(3)
+    ]
+    rng = random.Random(12)
+    for v, a, b in [(7, A7, B7), (11, gen_legendre(11, 0), gen_legendre(11, 1))]:
+        for _ in range(150):
+            columns = rng.sample(range(v), rng.randint(2, v - 1))
+            entries = tuple(INFINITY if j in columns else rng.randrange(v) for j in range(v))
+            cases.append((a, b, ShiftSequence(entries)))
+    minima = {}
+    for a, b, e in cases:
+        v = e.v
+        beta = [1 - 2 * x for x in b.values]
+        infinite = [p for p, x in enumerate(e.entries) if x == INFINITY]
+        g = [sum(beta[(p + k) % v] for p in infinite) for k in range(v)]
+        k = max(range(v), key=lambda k: abs(g[k]))
+        predicted = -sum(beta) + (v + 1) * g[k]
+        sets = members(a, b, e)
+        delta = signal_set_delta(sets).delta
+        ok &= cross_correlation(sets[0], sets[1 + k])[v] == predicted
+        ok &= abs(predicted) >= 2 * v + 1 and delta >= abs(predicted)
+        key = (v, len(infinite))
+        minima[key] = min(minima.get(key, delta), delta)
+    ok &= len(cases) == 9 + 150 + 150
+    ok &= minima[3, 2] == 7
+    detail = "delta >= 2v+1 on 9 (v=3) + 150 (v=7) + 150 (v=11) vectors, min per (v, m): " + ", ".join(
+        f"{v},{m}: {d}" for (v, m), d in sorted(minima.items())
+    )
+    assert verdict(12, ok, detail)

@@ -80,8 +80,9 @@ def test_not_two_level():
 def test_pair_validation():
     with pytest.raises(ValueError):
         cross_correlation(A7, PeriodicSequence(2, (1, 0)))
-    with pytest.raises(ValueError):
-        cross_correlation(A7, PeriodicSequence(3, (0,) * 7))
+    # A ternary partner never reaches the engine: it is refused when built.
+    with pytest.raises(ValueError, match="binary"):
+        PeriodicSequence(3, (0,) * 7)
 
 
 def test_legendre_two_level_exactly_for_3_mod_4():
@@ -92,22 +93,22 @@ def test_legendre_two_level_exactly_for_3_mod_4():
         assert not is_two_level(gen_legendre(17, conv))
 
 
-def test_non_binary_input_is_refused():
-    # The engine is binary: every entry refuses another modulus, whatever the path.
-    ternary = parse_sequence("10122021", modulus=3)
-    other = parse_sequence("10220110", modulus=3)
-    calls = [
-        lambda: cross_correlation(ternary, other),
-        lambda: fast_cross_correlation(ternary, other),
-        lambda: autocorrelation(ternary),
-        lambda: is_two_level(ternary),
-        lambda: signal_set_delta([ternary, other]),
-        lambda: signal_set_delta([ternary, other], method="fast"),
-        lambda: signal_set_delta([ternary]),
-    ]
-    for call in calls:
+def test_non_binary_input_is_refused(capsys):
+    # The one alphabet rule: PeriodicSequence refuses every modulus but 2 and
+    # every value outside {0, 1}, so no engine entry ever sees another.
+    for p in (0, 1, 3, 4, 257):
         with pytest.raises(ValueError, match="binary"):
-            call()
+            PeriodicSequence(p, (0, 1, 0))
+    with pytest.raises(ValueError, match=r"value 2 is outside \[0, 2\)"):
+        parse_sequence("10122021")
+    for argv in (
+        ["correlate", "--a", "1021110", "--b", "1001011"],
+        ["build", "--a", "1001110", "--b", "1001021", "--e", "0,0,1,0,6,3,5"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: value 2 is outside [0, 2)\n"
 
 
 @given(binary7, binary7, st.integers(0, 6))

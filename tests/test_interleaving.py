@@ -169,14 +169,12 @@ def _interleave_reference(a, e):
     for i in range(a.period):
         for entry in e.entries:
             values.append(0 if entry == INFINITY else a[entry % a.period + i])
-    return PeriodicSequence(a.modulus, tuple(values))
+    return PeriodicSequence(2, tuple(values))
 
 
 @given(
-    st.sampled_from((2, 3)).flatmap(
-        lambda p: st.lists(st.integers(0, p - 1), min_size=1, max_size=6).map(
-            lambda vals: PeriodicSequence(p, tuple(vals))
-        )
+    st.lists(st.integers(0, 1), min_size=1, max_size=6).map(
+        lambda vals: PeriodicSequence(2, tuple(vals))
     ),
     st.integers(1, 6).flatmap(
         lambda t: st.lists(st.one_of(st.integers(0, t - 1), st.just(INFINITY)), min_size=t, max_size=t)
@@ -208,8 +206,9 @@ def test_build_signal_set_shape():
 
 
 def test_build_signal_set_validation():
-    with pytest.raises(ValueError):
-        build_signal_set(PeriodicSequence(3, (0, 1, 2)), B7, E7)
+    # A ternary base never reaches the construction: it is refused when built.
+    with pytest.raises(ValueError, match="binary"):
+        PeriodicSequence(3, (0, 1, 2))
     with pytest.raises(ValueError):
         build_signal_set(A7, PeriodicSequence(2, (1, 0)), E7)
     with pytest.raises(ValueError):
@@ -303,11 +302,10 @@ def test_coincident_members():
 @st.composite
 def planted_members(draw):
     """Shifts of a few small bases (some of short minimal period), shuffled."""
-    p = draw(st.sampled_from((2, 3, 257)))
     n = draw(st.integers(1, 8))
-    bases = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=1, max_size=4))
+    bases = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
     picks = draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.integers(0, n - 1)), max_size=8))
-    members = [left_shift(PeriodicSequence(p, tuple(bases[b])), k) for b, k in picks]
+    members = [left_shift(PeriodicSequence(2, tuple(bases[b])), k) for b, k in picks]
     return draw(st.permutations(members))
 
 
@@ -524,8 +522,8 @@ def test_column_correlations_match_direct_legendre_v11():
 
 
 def test_column_correlations_validation():
-    with pytest.raises(ValueError):
-        column_correlations(PeriodicSequence(3, (0, 1, 2)), B7, E7)
+    with pytest.raises(ValueError, match="binary"):
+        PeriodicSequence(3, (0, 1, 2))
     with pytest.raises(ValueError, match="period mismatch: 7 vs 2"):
         column_correlations(A7, PeriodicSequence(2, (1, 0)), E7)
     with pytest.raises(ValueError):
@@ -665,3 +663,40 @@ def test_twisted_rotation_of_legendre_sets(v, count):
     assert CONDITIONS["B"].holds_rows(rows).tolist() == [True, True]
     got = assert_rotation_maps_the_set(gen_legendre(v, 0), gen_legendre(v, 1), e, "fast")
     assert got.delta == 2 * v + 3 and len(got.witnesses) == count
+
+
+#: The two-level bases of acceptance criterion 12 (two or more INFINITY
+#: columns): the v = 3 pair, the worked pair and the v = 11 Legendre pair.
+CRITERION_12_BASES = [
+    PeriodicSequence(2, (1, 1, 0)),
+    PeriodicSequence(2, (0, 1, 1)),
+    A7,
+    B7,
+    gen_legendre(11, 0),
+    gen_legendre(11, 1),
+]
+
+
+def test_two_level_sign_sum_is_plus_or_minus_one():
+    # With beta = (-1)^b, (sum of beta)^2 = sum over tau of C_b(tau) =
+    # v - (v - 1) = 1 for two-level b.
+    for b in CRITERION_12_BASES:
+        assert is_two_level(b)
+        total = int((1 - 2 * np.array(b.values)).sum())
+        assert total * total == sum(autocorrelation(b).values) == 1
+        assert total in (1, -1)
+
+
+def test_infinity_sign_sums_square_to_m_v_minus_m_plus_1():
+    # G(k) = sum over the m INFINITY columns p of beta(p + k). Summed over k,
+    # G(k)^2 = m*C_b(0) + (m^2 - m)*(-1) = m(v - m + 1) > v for 2 <= m <= v-1,
+    # so some k has |G(k)| >= 2. Every column set, for every base.
+    for b in CRITERION_12_BASES:
+        v = b.period
+        beta = 1 - 2 * np.array(b.values)
+        shifted = beta[np.add.outer(np.arange(v), np.arange(v)) % v]  # [p, k] = beta(p + k)
+        for m in range(2, v):
+            for columns in itertools.combinations(range(v), m):
+                g = shifted[list(columns)].sum(axis=0)
+                assert int((g * g).sum()) == m * (v - m + 1)
+                assert np.abs(g).max() >= 2

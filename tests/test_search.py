@@ -9,17 +9,25 @@ import pytest
 
 import ilvseq.search as search_mod
 from ilvseq import (
+    PRIMITIVE_POLYS,
     BudgetExceededError,
+    LfsrSpec,
+    PeriodicSequence,
     SearchOutcome,
     CONDITIONS,
     SearchSpec,
     ShiftSequence,
     backtrack,
+    build_signal_set,
     check_condition_A,
     check_condition_B,
     check_condition_open,
     difference_terms,
+    gen_mseq,
+    is_two_level,
     sample_random,
+    signal_set_delta,
+    twisted_rotation,
     verify_open_nonexistence,
 )
 from search_oracle import reference_hits
@@ -331,6 +339,35 @@ def test_backtrack_v8_frozen_counts():
         assert full.nodes_by_depth == ()
     assert sum(counts["A"][1]) == 74760 and sum(counts["OPEN"][1]) == 33032
     assert sum(counts["B"][1]) == 1224328
+
+
+def test_backtrack_v7_and_v9_frozen_counts():
+    # Rows v = 7 and 9 of README's "more shift sequences" table (v = 8 above).
+    for pred, satisfying in [("A", 672), ("B", 24598), ("B-not-A", 23926)]:
+        assert backtrack(SearchSpec(7, pred)).satisfying == satisfying
+    a = backtrack(SearchSpec(9, "A", strategy="backtrack", force=True))
+    assert (a.satisfying, a.examined, a.exhaustive) == (1998, 372690, True)
+    b = backtrack(SearchSpec(9, "B", strategy="backtrack", force=True))
+    assert (b.satisfying, b.examined, b.exhaustive) == (2657691, 16272180, True)
+
+
+def test_first_v15_a_vector_and_its_rotation():
+    # v = 15 is not prime, so no quadratic vector exists there; the walk's
+    # first A-vector does. It and its twisted rotation, which fails A and
+    # passes B, both reach the A bound 2v+3 = 33 on an m-sequence and its
+    # reversal.
+    out = backtrack(SearchSpec(15, "A", limit=1, strategy="backtrack", force=True))
+    e = ShiftSequence((0, 0, 1, 0, 7, 2, 11, 0, 6, 14, 2, 4, 9, 7, 3))
+    assert (out.witnesses, out.examined) == ((e,), 282635)
+    rotated = twisted_rotation(e)
+    assert not check_condition_A(rotated).verdict
+    assert check_condition_B(rotated).verdict
+    a = gen_mseq(LfsrSpec(4, tuple(int(c) for c in PRIMITIVE_POLYS[4]), (1, 0, 0, 0)))
+    b = PeriodicSequence(2, a.values[::-1])
+    assert is_two_level(a) and is_two_level(b)
+    for vector in (e, rotated):
+        report = signal_set_delta(build_signal_set(a, b, vector).members, method="fast")
+        assert (report.delta, len(report.witnesses)) == (33, 1920)
 
 
 def test_mask_dtype_is_the_narrowest_word():

@@ -59,8 +59,7 @@ def _profile_json(profile: CorrelationProfile) -> dict:
 
 
 def _delta_json(report: DeltaReport) -> dict:
-    w = report.witnesses
-    columns = (w.i.tolist(), w.j.tolist(), w.tau.tolist(), w.value.tolist())
+    columns = (c.tolist() for c in report.witnesses._columns())  # one decode
     return {
         "delta": report.delta,
         "period": report.period,

@@ -10,7 +10,9 @@ sums the +-1 products in float32: every partial sum is an integer of size at
 most the period n, and float32 holds every integer up to 2^24 exactly, so the
 sum is exact in any order; above period 2^24 the direct path refuses. The
 transform path rounds back in float64 under a residue guard. The scan reads
-the rows as floats and converts only the maximizers to int64.
+the rows as floats and keeps each maximizer as one int64 code, its position
+and sign; delta restores its value, and the witness columns are decoded from
+the codes when they are read.
 """
 
 from __future__ import annotations
@@ -102,45 +104,62 @@ class Witness(NamedTuple):
     value: int
 
 
-_BATCH = 4096  # Witness objects built per step while a WitnessSequence is read
+_BATCH = 4096  # witnesses decoded per step while a WitnessSequence is read
 
 
 class WitnessSequence(Sequence):
-    """Read-only sequence of Witness over exact column arrays.
+    """Read-only sequence of Witness over one packed int64 code per witness.
 
-    The columns ``i``, ``j``, ``tau`` and ``value`` are read-only int64
-    numpy arrays. Witness objects are built in batches as the sequence is
-    iterated or indexed, and none is kept. A
-    slice is a WitnessSequence over views of the columns. It equals another
-    WitnessSequence with equal columns, and a tuple of the same Witnesses.
+    A witness (i, j, tau, value) of r members of period n, with
+    |value| = delta, is the code ((i*r + j)*n + tau) << 1 | (value < 0);
+    ``code`` is the read-only int64 array of them, 8 bytes a witness.
+    ``i``, ``j``, ``tau`` and ``value`` decode it on access into read-only
+    int64 arrays. Witness objects are decoded in batches as the sequence is
+    iterated or indexed, and none is kept. A slice is a WitnessSequence over
+    a view of the code. It equals another WitnessSequence with equal columns,
+    and a tuple of the same Witnesses.
     """
 
-    __slots__ = Witness._fields
+    __slots__ = ("code", "delta", "r", "n")
 
-    def __init__(self, i: np.ndarray, j: np.ndarray, tau: np.ndarray, value: np.ndarray):
-        for name, column in zip(self.__slots__, (i, j, tau, value)):
-            column.flags.writeable = False
-            setattr(self, name, column)
+    def __init__(self, code: np.ndarray, delta: int, r: int, n: int):
+        code.flags.writeable = False
+        self.code, self.delta, self.r, self.n = code, delta, r, n
 
     def _columns(self):
-        return self.i, self.j, self.tau, self.value
+        # The four read-only int64 columns (i, j, tau, value), decoded.
+        ij, tau = np.divmod(self.code >> 1, self.n)
+        i, j = np.divmod(ij, self.r)
+        value = (self.code & 1) * (-2 * self.delta) + self.delta
+        for column in (i, j, tau, value):
+            column.flags.writeable = False
+        return i, j, tau, value
+
+    i = property(lambda self: self._columns()[0])
+    j = property(lambda self: self._columns()[1])
+    tau = property(lambda self: self._columns()[2])
+    value = property(lambda self: self._columns()[3])
 
     def __len__(self) -> int:
-        return len(self.i)
+        return len(self.code)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return WitnessSequence(*(c[k] for c in self._columns()))
-        return Witness._make(c[k].item() for c in self._columns())
+            return WitnessSequence(self.code[k], self.delta, self.r, self.n)
+        code = self.code[k].item()
+        ij, tau = divmod(code >> 1, self.n)
+        return Witness(*divmod(ij, self.r), tau, -self.delta if code & 1 else self.delta)
 
     def __iter__(self):
         for start in range(0, len(self), _BATCH):
-            batch = (c[start : start + _BATCH].tolist() for c in self._columns())
+            batch = self[start : start + _BATCH]._columns()
             # tuple.__new__ skips Witness.__new__'s Python frame: one C call each.
-            yield from map(tuple.__new__, repeat(Witness), zip(*batch))
+            yield from map(tuple.__new__, repeat(Witness), zip(*(c.tolist() for c in batch)))
 
     def __eq__(self, other):
         if isinstance(other, WitnessSequence):
+            if (self.r, self.n, self.delta) == (other.r, other.n, other.delta):
+                return np.array_equal(self.code, other.code)
             return all(map(np.array_equal, self._columns(), other._columns()))
         if isinstance(other, tuple):
             return len(self) == len(other) and all(map(operator.eq, self, other))
@@ -160,8 +179,8 @@ class DeltaReport:
     delta is an exact int. Witnesses list every (i, j, tau, value) attaining
     |value| = delta, in lexicographic (i, j, tau) order over ordered pairs,
     excluding the trivial (i = j, tau = 0) peak. The maximizers are held as
-    int64 arrays in a read-only WitnessSequence (not a tuple); Witness
-    objects are built as they are read.
+    one packed int64 code each in a read-only WitnessSequence (not a tuple);
+    its columns and Witness objects are decoded as they are read.
     """
 
     delta: int
@@ -216,8 +235,8 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
 
     ``method`` selects the correlation path ("direct" or "fast"); the choice
     is explicit, never silent. Both paths feed one scan and give the same
-    exact delta, witness positions and values. The scan ends with the
-    maximizers as int64 arrays (see WitnessSequence).
+    exact delta, witness positions and values. The scan ends with one
+    packed int64 code per maximizer (see WitnessSequence).
     """
     members = list(members)
     if not members:
@@ -230,7 +249,7 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
         raise ValueError("delta is undefined: no admissible (pair, offset) exists")
 
     best = -1
-    found = []  # (at, values) per block, at = (i*r + j)*v + tau, every |value| >= best
+    found = []  # packed witness codes per block (see WitnessSequence), every |value| >= best
     mirrored = False  # whether found holds mirrored hits, out of (i, j, tau) order
     for lo, rows in _correlation_rows(members, method):
         c, w = rows.shape[:2]  # w = r - lo columns, from member lo on
@@ -238,43 +257,32 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
         mags = np.abs(rows)
         mags[np.arange(c) * (w + 1) * v] = -1  # trivial in-phase peaks (i = j, tau = 0)
         top = int(mags.max())
-        if top > best:
+        if top > best:  # every earlier hit is at most the old best: none is kept
             best = top
-            found = [
-                (at[keep], vals[keep])
-                for at, vals in found
-                if (keep := np.abs(vals) >= best).any()
-            ]
+            found = []
         at = np.flatnonzero(mags >= best)
         if not at.size:
             continue
-        vals = rows[at].astype(np.int64)
+        negative = rows[at] < 0
         if lo:  # each row h of the block skipped lo columns
             at += at // (w * v) * (lo * v)
         at += lo * (r + 1) * v
-        found.append((at, vals))
         if w > c:
             # A later block skips the pair (j, i) of its member j against
             # member i of this one. C_ji(tau) = C_ij(-tau mod v) exactly for
             # binary members, so its maximizers are (j, i, -tau mod v, value).
             i, j, taus = np.unravel_index(at, (r, r, v))
             later = j >= lo + c
-            found.append(((j[later] * r + i[later]) * v + -taus[later] % v, vals[later]))
+            mirror = (j[later] * r + i[later]) * v + -taus[later] % v
+            found.append(mirror << 1 | negative[later])
             mirrored = True
+        found.append(at << 1 | negative)
 
-    delta = best
-    at, vals = map(np.concatenate, zip(*found))
-    del found  # else the per-block arrays stay alive beside all five columns
+    code = np.concatenate(found)
+    del found  # else the per-block codes stay alive beside the whole array
     if mirrored:
-        # Every maximizer is +-delta, so its sign rides in the lowest bit of
-        # its index and one sort in place restores (i, j, tau) order: no
-        # order array and no gathers, each another column on the heap.
-        at <<= 1
-        at |= vals < 0
-        del vals
-        at.sort()
-        vals = (at & 1) * (-2 * delta) + delta
-        at >>= 1
-    i, j, taus = np.unravel_index(at, (r, r, v))
-    witnesses = WitnessSequence(i, j, taus, vals)
-    return DeltaReport(delta, witnesses, v, r)
+        # Every maximizer is +-delta and its sign rides in the lowest bit of
+        # its code, so one sort in place restores (i, j, tau) order.
+        code.sort()
+    witnesses = WitnessSequence(code, best, r, v)
+    return DeltaReport(best, witnesses, v, r)

@@ -49,6 +49,14 @@ class ShiftSequence:
             if x != INFINITY and not 0 <= x < v:
                 raise ValueError(f"entry {x} is outside [0, {v})")
 
+    @classmethod
+    def _valid(cls, entries: tuple[int, ...]) -> ShiftSequence:
+        # A shift sequence from entries already known to be a tuple of Python
+        # ints in [0, v): the checks of __post_init__ are skipped.
+        e = object.__new__(cls)
+        object.__setattr__(e, "entries", entries)
+        return e
+
     @property
     def v(self) -> int:
         return len(self.entries)

@@ -312,7 +312,7 @@ def backtrack(
         nodes = tried[lead:]
         examined = v ** (v - lead) if full else sum(nodes)
         _tick(progress, reported, examined)
-    found = tuple(map(ShiftSequence, witnesses))
+    found = tuple(map(ShiftSequence._valid, witnesses))
     return SearchOutcome(found, examined, satisfying, exhaustive, () if full else tuple(nodes))
 
 
@@ -392,5 +392,5 @@ def sample_random(
         found: list[tuple[int, ...]] = []
         _collect(rows, name, limit, found)
         hits.update(found)  # a set, so repeated draws keep one witness each
-    witnesses = tuple(map(ShiftSequence, sorted(hits)[:limit]))
+    witnesses = tuple(map(ShiftSequence._valid, sorted(hits)[:limit]))
     return SearchOutcome(witnesses, n, satisfying, False)

@@ -606,6 +606,24 @@ def test_sample_random_deterministic():
     assert [w.entries for w in one.witnesses] == sorted(w.entries for w in one.witnesses)
 
 
+def test_search_witnesses_equal_validated_shift_sequences():
+    # The walk and the sampler build witnesses without re-validating entries
+    # they produced; each must still be the ShiftSequence of its entries.
+    outcomes = [
+        (7, backtrack(SearchSpec(7, "B-not-A", limit=50))),
+        (6, backtrack(SearchSpec(6, "A", normalize=False, limit=50, strategy="full"))),
+        (7, sample_random(7, "B", 500, seed=3, limit=20)),
+    ]
+    for v, out in outcomes:
+        assert out.witnesses
+        for w in out.witnesses:
+            built = ShiftSequence(w.entries)
+            assert type(w) is ShiftSequence and w == built and hash(w) == hash(built)
+            assert w.v == v and all(type(x) is int for x in w.entries)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                w.entries = ()
+
+
 def test_sample_random_hits_are_real():
     out = sample_random(5, "A", 300, seed=0, limit=300)
     assert out.satisfying >= len(out.witnesses) > 0

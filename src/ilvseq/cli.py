@@ -59,7 +59,7 @@ def _profile_json(profile: CorrelationProfile) -> dict:
 
 
 def _delta_json(report: DeltaReport) -> dict:
-    columns = (c.tolist() for c in report.witnesses._columns())  # one decode
+    columns = (c.tolist() for c in report.witnesses.columns())  # one decode
     return {
         "delta": report.delta,
         "period": report.period,

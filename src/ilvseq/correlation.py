@@ -107,6 +107,11 @@ class Witness(NamedTuple):
 _BATCH = 4096  # witnesses decoded per step while a WitnessSequence is read
 
 
+def _readonly(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 class WitnessSequence(Sequence):
     """Read-only sequence of Witness over one packed int64 code per witness.
 
@@ -114,7 +119,8 @@ class WitnessSequence(Sequence):
     |value| = delta, is the code ((i*r + j)*n + tau) << 1 | (value < 0);
     ``code`` is the read-only int64 array of them, 8 bytes a witness.
     ``i``, ``j``, ``tau`` and ``value`` decode it on access into read-only
-    int64 arrays. Witness objects are decoded in batches as the sequence is
+    int64 arrays, each decoding only its own; ``columns()`` decodes all four
+    at once. Witness objects are decoded in batches as the sequence is
     iterated or indexed, and none is kept. A slice is a WitnessSequence over
     a view of the code. It equals another WitnessSequence with equal columns,
     and a tuple of the same Witnesses.
@@ -126,19 +132,15 @@ class WitnessSequence(Sequence):
         code.flags.writeable = False
         self.code, self.delta, self.r, self.n = code, delta, r, n
 
-    def _columns(self):
-        # The four read-only int64 columns (i, j, tau, value), decoded.
+    def columns(self):
+        """The four read-only int64 columns (i, j, tau, value), decoded at once."""
         ij, tau = np.divmod(self.code >> 1, self.n)
-        i, j = np.divmod(ij, self.r)
-        value = (self.code & 1) * (-2 * self.delta) + self.delta
-        for column in (i, j, tau, value):
-            column.flags.writeable = False
-        return i, j, tau, value
+        return (*map(_readonly, np.divmod(ij, self.r)), _readonly(tau), self.value)
 
-    i = property(lambda self: self._columns()[0])
-    j = property(lambda self: self._columns()[1])
-    tau = property(lambda self: self._columns()[2])
-    value = property(lambda self: self._columns()[3])
+    i = property(lambda self: _readonly((self.code >> 1) // (self.r * self.n)))
+    j = property(lambda self: _readonly((self.code >> 1) // self.n % self.r))
+    tau = property(lambda self: _readonly((self.code >> 1) % self.n))
+    value = property(lambda self: _readonly((self.code & 1) * (-2 * self.delta) + self.delta))
 
     def __len__(self) -> int:
         return len(self.code)
@@ -152,15 +154,13 @@ class WitnessSequence(Sequence):
 
     def __iter__(self):
         for start in range(0, len(self), _BATCH):
-            batch = self[start : start + _BATCH]._columns()
+            batch = self[start : start + _BATCH].columns()
             # tuple.__new__ skips Witness.__new__'s Python frame: one C call each.
             yield from map(tuple.__new__, repeat(Witness), zip(*(c.tolist() for c in batch)))
 
     def __eq__(self, other):
         if isinstance(other, WitnessSequence):
-            if (self.r, self.n, self.delta) == (other.r, other.n, other.delta):
-                return np.array_equal(self.code, other.code)
-            return all(map(np.array_equal, self._columns(), other._columns()))
+            return all(map(np.array_equal, self.columns(), other.columns()))
         if isinstance(other, tuple):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented

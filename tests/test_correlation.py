@@ -213,7 +213,7 @@ def assert_engine_matches_reference(members):
         report = signal_set_delta(members, method=method)
         assert type(report.delta) is int and report.delta == delta
         assert [(w.i, w.j, w.tau, w.value) for w in report.witnesses] == hits
-        assert all(column.dtype == np.int64 for column in report.witnesses._columns())
+        assert all(column.dtype == np.int64 for column in report.witnesses.columns())
         assert all(type(w.value) is int for w in report.witnesses)
 
 
@@ -328,7 +328,9 @@ def test_witness_sequences_compare_decoded_columns_across_shapes():
     # codes, and still compare equal; the same codes under another delta
     # decode to other values, and do not.
     seq = signal_set_delta(WORKED_SET).witnesses
-    i, j, tau, value = seq._columns()
+    i, j, tau, value = seq.columns()
+    assert all(map(np.array_equal, (seq.i, seq.j, seq.tau, seq.value), (i, j, tau, value)))
+    assert not any(c.flags.writeable for c in (seq.i, seq.j, seq.tau, seq.value, i, j, tau, value))
     r, n = seq.r + 3, seq.n + 5
     repacked = correlation.WitnessSequence(((i * r + j) * n + tau) << 1 | (value < 0), seq.delta, r, n)
     assert not np.array_equal(repacked.code, seq.code)
@@ -336,7 +338,7 @@ def test_witness_sequences_compare_decoded_columns_across_shapes():
     assert repacked[3:9] == seq[3:9] and repacked[3:9] != seq[4:10]
     other_delta = correlation.WitnessSequence(seq.code.copy(), seq.delta + 2, seq.r, seq.n)
     assert other_delta != seq and seq != other_delta
-    assert all(map(np.array_equal, other_delta._columns()[:3], seq._columns()[:3]))
+    assert all(map(np.array_equal, other_delta.columns()[:3], seq.columns()[:3]))
 
 
 def test_witness_is_a_named_tuple():

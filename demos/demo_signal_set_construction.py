@@ -52,7 +52,7 @@ print(f"members ({m}, {n}) at offset {tau}: identity {via_identity}, direct {via
 # magnitude is at most 1 + (v + 1) * n0, where n0 counts the columns whose
 # base-shift difference E(j+s) - e_j + r lands on zero: the multiplicity of
 # r among the extended differences at s. For this e the count is 2 at worst.
-worst = max(differences(e, s, True).max_multiplicity for s in range(1, 7))
+worst = max(c for s in range(1, 7) for _, c in differences(e, s, True).multiplicity)
 print(f"worst-case zero count over all (s, r): {worst}",
       f"=> bound {1 + 8 * worst}")
 

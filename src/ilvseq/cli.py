@@ -59,7 +59,7 @@ def _profile_json(profile: CorrelationProfile) -> dict:
 
 
 def _delta_json(report: DeltaReport) -> dict:
-    columns = (c.tolist() for c in report.witnesses.columns())  # one decode
+    columns = (c.tolist() for c in report.witnesses.columns())
     return {
         "delta": report.delta,
         "period": report.period,
@@ -249,7 +249,7 @@ def _cmd_verify_nonexistence(args):
             {
                 "v": v,
                 "exists": ent.exists,
-                "witness": str(ent.witness) if ent.witness else None,
+                "witness": str(ent.witnesses[0]) if ent.witnesses else None,
                 "witnesses": [str(w) for w in ent.witnesses],
                 "examined": ent.examined,
                 "exhaustive": ent.exhaustive,

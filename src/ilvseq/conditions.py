@@ -92,18 +92,6 @@ class DifferenceProfile(NamedTuple):
     values: tuple[int, ...]
     multiplicity: tuple[tuple[int, int], ...]
 
-    @property
-    def multiplicity_map(self) -> dict[int, int]:
-        return dict(self.multiplicity)
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.multiplicity)
-
-    @property
-    def max_multiplicity(self) -> int:
-        return max(count for _, count in self.multiplicity)
-
 
 def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:
     """The differences e_j - E(j+s) mod v at shift s, for j in [0, v) if

@@ -74,8 +74,8 @@ def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationPr
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
     """Transform-based correlation profile; agrees with cross_correlation.
 
-    The result is rounded back to exact integers (the float error of the
-    transform is far below 1/2 at any desk-scale period).
+    The result is rounded back to exact integers; a transform residue above
+    1e-6 raises RuntimeError instead of rounding.
     """
     _, rows = next(_correlation_rows([a, b], "fast"))
     return CorrelationProfile(tuple(rows[0, 1].astype(np.int64).tolist()))
@@ -119,11 +119,11 @@ class WitnessSequence(Sequence):
     |value| = delta, is the code ((i*r + j)*n + tau) << 1 | (value < 0);
     ``code`` is the read-only int64 array of them, 8 bytes a witness.
     ``i``, ``j``, ``tau`` and ``value`` decode it on access into read-only
-    int64 arrays, each decoding only its own; ``columns()`` decodes all four
-    at once. Witness objects are decoded in batches as the sequence is
-    iterated or indexed, and none is kept. A slice is a WitnessSequence over
-    a view of the code. It equals another WitnessSequence with equal columns,
-    and a tuple of the same Witnesses.
+    int64 arrays, each decoding only its own; ``columns()`` returns all four.
+    Witness objects are decoded in batches as the sequence is iterated, and
+    none is kept; an int index reads a one-element slice. A slice is a
+    WitnessSequence over a view of the code. It equals another
+    WitnessSequence with equal columns, and a tuple of the same Witnesses.
     """
 
     __slots__ = ("code", "delta", "r", "n")
@@ -133,9 +133,8 @@ class WitnessSequence(Sequence):
         self.code, self.delta, self.r, self.n = code, delta, r, n
 
     def columns(self):
-        """The four read-only int64 columns (i, j, tau, value), decoded at once."""
-        ij, tau = np.divmod(self.code >> 1, self.n)
-        return (*map(_readonly, np.divmod(ij, self.r)), _readonly(tau), self.value)
+        """The four read-only int64 columns (i, j, tau, value)."""
+        return self.i, self.j, self.tau, self.value
 
     i = property(lambda self: _readonly((self.code >> 1) // (self.r * self.n)))
     j = property(lambda self: _readonly((self.code >> 1) // self.n % self.r))
@@ -148,9 +147,9 @@ class WitnessSequence(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return WitnessSequence(self.code[k], self.delta, self.r, self.n)
-        code = self.code[k].item()
-        ij, tau = divmod(code >> 1, self.n)
-        return Witness(*divmod(ij, self.r), tau, -self.delta if code & 1 else self.delta)
+        k = range(len(self))[k]  # a tuple's rule: negative from the end, IndexError past it
+        (witness,) = self[k : k + 1]
+        return witness
 
     def __iter__(self):
         for start in range(0, len(self), _BATCH):
@@ -250,7 +249,6 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
 
     best = -1
     found = []  # packed witness codes per block (see WitnessSequence), every |value| >= best
-    mirrored = False  # whether found holds mirrored hits, out of (i, j, tau) order
     for lo, rows in _correlation_rows(members, method):
         c, w = rows.shape[:2]  # w = r - lo columns, from member lo on
         rows = rows.reshape(-1)  # value (h*w + k)*v + tau: member lo+h against member lo+k
@@ -261,8 +259,6 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
             best = top
             found = []
         at = np.flatnonzero(mags >= best)
-        if not at.size:
-            continue
         negative = rows[at] < 0
         if lo:  # each row h of the block skipped lo columns
             at += at // (w * v) * (lo * v)
@@ -275,14 +271,12 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
             later = j >= lo + c
             mirror = (j[later] * r + i[later]) * v + -taus[later] % v
             found.append(mirror << 1 | negative[later])
-            mirrored = True
         found.append(at << 1 | negative)
 
     code = np.concatenate(found)
     del found  # else the per-block codes stay alive beside the whole array
-    if mirrored:
-        # Every maximizer is +-delta and its sign rides in the lowest bit of
-        # its code, so one sort in place restores (i, j, tau) order.
-        code.sort()
+    # Every maximizer is +-delta and its sign rides in the lowest bit of its
+    # code, so one sort in place puts the mirrored hits in (i, j, tau) order.
+    code.sort()
     witnesses = WitnessSequence(code, best, r, v)
     return DeltaReport(best, witnesses, v, r)

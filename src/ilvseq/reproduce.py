@@ -126,7 +126,7 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     # multiplicity of r among the extended differences at s.
     bound_ok = True
     for s in range(1, v):
-        n0 = differences(e, s, True).multiplicity_map
+        n0 = dict(differences(e, s, True).multiplicity)
         for h in range(v):
             for k in range(v):
                 if (h - k) % v == s:

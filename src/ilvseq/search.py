@@ -331,10 +331,6 @@ class NonexistenceEntry:
     exhaustive: bool
     nodes: int
 
-    @property
-    def witness(self) -> ShiftSequence | None:
-        return self.witnesses[0] if self.witnesses else None
-
 
 def verify_open_nonexistence(v_max: int, force: bool = False) -> dict[int, NonexistenceEntry]:
     """Exhaustively census the completeness condition for every v in [2, v_max].
@@ -364,10 +360,9 @@ def sample_random(
     predicate: object,
     n: int,
     seed: int = 0,
-    normalize: bool = True,
     limit: int = 0,
 ) -> SearchOutcome:
-    """Uniform random draws over the (normalized) space; never exhaustive.
+    """Uniform random draws over the normalized space; never exhaustive.
 
     The offered fallback beyond the exhaustive budget. The draws are judged
     in blocks of up to ``BLOCK_ROWS`` rows by the predicate's block verdict.
@@ -376,17 +371,15 @@ def sample_random(
     """
     if n < 1:
         raise ValueError("sample size must be positive")
-    spec = SearchSpec(v, predicate, normalize=normalize, limit=limit, force=True)
-    name, verdict = _resolve_predicate(spec)
+    name, verdict = _resolve_predicate(SearchSpec(v, predicate, limit=limit))
     rng = random.Random(seed)
-    lead = 1 if normalize else 0  # a normalized e_0 stays 0
     satisfying = 0
     hits: set[tuple[int, ...]] = set()
     for start in range(0, n, BLOCK_ROWS):
         size = min(BLOCK_ROWS, n - start)
         block = np.zeros((size, v), dtype=_row_dtype(v))
-        draws = [rng.randrange(v) for _ in range(size * (v - lead))]
-        block[:, lead:] = np.reshape(draws, (size, v - lead))
+        draws = [rng.randrange(v) for _ in range(size * (v - 1))]
+        block[:, 1:] = np.reshape(draws, (size, v - 1))  # a normalized e_0 stays 0
         rows = block[verdict(block)]
         satisfying += len(rows)
         found: list[tuple[int, ...]] = []

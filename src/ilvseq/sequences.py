@@ -229,7 +229,7 @@ def parse_sequence(text: str) -> PeriodicSequence:
         try:
             values = tuple(int(tok) for tok in text.split(","))
         except ValueError:
-            raise ValueError(f"bad residue in sequence text: {text!r}") from None
+            raise ValueError(f"bad bit in sequence text: {text!r}") from None
     else:
         if not text.isdigit():
             raise ValueError(f"bad sequence text: {text!r}")

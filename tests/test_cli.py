@@ -80,6 +80,7 @@ def test_gen_bad_input_exits_2(capsys):
         ),
         (["gen", "mseq", "--degree", "3", "--poly", "1011", "--state", "10"], "state needs 3 bits, got 2"),
         (["correlate", "--a", "10x1", "--auto"], "bad sequence text: '10x1'"),
+        (["correlate", "--a", "1,0,x", "--auto"], "bad bit in sequence text: '1,0,x'"),
         (
             ["build", "--a", "1001110", "--b", "1001011", "--e", "0,0,1,0,6,3"],
             "shift vector length 6 does not match period 7",
@@ -102,6 +103,7 @@ def test_gen_bad_input_exits_2(capsys):
         "state-non-digit",
         "short-state",
         "bad-sequence-text",
+        "bad-comma-bit",
         "short-shift-vector",
         "sample-0",
         "sample-with-strategy",

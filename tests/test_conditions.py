@@ -47,17 +47,17 @@ def verdict(name, entries):
 def test_differences_A_worked_example():
     prof = differences(E7, 1, False)
     assert prof.values == (0, 6, 1, 1, 3, 5)
-    assert prof.distinct_count == 5
-    assert prof.max_multiplicity == 2
+    assert len(prof.multiplicity) == 5
+    assert max(c for _, c in prof.multiplicity) == 2
     assert prof.multiplicity == ((0, 1), (1, 2), (3, 1), (5, 1), (6, 1))
-    assert prof.multiplicity_map[1] == 2
+    assert dict(prof.multiplicity)[1] == 2
     assert (prof.v, prof.s, prof.extended) == (7, 1, False)
 
 
 def test_differences_B_worked_example():
     prof = differences(E7, 1, True)
     assert prof.values == (0, 6, 1, 1, 3, 5, 4)
-    assert prof.max_multiplicity == 2
+    assert max(c for _, c in prof.multiplicity) == 2
     assert differences(E7, 1, np.True_) == prof
 
 
@@ -253,9 +253,9 @@ def _reference_report(e, name):
     checks = []
     for s in range(1, e.v):
         prof = _reference_differences(e, s, extended)
-        top = prof.max_multiplicity
+        top = max(c for _, c in prof.multiplicity)
         if cap == 1:
-            observed, required = prof.distinct_count, len(prof.values)
+            observed, required = len(prof.multiplicity), len(prof.values)
         else:
             observed, required = top, cap
         checks.append(ShiftCheck(s, top <= cap, observed, required, prof))

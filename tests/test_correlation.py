@@ -213,6 +213,7 @@ def assert_engine_matches_reference(members):
         report = signal_set_delta(members, method=method)
         assert type(report.delta) is int and report.delta == delta
         assert [(w.i, w.j, w.tau, w.value) for w in report.witnesses] == hits
+        assert (np.diff(report.witnesses.code) > 0).all()  # sorted, each code once
         assert all(column.dtype == np.int64 for column in report.witnesses.columns())
         assert all(type(w.value) is int for w in report.witnesses)
 
@@ -296,19 +297,23 @@ def test_witness_sequence_reads_as_the_tuple(members, method):
     seq = report.witnesses
     want = witnesses_from_profiles(members, report.delta)
     assert len(seq) == len(want) == 80 and seq
+    assert (np.diff(seq.code) > 0).all()  # one block: sorted, each code once
     assert_same_witnesses(seq, want)
     assert_same_witnesses([seq[0], seq[-1]], [want[0], want[-1]])
     assert_same_witnesses(seq[1:-1:2], want[1:-1:2])
     assert seq == want and want == seq and seq[1:-1:2] == want[1:-1:2]
     assert seq[0] == want[0] and seq[-1] == want[-1]
+    every = range(-len(seq), len(seq))  # a tuple's indices, negative ones too
+    assert_same_witnesses([seq[k] for k in every], [want[k] for k in every])
     assert seq != want[1:] and seq != list(want)
     # Reading does not consume it.
     assert tuple(seq) == tuple(seq) and list(seq) == list(iter(seq))
     for column in (seq.i, seq.j, seq.tau, seq.value, seq[::2].tau):
         with pytest.raises(ValueError):
             column[0] = column[0]
-    with pytest.raises(IndexError):
-        seq[len(seq)]
+    for k in (len(seq), -len(seq) - 1):
+        with pytest.raises(IndexError):
+            seq[k]
 
 
 def test_witness_sequences_compare_by_columns():

@@ -535,7 +535,7 @@ def test_column_correlations_validation():
 def test_zero_count_worked_example():
     # n0(s=1, r=0) = 1 column, so |C| <= 1 + 8 * 1 = 9 at tau = 1 off the
     # diagonal phase.
-    assert differences(E7, 1, True).multiplicity_map[0] == 1
+    assert dict(differences(E7, 1, True).multiplicity)[0] == 1
     kernel = column_correlations(A7, B7, E7)
     assert max(abs(kernel[1 + h, 1 + k, 1]) for h in range(7) for k in range(7) if (h - k) % 7 != 1) <= 9
 
@@ -544,7 +544,7 @@ def test_zero_count_linear_vector():
     v = 7
     linear = ShiftSequence(tuple(range(v)))
     for s in range(1, v):
-        n0 = differences(linear, s, True).multiplicity_map
+        n0 = dict(differences(linear, s, True).multiplicity)
         assert n0[(v - s) % v] == v - s
         assert n0[(v - s - 1) % v] == s
 
@@ -554,7 +554,7 @@ def test_zero_count_linear_vector():
 def test_magnitude_bound_off_diagonal_phases(e):
     kernel = column_correlations(A7, B7, e)
     for s in range(1, 7):
-        n0 = differences(e, s, True).multiplicity_map
+        n0 = dict(differences(e, s, True).multiplicity)
         for h in range(7):
             for k in range(7):
                 if (h - k) % 7 == s:
@@ -574,7 +574,7 @@ def test_column_correlations_translation_invariant(e, c):
 @given(entries7, st.integers(1, 6), st.integers(0, 6))
 def test_zero_count_counts_t_zeros(e, s, r):
     zeros = sum((extended_entry(e, j + s) - e.entries[j] + r) % 7 == 0 for j in range(7))
-    assert differences(e, s, True).multiplicity_map.get(r, 0) == zeros
+    assert dict(differences(e, s, True).multiplicity).get(r, 0) == zeros
 
 
 def _off_trivial_max(a, b, e):

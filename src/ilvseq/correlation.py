@@ -6,9 +6,11 @@ The construction is binary, and so is every ``PeriodicSequence``: it refuses
 any other modulus when it is built, so this module never checks the alphabet.
 Every value, delta and witness is an exact integer.
 The delta engine computes in floats without giving that up. The direct path
-sums the +-1 products in float32: every partial sum is an integer of size at
-most the period n, and float32 holds every integer up to 2^24 exactly, so the
-sum is exact in any order; above period 2^24 the direct path refuses. The
+is one float32 matrix product per slab of offsets, the rows against copies of
+the members' circulants: every product is +-1 and every partial sum an
+integer of size at most the period n, and float32 holds every integer up to
+2^24 exactly, so the sum is exact in any order BLAS takes, with or without
+fused multiply-add; above period 2^24 the direct path refuses. The
 transform path rounds back in float64 under a residue guard. The scan reads
 the rows as floats and keeps each maximizer as one int64 code, its position
 and sign; delta restores its value, and the witness columns are decoded from
@@ -24,7 +26,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .sequences import PeriodicSequence, _same_shape
 
@@ -32,7 +34,9 @@ from .sequences import PeriodicSequence, _same_shape
 #: max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, so a small set
 #: is scanned in a few numpy calls and a set with r*n above it (v >= 31) one
 #: member at a time. A block of rows stays near 128 kB (float32, direct) or
-#: 256 kB (float64, fast).
+#: 256 kB (float64, fast). The direct path copies the block's circulants in
+#: slabs of at most as many values: c members at max(1, _BLOCK_VALUES // (c*n))
+#: offsets.
 _BLOCK_VALUES = 1 << 15
 
 #: Longest period the direct path sums: float32 holds every integer up to 2^24
@@ -199,10 +203,13 @@ def _correlation_rows(members, method: str):
     above _BLOCK_VALUES: one member per block. The rows are floats holding
     exact integers. "fast" takes one real float64 transform per member and
     one batched inverse per block, rounded under a residue guard. "direct"
-    sums the shift-products of the float32 +-1 rows over a window view of
-    them doubled: each product is +-1 and each partial sum an integer of size
-    at most n, exact in float32 in any order while n <= _FLOAT32_EXACT; a
-    longer period raises before anything is lifted.
+    multiplies the float32 +-1 rows x[lo:] by the circulants of the block's
+    members, circ[h, tau, k] = x[lo+h, (k - tau) mod n], a read-only view of
+    the rows doubled that is copied in slabs of at most _BLOCK_VALUES values
+    (the c circulants at a run of offsets), one np.matmul per slab. Each
+    product is +-1 and each partial sum an integer of size at most n, exact
+    in float32 in any BLAS order while n <= _FLOAT32_EXACT; a longer period
+    raises before anything is lifted.
     """
     r, n = len(members), members[0].period
     step = max(1, _BLOCK_VALUES // (r * n))
@@ -214,10 +221,19 @@ def _correlation_rows(members, method: str):
                 f"(2^24), not {n}; use method=\"fast\""
             )
         x = _lift(members, np.float32)
-        # windows[j, tau, k] = x[j, (k + tau) mod n], a view: no copy of n^2 size.
-        windows = sliding_window_view(np.concatenate([x, x], axis=1), n, axis=1)[:, :n]
+        doubled = np.concatenate([x, x], axis=1)
+        row, col = doubled.strides
+        # circ[j, tau, k] = doubled[j, n + k - tau] = x[j, (k - tau) mod n]: a
+        # view, no n^2 copy; a slab of it is copied for BLAS.
+        circ = as_strided(doubled[:, n:], (r, n, n), (row, -col, col), writeable=False)
         for lo in blocks:
-            yield lo, np.einsum("jtk,hk->hjt", windows[lo:], x[lo : lo + step])
+            block = circ[lo : lo + step]
+            span = max(1, _BLOCK_VALUES // (len(block) * n))  # offsets per slab
+            rows = np.empty((len(block), r - lo, n), np.float32)
+            for t in range(0, n, span):
+                slab = block[:, t : t + span].copy()
+                np.matmul(x[lo:], slab.transpose(0, 2, 1), out=rows[:, :, t : t + span])
+            yield lo, rows
     else:
         spectra = np.fft.rfft(_lift(members, np.float64), axis=1)
         for lo in blocks:

@@ -260,9 +260,13 @@ DEFAULT_BLOCK_VALUES = correlation._BLOCK_VALUES
 @example([parse_sequence("0101"), parse_sequence("1010")])
 @example([A7, B7, left_shift(A7, 3)])  # an odd period
 def test_engine_matches_reference_binary(members):
-    # Default blocks hold a whole small set, so nothing is mirrored; blocks of
-    # one member fill in every pair (i, j) with j < i from its mirror (j, i).
-    for block_values in (DEFAULT_BLOCK_VALUES, 1):
+    # Default blocks hold a whole small set, so nothing is mirrored, and the
+    # direct path takes all n offsets in one slab; blocks of one member fill
+    # in every pair (i, j) with j < i from its mirror (j, i), in slabs of one
+    # offset at a bound of 1 and of three offsets, not dividing n unless 3 | n,
+    # at a bound of 3n.
+    n = members[0].period
+    for block_values in (DEFAULT_BLOCK_VALUES, 1, 3 * n):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(correlation, "_BLOCK_VALUES", block_values)
             assert_engine_matches_reference(members)
@@ -385,25 +389,43 @@ BINARY_SET_5 = [
 
 
 def witness_columns(members, method, block_values, monkeypatch):
+    """(delta, columns, spans): spans lists the offsets of each direct slab."""
+    spans = []
+    matmul = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        spans.append(b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", block_values)
-    report = signal_set_delta(members, method=method)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation.np, "matmul", counting)
+        report = signal_set_delta(members, method=method)
     w = report.witnesses
-    return report.delta, (w.i, w.j, w.tau, w.value)
+    return report.delta, (w.i, w.j, w.tau, w.value), spans
 
 
 @pytest.mark.parametrize("members", [WORKED_SET, BINARY_SET_5], ids=["p2-worked", "p2-five"])
 @pytest.mark.parametrize("method", ["direct", "fast"])
 def test_block_boundaries_do_not_move_witnesses(members, method, monkeypatch):
-    # One member per block, uneven blocks of three, and the whole set in one.
+    # The block bound also bounds the direct path's slabs of offsets: one
+    # member per block and one offset per slab; one member per block in slabs
+    # of three offsets, which divide neither n = 49 nor n = 8; uneven blocks
+    # of three; and the whole set in one block and all n offsets in one slab.
     r, n = len(members), members[0].period
-    runs = [witness_columns(members, method, size, monkeypatch) for size in (1, 3 * r * n, 1 << 30)]
-    for delta, columns in runs:
+    sizes = (1, 3 * n, 3 * r * n, 1 << 30)
+    runs = [witness_columns(members, method, size, monkeypatch) for size in sizes]
+    if method == "direct":
+        assert set(runs[0][2]) == {1} and len(runs[0][2]) == r * n
+        assert set(runs[1][2]) == {3, n % 3} and n % 3
+        assert runs[3][2] == [n]
+    for delta, columns, _ in runs:
         assert type(delta) is int and all(column.dtype == np.int64 for column in columns)
-    for delta, columns in runs[1:]:
+    for delta, columns, _ in runs[1:]:
         assert delta == runs[0][0]
         assert all(map(np.array_equal, columns, runs[0][1]))
     want_delta, hits = reference_delta(members)
-    delta, columns = runs[0]
+    delta, columns, _ = runs[0]
     assert delta == want_delta
     assert list(zip(*(column.tolist() for column in columns))) == hits
     if members is BINARY_SET_5:

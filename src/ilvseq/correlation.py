@@ -223,8 +223,7 @@ def _correlation_rows(members, method: str):
         x = _lift(members, np.float32)
         doubled = np.concatenate([x, x], axis=1)
         row, col = doubled.strides
-        # circ[j, tau, k] = doubled[j, n + k - tau] = x[j, (k - tau) mod n]: a
-        # view, no n^2 copy; a slab of it is copied for BLAS.
+        # circ[j, tau, k] = doubled[j, n + k - tau]: no n^2 copy, only slabs.
         circ = as_strided(doubled[:, n:], (r, n, n), (row, -col, col), writeable=False)
         for lo in blocks:
             block = circ[lo : lo + step]

@@ -26,7 +26,6 @@ from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .sequences import PeriodicSequence, _same_shape
 
@@ -204,12 +203,13 @@ def _correlation_rows(members, method: str):
     exact integers. "fast" takes one real float64 transform per member and
     one batched inverse per block, rounded under a residue guard. "direct"
     multiplies the float32 +-1 rows x[lo:] by the circulants of the block's
-    members, circ[h, tau, k] = x[lo+h, (k - tau) mod n], a read-only view of
-    the rows doubled that is copied in slabs of at most _BLOCK_VALUES values
-    (the c circulants at a run of offsets), one np.matmul per slab. Each
-    product is +-1 and each partial sum an integer of size at most n, exact
-    in float32 in any BLAS order while n <= _FLOAT32_EXACT; a longer period
-    raises before anything is lifted.
+    members, circ[h, tau, k] = x[lo+h, (k - tau) mod n]: one read-only view
+    that the np.ndarray constructor lays over the rows doubled, with strides
+    (row, -col, col), copied in slabs of at most _BLOCK_VALUES values (the c
+    circulants at a run of offsets), one np.matmul per slab. Each product is
+    +-1 and each partial sum an integer of size at most n, exact in float32
+    in any BLAS order while n <= _FLOAT32_EXACT; a longer period raises
+    before anything is lifted.
     """
     r, n = len(members), members[0].period
     step = max(1, _BLOCK_VALUES // (r * n))
@@ -224,7 +224,8 @@ def _correlation_rows(members, method: str):
         doubled = np.concatenate([x, x], axis=1)
         row, col = doubled.strides
         # circ[j, tau, k] = doubled[j, n + k - tau]: no n^2 copy, only slabs.
-        circ = as_strided(doubled[:, n:], (r, n, n), (row, -col, col), writeable=False)
+        circ = np.ndarray((r, n, n), np.float32, doubled, n * col, (row, -col, col))
+        circ.flags.writeable = False
         for lo in blocks:
             block = circ[lo : lo + step]
             span = max(1, _BLOCK_VALUES // (len(block) * n))  # offsets per slab
@@ -268,12 +269,14 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
         c, w = rows.shape[:2]  # w = r - lo columns, from member lo on
         rows = rows.reshape(-1)  # value (h*w + k)*v + tau: member lo+h against member lo+k
         mags = np.abs(rows)
-        mags[np.arange(c) * (w + 1) * v] = -1  # trivial in-phase peaks (i = j, tau = 0)
+        # The trivial in-phase peaks (i = j, tau = 0): member lo+h against
+        # itself sits at (h*w + h)*v, h < c <= w, so the step w+1 finds the c of them.
+        mags[:: (w + 1) * v] = -1
         top = int(mags.max())
         if top > best:  # every earlier hit is at most the old best: none is kept
             best = top
             found = []
-        at = np.flatnonzero(mags >= best)
+        (at,) = (mags >= best).nonzero()
         negative = rows[at] < 0
         if lo:  # each row h of the block skipped lo columns
             at += at // (w * v) * (lo * v)
@@ -288,7 +291,7 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
             found.append(mirror << 1 | negative[later])
         found.append(at << 1 | negative)
 
-    code = np.concatenate(found)
+    code = found[0] if len(found) == 1 else np.concatenate(found)
     del found  # else the per-block codes stay alive beside the whole array
     # Every maximizer is +-delta and its sign rides in the lowest bit of its
     # code, so one sort in place puts the mirrored hits in (i, j, tau) order.

@@ -136,17 +136,27 @@ def _extension(e: ShiftSequence) -> tuple[int, ...]:
     return e.entries + tuple([(x + 1) % e.v for x in e.entries])
 
 
+def _interleaved(a: PeriodicSequence, shifts, out=None) -> np.ndarray:
+    # The uint8 (s, t) matrix [i, j] = a_((shifts_j + i) mod s) for shifts in
+    # [0, s): row i of the read-only view [i, k] = a_(i+k) of two periods of
+    # a's bytes, at the columns shifts.
+    s = a.period
+    window = np.ndarray((s, s), np.uint8, bytes(a.values) * 2, 0, (1, 1))
+    return np.take(window, shifts, axis=1, out=out)
+
+
 def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
     """Build the interleaved sequence whose column j is L^(e_j)(a), or zero.
 
     The result has period s*t, with s the period of a and t the length of
     e: entry i*t + j is a_((e_j + i) mod s), or 0 where e_j is INFINITY.
+    Its columns are gathered from two periods of a's bytes, as member 0 of
+    ``build_signal_set`` is.
     """
-    finite = np.array([x != INFINITY for x in e.entries])
-    shifts = np.array([x if x != INFINITY else 0 for x in e.entries], dtype=np.int64)
-    rows = np.arange(a.period)[:, None]
-    values = np.asarray(a.values, dtype=np.int64)[(shifts + rows) % a.period] * finite
-    return PeriodicSequence._valid(tuple(values.ravel().tolist()))
+    s = a.period
+    u = _interleaved(a, [0 if x == INFINITY else x % s for x in e.entries])
+    u[:, [x == INFINITY for x in e.entries]] = 0
+    return PeriodicSequence._valid(tuple(u.ravel().tolist()))
 
 
 def matrix_form(u: PeriodicSequence, s_rows: int, t_cols: int) -> np.ndarray:
@@ -255,20 +265,23 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     """Construct the v+1 member signal set over base a, offsets b, shifts e.
 
     Member 0 is u = interleave(a, e); member 1+j is u + L^j(b) with b read
-    cyclically up to period v^2. Requires binary a and b of equal period v
-    and a finite length-v shift vector. Two-level checks and the member
+    cyclically up to period v^2. The members are the rows of one uint8
+    (v+1, v^2) table: row 0 is gathered as ``interleave`` gathers u, and one
+    XOR adds the v offset rows to it. Requires binary a and b of equal
+    period v and a finite length-v shift vector. Two-level checks and the member
     coincidence scan are advisory: their findings go into notes. The scan
     runs only when a base note fired or v = 1: with two-level a and b of
     period v >= 2 no two distinct members coincide, whatever e is.
     """
     v = _check_construction(a, b, e)
-    u = interleave(a, e)
-    # Entry t of member 1+j is u_t + b_((t+j) mod v): row j of the cyclic
-    # (v, v) table of b, tiled v times.
-    cyclic = np.add.outer(np.arange(v), np.arange(v)) % v
-    offsets = np.tile(np.array(b.values, dtype=np.uint8)[cyclic], v)
-    offsets ^= np.array(u.values, dtype=np.uint8)
-    members = [u, *(PeriodicSequence._valid(tuple(row)) for row in offsets.tolist())]
+    # One uint8 table holds every member. Row 0 is u; row 1+k adds to it the
+    # offsets b_((t+k) mod v), read from v+1 periods of b's bytes at k + t by
+    # a read-only view of stride 1 in both axes.
+    table = np.empty((v + 1, v * v), np.uint8)
+    _interleaved(a, e.entries, out=table[0].reshape(v, v))
+    offsets = np.ndarray((v, v * v), np.uint8, bytes(b.values) * (v + 1), 0, (1, 1))
+    np.bitwise_xor(table[0], offsets, out=table[1:])
+    members = list(map(PeriodicSequence._valid, map(tuple, table.tolist())))
 
     notes = list(_base_notes(a, b))
     # Two-level a and b, v >= 2: members m != m' coincide under r*v + s only

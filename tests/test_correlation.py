@@ -432,6 +432,32 @@ def test_block_boundaries_do_not_move_witnesses(members, method, monkeypatch):
         assert len(hits) == 8 and sum(i >= 3 > j for i, j, _, _ in hits) == 4
 
 
+def _random_members(r, n, seed):
+    rng = random.Random(seed)
+    return [PeriodicSequence(2, tuple(rng.randrange(2) for _ in range(n))) for _ in range(r)]
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        _random_members(3, 1, 1),  # period 1: each circulant is one value
+        _random_members(1, 8, 2),  # a single member
+        # r*n = 2^15 - 2: blocks of 2^15 // (r*n) = 1 member, slabs of 2 offsets,
+        # the last one short; r*n = 2^15 + 2: blocks of max(1, 0) = 1 member,
+        # slabs of 1 offset. Either way the second member is read off its mirror.
+        _random_members(2, DEFAULT_BLOCK_VALUES // 2 - 1, 3),
+        _random_members(2, DEFAULT_BLOCK_VALUES // 2 + 1, 4),
+    ],
+    ids=["n1", "one-member", "rn-below-block", "rn-above-block"],
+)
+def test_direct_path_edge_shapes(members):
+    # The circulant view at its edge shapes, against the cross_correlation
+    # reference; the caller's members are read, never written.
+    before = [m.values for m in members]
+    assert_engine_matches_reference(members)
+    assert [m.values for m in members] == before
+
+
 def test_block_scan_drops_hits_of_earlier_blocks(monkeypatch):
     # The all-zero member correlates to 7 with itself at every tau != 0; the
     # first three members stay below that, so every earlier block's hits drop.

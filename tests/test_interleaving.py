@@ -455,14 +455,42 @@ def test_light_vectors_have_no_coincident_members(v7_space):
     ids=["worked", "v31-quadratic"],
 )
 def test_built_members_equal_checked_sequences(a, b, e):
+    assert_members_checked((*build_signal_set(a, b, e).members, interleave(a, e)))
+
+
+def assert_members_checked(members, want=None):
     # Members are built without re-validation; they must be indistinguishable
-    # from sequences that went through every check.
-    for m in (*build_signal_set(a, b, e).members, interleave(a, e)):
-        checked = PeriodicSequence(m.modulus, m.values)
+    # from sequences that went through every check, built from want when given.
+    for k, m in enumerate(members):
+        checked = PeriodicSequence(2, m.values if want is None else tuple(want[k]))
         assert m == checked
         assert hash(m) == hash(checked)
         assert type(m.values) is tuple
         assert all(type(x) is int for x in m.values)
+
+
+@st.composite
+def construction_inputs(draw):
+    # Binary a and b of one period v in 1..9 and a finite length-v vector e.
+    v = draw(st.integers(1, 9))
+    bits = st.lists(st.integers(0, 1), min_size=v, max_size=v)
+    entries = st.lists(st.integers(0, v - 1), min_size=v, max_size=v)
+    a, b = (PeriodicSequence(2, tuple(draw(bits))) for _ in range(2))
+    return a, b, ShiftSequence(tuple(draw(entries)))
+
+
+@given(construction_inputs())
+def test_built_members_match_double_loop(inputs):
+    # The definition, entry by entry: u_(i*v + j) = a_((e_j + i) mod v), and
+    # member 1+k at t is u_t + b_((t+k) mod v), mod 2.
+    a, b, e = inputs
+    v = a.period
+    u = [a.values[(e.entries[j] + i) % v] for i in range(v) for j in range(v)]
+    want = [u] + [[u[t] ^ b.values[(t + k) % v] for t in range(v * v)] for k in range(v)]
+    members = build_signal_set(a, b, e).members
+    assert [m.values for m in members] == [tuple(row) for row in want]
+    assert members[0] == interleave(a, e)
+    assert_members_checked(members, want)
 
 
 def test_worked_set_delta():

@@ -203,13 +203,12 @@ def _correlation_rows(members, method: str):
     exact integers. "fast" takes one real float64 transform per member and
     one batched inverse per block, rounded under a residue guard. "direct"
     multiplies the float32 +-1 rows x[lo:] by the circulants of the block's
-    members, circ[h, tau, k] = x[lo+h, (k - tau) mod n]: one read-only view
-    that the np.ndarray constructor lays over the rows doubled, with strides
-    (row, -col, col), copied in slabs of at most _BLOCK_VALUES values (the c
-    circulants at a run of offsets), one np.matmul per slab. Each product is
-    +-1 and each partial sum an integer of size at most n, exact in float32
-    in any BLAS order while n <= _FLOAT32_EXACT; a longer period raises
-    before anything is lifted.
+    members, circ[h, tau, k] = x[lo+h, (k - tau) mod n]: one read-only
+    np.ndarray over the rows doubled, strides (row, -col, col), copied in
+    slabs of at most _BLOCK_VALUES values (the c circulants at a run of
+    offsets), one np.matmul per slab. Each product is +-1 and each partial
+    sum an integer of size at most n, exact in float32 in any BLAS order
+    while n <= _FLOAT32_EXACT; a longer period raises before anything is lifted.
     """
     r, n = len(members), members[0].period
     step = max(1, _BLOCK_VALUES // (r * n))
@@ -269,9 +268,7 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
         c, w = rows.shape[:2]  # w = r - lo columns, from member lo on
         rows = rows.reshape(-1)  # value (h*w + k)*v + tau: member lo+h against member lo+k
         mags = np.abs(rows)
-        # The trivial in-phase peaks (i = j, tau = 0): member lo+h against
-        # itself sits at (h*w + h)*v, h < c <= w, so the step w+1 finds the c of them.
-        mags[:: (w + 1) * v] = -1
+        mags[:: (w + 1) * v] = -1  # trivial peaks (i = j, tau = 0) at (h*w + h)*v, h < c <= w
         top = int(mags.max())
         if top > best:  # every earlier hit is at most the old best: none is kept
             best = top

@@ -137,11 +137,9 @@ def _extension(e: ShiftSequence) -> tuple[int, ...]:
 
 
 def _interleaved(a: PeriodicSequence, shifts, out=None) -> np.ndarray:
-    # The uint8 (s, t) matrix [i, j] = a_((shifts_j + i) mod s) for shifts in
-    # [0, s): row i of the read-only view [i, k] = a_(i+k) of two periods of
-    # a's bytes, at the columns shifts.
-    s = a.period
-    window = np.ndarray((s, s), np.uint8, bytes(a.values) * 2, 0, (1, 1))
+    # The uint8 (s, t) array [i, j] = a_(shifts_j + i), shifts in [0, s): the
+    # columns shifts of the view [i, k] = a_(i+k) over two periods of a's bytes.
+    window = np.ndarray((a.period, a.period), np.uint8, _doubled(a), 0, (1, 1))
     return np.take(window, shifts, axis=1, out=out)
 
 
@@ -150,11 +148,9 @@ def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
 
     The result has period s*t, with s the period of a and t the length of
     e: entry i*t + j is a_((e_j + i) mod s), or 0 where e_j is INFINITY.
-    Its columns are gathered from two periods of a's bytes, as member 0 of
-    ``build_signal_set`` is.
+    Member 0 of ``build_signal_set`` is gathered from a's bytes the same way.
     """
-    s = a.period
-    u = _interleaved(a, [0 if x == INFINITY else x % s for x in e.entries])
+    u = _interleaved(a, [0 if x == INFINITY else x % a.period for x in e.entries])
     u[:, [x == INFINITY for x in e.entries]] = 0
     return PeriodicSequence._valid(tuple(u.ravel().tolist()))
 
@@ -265,18 +261,16 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     """Construct the v+1 member signal set over base a, offsets b, shifts e.
 
     Member 0 is u = interleave(a, e); member 1+j is u + L^j(b) with b read
-    cyclically up to period v^2. The members are the rows of one uint8
-    (v+1, v^2) table: row 0 is gathered as ``interleave`` gathers u, and one
-    XOR adds the v offset rows to it. Requires binary a and b of equal
-    period v and a finite length-v shift vector. Two-level checks and the member
-    coincidence scan are advisory: their findings go into notes. The scan
-    runs only when a base note fired or v = 1: with two-level a and b of
-    period v >= 2 no two distinct members coincide, whatever e is.
+    cyclically up to period v^2; all are rows of one uint8 (v+1, v^2) table.
+    Requires binary a and b of equal period v and a finite length-v shift
+    vector. Two-level checks and the member coincidence scan are advisory:
+    their findings go into notes. The scan runs only when a base note fired
+    or v = 1: with two-level a and b of period v >= 2 no two distinct members
+    coincide, whatever e is.
     """
     v = _check_construction(a, b, e)
-    # One uint8 table holds every member. Row 0 is u; row 1+k adds to it the
-    # offsets b_((t+k) mod v), read from v+1 periods of b's bytes at k + t by
-    # a read-only view of stride 1 in both axes.
+    # Row 0 is u. Row 1+k adds b_((t+k) mod v) to u_t in one XOR, read at
+    # k + t from v+1 periods of b's bytes by a view of stride 1 in both axes.
     table = np.empty((v + 1, v * v), np.uint8)
     _interleaved(a, e.entries, out=table[0].reshape(v, v))
     offsets = np.ndarray((v, v * v), np.uint8, bytes(b.values) * (v + 1), 0, (1, 1))

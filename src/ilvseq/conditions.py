@@ -23,8 +23,9 @@ table below nor numpy. ``difference_terms`` indexes the same differences as
 numpy arrays (i, k, t) per shift, term j meaning e_i - e_k - t.
 ``Condition.holds_rows`` reads it to judge a block of candidates at once
 (random sampling, ``reproduce`` and the tests' enumeration oracle), and the
-search's backtracker records its terms as bits of per-shift masks as entries
-are placed.
+search's backtracker groups its terms by later index into runs on
+consecutive shifts and records each run as bits of per-shift masks, in one
+chain of 2-D ops, as entries are placed.
 """
 
 from __future__ import annotations

@@ -60,9 +60,9 @@ class CorrelationProfile:
 def _lift(seqs, dtype=np.int64) -> np.ndarray:
     """Equal-period binary sequences as rows of +-1 in dtype."""
     _same_shape(seqs)
-    # Binary values fit a byte, so the members join into one bytes object
-    # instead of passing through a list of Python tuples, and index a +-1 table.
-    values = np.frombuffer(b"".join([bytes(s.values) for s in seqs]), np.uint8)
+    # Binary values fit a byte, so the members' cached bytes join into one
+    # bytes object instead of passing through Python tuples, and index a +-1 table.
+    values = np.frombuffer(b"".join([s.value_bytes for s in seqs]), np.uint8)
     return np.array((1, -1), dtype)[values].reshape(len(seqs), -1)
 
 

@@ -273,9 +273,12 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     # k + t from v+1 periods of b's bytes by a view of stride 1 in both axes.
     table = np.empty((v + 1, v * v), np.uint8)
     _interleaved(a, e.entries, out=table[0].reshape(v, v))
-    offsets = np.ndarray((v, v * v), np.uint8, bytes(b.values) * (v + 1), 0, (1, 1))
+    offsets = np.ndarray((v, v * v), np.uint8, b.value_bytes * (v + 1), 0, (1, 1))
     np.bitwise_xor(table[0], offsets, out=table[1:])
-    members = list(map(PeriodicSequence._valid, map(tuple, table.tolist())))
+    # Each member keeps its row of the table's bytes as its cached bytes.
+    data, n = table.tobytes(), v * v
+    rows = [data[start : start + n] for start in range(0, len(data), n)]
+    members = list(map(PeriodicSequence._valid, map(tuple, table.tolist()), rows))
 
     notes = list(_base_notes(a, b))
     # Two-level a and b, v >= 2: members m != m' coincide under r*v + s only

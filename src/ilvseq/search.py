@@ -147,6 +147,37 @@ def _children(parents: np.ndarray, m: int, index: np.ndarray) -> np.ndarray:
     return kids
 
 
+def _runs(v: int, extended: bool) -> list[list[tuple[int, slice, slice]]]:
+    # Each depth m's maximal runs of the terms of ``difference_terms`` whose
+    # later index is m: (t, rows, cols), the terms of kind t at the shifts s
+    # with s - 1 in the slice rows, whose other columns step by one through
+    # the slice cols. Unwrapped runs come first, so each shift meets its
+    # unwrapped term before its wrapped one, as in ``difference_terms``. The
+    # real table gives at most two per depth: shifts 1..m reading columns
+    # m-1 down to 0, and shifts v-m..v-1 reading columns 0..m-1.
+    pairs = [([], []) for _ in range(v)]  # by later index and kind: (s - 1, other)
+    for row, terms in enumerate(difference_terms(v, extended)):
+        for i, k, t in zip(*(arr.tolist() for arr in terms)):
+            pairs[max(i, k)][t].append((row, min(i, k)))
+    runs = []
+    for by_kind in pairs:
+        depth = []
+        for t, found in enumerate(by_kind):
+            for row, col in found:
+                if depth and depth[-1][0] == t:
+                    _, rows, cols = depth[-1]
+                    count = rows.stop - rows.start
+                    step = col - cols.start if count == 1 else cols.step
+                    if abs(step) == 1 and (row, col) == (rows.stop, cols.start + step * count):
+                        stop = col + step  # None past column 0, read downwards
+                        cols = slice(cols.start, stop if stop >= 0 else None, step)
+                        depth[-1] = (t, slice(rows.start, row + 1), cols)
+                        continue
+                depth.append((t, slice(row, row + 1), slice(col, col + 1)))
+        runs.append(depth)
+    return runs
+
+
 def _rank(entries: list[int], v: int) -> int:
     # A candidate's lexicographic rank in Z_v^v, the same among the normalized
     # ones when e_0 = 0; a Python int, as v^v overflows int64 past v = 15.
@@ -187,12 +218,16 @@ def backtrack(
     runs on contiguous rows: a block of n prefixes holds its entries in a
     (v, n) array of ``_row_dtype(v)`` and its masks in a (words, n) array of
     ``_mask_dtype(v)``. A popped block of parents at depth m expands to all
-    its children at column m. Each term of ``later[m]`` reads the bits of a
-    parent's v children off one row of a (v, v) table (the difference is
-    c - e_m or e_m - c - 1 for the parent's entry c in the term's other
-    column) and then updates the masks with a few unsigned row ops. The
-    survivors go back on the stack in blocks of ``BLOCK_ROWS // v`` parents,
-    first block on top, so leaves come out in lexicographic order. B-not-A
+    its children at column m. A term's bits for a parent's v children are
+    one row of a (v, v) table: the difference is c - e_m or e_m - c - 1 for
+    the parent's entry c in the term's other column. The terms of column m
+    come in at most two runs (``_runs``): unwrapped at shifts 1..m, reading
+    columns m-1 down to 0, then wrapped at shifts v-m..v-1, reading columns
+    0..m-1. Each run is one chain of unsigned ops on 2-D slices of
+    consecutive mask rows, one row per shift, its check OR-reduced over the
+    rows. The survivors go back on the stack in blocks of
+    ``BLOCK_ROWS // v`` parents, first block on top, so leaves come out in
+    lexicographic order. B-not-A
     searches B and also records B's unwrapped terms (t = 0), which are A's,
     in cap-1 masks of A that set one "A already failed" row; a leaf is a hit
     when it survives B and that row is set. One bit per difference limits
@@ -237,14 +272,7 @@ def backtrack(
     # parent with entry c are row c of a (v, v) table, one per kind.
     j, one = np.arange(v), mask.type(1)
     tables = tuple(one << (d % v).astype(mask) for d in (j[:, None] - j, j - j[:, None] - 1))
-    # Terms by their later index: the column read off the parent, the bit
-    # table, and the mask rows (None where no such mask is kept).
-    later = [[] for _ in range(v)]
-    for s, terms in enumerate(difference_terms(v, extended)):
-        for i, k, t in zip(*(arr.tolist() for arr in terms)):
-            twice = s + shifts if cap == 2 else None
-            seen_a = cap * shifts + s if b_not_a and not t else None
-            later[max(i, k)].append((min(i, k), tables[t], s, twice, seen_a))
+    runs = _runs(v, extended)
     lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
     step = max(1, BLOCK_ROWS // v)
     tried = [0] * v  # at depth m: v times the survivors found so far at m - 1
@@ -266,18 +294,23 @@ def backtrack(
             _tick(progress, reported, first)
             reported = first
         masks = np.repeat(parent_masks, v, axis=1)
+        # The "once", "twice" and A's "once" masks, a row per shift.
+        once, twice, seen_a = (masks[at : at + shifts] for at in (0, shifts, cap * shifts))
         bad = np.zeros(n, dtype=mask)
-        for other, table, once, twice, seen_a in later[m]:
-            bit = table.take(parents[other], axis=0).reshape(n)
-            if twice is None:
-                bad |= masks[once] & bit
+        for t, rows, cols in runs[m]:
+            bits = tables[t].take(parents[cols], axis=0).reshape(-1, n)
+            seen = once[rows]
+            if cap == 2:
+                two = twice[rows]
+                bad |= np.bitwise_or.reduce(two & bits, axis=0)
+                two |= seen & bits
             else:
-                bad |= masks[twice] & bit
-                masks[twice] |= masks[once] & bit
-            masks[once] |= bit
-            if seen_a is not None:
-                masks[failed] |= masks[seen_a] & bit
-                masks[seen_a] |= bit
+                bad |= np.bitwise_or.reduce(seen & bits, axis=0)
+            seen |= bits
+            if b_not_a and not t:
+                seen_in_a = seen_a[rows]
+                masks[failed] |= np.bitwise_or.reduce(seen_in_a & bits, axis=0)
+                seen_in_a |= bits
         keep = np.flatnonzero(bad == 0)
         if m < v - 1:
             kids = _children(parents, m, keep)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def is_prime(n: int) -> bool:
@@ -59,7 +60,9 @@ class PeriodicSequence:
     ``modulus`` must be 2 and every value 0 or 1; anything else raises
     ValueError. The period is the declared length of ``values``; it is not
     reduced to the minimal period, so a doubled-up sequence keeps its
-    declared length.
+    declared length. ``value_bytes``, one byte per value, is computed on
+    first use and kept; it is not a field, so equality, hashing and repr
+    ignore it.
     """
 
     modulus: int
@@ -76,13 +79,21 @@ class PeriodicSequence:
                 raise ValueError(f"value {x} is outside [0, 2)")
 
     @classmethod
-    def _valid(cls, values: tuple[int, ...]) -> PeriodicSequence:
+    def _valid(cls, values: tuple[int, ...], value_bytes: bytes | None = None) -> PeriodicSequence:
         # A sequence from values already known to be a tuple of Python ints in
-        # {0, 1}: the checks of __post_init__ are skipped.
+        # {0, 1}: the checks of __post_init__ are skipped. ``value_bytes``,
+        # when given, must be bytes(values); it fills the cached property.
         seq = object.__new__(cls)
         object.__setattr__(seq, "modulus", 2)
         object.__setattr__(seq, "values", values)
+        if value_bytes is not None:
+            seq.__dict__["value_bytes"] = value_bytes
         return seq
+
+    @cached_property
+    def value_bytes(self) -> bytes:
+        """The values, one byte each."""
+        return bytes(self.values)
 
     @property
     def period(self) -> int:
@@ -110,7 +121,7 @@ def left_shift(seq: PeriodicSequence, i: int) -> PeriodicSequence:
 
 def _doubled(seq: PeriodicSequence) -> bytes:
     # Two periods of seq's values, one byte each.
-    return bytes(seq.values) * 2
+    return seq.value_bytes * 2
 
 
 def shift_equivalence(a: PeriodicSequence, b: PeriodicSequence) -> int | None:
@@ -120,7 +131,7 @@ def shift_equivalence(a: PeriodicSequence, b: PeriodicSequence) -> int | None:
     returned k is the smallest representative of its class mod d.
     """
     _same_shape((a, b))
-    k = _doubled(b).find(bytes(a.values))
+    k = _doubled(b).find(a.value_bytes)
     return k if 0 <= k < a.period else None
 
 

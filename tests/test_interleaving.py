@@ -1,5 +1,6 @@
 """Tests for interleaving, signal-set construction, and the column identity."""
 
+import dataclasses
 import itertools
 import random
 
@@ -455,16 +456,29 @@ def test_light_vectors_have_no_coincident_members(v7_space):
     ids=["worked", "v31-quadratic"],
 )
 def test_built_members_equal_checked_sequences(a, b, e):
-    assert_members_checked((*build_signal_set(a, b, e).members, interleave(a, e)))
+    members = build_signal_set(a, b, e).members
+    assert all("value_bytes" in vars(m) for m in members)  # filled by the build
+    assert_members_checked((*members, interleave(a, e)))
 
 
 def assert_members_checked(members, want=None):
     # Members are built without re-validation; they must be indistinguishable
     # from sequences that went through every check, built from want when given.
+    # Their cached bytes hold one byte per value; a checked sequence computes
+    # its own on first use, and the cache takes no part in eq, hash or repr.
     for k, m in enumerate(members):
         checked = PeriodicSequence(2, m.values if want is None else tuple(want[k]))
         assert m == checked
         assert hash(m) == hash(checked)
+        assert "value_bytes" not in vars(checked)
+        assert checked.value_bytes == bytes(checked.values)
+        assert vars(checked)["value_bytes"] is checked.value_bytes
+        assert m.value_bytes == bytes(m.values)
+        # Both caches filled: still equal, with equal hashes and reprs.
+        assert m == checked
+        assert hash(m) == hash(checked)
+        assert repr(m) == repr(checked)
+        assert [f.name for f in dataclasses.fields(m)] == ["modulus", "values"]
         assert type(m.values) is tuple
         assert all(type(x) is int for x in m.values)
 
@@ -489,6 +503,7 @@ def test_built_members_match_double_loop(inputs):
     want = [u] + [[u[t] ^ b.values[(t + k) % v] for t in range(v * v)] for k in range(v)]
     members = build_signal_set(a, b, e).members
     assert [m.values for m in members] == [tuple(row) for row in want]
+    assert [vars(m)["value_bytes"] for m in members] == [bytes(row) for row in want]
     assert members[0] == interleave(a, e)
     assert_members_checked(members, want)
 

@@ -377,6 +377,30 @@ def test_mask_dtype_is_the_narrowest_word():
         assert search_mod._mask_dtype(v) == word
 
 
+def test_runs_cover_the_difference_terms_by_later_index():
+    # Expanded term by term, depth m's runs are exactly the terms whose later
+    # index is m, as (shift, other column, kind); at every shift they keep
+    # the order of difference_terms, so the unwrapped term comes first. The
+    # real table needs at most two runs per depth.
+    for v in range(2, 65):
+        for extended in (False, True):
+            want = [[] for _ in range(v)]
+            for s, terms in enumerate(difference_terms(v, extended), 1):
+                for i, k, t in zip(*(arr.tolist() for arr in terms)):
+                    want[max(i, k)].append((s, min(i, k), t))
+            runs = search_mod._runs(v, extended)
+            assert len(runs) == v
+            for m, depth in enumerate(runs):
+                assert len(depth) <= 2
+                got = []
+                for t, rows, cols in depth:
+                    shifts = range(1, v)[rows]
+                    assert len(shifts) == len(range(v)[cols]) > 0
+                    got += [(s, c, t) for s, c in zip(shifts, range(v)[cols])]
+                # A stable sort by shift keeps each shift's terms in run order.
+                assert sorted(got, key=lambda term: term[0]) == want[m]
+
+
 def test_backtrack_refuses_v_above_64(monkeypatch):
     # One bit per difference: v = 65 is refused before any work, by a
     # "full" sweep as by the node-counting one, since both are the same

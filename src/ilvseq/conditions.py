@@ -21,11 +21,11 @@ unextended profile at s the first v-s of the extended differences.
 The reports serve the tests as the oracle, so they use neither the term
 table below nor numpy. ``difference_terms`` indexes the same differences as
 numpy arrays (i, k, t) per shift, term j meaning e_i - e_k - t.
-``Condition.holds_rows`` reads it to judge a block of candidates at once
-(random sampling, ``reproduce`` and the tests' enumeration oracle), and the
-search's backtracker groups its terms by later index into runs on
-consecutive shifts and records each run as bits of per-shift masks, in one
-chain of 2-D ops, as entries are placed.
+``Condition.holds_rows``, its one library reader, judges a block of
+candidates at once with it (random sampling, ``reproduce`` and the tests'
+enumeration oracle). The search's backtracker places the same terms by
+their later index, in runs on consecutive shifts whose closed form it
+states itself, as bits of per-shift masks.
 """
 
 from __future__ import annotations
@@ -187,12 +187,13 @@ def cond2_sum_residue(e: ShiftSequence, s: int) -> int:
     return sum(differences(e, s, True).values) % e.v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def difference_terms(v: int, extended: bool) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Entry s-1 holds shift s's differences as read-only index arrays
     (i, k, t), term j meaning e_i - e_k - t mod v, in the order of
     ``differences``: i = j, k = (j + s) mod v, and t = 1 on the wrapped terms.
-    t is int32, the dtype in which ``holds_rows`` builds the differences."""
+    t is int32, the dtype in which ``holds_rows`` builds the differences.
+    Extended, the table takes about 20 v^2 bytes; the cache keeps eight."""
     table = []
     for s in range(1, v):
         i = np.arange(v if extended else v - s, dtype=np.intp)

@@ -1,8 +1,8 @@
 """Exhaustive and sampled search over finite shift vectors.
 
-The search space for length v is all of Z_v^v, cut down to v^(v-1) by fixing
-e_0 = 0 (every predicate here is invariant under adding a constant to all
-entries, so each class has exactly one normalized representative). The one
+Every search covers the normalized space: the v^(v-1) vectors of Z_v^v with
+e_0 = 0. Every predicate here is invariant under adding a constant to all
+entries, so each translation class has exactly one vector there. The one
 exhaustive walker, ``backtrack``, prunes a prefix as soon as its determined
 differences already violate the predicate, which is sound because adding
 entries never removes a difference, and expands a numpy block of prefixes at
@@ -24,11 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import CONDITIONS, cond2_sum_residue, difference_terms
+from .conditions import CONDITIONS, cond2_sum_residue
 from .interleaving import ShiftSequence
 
 #: Largest v the exhaustive strategies accept without force.
 BUDGET_MAX_V = 8
+
+#: Largest v random sampling accepts: its verdict reads a term table of about
+#: 20 v^2 bytes (5.5 MB at v = 512), and a full block there peaks near 77 MB.
+SAMPLE_MAX_V = 512
 
 #: Examined-count granularity of progress callbacks.
 PROGRESS_INTERVAL = 20000
@@ -45,7 +49,7 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """What to search: period, predicate, normalization, witness limit.
+    """What to search: period, predicate, witness limit, strategy, force.
 
     ``predicate`` names one of "A", "B", "B-not-A", "OPEN", case-insensitive;
     any other value raises ``ValueError`` here. ``limit`` > 0 stops the
@@ -58,10 +62,12 @@ class SearchSpec:
 
     v: int
     predicate: str
-    normalize: bool = True
     limit: int = 0
     strategy: str = "full"
     force: bool = False
+
+    #: Not a field: every search fixes e_0 = 0 (bench/spans.py reads this).
+    normalize = True
 
     def __post_init__(self):
         if self.v < 2:
@@ -93,11 +99,9 @@ def _b_not_a(rows: np.ndarray) -> np.ndarray:
     return CONDITIONS["B"].holds_rows(rows) & ~CONDITIONS["A"].holds_rows(rows)
 
 
-def _resolve_predicate(spec: SearchSpec) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
-    # The canonical name and its block verdict: a bool mask over the rows of
-    # an (N, v) block of candidates.
-    name = _CANONICAL[str(spec.predicate).lower()]
-    return name, _b_not_a if name == "B-not-A" else CONDITIONS[name].holds_rows
+def _resolve_predicate(spec: SearchSpec) -> str:
+    # The canonical name of the spec's predicate.
+    return _CANONICAL[str(spec.predicate).lower()]
 
 
 def _guard_budget(v: int, force: bool) -> None:
@@ -148,32 +152,16 @@ def _children(parents: np.ndarray, m: int, index: np.ndarray) -> np.ndarray:
 
 
 def _runs(v: int, extended: bool) -> list[list[tuple[int, slice, slice]]]:
-    # Each depth m's maximal runs of the terms of ``difference_terms`` whose
-    # later index is m: (t, rows, cols), the terms of kind t at the shifts s
-    # with s - 1 in the slice rows, whose other columns step by one through
-    # the slice cols. Unwrapped runs come first, so each shift meets its
-    # unwrapped term before its wrapped one, as in ``difference_terms``. The
-    # real table gives at most two per depth: shifts 1..m reading columns
-    # m-1 down to 0, and shifts v-m..v-1 reading columns 0..m-1.
-    pairs = [([], []) for _ in range(v)]  # by later index and kind: (s - 1, other)
-    for row, terms in enumerate(difference_terms(v, extended)):
-        for i, k, t in zip(*(arr.tolist() for arr in terms)):
-            pairs[max(i, k)][t].append((row, min(i, k)))
-    runs = []
-    for by_kind in pairs:
-        depth = []
-        for t, found in enumerate(by_kind):
-            for row, col in found:
-                if depth and depth[-1][0] == t:
-                    _, rows, cols = depth[-1]
-                    count = rows.stop - rows.start
-                    step = col - cols.start if count == 1 else cols.step
-                    if abs(step) == 1 and (row, col) == (rows.stop, cols.start + step * count):
-                        stop = col + step  # None past column 0, read downwards
-                        cols = slice(cols.start, stop if stop >= 0 else None, step)
-                        depth[-1] = (t, slice(rows.start, row + 1), cols)
-                        continue
-                depth.append((t, slice(row, row + 1), slice(col, col + 1)))
+    # Depth m's runs of the difference terms whose later index is m, as
+    # (t, rows, cols): kind t at the shifts s with s - 1 in rows, the other
+    # columns in cols. Unwrapped, shifts 1..m read columns m-1 down to 0;
+    # wrapped (extended only), shifts v-m..v-1 read columns 0..m-1. Unwrapped
+    # first, as each shift's terms are ordered in ``difference_terms``.
+    runs = [[]]
+    for m in range(1, v):
+        depth = [(0, slice(0, m), slice(m - 1, None, -1))]
+        if extended:
+            depth.append((1, slice(v - 1 - m, v - 1), slice(0, m)))
         runs.append(depth)
     return runs
 
@@ -235,7 +223,7 @@ def backtrack(
 
     With ``spec.strategy == "full"`` the walk reports what a sweep of every
     candidate in lexicographic order would: ``examined`` is the number of
-    candidates covered, v^free on an exhaustive run and the rank of the
+    candidates covered, v^(v-1) on an exhaustive run and the rank of the
     limit-th witness plus one on a stop, and ``nodes_by_depth`` is empty.
     Each popped block reports the rank of its first child's prefix padded
     with zeros, and each leaf block the rank of its last judged child plus
@@ -254,7 +242,7 @@ def backtrack(
     then holds just the nodes of the earlier subtrees, all of them walked.
     """
     _guard_budget(spec.v, spec.force)
-    name, _ = _resolve_predicate(spec)
+    name = _resolve_predicate(spec)
     v = spec.v
     limit = spec.limit
     mask = _mask_dtype(v)
@@ -273,12 +261,12 @@ def backtrack(
     j, one = np.arange(v), mask.type(1)
     tables = tuple(one << (d % v).astype(mask) for d in (j[:, None] - j, j - j[:, None] - 1))
     runs = _runs(v, extended)
-    lead = 1 if spec.normalize else 0  # a normalized e_0 stays 0
     step = max(1, BLOCK_ROWS // v)
     tried = [0] * v  # at depth m: v times the survivors found so far at m - 1
-    tried[lead] = v
+    tried[1] = v
+    # e_0 stays 0, so the walk starts at column 1 with one all-zero prefix.
     root = (np.zeros((v, 1), dtype=_row_dtype(v)), np.zeros((words, 1), dtype=mask))
-    stack = [(lead, *root, np.zeros((1, v), dtype=np.int64))]
+    stack = [(1, *root, np.zeros((1, v), dtype=np.int64))]
     witnesses: list[tuple[int, ...]] = []
     reported = 0  # the count of the last progress report
     satisfying = 0
@@ -289,8 +277,8 @@ def backtrack(
             if full:  # the candidates before the first child; columns m.. are 0
                 first = _rank(parents[:, 0].tolist(), v)
             else:  # the depth-first count on reaching the block's first child
-                first = before[0, lead : m + 1].sum() + parents[lead : m + 1, 0].sum()
-                first = int(first) + m + 1 - lead + sum(tried[m + 1 :])
+                first = before[0, 1 : m + 1].sum() + parents[1 : m + 1, 0].sum()
+                first = int(first) + m + sum(tried[m + 1 :])
             _tick(progress, reported, first)
             reported = first
         masks = np.repeat(parent_masks, v, axis=1)
@@ -326,7 +314,7 @@ def backtrack(
         if stop:
             hits = hits[: limit - len(witnesses)]
         last = int(hits[-1]) if stop else n - 1
-        nodes = (before[last // v, lead:] + parents[lead:, last // v] + 1).tolist()
+        nodes = (before[last // v, 1:] + parents[1:, last // v] + 1).tolist()
         nodes[-1] += last % v  # a parent's e_m is 0; the last node's is last % v
         examined = _rank(parents[:, last // v].tolist(), v) + last % v + 1 if full else sum(nodes)
         _tick(progress, reported, examined)
@@ -338,12 +326,12 @@ def backtrack(
             # Every block is expanded once the stack is empty, so ``tried`` is
             # then the whole walk's: the stop covered it all when it is the
             # walk's last node, which is then the last candidate.
-            exhaustive = not stack and nodes == tried[lead:]
+            exhaustive = not stack and nodes == tried[1:]
             break
     else:
         exhaustive = True
-        nodes = tried[lead:]
-        examined = v ** (v - lead) if full else sum(nodes)
+        nodes = tried[1:]
+        examined = v ** (v - 1) if full else sum(nodes)
         _tick(progress, reported, examined)
     found = tuple(map(ShiftSequence._valid, witnesses))
     return SearchOutcome(found, examined, satisfying, exhaustive, () if full else tuple(nodes))
@@ -397,14 +385,19 @@ def sample_random(
 ) -> SearchOutcome:
     """Uniform random draws over the normalized space; never exhaustive.
 
-    The offered fallback beyond the exhaustive budget. The draws are judged
-    in blocks of up to ``BLOCK_ROWS`` rows by the predicate's block verdict.
+    The offered fallback beyond the exhaustive budget, for v up to
+    ``SAMPLE_MAX_V``: a larger v raises ``ValueError`` before any work. The
+    draws are judged in blocks of up to ``BLOCK_ROWS`` rows by the
+    predicate's block verdict.
     ``satisfying`` counts hits with multiplicity across the n draws;
     witnesses are deduplicated, sorted, and capped by ``limit``.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
-    name, verdict = _resolve_predicate(SearchSpec(v, predicate, limit=limit))
+    name = _resolve_predicate(SearchSpec(v, predicate, limit=limit))
+    if v > SAMPLE_MAX_V:
+        raise ValueError(f"sampling takes v <= {SAMPLE_MAX_V}, got v={v}")
+    verdict = _b_not_a if name == "B-not-A" else CONDITIONS[name].holds_rows
     rng = random.Random(seed)
     satisfying = 0
     hits: set[tuple[int, ...]] = set()

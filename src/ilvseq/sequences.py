@@ -9,7 +9,6 @@ decides the alphabet: it refuses a modulus other than 2 and a value outside
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,12 +132,6 @@ def shift_equivalence(a: PeriodicSequence, b: PeriodicSequence) -> int | None:
     _same_shape((a, b))
     k = _doubled(b).find(a.value_bytes)
     return k if 0 <= k < a.period else None
-
-
-def add_pointwise(x: PeriodicSequence, y: PeriodicSequence) -> PeriodicSequence:
-    """Elementwise sum mod 2; the result's period is lcm of the two periods."""
-    n = math.lcm(x.period, y.period)
-    return PeriodicSequence(2, tuple((x[i] + y[i]) % 2 for i in range(n)))
 
 
 @dataclass(frozen=True)

@@ -24,18 +24,17 @@ def _holds(pred, rows):
     return CONDITIONS[pred].holds_rows(rows)
 
 
-def reference_hits(v, pred, normalize=True):
+def reference_hits(v, pred):
     """Every hit of ``pred`` in lexicographic order, as (rank + 1, entries).
 
     The rank counts the candidates before the hit, so rank + 1 is what a
-    sweep stopped at that hit has examined. A normalized space fixes e_0 = 0
-    and has v^(v-1) candidates, an unnormalized one v^v.
+    sweep stopped at that hit has examined. The space is the normalized one
+    the search covers: its v^(v-1) candidates fix e_0 = 0.
     """
     pred = _CANONICAL[pred.lower()]
-    lead = int(normalize)
-    free = v - lead
+    free = v - 1
     rows = np.zeros((v**free, v), dtype=np.int8)
-    rows[:, lead:] = np.indices((v,) * free, dtype=np.int8).reshape(free, -1).T
+    rows[:, 1:] = np.indices((v,) * free, dtype=np.int8).reshape(free, -1).T
     hits = []
     for start in range(0, len(rows), SLICE_ROWS):
         part = rows[start : start + SLICE_ROWS]

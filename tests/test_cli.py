@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ilvseq.conditions as conditions_mod
 import ilvseq.search as search_mod
 from ilvseq import (
     CONDITIONS,
@@ -400,6 +401,18 @@ def test_search_backtrack_refuses_v_above_64(capsys):
     code, out, err = run_cli(capsys, "search", "--v", "65", "--pred", "B", "--sample", "5")
     assert code == 0
     assert parse_report(out)["results"]["examined"] == 5
+
+
+def test_search_sample_refuses_v_above_its_bound(capsys, monkeypatch):
+    # Refused with the usage exit code before the verdict's term table,
+    # which grows as v^2, is built: the recorded builder stays unused.
+    calls = []
+    monkeypatch.setattr(conditions_mod, "difference_terms", lambda *a: calls.append(a) or ())
+    code, out, err = run_cli(capsys, "search", "--v", "100000", "--pred", "A", "--sample", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"v <= {search_mod.SAMPLE_MAX_V}" in err
+    assert calls == []
 
 
 def test_search_progress_reports_rates(capsys, monkeypatch):

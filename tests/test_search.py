@@ -1,12 +1,14 @@
 """Tests for the backtracking walk, its "full" sweep, sampling and the census."""
 
 import dataclasses
+import itertools
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ilvseq.conditions as conditions_mod
 import ilvseq.search as search_mod
 from ilvseq import (
     PRIMITIVE_POLYS,
@@ -40,6 +42,10 @@ def test_search_spec_validation():
         SearchSpec(3, "A", limit=-1)
     with pytest.raises(ValueError):
         SearchSpec(3, "A", strategy="sideways")
+    # Every search is normalized: the constant stays readable, the option is gone.
+    assert SearchSpec(3, "A").normalize is True
+    with pytest.raises(TypeError):
+        SearchSpec(3, "A", normalize=False)
 
 
 def test_unknown_predicate_name():
@@ -89,10 +95,12 @@ def test_enumerate_early_stop():
 
 
 def test_enumerate_unnormalized_counts_translations():
-    out = backtrack(SearchSpec(3, "A", normalize=False))
-    assert out.examined == 27
-    assert out.satisfying == 18  # 6 classes times 3 translations
-    assert out.satisfying == len(reference_hits(3, "A", normalize=False))
+    # The 18 A-vectors of all Z_3^3 are the 6 normalized witnesses' translates.
+    out = backtrack(SearchSpec(3, "A", limit=10))
+    translates = {tuple((x + c) % 3 for x in w.entries) for w in out.witnesses for c in range(3)}
+    every = itertools.product(range(3), repeat=3)
+    assert translates == {e for e in every if check_condition_A(ShiftSequence(e)).verdict}
+    assert len(translates) == 3 * out.satisfying == 18
 
 
 def test_v3_multiplicity_without_distinctness():
@@ -119,16 +127,14 @@ def test_block_enumeration_matches_per_candidate_reference(monkeypatch):
     # seconds, so at v = 8 no run keeps more than 2000.
     interval = 1000
     monkeypatch.setattr(search_mod, "PROGRESS_INTERVAL", interval)
-    for v, normalize in ((6, True), (6, False), (8, True)):
-        size = v ** (v - normalize)
+    for v in (6, 8):
+        size = v ** (v - 1)
         for pred in ("A", "B", "B-not-A", "OPEN"):
-            hits = reference_hits(v, pred, normalize)
+            hits = reference_hits(v, pred)
             limits = {0, 1, 7, 1000, max(1, len(hits) // 2), max(1, len(hits)), 10**9}
             for limit in sorted(k for k in limits if v < 8 or min(k, len(hits)) <= 2000):
                 ticks = []
-                out = backtrack(
-                    SearchSpec(v, pred, normalize=normalize, limit=limit), progress=ticks.append
-                )
+                out = backtrack(SearchSpec(v, pred, limit=limit), progress=ticks.append)
                 kept = hits[:limit] if limit else []
                 examined = kept[-1][0] if 0 < limit <= len(hits) else size
                 assert [w.entries for w in out.witnesses] == [e for _, e in kept]
@@ -141,12 +147,11 @@ def test_block_enumeration_matches_per_candidate_reference(monkeypatch):
 
 def test_backtrack_agrees_with_enumeration():
     # Both strategies find the enumeration oracle's witnesses, in its order.
-    cases = [(v, True) for v in (2, 3, 4, 5)] + [(v, False) for v in (2, 3, 4)]
-    for v, normalize in cases:
+    for v in (2, 3, 4, 5):
         for pred in ("A", "B", "B-not-A", "open"):
-            want = [e for _, e in reference_hits(v, pred, normalize)]
+            want = [e for _, e in reference_hits(v, pred)]
             for strategy in ("full", "backtrack"):
-                spec = SearchSpec(v, pred, normalize=normalize, limit=10**6, strategy=strategy)
+                spec = SearchSpec(v, pred, limit=10**6, strategy=strategy)
                 out = backtrack(spec)
                 assert out.satisfying == len(want)
                 assert [w.entries for w in out.witnesses] == want
@@ -162,10 +167,10 @@ def test_normalized_witnesses_represent_all_translates():
         for c in range(v):
             moved = ShiftSequence(tuple((x + c) % v for x in w.entries))
             assert check_condition_B(moved).verdict and not check_condition_A(moved).verdict
-    # And the unnormalized census is exactly v copies of the normalized one.
-    unnormalized = backtrack(SearchSpec(v, pred, normalize=False))
-    assert unnormalized.satisfying == v * normalized.satisfying
-    assert unnormalized.satisfying == len(reference_hits(v, pred, normalize=False))
+    # And the census of all Z_v^v is exactly v copies of the normalized one.
+    every = [ShiftSequence(e) for e in itertools.product(range(v), repeat=v)]
+    hits = [e for e in every if check_condition_B(e).verdict and not check_condition_A(e).verdict]
+    assert len(hits) == v * normalized.satisfying
 
 
 class _StopSearch(Exception):
@@ -176,7 +181,7 @@ def _reference_backtrack(spec, progress=None, firsts=None):
     """The scalar depth-first walk, one node at a time: the oracle of the
     block walk's witnesses, node counts and progress ticks. ``firsts``, if
     given, gets the count on reaching each first child (entry 0)."""
-    name, _ = search_mod._resolve_predicate(spec)
+    name = search_mod._resolve_predicate(spec)
     v = spec.v
     limit = spec.limit
     b_not_a = name == "B-not-A"
@@ -236,48 +241,43 @@ def _reference_backtrack(spec, progress=None, firsts=None):
                 counts_a[slot] -= 1
                 a_pairs -= counts_a[slot]
 
-    lead = 1 if spec.normalize else 0
     exhaustive = True
     try:
-        place(lead)
+        place(1)  # e_0 stays 0
     except _StopSearch:
         exhaustive = False
-    return SearchOutcome(tuple(witnesses), examined, satisfying, exhaustive, tuple(nodes[lead:]))
+    return SearchOutcome(tuple(witnesses), examined, satisfying, exhaustive, tuple(nodes[1:]))
 
 
 _REFERENCE = {}
 
 
-def _reference_run(v, pred, normalize, limit):
+def _reference_run(v, pred, limit):
     # Cached oracle outcome and ticks. An exhaustive run with limit 0 is the
     # limit-10^9 run without its witnesses, so only the latter is walked.
-    key = (v, pred, normalize, min(limit or 10**9, 10**9), search_mod.PROGRESS_INTERVAL)
+    key = (v, pred, min(limit or 10**9, 10**9), search_mod.PROGRESS_INTERVAL)
     if key not in _REFERENCE:
         ticks = []
-        spec = SearchSpec(v, pred, normalize=normalize, limit=key[3], strategy="backtrack")
+        spec = SearchSpec(v, pred, limit=key[2], strategy="backtrack")
         _REFERENCE[key] = _reference_backtrack(spec, ticks.append), ticks
     out, ticks = _REFERENCE[key]
     return (dataclasses.replace(out, witnesses=()) if not limit else out), ticks
 
 
-_BLOCK_CASES = (
-    [(v, normalize, rows) for v in range(2, 6) for normalize in (True, False) for rows in (8, 64)]
-    + [(6, True, 8), (6, True, 64), (6, False, 64)]
-    + [(7, True, 64), (7, True, 4096), (7, False, 4096)]
-)
+_BLOCK_CASES = [(v, rows) for v in range(2, 7) for rows in (8, 64)] + [(7, 64), (7, 4096)]
 
 
+# "-True-" in an id marks the normalized walk (e_0 = 0), the only one there is.
 @pytest.mark.parametrize(
-    "v, normalize, rows, word",
-    [pytest.param(*case, None, id="-".join(map(str, case))) for case in _BLOCK_CASES]
+    "v, rows, word",
+    [pytest.param(v, rows, None, id=f"{v}-True-{rows}") for v, rows in _BLOCK_CASES]
     + [
-        pytest.param(v, normalize, 64, word, id=f"{v}-{normalize}-64-{word.__name__}")
+        pytest.param(v, 64, word, id=f"{v}-True-64-{word.__name__}")
         for v in range(2, 7)
-        for normalize in (True, False)
         for word in (np.uint16, np.uint32, np.uint64)
     ],
 )
-def test_block_backtrack_matches_depth_first_reference(monkeypatch, v, normalize, rows, word):
+def test_block_backtrack_matches_depth_first_reference(monkeypatch, v, rows, word):
     # Small blocks make limit stops land inside a block and after several;
     # with 8 rows and v >= 5 a block holds one parent. Larger v runs only the
     # larger blocks, since the one-parent walk of v=7 takes half a minute.
@@ -289,9 +289,9 @@ def test_block_backtrack_matches_depth_first_reference(monkeypatch, v, normalize
     for pred in ("A", "B", "B-not-A", "OPEN"):
         for limit in (0, 1, 7, 50, 10**9):
             ticks = []
-            spec = SearchSpec(v, pred, normalize=normalize, limit=limit, strategy="backtrack")
+            spec = SearchSpec(v, pred, limit=limit, strategy="backtrack")
             out = backtrack(spec, progress=ticks.append)
-            want, want_ticks = _reference_run(v, pred, normalize, limit)
+            want, want_ticks = _reference_run(v, pred, limit)
             assert out == want, (pred, limit)
             assert out.nodes_by_depth == want.nodes_by_depth, (pred, limit)
             assert sum(out.nodes_by_depth) == out.examined
@@ -408,7 +408,7 @@ def test_backtrack_refuses_v_above_64(monkeypatch):
     with pytest.raises(ValueError, match="v <= 64"):
         search_mod._mask_dtype(65)
     calls = []
-    monkeypatch.setattr(search_mod, "difference_terms", lambda *a: calls.append(a) or ())
+    monkeypatch.setattr(search_mod, "_runs", lambda v, ext: calls.append((v, ext)) or [[]] * v)
     for v in (65, 200):
         for strategy in ("full", "backtrack"):
             with pytest.raises(ValueError, match="v <= 64"):
@@ -424,6 +424,22 @@ def test_backtrack_refuses_v_above_64(monkeypatch):
     assert sample_random(65, "B", 3, seed=1).examined == 3
 
 
+def test_sample_random_refuses_v_above_its_bound(monkeypatch):
+    # The block verdict's term table grows as v^2, so a v past SAMPLE_MAX_V
+    # is refused before it or any draw is built: the recorded table builder
+    # stays unused. At the bound the (recorded, empty) table is read.
+    calls = []
+    monkeypatch.setattr(conditions_mod, "difference_terms", lambda *a: calls.append(a) or ())
+    bound = search_mod.SAMPLE_MAX_V
+    for v in (bound + 1, 100_000):
+        for pred in ("A", "B-not-A"):
+            with pytest.raises(ValueError, match=f"v <= {bound}"):
+                sample_random(v, pred, 1)
+    assert calls == []
+    assert sample_random(bound, "B", 1).satisfying == 1
+    assert calls == [(bound, True)]
+
+
 def test_backtrack_v7_completeness_frozen_counts():
     out = backtrack(SearchSpec(7, "open", strategy="backtrack"))
     assert out.satisfying == 0
@@ -434,9 +450,9 @@ def test_backtrack_v7_completeness_frozen_counts():
 def test_backtrack_crosschecks_every_open_hit(monkeypatch):
     seen = []
     monkeypatch.setattr(search_mod, "_crosscheck_open_hit", seen.append)
-    out = backtrack(SearchSpec(2, "OPEN", normalize=False, strategy="backtrack"))
-    assert out.satisfying == 4
-    assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    out = backtrack(SearchSpec(2, "OPEN", strategy="backtrack"))
+    assert out.satisfying == 2
+    assert seen == [(0, 0), (0, 1)]
 
 
 def test_row_dtype_holds_the_modulus():
@@ -530,23 +546,22 @@ def test_backtrack_exhaustive_flag_matches_enumeration():
     # other node, even the last child of the last block judged, it does not.
     agreed = []
     for v in range(2, 7):
-        for normalize in (True, False):
-            size = v ** (v - normalize)
-            for pred in ("A", "B", "B-not-A", "OPEN"):
-                want = reference_hits(v, pred, normalize)
-                hits = len(want)
-                for limit in {max(1, hits - 1), max(1, hits), hits + 1}:
-                    case = (v, normalize, pred, limit)
-                    examined = want[limit - 1][0] if limit <= hits else size
-                    spec = SearchSpec(v, pred, normalize=normalize, limit=limit)
-                    full = backtrack(spec)
-                    walk = backtrack(dataclasses.replace(spec, strategy="backtrack"))
-                    assert full.examined == examined, case
-                    for out in (full, walk):
-                        assert [w.entries for w in out.witnesses] == [e for _, e in want[:limit]]
-                        assert out.satisfying == min(limit, hits), case
-                        assert out.exhaustive == (examined == size), case
-                    agreed.append(limit == hits and examined == size)
+        size = v ** (v - 1)
+        for pred in ("A", "B", "B-not-A", "OPEN"):
+            want = reference_hits(v, pred)
+            hits = len(want)
+            for limit in {max(1, hits - 1), max(1, hits), hits + 1}:
+                case = (v, pred, limit)
+                examined = want[limit - 1][0] if limit <= hits else size
+                spec = SearchSpec(v, pred, limit=limit)
+                full = backtrack(spec)
+                walk = backtrack(dataclasses.replace(spec, strategy="backtrack"))
+                assert full.examined == examined, case
+                for out in (full, walk):
+                    assert [w.entries for w in out.witnesses] == [e for _, e in want[:limit]]
+                    assert out.satisfying == min(limit, hits), case
+                    assert out.exhaustive == (examined == size), case
+                agreed.append(limit == hits and examined == size)
     assert any(agreed)  # some limits are met exactly on the last candidate
 
 
@@ -593,8 +608,9 @@ def test_full_sweep_reports_progress_before_any_leaf(monkeypatch):
         assert expanded == [1, 2]
 
 
-@pytest.mark.parametrize("v, normalize", [(4, True), (4, False), (5, True), (6, True)])
-def test_backtrack_block_reports_are_first_child_counts(monkeypatch, v, normalize):
+# "-True" in an id marks the normalized walk (e_0 = 0), the only one there is.
+@pytest.mark.parametrize("v", [4, 5, 6], ids=lambda v: f"{v}-True")
+def test_backtrack_block_reports_are_first_child_counts(monkeypatch, v):
     # With one parent per block every surviving prefix is popped alone, so
     # its block's report is the depth-first count on reaching its first
     # child: the reference walk's count at every node with entry 0, in
@@ -607,7 +623,7 @@ def test_backtrack_block_reports_are_first_child_counts(monkeypatch, v, normaliz
         search_mod, "_tick", lambda *args: reports.append(args[2]) or tick(*args)
     )
     for pred in ("A", "B", "B-not-A", "OPEN"):
-        spec = SearchSpec(v, pred, normalize=normalize, strategy="backtrack")
+        spec = SearchSpec(v, pred, strategy="backtrack")
         firsts = []
         want = _reference_backtrack(spec, firsts=firsts)
         reports.clear()
@@ -634,7 +650,7 @@ def test_search_witnesses_equal_validated_shift_sequences():
     # they produced; each must still be the ShiftSequence of its entries.
     outcomes = [
         (7, backtrack(SearchSpec(7, "B-not-A", limit=50))),
-        (6, backtrack(SearchSpec(6, "A", normalize=False, limit=50, strategy="full"))),
+        (6, backtrack(SearchSpec(6, "A", limit=50, strategy="full"))),
         (7, sample_random(7, "B", 500, seed=3, limit=20)),
     ]
     for v, out in outcomes:

@@ -9,7 +9,6 @@ from ilvseq import (
     PRIMITIVE_POLYS,
     LfsrSpec,
     PeriodicSequence,
-    add_pointwise,
     format_sequence,
     gen_legendre,
     gen_mseq,
@@ -99,20 +98,6 @@ def test_shift_equivalence_rejects_mismatch():
     # A ternary sequence never reaches the scan: it is refused when built.
     with pytest.raises(ValueError, match="binary"):
         PeriodicSequence(3, (1, 0, 2, 1, 0, 2, 1))
-
-
-def test_add_pointwise():
-    s = add_pointwise(A7, B7)
-    assert s.values == tuple((x + y) % 2 for x, y in zip(A7.values, B7.values))
-    # A ternary summand never reaches the addition: it is refused when built.
-    with pytest.raises(ValueError, match="binary"):
-        PeriodicSequence(3, (0, 1, 2))
-
-
-def test_add_pointwise_lcm_period():
-    x = PeriodicSequence(2, (1, 0))
-    y = PeriodicSequence(2, (1, 1, 0))
-    assert add_pointwise(x, y).period == 6
 
 
 def test_lfsr_spec_validation():

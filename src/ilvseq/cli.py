@@ -5,13 +5,16 @@ standard output; human-readable tables go to standard error under --pretty,
 which may come before or after the command. Each command returns its inputs,
 results, table lines and exit code; ``main`` alone times, emits and exits.
 Exit codes: 0 success, 1 verdict/reproduction failure, 2 input error,
-3 exhaustive-search budget refusal.
+3 exhaustive-search budget refusal. A reader that closes standard output
+early (``| head``) cuts the report short but leaves the command's exit code,
+with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -369,7 +372,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     command = f"gen {args.kind}" if args.command == "gen" else args.command
-    _emit(command, argv, inputs, results, started, lines, args.pretty)
+    try:
+        _emit(command, argv, inputs, results, started, lines, args.pretty)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: stdout to devnull, so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -18,14 +18,13 @@ All differences are canonical residues in [0, v). The definition lives in
 one table per vector, built in one pure-Python pass and cached, with the
 unextended profile at s the first v-s of the extended differences.
 ``differences`` reads one shift of it and the ``check_*`` reports walk it.
-The reports serve the tests as the oracle, so they use neither the term
-table below nor numpy. ``difference_terms`` indexes the same differences as
-numpy arrays (i, k, t) per shift, term j meaning e_i - e_k - t.
-``Condition.holds_rows``, its one library reader, judges a block of
-candidates at once with it (random sampling, ``reproduce`` and the tests'
-enumeration oracle). The search's backtracker places the same terms by
-their later index, in runs on consecutive shifts whose closed form it
-states itself, as bits of per-shift masks.
+The reports serve the tests as the oracle, so they use no numpy.
+``Condition.holds_rows`` judges a block of candidates at once (random
+sampling, ``reproduce`` and the tests' enumeration oracle): shift s is the
+difference of two column slices of the block's extended rows. The search's
+backtracker places the same terms by their later index, in runs on
+consecutive shifts whose closed form it states itself, as bits of per-shift
+masks.
 """
 
 from __future__ import annotations
@@ -51,29 +50,34 @@ class Condition(NamedTuple):
         rejects a row where a value occurs more than ``cap`` times; only the
         surviving rows go on to the next shift, and none once all are out.
 
-        The search stores rows in the smallest dtype (int8 up to v = 127),
-        but numpy has no vector loop for an int8 ``%`` or an int8 sort along
-        a row. So each shift widens only its gathered columns to int32, where
-        e_i - e_k - t lies in [-v, v) and one add of v on the negative
-        entries replaces ``% v``; unsigned rows cannot wrap there."""
+        The block is widened once to a signed type that holds v, and then
+        extended to (e, e + 1), so column k is E(k) and shift s's
+        differences are the columns [0, w) less the columns [s, s + w), with
+        w = v extended and v - s unextended. Each lies in [-v, v), so one add
+        of v on the negative entries replaces ``% v``. That type is at least
+        int16: numpy sorts rows of int8 many times slower."""
         extended, cap = self
         n, v = rows.shape
-        ok = np.ones(n, dtype=bool)
+        wide = np.promote_types(np.min_scalar_type(-v - 1), np.int16)
+        ext = rows.astype(wide)
+        if extended:
+            ext = np.concatenate((ext, ext + wide.type(1)), axis=1)
         alive = np.arange(n)
-        modulus = np.int32(v)
-        for i, k, t in difference_terms(v, extended):
-            d = rows[:, i].astype(np.int32)
-            d -= rows[:, k].astype(np.int32)  # in place, int32 -= uint64 would raise
-            d -= t
+        modulus = wide.type(v)
+        for s in range(1, v):
+            w = v if extended else v - s
+            d = ext[:, :w] - ext[:, s : s + w]
             d += (d < 0) * modulus
             d.sort(axis=1)
             bad = (d[:, cap:] == d[:, :-cap]).any(axis=1)
             if bad.any():
-                ok[alive[bad]] = False
-                alive = alive[~bad]
-                rows = rows[~bad]
-                if not len(rows):
+                keep = np.flatnonzero(~bad)  # indexes rows faster than a bool mask
+                alive = alive[keep]
+                ext = ext[keep]
+                if not len(keep):
                     break
+        ok = np.zeros(n, dtype=bool)
+        ok[alive] = True
         return ok
 
 
@@ -186,20 +190,3 @@ def cond2_sum_residue(e: ShiftSequence, s: int) -> int:
     """Sum of the extended differences at s, mod v; (-s) mod v for every finite e."""
     return sum(differences(e, s, True).values) % e.v
 
-
-@lru_cache(maxsize=8)
-def difference_terms(v: int, extended: bool) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Entry s-1 holds shift s's differences as read-only index arrays
-    (i, k, t), term j meaning e_i - e_k - t mod v, in the order of
-    ``differences``: i = j, k = (j + s) mod v, and t = 1 on the wrapped terms.
-    t is int32, the dtype in which ``holds_rows`` builds the differences.
-    Extended, the table takes about 20 v^2 bytes; the cache keeps eight."""
-    table = []
-    for s in range(1, v):
-        i = np.arange(v if extended else v - s, dtype=np.intp)
-        k = (i + s) % v
-        t = (k < i).astype(np.int32)
-        for arr in (i, k, t):
-            arr.flags.writeable = False
-        table.append((i, k, t))
-    return tuple(table)

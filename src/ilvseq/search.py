@@ -30,16 +30,16 @@ from .interleaving import ShiftSequence
 #: Largest v the exhaustive strategies accept without force.
 BUDGET_MAX_V = 8
 
-#: Largest v random sampling accepts: its verdict reads a term table of about
-#: 20 v^2 bytes (5.5 MB at v = 512), and a full block there peaks near 77 MB.
+#: Largest v random sampling accepts. Each draw takes v - 1 Python calls, so
+#: 4,096 draws at v = 512 take about 6 s; they peak near 3 MB (tracemalloc).
 SAMPLE_MAX_V = 512
 
 #: Examined-count granularity of progress callbacks.
 PROGRESS_INTERVAL = 20000
 
-#: Most rows in one block of random sampling, and most children of one
-#: backtracking expansion. Larger blocks amortize numpy's per-call cost;
-#: these stay far below a megabyte.
+#: Most children of one backtracking expansion, and most rows in one block of
+#: random sampling up to v = 64: a sampling block holds at most 64 BLOCK_ROWS
+#: entries, so fewer rows above. Larger blocks amortize numpy's per-call cost.
 BLOCK_ROWS = 4096
 
 
@@ -128,8 +128,8 @@ def _crosscheck_open_hit(entries: tuple[int, ...]) -> None:
 
 def _row_dtype(v: int) -> np.dtype:
     # The smallest integer type holding every entry, every difference
-    # e_i - e_k - t in [-v, v) and the modulus v itself (int8 up to v = 127).
-    # Rows are stored in it; ``holds_rows`` widens the columns it gathers.
+    # e_j - E(j + s) in [-v, v) and the modulus v itself (int8 up to v = 127).
+    # Blocks are stored in it; ``holds_rows`` widens them to at least int16.
     return np.min_scalar_type(-v - 1)
 
 
@@ -156,7 +156,7 @@ def _runs(v: int, extended: bool) -> list[list[tuple[int, slice, slice]]]:
     # (t, rows, cols): kind t at the shifts s with s - 1 in rows, the other
     # columns in cols. Unwrapped, shifts 1..m read columns m-1 down to 0;
     # wrapped (extended only), shifts v-m..v-1 read columns 0..m-1. Unwrapped
-    # first, as each shift's terms are ordered in ``difference_terms``.
+    # first, as in ``differences``: term j = m - s comes before j = m.
     runs = [[]]
     for m in range(1, v):
         depth = [(0, slice(0, m), slice(m - 1, None, -1))]
@@ -387,8 +387,8 @@ def sample_random(
 
     The offered fallback beyond the exhaustive budget, for v up to
     ``SAMPLE_MAX_V``: a larger v raises ``ValueError`` before any work. The
-    draws are judged in blocks of up to ``BLOCK_ROWS`` rows by the
-    predicate's block verdict.
+    draws are judged in blocks of at most 64 ``BLOCK_ROWS`` entries by the
+    predicate's block verdict; the outcome does not depend on their size.
     ``satisfying`` counts hits with multiplicity across the n draws;
     witnesses are deduplicated, sorted, and capped by ``limit``.
     """
@@ -401,11 +401,13 @@ def sample_random(
     rng = random.Random(seed)
     satisfying = 0
     hits: set[tuple[int, ...]] = set()
-    for start in range(0, n, BLOCK_ROWS):
-        size = min(BLOCK_ROWS, n - start)
+    step = min(BLOCK_ROWS, BLOCK_ROWS * 64 // v)  # at most 64 BLOCK_ROWS entries
+    for start in range(0, n, step):
+        size = min(step, n - start)
         block = np.zeros((size, v), dtype=_row_dtype(v))
-        draws = [rng.randrange(v) for _ in range(size * (v - 1))]
-        block[:, 1:] = np.reshape(draws, (size, v - 1))  # a normalized e_0 stays 0
+        count = size * (v - 1)
+        draws = (rng.randrange(v) for _ in range(count))
+        block[:, 1:] = np.fromiter(draws, block.dtype, count).reshape(size, v - 1)  # e_0 stays 0
         rows = block[verdict(block)]
         satisfying += len(rows)
         found: list[tuple[int, ...]] = []

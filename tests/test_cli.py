@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import ilvseq.conditions as conditions_mod
 import ilvseq.search as search_mod
 from ilvseq import (
     CONDITIONS,
@@ -25,6 +24,7 @@ from ilvseq import (
 from ilvseq.cli import main
 from ilvseq.conditions import Condition
 from test_conditions import _reference_report
+from test_search import _record_verdicts
 
 
 def run_cli(capsys, *argv):
@@ -404,10 +404,9 @@ def test_search_backtrack_refuses_v_above_64(capsys):
 
 
 def test_search_sample_refuses_v_above_its_bound(capsys, monkeypatch):
-    # Refused with the usage exit code before the verdict's term table,
-    # which grows as v^2, is built: the recorded builder stays unused.
-    calls = []
-    monkeypatch.setattr(conditions_mod, "difference_terms", lambda *a: calls.append(a) or ())
+    # Refused with the usage exit code before any draw is judged: the
+    # recorded block verdict stays unused.
+    calls = _record_verdicts(monkeypatch)
     code, out, err = run_cli(capsys, "search", "--v", "100000", "--pred", "A", "--sample", "1")
     assert code == 2
     assert out == ""
@@ -478,6 +477,33 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 0, done.stderr
     report = parse_report(done.stdout)
     assert report["command"] == "check" and report["results"]["verdict"] is True
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("search", "--v", "5", "--pred", "A", "--limit", "2"), 0),
+    (("check", "--e", "0,0,1,0,6,3,5", "--cond", "A"), 1),
+], ids=["search", "failed-check"])
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    # A reader gone before the report is written, as after `| head -c 1`:
+    # the pipe's read end is closed first, so the command's first write to
+    # stdout fails, buffered or not. It keeps its own exit code and prints
+    # no traceback.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+        PYTHONUNBUFFERED=unbuffered,
+    )
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ilvseq", *argv],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, "")
 
 
 def test_usage_error_exit_code(capsys):

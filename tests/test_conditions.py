@@ -20,12 +20,11 @@ from ilvseq import (
     check_condition_B,
     check_condition_open,
     cond2_sum_residue,
-    difference_terms,
     differences,
     extended_entry,
     quadratic_shifts,
 )
-from ilvseq.conditions import _profiles
+from ilvseq.conditions import Condition, _profiles
 
 E7 = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
 
@@ -172,23 +171,36 @@ def test_block_verdict_on_every_integer_dtype(v):
             assert CONDITIONS[name].holds_rows(rows).tolist() == want, (dtype, name)
 
 
-@pytest.mark.parametrize("v, dtype", [(127, np.int8), (131, np.int16)])
+@pytest.mark.parametrize("v, dtype", [(127, np.int8), (128, np.int16), (131, np.int16)])
 def test_block_verdict_at_row_dtype_edges(v, dtype):
-    # v = 127 is the last v with int8 rows and v = 131 the first wide one.
-    # The block holds A vectors (quadratic), B-not-A ones (a quadratic with
-    # e_0 set to v - 1), rows at the top of the range and seeded random rows.
+    # v = 127 is the last v with int8 rows and v = 128 the first int16 one,
+    # where the extended entries e + 1 reach v = 128 itself; v = 131 is the
+    # first wide prime. The block holds quadratic vectors (A at a prime v),
+    # ones with e_0 set to v - 1 (B-not-A at a prime v), rows at the top of
+    # the range and seeded random rows.
     assert search_mod._row_dtype(v) == dtype
     rng = np.random.default_rng(v)
     rows = [quadratic_shifts(v, c, l).entries for c, l in ((1, 0), (3, 5), (v - 1, v - 2))]
     rows += [(v - 1,) + quadratic_shifts(v, 1, 0).entries[1:]]
     rows += [(v - 1,) * v, tuple(range(v - 1, -1, -1)), tuple(j % 2 * (v - 1) for j in range(v))]
+    rows += [(v - 1,) * (v // 2) + (0,) * (v - v // 2)]
     rows += [tuple(r) for r in rng.integers(0, v, size=(4, v)).tolist()]
     block = np.array(rows, dtype=dtype)
     for name, check in CHECKERS.items():
         mask = CONDITIONS[name].holds_rows(block).tolist()
         assert mask == [check(ShiftSequence(r)).verdict for r in rows], name
-    assert CONDITIONS["A"].holds_rows(block)[:4].tolist() == [True, True, True, False]
-    assert CONDITIONS["B"].holds_rows(block)[:4].all()
+    if v % 2:
+        assert CONDITIONS["A"].holds_rows(block)[:4].tolist() == [True, True, True, False]
+        assert CONDITIONS["B"].holds_rows(block)[:4].all()
+    # Caps near v count the extended differences, wrapped ones included, up
+    # to v - 1 of a kind, against the reports' multiplicities.
+    top = [
+        max(c for s in range(1, v) for _, c in differences(ShiftSequence(r), s, True).multiplicity)
+        for r in rows
+    ]
+    for cap in (v - 2, v - 1):
+        mask = Condition(extended=True, cap=cap).holds_rows(block).tolist()
+        assert mask == [t <= cap for t in top], cap
 
 
 @pytest.mark.parametrize("name", ["A", "B", "OPEN"])
@@ -217,24 +229,6 @@ def test_report_types_keep_their_names_and_fields(v):
             assert part == tuple(part) and part == kind(*part)
             assert type(kind(*part)) is kind
         assert report == _reference_report(e, name)
-
-
-@given(st.integers(2, 8).flatmap(
-    lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
-))
-def test_difference_terms_match_differences(entries):
-    # The fast term table, evaluated on a vector, is the definition itself.
-    v = len(entries)
-    e = ShiftSequence(entries)
-    row = np.array(entries)
-    for extended in (False, True):
-        table = difference_terms(v, extended)
-        assert len(table) == v - 1
-        for s, (i, k, t) in enumerate(table, 1):
-            assert (i.dtype, k.dtype, t.dtype) == (np.intp, np.intp, np.int32)
-            assert not (i.flags.writeable or k.flags.writeable or t.flags.writeable)
-            values = tuple(((row[i] - row[k] - t) % v).tolist())
-            assert values == differences(e, s, extended).values
 
 
 def _reference_differences(e, s, extended):

@@ -77,7 +77,7 @@ def test_no_module_defines_an_unread_private_name():
 
 def test_condition_reports_use_no_fast_path():
     # The reports are the oracle that the block verdicts and the search are
-    # tested against, so they compute without numpy and the term table.
+    # tested against, so they compute without numpy and the block verdict.
     tree = ast.parse(Path(ilvseq.conditions.__file__).read_text())
     bodies = {
         node.name: node for node in tree.body
@@ -87,4 +87,4 @@ def test_condition_reports_use_no_fast_path():
     for name, body in bodies.items():
         read = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
         read |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-        assert not read & {"np", "difference_terms", "holds_rows"}, name
+        assert not read & {"np", "holds_rows"}, name

@@ -24,7 +24,6 @@ from ilvseq import (
     check_condition_A,
     check_condition_B,
     check_condition_open,
-    difference_terms,
     gen_mseq,
     is_two_level,
     sample_random,
@@ -177,6 +176,16 @@ class _StopSearch(Exception):
     pass
 
 
+def _terms(v, extended):
+    # The difference terms by definition, shift by shift: term j of shift s
+    # is e_i - e_k - t mod v with i = j, k = (j + s) mod v and t = [k < i],
+    # for j in [0, v) extended and in [0, v - s) unextended.
+    for s in range(1, v):
+        for i in range(v if extended else v - s):
+            k = (i + s) % v
+            yield s, i, k, int(k < i)
+
+
 def _reference_backtrack(spec, progress=None, firsts=None):
     """The scalar depth-first walk, one node at a time: the oracle of the
     block walk's witnesses, node counts and progress ticks. ``firsts``, if
@@ -187,9 +196,8 @@ def _reference_backtrack(spec, progress=None, firsts=None):
     b_not_a = name == "B-not-A"
     extended, cap = CONDITIONS["B" if b_not_a else name]
     later = [[] for _ in range(v)]
-    for s, terms in enumerate(difference_terms(v, extended), 1):
-        for i, k, t in zip(*(arr.tolist() for arr in terms)):
-            later[max(i, k)].append((s * v, i, k, t))
+    for s, i, k, t in _terms(v, extended):
+        later[max(i, k)].append((s * v, i, k, t))
     counts = [0] * (v * v)
     counts_a = [0] * (v * v)
     a_pairs = 0  # equal pairs among the t = 0 differences of one shift
@@ -380,14 +388,13 @@ def test_mask_dtype_is_the_narrowest_word():
 def test_runs_cover_the_difference_terms_by_later_index():
     # Expanded term by term, depth m's runs are exactly the terms whose later
     # index is m, as (shift, other column, kind); at every shift they keep
-    # the order of difference_terms, so the unwrapped term comes first. The
-    # real table needs at most two runs per depth.
+    # the definition's order by j, so the unwrapped term comes first. At most
+    # two runs per depth are needed.
     for v in range(2, 65):
         for extended in (False, True):
             want = [[] for _ in range(v)]
-            for s, terms in enumerate(difference_terms(v, extended), 1):
-                for i, k, t in zip(*(arr.tolist() for arr in terms)):
-                    want[max(i, k)].append((s, min(i, k), t))
+            for s, i, k, t in _terms(v, extended):
+                want[max(i, k)].append((s, min(i, k), t))
             runs = search_mod._runs(v, extended)
             assert len(runs) == v
             for m, depth in enumerate(runs):
@@ -424,20 +431,48 @@ def test_backtrack_refuses_v_above_64(monkeypatch):
     assert sample_random(65, "B", 3, seed=1).examined == 3
 
 
-def test_sample_random_refuses_v_above_its_bound(monkeypatch):
-    # The block verdict's term table grows as v^2, so a v past SAMPLE_MAX_V
-    # is refused before it or any draw is built: the recorded table builder
-    # stays unused. At the bound the (recorded, empty) table is read.
+def _record_verdicts(monkeypatch):
+    # Record (condition, block shape) of every block verdict.
     calls = []
-    monkeypatch.setattr(conditions_mod, "difference_terms", lambda *a: calls.append(a) or ())
+    holds_rows = conditions_mod.Condition.holds_rows
+
+    def recorded(self, rows):
+        calls.append((self, rows.shape))
+        return holds_rows(self, rows)
+
+    monkeypatch.setattr(conditions_mod.Condition, "holds_rows", recorded)
+    return calls
+
+
+def test_sample_random_refuses_v_above_its_bound(monkeypatch):
+    # A v past SAMPLE_MAX_V is refused before any draw is judged: the
+    # recorded block verdict stays unused. At the bound it judges one row.
+    calls = _record_verdicts(monkeypatch)
     bound = search_mod.SAMPLE_MAX_V
     for v in (bound + 1, 100_000):
         for pred in ("A", "B-not-A"):
             with pytest.raises(ValueError, match=f"v <= {bound}"):
                 sample_random(v, pred, 1)
     assert calls == []
-    assert sample_random(bound, "B", 1).satisfying == 1
-    assert calls == [(bound, True)]
+    assert sample_random(bound, "B", 1).examined == 1
+    assert calls == [(CONDITIONS["B"], (1, bound))]
+
+
+def test_sample_random_blocks_are_bounded_by_entries(monkeypatch):
+    # A block holds at most 64 BLOCK_ROWS entries: BLOCK_ROWS rows up to
+    # v = 64 and fewer above, so a sample's memory does not grow with v.
+    # The 8 MB bound is a third of one 1,024-row block drawn as a Python list.
+    calls = _record_verdicts(monkeypatch)
+    sample_random(64, "B", 5000)
+    sample_random(65, "B", 5000)
+    rows = search_mod.BLOCK_ROWS
+    assert [shape for _, shape in calls] == [
+        (rows, 64), (5000 - rows, 64), (rows * 64 // 65, 65), (5000 - rows * 64 // 65, 65)
+    ]
+    monkeypatch.undo()
+    out, peak = _traced_peak(lambda: sample_random(512, "B", 1024, seed=2))
+    assert out.examined == 1024
+    assert peak < 8_000_000
 
 
 def test_backtrack_v7_completeness_frozen_counts():

@@ -27,7 +27,7 @@ e = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
 # Construct the set: member 0 is the interleaving of a under e; member 1+j
 # adds the j-step shift of b on top.
 ss = build_signal_set(a, b, e)
-print(f"{len(ss.members)} members of period {ss.period}; advisory notes: {ss.notes}")
+print(f"{len(ss.members)} members of period {ss.period}")
 
 # The 7 x 7 matrix form of member 0 has column j equal to a shifted by e_j.
 # Reading the shifts back recovers e exactly.

@@ -4,10 +4,10 @@ Every command writes one machine-readable JSON report (schema "1") to
 standard output; human-readable tables go to standard error under --pretty,
 which may come before or after the command. Each command returns its inputs,
 results, table lines and exit code; ``main`` alone times, emits and exits.
-Exit codes: 0 success, 1 verdict/reproduction failure, 2 input error,
-3 exhaustive-search budget refusal. A reader that closes standard output
-early (``| head``) cuts the report short but leaves the command's exit code,
-with no traceback.
+Exit codes: 0 success, 1 verdict/reproduction failure, 2 input error
+(input too large for memory included), 3 exhaustive-search budget refusal.
+A reader that closes standard output early (``| head``) cuts the report
+short but leaves the command's exit code, with no traceback.
 """
 
 from __future__ import annotations
@@ -173,14 +173,12 @@ def _cmd_build(args):
         raise ValueError(f"shift vector length {length} does not match period {a.period}")
     e = parse_shift_sequence(args.e)
     ss = build_signal_set(a, b, e)
-    for note in ss.notes:
-        print(f"warning: {note}", file=sys.stderr)
     results = {
         "v": ss.v,
         "period": ss.period,
         "member_count": len(ss.members),
         "members": [format_sequence(m) for m in ss.members],
-        "notes": list(ss.notes),
+        "notes": [],  # schema "1" keeps the field: two-level bases give no notes
     }
     pretty = [f"built {len(ss.members)} members of period {ss.period}"]
     if args.delta:
@@ -315,8 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     corr.add_argument("--fast", action="store_true", help="transform-based path")
 
     build = command(sub, "build", _cmd_build, "construct the v+1 member signal set")
-    build.add_argument("--a", required=True)
-    build.add_argument("--b", required=True)
+    build.add_argument("--a", required=True, help="two-level base, period v >= 3")
+    build.add_argument("--b", required=True, help="two-level offset sequence, period v")
     build.add_argument("--e", required=True, help="comma-separated finite shifts in [0, v)")
     build.add_argument("--delta", action="store_true", help="also sweep the set's delta")
 
@@ -368,8 +366,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     command = f"gen {args.kind}" if args.command == "gen" else args.command
     try:

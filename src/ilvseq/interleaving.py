@@ -101,8 +101,8 @@ def twisted_rotation(e: ShiftSequence, k: int = 1) -> ShiftSequence:
     """e rotated left k times with the +1 twist: once, (e_1, ..., e_(v-1), e_0 + 1).
 
     Entry j is e_((j+k) mod v) + floor((j+k)/v) mod v, so any integer k works
-    and k = v adds 1 to every entry; INFINITY entries stay INFINITY. For any
-    binary a and b, member pi(m) of build_signal_set(a, b, twisted_rotation(e))
+    and k = v adds 1 to every entry; INFINITY entries stay INFINITY. For
+    two-level a and b, member pi(m) of build_signal_set(a, b, twisted_rotation(e))
     is member m of build_signal_set(a, b, e) shifted left by one, with
     pi(0) = 0 and pi(1+j) = 1 + (j+1 mod v). So delta is equal, and witness
     (i, j, tau, value) maps to (pi(i), pi(j), tau, value); README has the proof.
@@ -188,19 +188,12 @@ def recover_shifts(u: PeriodicSequence, a: PeriodicSequence, t_cols: int) -> Shi
 
 @dataclass(frozen=True)
 class SignalSet:
-    """An interleaved base u and its v offset companions u + L^j(b).
-
-    ``notes`` carries advisory diagnostics (non-two-level bases, coincident
-    members); the construction itself never rejects on quality grounds. The
-    coincidence scan runs only when a base note fired or v = 1, the only cases
-    where two members can coincide (see ``build_signal_set``).
-    """
+    """An interleaved base u and its v offset companions u + L^j(b)."""
 
     a: PeriodicSequence
     b: PeriodicSequence
     e: ShiftSequence
     members: tuple[PeriodicSequence, ...]
-    notes: tuple[str, ...]
 
     @property
     def v(self) -> int:
@@ -209,28 +202,6 @@ class SignalSet:
     @property
     def period(self) -> int:
         return self.v * self.v
-
-
-def coincident_members(members) -> list[tuple[int, int, int]]:
-    """All (i, j, k) with i < j and member i equal to member j shifted by k.
-
-    Each member is keyed by its least rotation: the least of the n slices of
-    length n of its doubled values, as bytes, compared in C at O(n^2) byte
-    work per member. Members with equal keys, and only those, are
-    shift-equivalent; k is found for those pairs alone, so the scan stays
-    linear in the member count when no two members coincide.
-    """
-    members = list(members)
-    _same_shape(members)
-    classes: dict = {}
-    for i, m in enumerate(members):
-        doubled, n = _doubled(m), m.period
-        classes.setdefault(min(doubled[k : k + n] for k in range(n)), []).append(i)
-    out = []
-    for idx in classes.values():
-        for pos, i in enumerate(idx):
-            out.extend((i, j, shift_equivalence(members[i], members[j])) for j in idx[pos + 1 :])
-    return sorted(out)
 
 
 def _check_construction(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> int:
@@ -245,16 +216,9 @@ def _check_construction(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
 
 
 @lru_cache(maxsize=8)
-def _base_notes(a: PeriodicSequence, b: PeriodicSequence) -> tuple[str, ...]:
-    # The notes that depend on the bases alone; a search builds many sets on one pair.
-    notes = []
-    if not is_two_level(a):
-        notes.append("base a fails the two-level autocorrelation test")
-    if not is_two_level(b):
-        notes.append("offset b fails the two-level autocorrelation test")
-    if shift_equivalence(a, b) is not None:
-        notes.append("b is a shift of a; members may coincide")
-    return tuple(notes)
+def _two_level(base: PeriodicSequence) -> bool:
+    # is_two_level once per base: a search builds many sets on one pair.
+    return is_two_level(base)
 
 
 def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> SignalSet:
@@ -262,13 +226,23 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
 
     Member 0 is u = interleave(a, e); member 1+j is u + L^j(b) with b read
     cyclically up to period v^2; all are rows of one uint8 (v+1, v^2) table.
-    Requires binary a and b of equal period v and a finite length-v shift
-    vector. Two-level checks and the member coincidence scan are advisory:
-    their findings go into notes. The scan runs only when a base note fired
-    or v = 1: with two-level a and b of period v >= 2 no two distinct members
-    coincide, whatever e is.
+    Requires two-level a and b of one period v >= 3 (v = 2 has none) and a
+    finite length-v shift vector; anything else raises ValueError before the
+    table is built. The premise keeps the members pairwise shift-distinct,
+    whatever e is: members m != m' coincide under r*v + s only if their
+    correlation there, a sum of v terms sigma*sigma'*C_a(E(j+s) - e_j + r),
+    is v^2, so every term is +v. At s >= 1 that makes the v differences
+    E(j+s) - e_j all -r mod v, but they sum to s. At s = 0 the signs force
+    b = 0 (m = 0) or b invariant under k'-k (1+k, 1+k'), so C_b = v off 0.
+    At v = 1 the two-level test is vacuous, and a = 1, b = 0 coincide, so
+    v = 1 is refused. The README has the full proof.
     """
     v = _check_construction(a, b, e)
+    if v == 1:
+        raise ValueError("period 1 is outside the construction: its two-level test is vacuous")
+    for name, base in (("base a", a), ("offset b", b)):
+        if not _two_level(base):
+            raise ValueError(f"{name} fails the two-level autocorrelation test")
     # Row 0 is u. Row 1+k adds b_((t+k) mod v) to u_t in one XOR, read at
     # k + t from v+1 periods of b's bytes by a view of stride 1 in both axes.
     table = np.empty((v + 1, v * v), np.uint8)
@@ -278,20 +252,8 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     # Each member keeps its row of the table's bytes as its cached bytes.
     data, n = table.tobytes(), v * v
     rows = [data[start : start + n] for start in range(0, len(data), n)]
-    members = list(map(PeriodicSequence._valid, map(tuple, table.tolist()), rows))
-
-    notes = list(_base_notes(a, b))
-    # Two-level a and b, v >= 2: members m != m' coincide under r*v + s only
-    # if their correlation there, a sum of v terms sigma*sigma'*C_a(E(j+s) -
-    # e_j + r), is v^2, so every term is +v. At s >= 1 that makes the v
-    # differences E(j+s) - e_j all -r mod v, but they sum to s. At s = 0 the
-    # signs force b = 0 (m = 0) or b invariant under k'-k (1+k, 1+k'), so
-    # C_b = v off 0. At v = 1 the two-level test is vacuous, and a = 1, b = 0
-    # coincide. The README has the full proof.
-    if notes or v == 1:
-        for i, j, k in coincident_members(members):
-            notes.append(f"members {i} and {j} coincide (shift {k})")
-    return SignalSet(a, b, e, tuple(members), tuple(notes))
+    members = map(PeriodicSequence._valid, map(tuple, table.tolist()), rows)
+    return SignalSet(a, b, e, tuple(members))
 
 
 def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> np.ndarray:

@@ -31,7 +31,7 @@ from .interleaving import (
     extended_entry,
 )
 from .search import NonexistenceEntry, SearchSpec, backtrack, verify_open_nonexistence
-from .sequences import PeriodicSequence
+from .sequences import PeriodicSequence, shift_equivalence
 
 #: The library's worked example: two period-7 two-level sequences and the
 #: shift vector that fails distinctness but passes multiplicity.
@@ -74,11 +74,12 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     )
 
     ss = build_signal_set(a, b, e)
-    coincide = [n for n in ss.notes if "coincide" in n]
+    pairs = itertools.combinations(ss.members, 2)
+    distinct = all(shift_equivalence(x, y) is None for x, y in pairs)
     rep = signal_set_delta(ss.members)
     record(
         "signal set is (49, 8, 17)",
-        ss.members[0].period == 49 and len(ss.members) == 8 and not coincide and rep.delta == 17,
+        ss.members[0].period == 49 and len(ss.members) == 8 and distinct and rep.delta == 17,
         f"period={ss.members[0].period} members={len(ss.members)} delta={rep.delta}",
     )
 

@@ -31,7 +31,7 @@ from .interleaving import ShiftSequence
 BUDGET_MAX_V = 8
 
 #: Largest v random sampling accepts. Each draw takes v - 1 Python calls, so
-#: 4,096 draws at v = 512 take about 6 s; they peak near 3 MB (tracemalloc).
+#: 4,096 draws at v = 512 took 1.0-1.5 s on a shared 2-vCPU host, 3 MB peak (tracemalloc).
 SAMPLE_MAX_V = 512
 
 #: Examined-count granularity of progress callbacks.

@@ -23,7 +23,6 @@ from ilvseq import (
     build_signal_set,
     check_condition_A,
     check_condition_B,
-    coincident_members,
     column_correlations,
     cond2_sum_residue,
     cross_correlation,
@@ -34,6 +33,7 @@ from ilvseq import (
     is_prime,
     is_two_level,
     quadratic_shifts,
+    shift_equivalence,
     signal_set_delta,
     twisted_rotation,
     LfsrSpec,
@@ -54,7 +54,9 @@ def verdict(number: int, ok: bool, detail: str) -> bool:
 def test_criterion_01_worked_example_reproduction():
     started = time.perf_counter()
     ss = build_signal_set(A7, B7, E7)
-    distinct = not coincident_members(ss.members)
+    distinct = all(
+        shift_equivalence(x, y) is None for x, y in itertools.combinations(ss.members, 2)
+    )
     report = signal_set_delta(ss.members)
     elapsed = time.perf_counter() - started
     ok = (

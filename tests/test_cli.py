@@ -1,5 +1,6 @@
 """Tests for the command-line interface: reports, exit codes, error paths."""
 
+import dataclasses
 import json
 import os
 import re
@@ -16,11 +17,13 @@ from ilvseq import (
     all_passed,
     build_signal_set,
     gen_legendre,
+    left_shift,
     quadratic_shifts,
     reproduce,
     run_all,
     signal_set_delta,
 )
+from ilvseq import cli
 from ilvseq.cli import main
 from ilvseq.conditions import Condition
 from test_conditions import _reference_report
@@ -191,16 +194,39 @@ def test_build_with_delta(capsys):
     ]
 
 
-def test_build_warns_on_advisory_notes(capsys):
+def test_build_refuses_non_two_level_base(capsys):
     code, out, err = run_cli(
-        capsys,
-        "build",
-        "--a", "1001110",
-        "--b", "1001110",
-        "--e", "0,0,1,0,6,3,5",
+        capsys, "build", "--a", "1000000", "--b", "1001011", "--e", "0,0,1,0,6,3,5"
     )
-    assert code == 0
-    assert "warning: b is a shift of a" in err
+    assert (code, out) == (2, "")
+    assert err == "error: base a fails the two-level autocorrelation test\n"
+
+
+def test_build_accepts_b_equal_to_a(capsys):
+    code, out, err = run_cli(
+        capsys, "build", "--a", "1001110", "--b", "1001110", "--e", "0,0,1,0,6,3,5"
+    )
+    assert (code, err) == (0, "")
+    assert parse_report(out)["results"]["notes"] == []
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError("Unable to allocate 25.2 GiB"), "error: Unable to allocate 25.2 GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy-message", "no-message"],
+)
+def test_out_of_memory_exits_2(capsys, monkeypatch, exc, line):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_signal_set", exhausted)
+    code, out, err = run_cli(
+        capsys, "build", "--a", "1001110", "--b", "1001011", "--e", "0,0,1,0,6,3,5"
+    )
+    assert (code, out, err) == (2, "", line)
 
 
 def test_build_rejects_infinite_vector(capsys):
@@ -519,6 +545,22 @@ def test_reproduction_negative_control(monkeypatch):
     assert not all_passed(results)
     failed = [r.name for r in results if not r.passed]
     assert failed
+
+
+def test_reproduction_distinctness_check_negative_control(monkeypatch):
+    # The last member replaced by a shift of member 3. The delta is taken of
+    # the intact set, so only the pairwise shift scan can see the repeat.
+    intact = build_signal_set(reproduce.EXAMPLE_A, reproduce.EXAMPLE_B, reproduce.EXAMPLE_E)
+    members = (*intact.members[:-1], left_shift(intact.members[3], 5))
+    repeated = dataclasses.replace(intact, members=members)
+
+    def delta(ms, *args, **kwargs):
+        return signal_set_delta(intact.members if ms is members else ms, *args, **kwargs)
+
+    monkeypatch.setattr(reproduce, "build_signal_set", lambda a, b, e: repeated)
+    monkeypatch.setattr(reproduce, "signal_set_delta", delta)
+    passed = {r.name: r.passed for r in run_all()}
+    assert passed["signal set is (49, 8, 17)"] is False
 
 
 def test_reproduction_implication_check_negative_control(monkeypatch):

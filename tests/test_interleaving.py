@@ -18,7 +18,6 @@ from ilvseq import (
     ShiftSequence,
     autocorrelation,
     build_signal_set,
-    coincident_members,
     column_correlations,
     cross_correlation,
     differences,
@@ -39,7 +38,7 @@ from ilvseq import (
 )
 from ilvseq import interleaving
 from ilvseq.conditions import Condition, _profiles
-from ilvseq.interleaving import _base_notes, _extension
+from ilvseq.interleaving import _extension
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -50,6 +49,26 @@ REV31 = PeriodicSequence(2, M31.values[::-1])
 entries7 = st.lists(st.integers(0, 6), min_size=7, max_size=7).map(
     lambda v: ShiftSequence(tuple(v))
 )
+
+
+def _two_level_bases(v):
+    return [
+        seq for bits in np.ndindex(*(2,) * v)
+        if is_two_level(seq := PeriodicSequence(2, bits))
+    ]
+
+
+#: Every two-level binary base at v = 3 and 7 (v = 2 has none).
+TWO_LEVEL = {v: _two_level_bases(v) for v in (3, 7)}
+
+
+def _coincident_pairs(members):
+    # Every (i, j, k) with i < j and member i equal to member j shifted by k.
+    return [
+        (i, j, k)
+        for i, j in itertools.combinations(range(len(members)), 2)
+        if (k := shift_equivalence(members[i], members[j])) is not None
+    ]
 
 
 def test_shift_sequence_validation():
@@ -203,7 +222,6 @@ def test_build_signal_set_shape():
             (ss.members[0][i] + B7[j + i]) % 2 for i in range(49)
         )
         assert ss.members[1 + j].values == expected
-    assert ss.notes == ()
 
 
 def test_build_signal_set_validation():
@@ -220,105 +238,56 @@ def test_build_signal_set_validation():
         )
 
 
-def test_build_signal_set_advisory_notes():
-    spike = PeriodicSequence(2, (1, 0, 0, 0, 0, 0, 0))
-    ss = build_signal_set(spike, B7, E7)
-    assert any("base a" in note for note in ss.notes)
-    ss2 = build_signal_set(A7, spike, E7)
-    assert any("offset b" in note for note in ss2.notes)
-
-
-def test_build_notes_every_coincident_member_pair():
-    # With b = 0 every offset member equals u, so all 8 members coincide.
-    ss = build_signal_set(A7, PeriodicSequence(2, (0,) * 7), E7)
-    coincide = [note for note in ss.notes if "coincide" in note]
-    assert coincide == [
-        f"members {i} and {j} coincide (shift 0)" for i in range(8) for j in range(i + 1, 8)
-    ]
-    assert len(coincide) == 28
-
-
-def test_build_with_b_equal_a_flags_shift_but_no_coincidence():
-    ss = build_signal_set(A7, A7, E7)
-    assert any("b is a shift of a" in note for note in ss.notes)
-    assert not any("coincide (" in note for note in ss.notes)
-    assert signal_set_delta(ss.members).delta == 17
-
-
 SPIKE7 = PeriodicSequence(2, (1, 0, 0, 0, 0, 0, 0))
-NOT_A = "base a fails the two-level autocorrelation test"
-NOT_B = "offset b fails the two-level autocorrelation test"
-SHIFTED = "b is a shift of a; members may coincide"
 
 
-BASE_NOTE_CASES = pytest.mark.parametrize(
-    "a, b, want",
+@pytest.mark.parametrize(
+    "a, b, name",
     [
-        (SPIKE7, B7, (NOT_A,)),
-        (A7, SPIKE7, (NOT_B,)),
-        (SPIKE7, SPIKE7, (NOT_A, NOT_B, SHIFTED)),
-        (A7, left_shift(A7, 3), (SHIFTED,)),
-        # b = 0: every member equals u; b = 1: the seven offset members equal ~u.
-        (A7, PeriodicSequence(2, (0,) * 7),
-         (NOT_B, *(f"members {i} and {j} coincide (shift 0)" for i in range(8) for j in range(i + 1, 8)))),
-        (A7, PeriodicSequence(2, (1,) * 7),
-         (NOT_B, *(f"members {i} and {j} coincide (shift 0)" for i in range(1, 8) for j in range(i + 1, 8)))),
+        (SPIKE7, B7, "base a"),
+        (A7, SPIKE7, "offset b"),
+        (SPIKE7, SPIKE7, "base a"),
+        (A7, PeriodicSequence(2, (0,) * 7), "offset b"),
+        (A7, PeriodicSequence(2, (1,) * 7), "offset b"),
     ],
-    ids=["a-not-two-level", "b-not-two-level", "both-and-shift", "b-shift-of-a", "b-zero", "b-one"],
+    ids=["a-not-two-level", "b-not-two-level", "both", "b-zero", "b-one"],
 )
+def test_build_refuses_non_two_level_bases(monkeypatch, a, b, name):
+    # Refused before the member table: the build reaches no numpy call.
+    monkeypatch.setattr(interleaving, "np", None)
+    with pytest.raises(ValueError, match=f"^{name} fails the two-level autocorrelation test$"):
+        build_signal_set(a, b, E7)
 
 
-@BASE_NOTE_CASES
-def test_build_notes_cached_per_base_pair(a, b, want):
-    hits = _base_notes.cache_info().hits
-    first = build_signal_set(a, b, E7).notes
-    again = build_signal_set(a, b, E7).notes
-    assert first == again == want
-    assert _base_notes.cache_info().hits > hits
+@pytest.mark.parametrize("v", [1, 2])
+def test_build_refuses_periods_below_3(monkeypatch, v):
+    # Every length-1 base passes the vacuous two-level test, and a = 1, b = 0
+    # would give members 0 and 1 equal, so v = 1 is refused outright; no
+    # length-2 base is two-level.
+    monkeypatch.setattr(interleaving, "np", None)
+    e = ShiftSequence((0,) * v)
+    for a, b in itertools.product(itertools.product((0, 1), repeat=v), repeat=2):
+        with pytest.raises(ValueError, match="period 1" if v == 1 else "two-level"):
+            build_signal_set(PeriodicSequence(2, a), PeriodicSequence(2, b), e)
 
 
-def test_coincident_members():
-    assert coincident_members([A7, left_shift(A7, 2)]) == [(0, 1, 5)]
-    assert coincident_members([A7, B7]) == []
-    assert coincident_members([]) == []
-    with pytest.raises(ValueError):
-        coincident_members([A7, PeriodicSequence(2, (1, 0))])
-    # A v=31 set plus two planted coincidences, keyed at n = 961.
-    mseq = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 0, 0, 0)))
-    rev = PeriodicSequence(2, mseq.values[::-1])
-    e = quadratic_shifts(31, 1, 3)
-    members = list(build_signal_set(mseq, rev, e).members)
-    members += [left_shift(members[3], 100), members[0]]
-    assert members[0].period == 961
-    pairwise = [
-        (i, j, k)
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-        if (k := shift_equivalence(members[i], members[j])) is not None
-    ]
-    assert pairwise == [(0, 33, 0), (3, 32, 861)]
-    assert coincident_members(members) == pairwise
+def test_build_tests_each_base_once(monkeypatch):
+    calls = []
 
+    def counting(base):
+        calls.append(base)
+        return is_two_level(base)
 
-@st.composite
-def planted_members(draw):
-    """Shifts of a few small bases (some of short minimal period), shuffled."""
-    n = draw(st.integers(1, 8))
-    bases = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
-    picks = draw(st.lists(st.tuples(st.integers(0, len(bases) - 1), st.integers(0, n - 1)), max_size=8))
-    members = [left_shift(PeriodicSequence(2, tuple(bases[b])), k) for b, k in picks]
-    return draw(st.permutations(members))
-
-
-@given(planted_members())
-def test_coincident_members_matches_pairwise_scan(members):
-    pairwise = [
-        (i, j, k)
-        for i in range(len(members))
-        for j in range(i + 1, len(members))
-        if (k := shift_equivalence(members[i], members[j])) is not None
-    ]
-    assert coincident_members(members) == pairwise
+    monkeypatch.setattr(interleaving, "is_two_level", counting)
+    interleaving._two_level.cache_clear()
+    for e in (E7, twisted_rotation(E7), E7):
+        build_signal_set(A7, B7, e)
+    ss = build_signal_set(A7, A7, E7)  # b = a: both two-level, so accepted
+    assert _coincident_pairs(ss.members) == []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="base a"):
+            build_signal_set(SPIKE7, B7, E7)
+    assert calls == [A7, B7, SPIKE7]
 
 
 @pytest.fixture(scope="module")
@@ -340,13 +309,6 @@ def test_heavy_v7_vectors_are_the_cap_v_minus_2_failures(v7_space):
     assert {_profile_mu(ShiftSequence(tuple(row))) for row in rows[heavy].tolist()} == {6}
 
 
-def _two_level(v):
-    return [
-        seq for bits in np.ndindex(*(2,) * v)
-        if is_two_level(seq := PeriodicSequence(2, bits))
-    ]
-
-
 @pytest.mark.parametrize("v", range(2, 8))
 def test_no_difference_occurs_v_times(v):
     # The step of the no-coincidence proof at s >= 1: the v extended
@@ -357,17 +319,17 @@ def test_no_difference_occurs_v_times(v):
 
 def test_two_level_bases_never_give_coincident_members(v7_space):
     # Every ordered pair of two-level bases (b = a and b a shift of a too),
-    # with the ungated scan and the full correlation table: no two distinct
+    # with a pairwise scan and the full correlation table: no two distinct
     # members coincide, and no off-trivial correlation reaches v^2.
-    bases3 = _two_level(3)
+    bases3 = TWO_LEVEL[3]
     assert len(bases3) == 6
     for a in bases3:
         for b in bases3:
             for entries in np.ndindex(3, 3, 3):
                 e = ShiftSequence(entries)
-                assert coincident_members(build_signal_set(a, b, e).members) == []
+                assert _coincident_pairs(build_signal_set(a, b, e).members) == []
                 assert _off_trivial_max(a, b, e) < 9
-    bases7 = _two_level(7)
+    bases7 = TWO_LEVEL[7]
     assert len(bases7) == 28
     rows, heavy = v7_space
     heavy_rows = rows[heavy].tolist()
@@ -375,79 +337,25 @@ def test_two_level_bases_never_give_coincident_members(v7_space):
     for a in bases7:
         for b in bases7:
             e = ShiftSequence(tuple(rng.choice(heavy_rows)))
-            assert coincident_members(build_signal_set(a, b, e).members) == []
+            assert _coincident_pairs(build_signal_set(a, b, e).members) == []
             assert _off_trivial_max(a, b, e) < 49
-
-
-@pytest.fixture
-def scan_calls(monkeypatch):
-    # Counts the coincidence scans that build_signal_set runs.
-    calls = []
-
-    def counting(members):
-        calls.append(len(members))
-        return coincident_members(members)
-
-    monkeypatch.setattr(interleaving, "coincident_members", counting)
-    return calls
-
-
-def _ungated_notes(a, b, ss):
-    scan = coincident_members(ss.members)
-    return _base_notes(a, b) + tuple(f"members {i} and {j} coincide (shift {k})" for i, j, k in scan)
-
-
-def test_build_never_scans_two_level_bases(scan_calls, v7_space):
-    rows, heavy = v7_space
-    for e in [ShiftSequence(tuple(row)) for row in rows[heavy].tolist()] + [E7]:
-        ss = build_signal_set(A7, B7, e)
-        assert ss.notes == _ungated_notes(A7, B7, ss) == ()
-    for v in (31, 59):
-        a, b = gen_legendre(v, 0), gen_legendre(v, 1)
-        ss = build_signal_set(a, b, quadratic_shifts(v, 1, 3))
-        assert ss.notes == _ungated_notes(a, b, ss) == ()
-    assert build_signal_set(M31, REV31, quadratic_shifts(31, 1, 3)).notes == ()
-    assert scan_calls == []
-
-
-@BASE_NOTE_CASES
-def test_build_scans_every_base_note_case(scan_calls, a, b, want):
-    assert build_signal_set(a, b, E7).notes == want
-    assert scan_calls == [8]
-
-
-@pytest.mark.parametrize(
-    "a, b, want",
-    [
-        ((0,), (0,), (SHIFTED, "members 0 and 1 coincide (shift 0)")),
-        ((0,), (1,), ()),
-        ((1,), (0,), ("members 0 and 1 coincide (shift 0)",)),
-        ((1,), (1,), (SHIFTED,)),
-    ],
-)
-def test_build_scans_at_v1(scan_calls, a, b, want):
-    # Every length-1 sequence passes the two-level test, so the proof does not
-    # apply and the scan runs: with b = 0, member 1 equals u.
-    ss = build_signal_set(PeriodicSequence(2, a), PeriodicSequence(2, b), ShiftSequence((0,)))
-    assert ss.notes == want
-    assert scan_calls == [2]
 
 
 def test_light_vectors_have_no_coincident_members(v7_space):
     # Vectors below the heavy mark on the worked bases, and random vectors on
-    # Legendre bases at v = 11: the ungated scan finds nothing, and at v = 7 no
+    # Legendre bases at v = 11: a pairwise scan finds nothing, and at v = 7 no
     # off-trivial correlation reaches v^2.
     rows, heavy = v7_space
     light = rows[~heavy]
     rng = random.Random(16)
     sample = [ShiftSequence(tuple(light[i].tolist())) for i in rng.sample(range(len(light)), 500)]
     for e in sample:
-        assert coincident_members(build_signal_set(A7, B7, e).members) == []
+        assert _coincident_pairs(build_signal_set(A7, B7, e).members) == []
     assert max(_off_trivial_max(A7, B7, e) for e in sample) < 49
     a, b = gen_legendre(11, 0), gen_legendre(11, 1)
     for _ in range(20):
         e = ShiftSequence(tuple(rng.randrange(11) for _ in range(11)))
-        assert coincident_members(build_signal_set(a, b, e).members) == []
+        assert _coincident_pairs(build_signal_set(a, b, e).members) == []
 
 
 @pytest.mark.parametrize(
@@ -485,11 +393,10 @@ def assert_members_checked(members, want=None):
 
 @st.composite
 def construction_inputs(draw):
-    # Binary a and b of one period v in 1..9 and a finite length-v vector e.
-    v = draw(st.integers(1, 9))
-    bits = st.lists(st.integers(0, 1), min_size=v, max_size=v)
+    # Two-level a and b of one period v in (3, 7) and a finite length-v vector e.
+    v = draw(st.sampled_from(sorted(TWO_LEVEL)))
     entries = st.lists(st.integers(0, v - 1), min_size=v, max_size=v)
-    a, b = (PeriodicSequence(2, tuple(draw(bits))) for _ in range(2))
+    a, b = (draw(st.sampled_from(TWO_LEVEL[v])) for _ in range(2))
     return a, b, ShiftSequence(tuple(draw(entries)))
 
 
@@ -678,19 +585,17 @@ def assert_rotation_maps_the_set(a, b, e, method="direct"):
 
 
 def test_twisted_rotation_maps_every_small_set():
-    # Every vector at v = 2 and 3 with every pair of binary bases, two-level or not.
-    for v in (2, 3):
-        bases = [PeriodicSequence(2, bits) for bits in itertools.product((0, 1), repeat=v)]
-        for entries in itertools.product(range(v), repeat=v):
-            e = ShiftSequence(entries)
-            for a, b in itertools.product(bases, repeat=2):
-                assert_rotation_maps_the_set(a, b, e)
+    # Every vector at v = 3 with every pair of the 6 two-level bases.
+    for entries in itertools.product(range(3), repeat=3):
+        e = ShiftSequence(entries)
+        for a, b in itertools.product(TWO_LEVEL[3], repeat=2):
+            assert_rotation_maps_the_set(a, b, e)
 
 
 def test_twisted_rotation_maps_seeded_v7_sets():
     rng = random.Random(8)
     for _ in range(24):
-        a, b = (PeriodicSequence(2, tuple(rng.randrange(2) for _ in range(7))) for _ in "ab")
+        a, b = (rng.choice(TWO_LEVEL[7]) for _ in "ab")
         e = ShiftSequence(tuple(rng.randrange(7) for _ in range(7)))
         for method in ("direct", "fast"):
             assert_rotation_maps_the_set(a, b, e, method)

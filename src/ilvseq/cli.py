@@ -255,6 +255,7 @@ def _cmd_verify_nonexistence(args):
                 "examined": ent.examined,
                 "exhaustive": ent.exhaustive,
                 "nodes": ent.nodes,
+                "one_infinity": ent.one_infinity,
             }
         )
     confirmed = _reproduce.census_confirmed(table)

@@ -343,6 +343,18 @@ class NonexistenceEntry:
 
     ``examined`` is the number of candidates covered, v^(v-1); ``nodes`` is
     the number of nodes the backtracking walk visited to cover them.
+
+    ``one_infinity`` counts the one-∞ frontier: the normalized vectors
+    (e_0 = 0) of length v whose last entry is ∞ and which are finite-term
+    OPEN, that is, at every shift the v-2 extended differences of the terms
+    touching no ∞ column are distinct mod v. It is read off the walk: the
+    last depth's node count divided by v. Proof: the walk records a
+    difference term when the later of its two columns is placed, so the
+    terms that touch column v-1 come in only at the last depth, and a
+    prefix of length v-1 survives exactly when the terms among its own
+    columns are distinct at every shift, which is finite-term OPEN for
+    (prefix, ∞). An exhaustive walk tries all v children of each survivor
+    at the depth above, so the last depth holds v nodes per survivor.
     """
 
     v: int
@@ -351,6 +363,7 @@ class NonexistenceEntry:
     examined: int
     exhaustive: bool
     nodes: int
+    one_infinity: int
 
 
 def verify_open_nonexistence(v_max: int, force: bool = False) -> dict[int, NonexistenceEntry]:
@@ -370,8 +383,14 @@ def verify_open_nonexistence(v_max: int, force: bool = False) -> dict[int, Nonex
     for v in range(2, v_max + 1):
         size = v ** (v - 1)
         run = backtrack(SearchSpec(v, "OPEN", limit=size, strategy="backtrack", force=force))
+        one_infinity, rest = divmod(run.nodes_by_depth[-1], v)
+        if rest:
+            raise RuntimeError(
+                f"the last depth of the v={v} walk holds {run.nodes_by_depth[-1]} nodes, "
+                f"not a multiple of v"
+            )
         table[v] = NonexistenceEntry(
-            v, run.satisfying > 0, run.witnesses, size, run.exhaustive, run.examined
+            v, run.satisfying > 0, run.witnesses, size, run.exhaustive, run.examined, one_infinity
         )
     return table
 

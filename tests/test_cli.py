@@ -472,6 +472,8 @@ def test_verify_nonexistence(capsys):
     assert rows[3]["witness"] is None
     # "examined" is the candidates covered, "nodes" the walk's node count.
     assert [(row["examined"], row["nodes"]) for row in rows.values()] == [(2, 2), (9, 12), (64, 68)]
+    # "one_infinity" is the walk's last depth over v: the one-∞ frontier.
+    assert [row["one_infinity"] for row in rows.values()] == [1, 3, 12]
     code, _, err = run_cli(capsys, "verify-nonexistence", "--vmax", "4", "--pretty")
     assert code == 0
     assert err.splitlines()[:2] == ["  v  exists  examined  witnesses", "  2  true           2  0,0 0,1"]

@@ -24,7 +24,8 @@ from ilvseq import (
     extended_entry,
     quadratic_shifts,
 )
-from ilvseq.conditions import Condition, _profiles
+import ilvseq.conditions as conditions_mod
+from ilvseq.conditions import Condition, ShiftChecks, _count_table
 
 E7 = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
 
@@ -218,6 +219,20 @@ def test_report_types_keep_their_names_and_fields(v):
     e = ShiftSequence(tuple(rng.randrange(v) for _ in range(v)))
     for name, check in CHECKERS.items():
         report = check(e)
+        reference = _reference_report(e, name)
+        assert type(report.checks) is ShiftChecks and len(report.checks) == v - 1
+        # The checks read as the reference's tuple: by index from either
+        # end, by slice, as a whole, and in repr and hash.
+        for k in range(-(v - 1), v - 1):
+            assert report.checks[k] == reference.checks[k]
+        for k in (slice(None), slice(1, None), slice(-2, None), slice(None, None, -2)):
+            assert report.checks[k] == reference.checks[k]
+            assert type(report.checks[k]) is tuple
+        with pytest.raises(IndexError):
+            report.checks[v - 1]
+        assert report.checks == reference.checks and reference.checks == report.checks
+        assert report.checks == check(e).checks and list(report.checks) == list(reference.checks)
+        assert repr(report) == repr(reference) and hash(report) == hash(reference)
         parts = [(report, ConditionReport)]
         parts += [(c, ShiftCheck) for c in report.checks]
         parts += [(c.profile, DifferenceProfile) for c in report.checks]
@@ -296,22 +311,30 @@ def test_unextended_profile_is_a_prefix(entries):
 
 
 def test_one_table_per_vector():
-    # Every report and every profile of one fresh vector come from one
-    # evaluation of the table.
+    # Every report, every check and every profile of one fresh vector come
+    # from one evaluation of the table.
     e = ShiftSequence((0, 3, 1, 4, 2, 2, 0, 5, 6, 1, 9, 7, 8))
-    before = _profiles.cache_info().misses
+    before = _count_table.cache_info().misses
     for check in CHECKERS.values():
-        check(e)
+        list(check(e).checks)
     for extended in (False, True):
         for s in range(1, e.v):
             differences(e, s, extended)
-    assert _profiles.cache_info().misses == before + 1
+            cond2_sum_residue(e, s)
+    assert _count_table.cache_info().misses == before + 1
 
 
 @pytest.mark.parametrize("name", ["A", "B", "OPEN"])
 def test_reports_are_frozen_tuples(name):
     report = CHECKERS[name](E7)
-    assert report == _reference_report(E7, name)
+    reference = _reference_report(E7, name)
+    assert len(report.checks) == 6
+    assert report.checks[-1] == reference.checks[-1] and report.checks[-6] == reference.checks[0]
+    assert report.checks[2:] == reference.checks[2:] and report.checks[::-1] == reference.checks[::-1]
+    assert report == reference
+    assert repr(report) == repr(reference) and hash(report) == hash(reference)
+    assert repr(report.checks) == repr(reference.checks)
+    assert hash(report.checks) == hash(reference.checks)
     condition, passed, checks, first_failure_s = report
     assert (condition, passed, first_failure_s) == (name, report.verdict, report.first_failure_s)
     assert report == (name, passed, checks, first_failure_s)
@@ -320,6 +343,50 @@ def test_reports_are_frozen_tuples(name):
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
         assert hash(obj) == hash(tuple(obj))
+    with pytest.raises(TypeError):
+        checks[0] = check
+    with pytest.raises(AttributeError):
+        checks.extra = None
+
+
+def test_verdict_only_reports_build_no_checks(monkeypatch):
+    # A report read for its verdict, first failure and number of shifts
+    # builds no ShiftCheck and no DifferenceProfile; reading one check
+    # builds all of them, once.
+    built = []
+
+    def profile(row, s, extended, _profile=conditions_mod._profile):
+        built.append(("profile", s))
+        return _profile(row, s, extended)
+
+    def checks(self, _tuple=ShiftChecks._tuple):
+        if self._checks is None:
+            built.append(("checks", len(self)))
+        return _tuple(self)
+
+    monkeypatch.setattr(conditions_mod, "_profile", profile)
+    monkeypatch.setattr(ShiftChecks, "_tuple", checks)
+    reports = [check(E7) for check in CHECKERS.values()]
+    assert [(r.verdict, r.first_failure_s, len(r.checks)) for r in reports] == [
+        (False, 1, 6), (True, None, 6), (False, 1, 6)
+    ]
+    assert built == []
+    assert reports[1].checks[3] == _reference_report(E7, "B").checks[3]
+    assert built == [("checks", 6)] + [("profile", s) for s in range(1, 7)]
+    assert reports[1] == _reference_report(E7, "B")
+    assert len(built) == 7
+
+
+@pytest.mark.parametrize("call", [*CHECKERS, "sum"])
+def test_infinity_entry_raises_when_the_report_is_made(call):
+    # The table is built when the report is made, so bad input raises then,
+    # not when the report's checks are first read.
+    e = ShiftSequence((0, INFINITY, 1))
+    with pytest.raises(ValueError, match="INFINITY"):
+        if call == "sum":
+            cond2_sum_residue(e, 1)
+        else:
+            CHECKERS[call](e)
 
 
 @given(entries7, st.integers(1, 6))

@@ -77,13 +77,23 @@ def test_no_module_defines_an_unread_private_name():
 
 def test_condition_reports_use_no_fast_path():
     # The reports are the oracle that the block verdicts and the search are
-    # tested against, so they compute without numpy and the block verdict.
+    # tested against, so they compute without numpy and the block verdict:
+    # the count table, the profiles built from it, the reports and every
+    # method of their lazily built checks.
     tree = ast.parse(Path(ilvseq.conditions.__file__).read_text())
     bodies = {
         node.name: node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("_profiles", "_check")
+        if isinstance(node, ast.FunctionDef) and node.name in ("_count_table", "_profile", "_check")
     }
-    assert sorted(bodies) == ["_check", "_profiles"]
+    assert sorted(bodies) == ["_check", "_count_table", "_profile"]
+    (checks,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ShiftChecks"
+    ]
+    methods = {
+        f"ShiftChecks.{node.name}": node for node in checks.body if isinstance(node, ast.FunctionDef)
+    }
+    assert {"ShiftChecks._tuple", "ShiftChecks.__getitem__", "ShiftChecks.__len__"} <= set(methods)
+    bodies.update(methods)
     for name, body in bodies.items():
         read = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
         read |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}

@@ -575,6 +575,59 @@ def test_verify_open_nonexistence_matches_enumeration():
     assert [table[v].nodes for v in table] == [2, 12, 68, 330, 1590, 6132, 33032]
 
 
+def _finite_term_open(entries, p):
+    # The definition, one vector at a time: with ∞ at column p, at every
+    # shift s the extended differences e_j - E(j+s) of the terms whose
+    # columns j and (j+s) mod v both differ from p are distinct mod v.
+    v = len(entries)
+    for s in range(1, v):
+        seen = set()
+        for j in range(v):
+            k = j + s
+            if p in (j, k % v):
+                continue
+            later = entries[k] if k < v else entries[k - v] + 1
+            d = (entries[j] - later) % v
+            if d in seen:
+                return False
+            seen.add(d)
+    return True
+
+
+def test_one_infinity_count_matches_brute_force():
+    # The census reads the one-∞ count off its walk's last depth; a brute
+    # force over the definition counts the same vectors with ∞ last and
+    # e_0 = 0 at v <= 7, and at every ∞ position at v <= 5, where all v
+    # translates of each normalized hit are counted.
+    table = verify_open_nonexistence(8)
+    assert [table[v].one_infinity for v in table] == [1, 3, 12, 40, 108, 140, 256]
+    for v in range(2, 8):
+        tails = itertools.product(range(v), repeat=v - 2)
+        hits = sum(_finite_term_open((0, *tail, None), v - 1) for tail in tails)
+        assert hits == table[v].one_infinity, v
+    for v in range(2, 6):
+        for p in range(v):
+            hits = 0
+            for finite in itertools.product(range(v), repeat=v - 1):
+                hits += _finite_term_open(finite[:p] + (None,) + finite[p:], p)
+            assert hits == v * table[v].one_infinity, (v, p)
+
+
+def test_one_infinity_refuses_a_ragged_last_depth(monkeypatch):
+    # A last depth that is not v nodes per survivor breaks the identity, so
+    # the census raises rather than report a count.
+    walk = search_mod.backtrack
+
+    def ragged(spec, *args, **kwargs):
+        out = walk(spec, *args, **kwargs)
+        nodes = out.nodes_by_depth[:-1] + (out.nodes_by_depth[-1] + 1,)
+        return dataclasses.replace(out, nodes_by_depth=nodes)
+
+    monkeypatch.setattr(search_mod, "backtrack", ragged)
+    with pytest.raises(RuntimeError, match="v=2"):
+        verify_open_nonexistence(3)
+
+
 def test_backtrack_exhaustive_flag_matches_enumeration():
     # A limit met on the walk's last node, the last candidate, covers
     # the whole space, as it does for the enumeration oracle; met on any

@@ -14,24 +14,33 @@ Every condition asks that, at every shift, no difference occur more than
 * OPEN, completeness: extended, cap 1, so the v differences cover Z_v. Their
   sum is always -s mod v, which rules the condition out for v > 2.
 
-All differences are canonical residues in [0, v). The definition lives in
-one count table per vector, built in one pure-Python pass and cached: per
-shift, the v extended differences, and the largest multiplicity among the
-first v-s of them (the unextended differences) and among all v. A report's
-verdict and first failing shift read only those counts. Its ``checks`` are
-a read-only ``ShiftChecks`` sequence whose ``ShiftCheck`` and
-``DifferenceProfile`` tuples are built from the same table on first read
-and kept, so a caller that reads only the verdict builds none of them.
-``differences`` builds the one profile it is asked for, and
-``cond2_sum_residue`` sums a row of the table. The reports serve the tests
-as the oracle, so they use no numpy; bad input (an INFINITY entry) raises
-when the report is made.
+All differences are canonical residues in [0, v). The wrapped half of the
+extended differences is fixed by the unextended half (the mirror identity):
+for k in [0, s), wrapped term v-s+k at shift s is e_(v-s+k) - (e_k + 1) =
+phi(e_k - e_(k+v-s)), phi of unextended term k at shift v-s, where
+phi(d) = -1 - d mod v. phi is an involution, so the extended multiset at
+v-s (its unextended terms, then phi of those at s) is the phi-image of the
+one at s, and the two have the same multiplicities.
+
+The definition lives in one count table per vector, built in one
+pure-Python pass over the v(v-1)/2 unextended differences and cached: per
+shift, the largest multiplicity among its unextended differences and among
+all v extended ones, the latter counted at s <= v/2 only and copied to
+v-s. A report's verdict and first failing shift read only those counts. A
+shift's extended row (its unextended row, then phi of row v-s) and its
+``DifferenceProfile``s are built the first time ``differences``,
+``cond2_sum_residue`` or a report's checks read them, and kept with the
+table, so B and OPEN share theirs. A report's ``checks`` are a read-only
+``ShiftChecks`` sequence whose ``ShiftCheck`` tuples are built on first
+read, so a caller that reads only the verdict builds no check and no
+profile. The reports serve the tests as the oracle, so they use no numpy;
+bad input (an INFINITY entry) raises when the report is made.
 ``Condition.holds_rows`` judges a block of candidates at once (random
 sampling, ``reproduce`` and the tests' enumeration oracle): shift s is the
-difference of two column slices of the block's extended rows. The search's
-backtracker places the same terms by their later index, in runs on
-consecutive shifts whose closed form it states itself, as bits of per-shift
-masks.
+difference of two column slices of the block's extended rows, and B and
+OPEN judge the shifts s <= v/2 only. The search's backtracker places the
+same terms by their later index, in runs on consecutive shifts whose closed
+form it states itself, as bits of per-shift masks.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .interleaving import ShiftSequence, _extension
+from .interleaving import ShiftSequence
 
 
 class Condition(NamedTuple):
@@ -63,7 +72,9 @@ class Condition(NamedTuple):
         differences are the columns [0, w) less the columns [s, s + w), with
         w = v extended and v - s unextended. Each lies in [-v, v), so one add
         of v on the negative entries replaces ``% v``. That type is at least
-        int16: numpy sorts rows of int8 many times slower."""
+        int16: numpy sorts rows of int8 many times slower. Extended, only
+        the shifts s <= v/2 are judged: the multiset at v - s is the
+        phi-image of the one at s, with the same multiplicities."""
         extended, cap = self
         n, v = rows.shape
         wide = np.promote_types(np.min_scalar_type(-v - 1), np.int16)
@@ -72,7 +83,7 @@ class Condition(NamedTuple):
             ext = np.concatenate((ext, ext + wide.type(1)), axis=1)
         alive = np.arange(n)
         modulus = wide.type(v)
-        for s in range(1, v):
+        for s in range(1, v // 2 + 1 if extended else v):
             w = v if extended else v - s
             d = ext[:, :w] - ext[:, s : s + w]
             d += (d < 0) * modulus
@@ -109,44 +120,73 @@ class DifferenceProfile(NamedTuple):
 def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:
     """The differences e_j - E(j+s) mod v at shift s, for j in [0, v) if
     extended, else for j in [0, v-s)."""
-    return _profile(_row(e, s), s, bool(extended))
-
-
-def _row(e: ShiftSequence, s: int) -> tuple[int, ...]:
-    # The v extended differences at s, from the count table.
     rows, _ = _count_table(e)  # raises first on an INFINITY entry
-    if not 1 <= s < e.v:
-        raise ValueError(f"shift s must lie in [1, {e.v}), got {s}")
-    return rows[s - 1]
+    return rows.profile(s, bool(extended))
 
 
 @lru_cache(maxsize=8)
-def _count_table(e: ShiftSequence) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    # (rows, tops): rows[s-1] holds the v extended differences at shift s,
-    # whose first v-s are the unextended ones, and tops[extended][s-1] the
-    # largest multiplicity among the unextended or all v of them. Counting
-    # the s wrapped terms on top of the unextended counts gives the extended
-    # top. One entry holds about 0.1 MB at v=127.
-    ext = _extension(e)
-    v = e.v
-    head = ext[:v]
-    rows = []
-    tops = ([], [])
-    for s in range(1, v):
-        values = tuple([(x - y) % v for x, y in zip(head, ext[s:])])
+def _count_table(e: ShiftSequence) -> tuple[_Rows, tuple[tuple[int, ...], ...]]:
+    # (rows, tops): rows builds shift s's extended row and profiles on first
+    # read; tops[extended][s-1] is the largest multiplicity among shift s's
+    # v-s unextended or all v extended differences. Each pass takes a shift
+    # s <= v/2 and its mirror m = v - s: it counts the unextended terms of
+    # both and adds the phi-images of m's to s's counts, which gives the
+    # extended multiset at s and so the extended top of both. A negative
+    # list index counts from the end, so counts[a - b] counts (a - b) mod v
+    # and counts[b - a - 1] its phi-image, with no % v.
+    if not e.is_finite:
+        raise ValueError("shift vector must be finite (no INFINITY entries)")
+    x = e.entries
+    v = len(x)
+    tops = ([0] * (v - 1), [0] * (v - 1))
+    for s in range(1, v // 2 + 1):
         counts = [0] * v
-        for d in values[: v - s]:
-            counts[d] += 1
-        tops[False].append(max(counts))
-        for d in values[v - s :]:
-            counts[d] += 1
-        tops[True].append(max(counts))
-        rows.append(values)
-    return tuple(rows), (tuple(tops[False]), tuple(tops[True]))
+        for a, b in zip(x, x[s:]):
+            counts[a - b] += 1
+        tops[False][s - 1] = max(counts)
+        m = v - s
+        mirror = [0] * v
+        for a, b in zip(x, x[m:]):
+            mirror[a - b] += 1
+            counts[b - a - 1] += 1
+        tops[False][m - 1] = max(mirror)
+        tops[True][s - 1] = tops[True][m - 1] = max(counts)
+    return _Rows(x), (tuple(tops[False]), tuple(tops[True]))
+
+
+class _Rows:
+    # One vector's extended difference rows and their profiles, each built
+    # on first read and kept with the vector's count table. Shift s's row is
+    # its v-s unextended differences, then the phi-images of shift v-s's.
+
+    __slots__ = ("_x", "_rows", "_profiles")
+
+    def __init__(self, x: tuple[int, ...]):
+        self._x = x
+        self._rows = {}
+        self._profiles = ({}, {})
+
+    def row(self, s: int) -> tuple[int, ...]:
+        row = self._rows.get(s)
+        if row is None:
+            x = self._x
+            v = len(x)
+            if not 1 <= s < v:
+                raise ValueError(f"shift s must lie in [1, {v}), got {s}")
+            wrapped = [(b - a - 1) % v for a, b in zip(x, x[v - s :])]
+            row = self._rows[s] = tuple([(a - b) % v for a, b in zip(x, x[s:])] + wrapped)
+        return row
+
+    def profile(self, s: int, extended: bool) -> DifferenceProfile:
+        profiles = self._profiles[extended]
+        profile = profiles.get(s)
+        if profile is None:
+            profile = profiles[s] = _profile(self.row(s), s, extended)
+        return profile
 
 
 def _profile(row: tuple[int, ...], s: int, extended: bool) -> DifferenceProfile:
-    # Shift s's profile from its row of the count table.
+    # Shift s's profile from its extended row.
     v = len(row)
     values = row if extended else row[: v - s]
     counts = [0] * v
@@ -186,10 +226,10 @@ class ShiftChecks(Sequence):
         # differences, B its largest multiplicity against the cap.
         if self._checks is None:
             new = tuple.__new__
-            cap = self._cap
+            cap, extended, profile = self._cap, self._extended, self._rows.profile
             checks = []
-            for s, (row, top) in enumerate(zip(self._rows, self._tops), 1):
-                prof = _profile(row, s, self._extended)
+            for s, top in enumerate(self._tops, 1):
+                prof = profile(s, extended)
                 if cap == 1:
                     observed, required = len(prof.multiplicity), len(prof.values)
                 else:
@@ -199,7 +239,7 @@ class ShiftChecks(Sequence):
         return self._checks
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._tops)
 
     def __getitem__(self, k):
         return self._tuple()[k]
@@ -259,5 +299,6 @@ def check_condition_open(e: ShiftSequence) -> ConditionReport:
 
 def cond2_sum_residue(e: ShiftSequence, s: int) -> int:
     """Sum of the extended differences at s, mod v; (-s) mod v for every finite e."""
-    return sum(_row(e, s)) % e.v
+    rows, _ = _count_table(e)  # raises first on an INFINITY entry
+    return sum(rows.row(s)) % e.v
 

@@ -133,7 +133,8 @@ def _extension(e: ShiftSequence) -> tuple[int, ...]:
     # E(0), ..., E(2v-1) of a finite e.
     if not e.is_finite:
         raise ValueError("shift vector must be finite (no INFINITY entries)")
-    return e.entries + tuple([(x + 1) % e.v for x in e.entries])
+    v = e.v
+    return e.entries + tuple([(x + 1) % v for x in e.entries])
 
 
 def _interleaved(a: PeriodicSequence, shifts, out=None) -> np.ndarray:

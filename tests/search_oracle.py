@@ -5,6 +5,8 @@ candidate in lexicographic order and judges each with the conditions' block
 verdicts (``Condition.holds_rows``), so a "full" sweep's witnesses, counts,
 limits and progress ticks can be checked against it. It reaches v = 8
 normalized (2,097,152 rows) in 0.3 s for A and 1.2–1.5 s for B and B-not-A.
+``finite_term_open`` is the one-∞ condition by its definition, one vector
+at a time, for the census's one-∞ count and its delta gate.
 """
 
 import numpy as np
@@ -42,3 +44,22 @@ def reference_hits(v, pred):
         found = np.flatnonzero(_holds(pred, part))
         hits += zip((found + start + 1).tolist(), map(tuple, part[found].tolist()))
     return hits
+
+
+def finite_term_open(entries, p):
+    """The one-∞ definition, one vector at a time: with ∞ at column p, at
+    every shift s the extended differences e_j - E(j+s) of the terms whose
+    columns j and (j+s) mod v both differ from p are distinct mod v."""
+    v = len(entries)
+    for s in range(1, v):
+        seen = set()
+        for j in range(v):
+            k = j + s
+            if p in (j, k % v):
+                continue
+            later = entries[k] if k < v else entries[k - v] + 1
+            d = (entries[j] - later) % v
+            if d in seen:
+                return False
+            seen.add(d)
+    return True

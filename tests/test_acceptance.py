@@ -39,7 +39,7 @@ from ilvseq import (
     LfsrSpec,
     PRIMITIVE_POLYS,
 )
-from search_oracle import reference_hits
+from search_oracle import finite_term_open, reference_hits
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -292,21 +292,23 @@ def test_criterion_11_rotation_closure_of_the_quadratic_family():
     assert verdict(11, ok, detail)
 
 
-def test_criterion_12_two_or_more_infinity_columns_never_reach_v_plus_2():
+def members(a, b, e):
     # build_signal_set refuses INFINITY, so the members are built as it
     # builds them: u = interleave(a, e) and u + L^k(b) mod 2, entry t of the
-    # latter being u_t XOR b_(t+k) (b is read cyclically). With m >= 2 INFINITY
-    # columns (and at least one finite), the pair (0, 1+k) at tau = v is
-    # -sum(beta) + (v+1)*G(k), beta = (-1)^b and G(k) the sum of beta(p+k)
-    # over the INFINITY columns p; at the k maximizing |G(k)| >= 2 it is at
-    # least 2v+1 in size (README has the proof).
-    def members(a, b, e):
-        u = interleave(a, e)
-        return [u, *(
-            PeriodicSequence(2, tuple(x ^ b[t + k] for t, x in enumerate(u.values)))
-            for k in range(e.v)
-        )]
+    # latter being u_t XOR b_(t+k) (b is read cyclically).
+    u = interleave(a, e)
+    return [u, *(
+        PeriodicSequence(2, tuple(x ^ b[t + k] for t, x in enumerate(u.values)))
+        for k in range(e.v)
+    )]
 
+
+def test_criterion_12_two_or_more_infinity_columns_never_reach_v_plus_2():
+    # With m >= 2 INFINITY columns (and at least one finite), the pair
+    # (0, 1+k) at tau = v is -sum(beta) + (v+1)*G(k), beta = (-1)^b and G(k)
+    # the sum of beta(p+k) over the INFINITY columns p; at the k maximizing
+    # |G(k)| >= 2 it is at least 2v+1 in size (README has the proof). The
+    # members are built by hand (``members``).
     ok = members(A7, B7, E7) == list(build_signal_set(A7, B7, E7).members)
     a3, b3 = PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1))
     cases = [  # every v = 3 vector with two INFINITY columns
@@ -340,3 +342,28 @@ def test_criterion_12_two_or_more_infinity_columns_never_reach_v_plus_2():
         f"{v},{m}: {d}" for (v, m), d in sorted(minima.items())
     )
     assert verdict(12, ok, detail)
+
+
+def test_criterion_13_one_infinity_hits_reach_v_plus_2():
+    # The census's one-∞ count counts the vectors with one ∞ column whose
+    # finite terms are OPEN (``finite_term_open``); each must give delta
+    # v + 2. At v = 3 that is every one-∞ vector, 27 at all three
+    # positions; at v = 7 it is the 140 with ∞ last and e_0 = 0 that the
+    # census counts. The members are built by hand (``members``).
+    a3, b3 = PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1))
+    hits3 = [
+        finite[:p] + (INFINITY,) + finite[p:]
+        for p in range(3) for finite in itertools.product(range(3), repeat=2)
+        if finite_term_open(finite[:p] + (None,) + finite[p:], p)
+    ]
+    hits7 = [
+        (0, *tail, INFINITY) for tail in itertools.product(range(7), repeat=5)
+        if finite_term_open((0, *tail, None), 6)
+    ]
+    deltas = {}
+    for a, b, entries in [(a3, b3, e) for e in hits3] + [(A7, B7, e) for e in hits7]:
+        e = ShiftSequence(entries)
+        deltas.setdefault(e.v, set()).add(signal_set_delta(members(a, b, e)).delta)
+    ok = (len(hits3), len(hits7)) == (27, 140) and deltas == {3: {5}, 7: {9}}
+    detail = f"one-∞ hits: {len(hits3)} at v=3, {len(hits7)} at v=7; deltas {deltas}"
+    assert verdict(13, ok, detail)

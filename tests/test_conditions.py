@@ -353,6 +353,9 @@ def test_verdict_only_reports_build_no_checks(monkeypatch):
     # A report read for its verdict, first failure and number of shifts
     # builds no ShiftCheck and no DifferenceProfile; reading one check
     # builds all of them, once.
+    # The table keeps the profiles it has built, and an earlier test may
+    # have read every check of E7, so start from an empty cache.
+    _count_table.cache_clear()
     built = []
 
     def profile(row, s, extended, _profile=conditions_mod._profile):
@@ -375,6 +378,122 @@ def test_verdict_only_reports_build_no_checks(monkeypatch):
     assert built == [("checks", 6)] + [("profile", s) for s in range(1, 7)]
     assert reports[1] == _reference_report(E7, "B")
     assert len(built) == 7
+
+
+@pytest.mark.parametrize("v", [2, 8, 31])
+def test_each_profile_is_built_once_per_vector(monkeypatch, v):
+    # B and OPEN read the same extended profiles, and A the unextended ones:
+    # the table keeps each profile it builds, so reading all three reports
+    # in full, then every profile again, builds each (s, extended) once.
+    _count_table.cache_clear()
+    built = []
+
+    def profile(row, s, extended, _profile=conditions_mod._profile):
+        built.append((s, extended))
+        return _profile(row, s, extended)
+
+    monkeypatch.setattr(conditions_mod, "_profile", profile)
+    rng = random.Random(v)
+    e = ShiftSequence(tuple(rng.randrange(v) for _ in range(v)))
+    for name, check in CHECKERS.items():
+        assert check(e) == _reference_report(e, name)
+    for s in range(1, v):
+        for extended in (False, True):
+            assert differences(e, s, extended) is differences(e, s, extended)
+    assert sorted(built) == [(s, x) for s in range(1, v) for x in (False, True)]
+
+
+def _phi(d, v):
+    # The map of the mirror identity on Z_v.
+    return (-1 - d) % v
+
+
+@given(st.integers(2, 11).flatmap(
+    lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
+))
+def test_wrapped_term_is_phi_of_an_unextended_term(entries):
+    # Mirror identity, step 1: wrapped term j = v - s + k at shift s is
+    # e_(v-s+k) - (e_k + 1) = -1 - (e_k - e_(k+v-s)), phi of unextended
+    # term k at shift v - s, for k in [0, s).
+    v = len(entries)
+    e = ShiftSequence(entries)
+    for s in range(1, v):
+        wrapped = _reference_differences(e, s, True).values[v - s :]
+        mirror = _reference_differences(e, v - s, False).values[:s]
+        assert wrapped == tuple(_phi(d, v) for d in mirror)
+        assert differences(e, s, True).values[v - s :] == wrapped
+
+
+@pytest.mark.parametrize("v", range(1, 14))
+def test_phi_is_an_involution(v):
+    # Step 2: phi(phi(d)) = d, so phi is a bijection of Z_v onto itself.
+    assert [_phi(_phi(d, v), v) for d in range(v)] == list(range(v))
+    assert sorted(_phi(d, v) for d in range(v)) == list(range(v))
+
+
+@given(st.integers(1, 11).flatmap(
+    lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
+))
+def test_extended_tops_at_s_and_v_minus_s_are_equal(entries):
+    # Step 3: by steps 1 and 2 the extended multiset at v - s is the
+    # phi-image of the one at s, so the two have equal multiplicities.
+    v = len(entries)
+    e = ShiftSequence(entries)
+    _, tops = _count_table(e)
+    for s in range(1, v):
+        here = _reference_differences(e, s, True).multiplicity
+        there = _reference_differences(e, v - s, True).multiplicity
+        assert sorted((_phi(d, v), c) for d, c in here) == list(there)
+        assert tops[True][s - 1] == tops[True][v - s - 1] == max(c for _, c in here)
+
+
+def _full_shift_sort(rows, extended, cap):
+    # The block verdict as defined: sort every shift's differences, at all
+    # of s = 1 .. v-1, and reject a row where a value occurs more than cap
+    # times; no shift is skipped and no row is dropped early.
+    rows = np.asarray(rows, dtype=np.int16)
+    n, v = rows.shape
+    ext = np.concatenate((rows, rows + 1), axis=1)
+    ok = np.ones(n, dtype=bool)
+    for s in range(1, v):
+        w = v if extended else v - s
+        d = np.sort((ext[:, :w] - ext[:, s : s + w]) % v, axis=1)
+        ok &= ~(d[:, cap:] == d[:, :-cap]).any(axis=1)
+    return ok
+
+
+@given(st.integers(1, 11).flatmap(
+    lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
+))
+def test_table_reports_and_block_verdict_match_the_definition(entries):
+    # The table's tops, every report and the block verdict against the
+    # one-shift-at-a-time reference and the full-shift sort.
+    v = len(entries)
+    e = ShiftSequence(entries)
+    _, tops = _count_table(e)
+    for extended in (False, True):
+        assert list(tops[extended]) == [
+            max(c for _, c in _reference_differences(e, s, extended).multiplicity)
+            for s in range(1, v)
+        ]
+    for name, check in CHECKERS.items():
+        reference = _reference_report(e, name)
+        assert check(e) == reference
+        assert verdict(name, entries) == reference.verdict
+        assert _full_shift_sort([entries], *CONDITIONS[name]).tolist() == [reference.verdict]
+
+
+@pytest.mark.parametrize("v", range(1, 8))
+def test_block_verdict_matches_the_full_shift_sort_exhaustively(v):
+    # Every vector at v <= 7, 823,543 of them at v = 7: the block verdict,
+    # which judges B and OPEN on shifts up to v/2 only, equals the sort
+    # over every shift. Slices of 2^16 rows keep the blocks small.
+    rows = np.indices((v,) * v, dtype=np.int8).reshape(v, -1).T
+    for start in range(0, len(rows), 1 << 16):
+        part = rows[start : start + (1 << 16)]
+        for name in CHECKERS:
+            want = _full_shift_sort(part, *CONDITIONS[name])
+            assert np.array_equal(CONDITIONS[name].holds_rows(part), want), (name, start)
 
 
 @pytest.mark.parametrize("call", [*CHECKERS, "sum"])

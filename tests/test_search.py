@@ -31,7 +31,7 @@ from ilvseq import (
     twisted_rotation,
     verify_open_nonexistence,
 )
-from search_oracle import reference_hits
+from search_oracle import finite_term_open, reference_hits
 
 
 def test_search_spec_validation():
@@ -575,25 +575,6 @@ def test_verify_open_nonexistence_matches_enumeration():
     assert [table[v].nodes for v in table] == [2, 12, 68, 330, 1590, 6132, 33032]
 
 
-def _finite_term_open(entries, p):
-    # The definition, one vector at a time: with ∞ at column p, at every
-    # shift s the extended differences e_j - E(j+s) of the terms whose
-    # columns j and (j+s) mod v both differ from p are distinct mod v.
-    v = len(entries)
-    for s in range(1, v):
-        seen = set()
-        for j in range(v):
-            k = j + s
-            if p in (j, k % v):
-                continue
-            later = entries[k] if k < v else entries[k - v] + 1
-            d = (entries[j] - later) % v
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
-
-
 def test_one_infinity_count_matches_brute_force():
     # The census reads the one-∞ count off its walk's last depth; a brute
     # force over the definition counts the same vectors with ∞ last and
@@ -603,13 +584,13 @@ def test_one_infinity_count_matches_brute_force():
     assert [table[v].one_infinity for v in table] == [1, 3, 12, 40, 108, 140, 256]
     for v in range(2, 8):
         tails = itertools.product(range(v), repeat=v - 2)
-        hits = sum(_finite_term_open((0, *tail, None), v - 1) for tail in tails)
+        hits = sum(finite_term_open((0, *tail, None), v - 1) for tail in tails)
         assert hits == table[v].one_infinity, v
     for v in range(2, 6):
         for p in range(v):
             hits = 0
             for finite in itertools.product(range(v), repeat=v - 1):
-                hits += _finite_term_open(finite[:p] + (None,) + finite[p:], p)
+                hits += finite_term_open(finite[:p] + (None,) + finite[p:], p)
             assert hits == v * table[v].one_infinity, (v, p)
 
 

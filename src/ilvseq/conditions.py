@@ -27,7 +27,8 @@ pure-Python pass over the v(v-1)/2 unextended differences and cached: per
 shift, the largest multiplicity among its unextended differences and among
 all v extended ones, the latter counted at s <= v/2 only and copied to
 v-s. A report's verdict and first failing shift read only those counts. A
-shift's extended row (its unextended row, then phi of row v-s) and its
+shift's extended row (its unextended row, then phi of row v-s), the
+multiplicities of both its profiles (one count pass) and its
 ``DifferenceProfile``s are built the first time ``differences``,
 ``cond2_sum_residue`` or a report's checks read them, and kept with the
 table, so B and OPEN share theirs. A report's ``checks`` are a read-only
@@ -159,42 +160,52 @@ class _Rows:
     # on first read and kept with the vector's count table. Shift s's row is
     # its v-s unextended differences, then the phi-images of shift v-s's.
 
-    __slots__ = ("_x", "_rows", "_profiles")
+    __slots__ = ("_x", "_shifts", "_profiles")
 
     def __init__(self, x: tuple[int, ...]):
         self._x = x
-        self._rows = {}
+        self._shifts = {}
         self._profiles = ({}, {})
 
     def row(self, s: int) -> tuple[int, ...]:
-        row = self._rows.get(s)
-        if row is None:
+        return self.shift(s)[0]
+
+    def shift(self, s: int):
+        # (row, unextended, extended): shift s's extended row and the
+        # multiplicities of its first v-s values and of all v, from one
+        # count pass that adds the s wrapped values on top.
+        shift = self._shifts.get(s)
+        if shift is None:
             x = self._x
             v = len(x)
             if not 1 <= s < v:
                 raise ValueError(f"shift s must lie in [1, {v}), got {s}")
             wrapped = [(b - a - 1) % v for a, b in zip(x, x[v - s :])]
-            row = self._rows[s] = tuple([(a - b) % v for a, b in zip(x, x[s:])] + wrapped)
-        return row
+            row = tuple([(a - b) % v for a, b in zip(x, x[s:])] + wrapped)
+            counts = [0] * v
+            for d in row[: v - s]:
+                counts[d] += 1
+            unextended = tuple([(d, c) for d, c in enumerate(counts) if c])
+            for d in wrapped:
+                counts[d] += 1
+            extended = tuple([(d, c) for d, c in enumerate(counts) if c])
+            shift = self._shifts[s] = (row, unextended, extended)
+        return shift
 
     def profile(self, s: int, extended: bool) -> DifferenceProfile:
         profiles = self._profiles[extended]
         profile = profiles.get(s)
         if profile is None:
-            profile = profiles[s] = _profile(self.row(s), s, extended)
+            profile = profiles[s] = _profile(self.shift(s), s, extended)
         return profile
 
 
-def _profile(row: tuple[int, ...], s: int, extended: bool) -> DifferenceProfile:
-    # Shift s's profile from its extended row.
-    v = len(row)
-    values = row if extended else row[: v - s]
-    counts = [0] * v
-    for d in values:
-        counts[d] += 1
-    multiplicity = tuple([(d, c) for d, c in enumerate(counts) if c])
+def _profile(shift, s: int, extended: bool) -> DifferenceProfile:
+    # Shift s's profile from its row and multiplicities (see _Rows.shift).
+    row = shift[0]
+    values = row if extended else row[: len(row) - s]
     # tuple.__new__ skips the named tuple's Python __new__: one C call.
-    return tuple.__new__(DifferenceProfile, (v, s, extended, values, multiplicity))
+    return tuple.__new__(DifferenceProfile, (len(row), s, extended, values, shift[1 + extended]))
 
 
 class ShiftCheck(NamedTuple):

@@ -5,13 +5,27 @@ The correlation of a against b at offset tau is the sum over one period of
 The construction is binary, and so is every ``PeriodicSequence``: it refuses
 any other modulus when it is built, so this module never checks the alphabet.
 Every value, delta and witness is an exact integer.
-The delta engine computes in floats without giving that up. The direct path
-is one float32 matrix product per slab of offsets, the rows against copies of
-the members' circulants: every product is +-1 and every partial sum an
-integer of size at most the period n, and float32 holds every integer up to
-2^24 exactly, so the sum is exact in any order BLAS takes, with or without
-fused multiply-add; above period 2^24 the direct path refuses. The
-transform path rounds back in float64 under a residue guard. The scan reads
+The delta engine computes in floats without giving that up, from one of
+three row sources (``_correlation_rows``):
+
+* direct: one float32 matrix product per slab of offsets, the rows against
+  copies of the members' circulants. Every product is +-1 and every partial
+  sum an integer of size at most the period n, and float32 holds every
+  integer up to 2^24 exactly, so the sum is exact in any order BLAS takes,
+  with or without fused multiply-add; above period 2^24 the direct path
+  refuses.
+* column identity: a list of period n = v^2 whose every column (entries
+  i*v + j) is a shift of one base alpha, complemented or not, as every
+  member of an interleaved signal set is, has each correlation as a signed
+  sum of v values of C_alpha at the shift differences. The members'
+  decomposition is read off their bytes, and a block is one batched float32
+  matmul against the table of those values. Each partial sum is an integer
+  of size at most v^2 = n, exact in float32 under the same 2^24 bound.
+* transform: one real float64 transform per member and one batched inverse
+  per block, rounded back under a residue guard.
+
+``method="fast"`` reads the column identity when the list decomposes, spans
+more than one block and has n <= 2^24; otherwise the transform. The scan reads
 the rows as floats and keeps each maximizer as one int64 code, its position
 and sign; delta restores its value, and the witness columns are decoded from
 the codes when they are read.
@@ -19,6 +33,7 @@ the codes when they are read.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -75,9 +90,10 @@ def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationPr
 
 
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
-    """Transform-based correlation profile; agrees with cross_correlation.
+    """Correlation profile from the fast rows; agrees with cross_correlation.
 
-    The result is rounded back to exact integers; a transform residue above
+    A pair up to period 2^13 fits one block of the delta scan and takes the
+    transform, rounded back to exact integers; a transform residue above
     1e-6 raises RuntimeError instead of rounding.
     """
     _, rows = next(_correlation_rows([a, b], "fast"))
@@ -192,7 +208,7 @@ class DeltaReport:
 
 
 def _correlation_rows(members, method: str):
-    """Yield (lo, rows) for each block of the r members of period n.
+    """An iterator of (lo, rows) for each block of the r members of period n.
 
     A block is the members lo .. lo+c-1, with c = max(1, _BLOCK_VALUES // (r*n)).
     Its rows start at column lo: rows[h, k, tau] is the correlation of member
@@ -200,56 +216,149 @@ def _correlation_rows(members, method: str):
     alive at a time, and a pair against a member of an earlier block is left
     to its mirror (see signal_set_delta). A signal set from v = 31 on has r*n
     above _BLOCK_VALUES: one member per block. The rows are floats holding
-    exact integers. "fast" takes one real float64 transform per member and
-    one batched inverse per block, rounded under a residue guard. "direct"
-    multiplies the float32 +-1 rows x[lo:] by the circulants of the block's
-    members, circ[h, tau, k] = x[lo+h, (k - tau) mod n]: one read-only
-    np.ndarray over the rows doubled, strides (row, -col, col), copied in
-    slabs of at most _BLOCK_VALUES values (the c circulants at a run of
-    offsets), one np.matmul per slab. Each product is +-1 and each partial
-    sum an integer of size at most n, exact in float32 in any BLAS order
-    while n <= _FLOAT32_EXACT; a longer period raises before anything is lifted.
+    exact integers, from one of three sources:
+
+    * "direct" multiplies the float32 +-1 rows x[lo:] by the circulants of
+      the block's members, circ[h, tau, k] = x[lo+h, (k - tau) mod n]: one
+      read-only np.ndarray over the rows doubled, strides (row, -col, col),
+      copied in slabs of at most _BLOCK_VALUES values (the c circulants at a
+      run of offsets), one np.matmul per slab. Each product is +-1 and each
+      partial sum an integer of size at most n, exact in float32 in any BLAS
+      order while n <= _FLOAT32_EXACT; a longer period raises here, before
+      anything is lifted (_direct_rows).
+    * "fast" on an interleaved list that spans more than one block, with
+      n <= _FLOAT32_EXACT, reads the column identity (_identity_rows): one
+      batched float32 matmul per block.
+    * "fast" on any other list takes one real float64 transform per member
+      and one batched inverse per block, rounded under a residue guard
+      (_transform_rows). A set in one block keeps the transform: there the
+      identity measured slower (v = 7: 0.7-0.9x).
     """
     r, n = len(members), members[0].period
     step = max(1, _BLOCK_VALUES // (r * n))
-    blocks = range(0, r, step)
     if method == "direct":
         if n > _FLOAT32_EXACT:
             raise ValueError(
                 f"direct correlation is exact in float32 only up to period {_FLOAT32_EXACT} "
                 f"(2^24), not {n}; use method=\"fast\""
             )
-        x = _lift(members, np.float32)
-        doubled = np.concatenate([x, x], axis=1)
-        row, col = doubled.strides
-        # circ[j, tau, k] = doubled[j, n + k - tau]: no n^2 copy, only slabs.
-        circ = np.ndarray((r, n, n), np.float32, doubled, n * col, (row, -col, col))
-        circ.flags.writeable = False
-        for lo in blocks:
-            block = circ[lo : lo + step]
-            span = max(1, _BLOCK_VALUES // (len(block) * n))  # offsets per slab
-            rows = np.empty((len(block), r - lo, n), np.float32)
-            for t in range(0, n, span):
-                slab = block[:, t : t + span].copy()
-                np.matmul(x[lo:], slab.transpose(0, 2, 1), out=rows[:, :, t : t + span])
-            yield lo, rows
-    else:
-        spectra = np.fft.rfft(_lift(members, np.float64), axis=1)
-        for lo in blocks:
-            raw = np.fft.irfft(np.conj(spectra[lo : lo + step, None]) * spectra[lo:], n, axis=2)
-            rounded = np.rint(raw)
-            raw -= rounded
-            if np.abs(raw, out=raw).max() > 1e-6:
-                raise RuntimeError("transform residue too large to round safely")
-            yield lo, rounded
+        return _direct_rows(members, step)
+    parts = step < r and n <= _FLOAT32_EXACT and _interleaved_parts(members)
+    return _identity_rows(*parts, step) if parts else _transform_rows(members, step)
+
+
+def _direct_rows(members, step: int):
+    # The direct rows of _correlation_rows, in blocks of step members.
+    r, n = len(members), members[0].period
+    x = _lift(members, np.float32)
+    doubled = np.concatenate([x, x], axis=1)
+    row, col = doubled.strides
+    # circ[j, tau, k] = doubled[j, n + k - tau]: no n^2 copy, only slabs.
+    circ = np.ndarray((r, n, n), np.float32, doubled, n * col, (row, -col, col))
+    circ.flags.writeable = False
+    for lo in range(0, r, step):
+        block = circ[lo : lo + step]
+        span = max(1, _BLOCK_VALUES // (len(block) * n))  # offsets per slab
+        rows = np.empty((len(block), r - lo, n), np.float32)
+        for t in range(0, n, span):
+            slab = block[:, t : t + span].copy()
+            np.matmul(x[lo:], slab.transpose(0, 2, 1), out=rows[:, :, t : t + span])
+        yield lo, rows
+
+
+def _transform_rows(members, step: int):
+    # The transform rows of _correlation_rows, in blocks of step members.
+    r, n = len(members), members[0].period
+    spectra = np.fft.rfft(_lift(members, np.float64), axis=1)
+    for lo in range(0, r, step):
+        raw = np.fft.irfft(np.conj(spectra[lo : lo + step, None]) * spectra[lo:], n, axis=2)
+        rounded = np.rint(raw)
+        raw -= rounded
+        if np.abs(raw, out=raw).max() > 1e-6:
+            raise RuntimeError("transform residue too large to round safely")
+        yield lo, rounded
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements bytes of bits
+
+
+def _interleaved_parts(members):
+    """(alpha, ext, sigma) of an interleaved member list, or None.
+
+    The r members have period n = v^2, and column j of member m (its entries
+    at i*v + j) is sigma_m(j) L^(e_j)(alpha): alpha, column 0 of member 0,
+    read from index e_j on, complemented where sigma_m(j) = -1. alpha is a
+    uint8 array of v bits, ext the int64 extension (e_0, ..., e_(v-1),
+    e_0 + 1, ..., e_(v-1) + 1) mod v, sigma a float32 (r, v) array of +-1.
+    Each column is looked up among alpha's v shifts and their complements.
+    A periodic alpha or a column that is both a shift and a complemented
+    shift has several decompositions; any one is exact.
+    """
+    n = members[0].period
+    v = math.isqrt(n)
+    if v * v != n:
+        return None
+    table = np.frombuffer(b"".join([m.value_bytes for m in members]), np.uint8)
+    table = table.reshape(len(members), v, v)
+    first = table[0]
+    doubled = first[:, 0].tobytes() * 2
+    lookup = {}
+    for k in range(v):
+        shifted = doubled[k : k + v]
+        lookup.setdefault(shifted, (k, 0))
+        lookup.setdefault(shifted.translate(_FLIP), (k, 1))
+    columns = first.T.tobytes()
+    parts = [lookup.get(columns[j * v : (j + 1) * v]) for j in range(v)]
+    if None in parts:
+        return None
+    # Member m less member 0 must be constant down every column.
+    flips = table ^ first
+    if not (flips == flips[:, :1]).all():
+        return None
+    e, flipped = np.array(parts, np.int64).T
+    sigma = 1 - 2 * (flips[:, 0] ^ flipped).astype(np.float32)
+    return first[:, 0], np.concatenate([e, (e + 1) % v]), sigma
+
+
+def _identity_rows(alpha, ext, sigma, step: int):
+    """Yield (lo, rows) of the members sigma_m(j) L^(e_j)(alpha), by the column identity.
+
+    Column j of member h against column (j+s) mod v of member k, at offset
+    tau = r*v + s, meets it r rows down, and one row further when j+s wraps:
+    their products sum to sigma_h(j) sigma_k(j+s) C_alpha(E(j+s) - e_j + r),
+    with C_alpha the autocorrelation of alpha and E the extension of e
+    (E(j) = e_j, E(v+j) = e_j + 1). So
+
+        rows[h, k, r*v + s] = sum over j of sigma_h(j) sigma_k(j+s) K[s, j, r],
+
+    K[s, j, r] = C_alpha(E(j+s) - e_j + r): one batched np.matmul over s per
+    block of step members, the members' signs at (j+s) mod v against K with
+    the block's signs folded in, transposed to tau = r*v + s. Every partial
+    sum is an integer of size at most v^2 = n, so float32 is exact in any
+    BLAS order while n <= _FLOAT32_EXACT, as on the direct path.
+    """
+    v = len(alpha)
+    j = np.arange(v)
+    plus = j[:, None] + j  # plus[s, j] = j + s
+    x = 1 - 2 * alpha.astype(np.int64)
+    c_alpha = x[plus % v] @ x  # c_alpha[d] = sum over i of x_(i+d) x_i
+    kernel = c_alpha[((ext[plus] - ext[:v])[:, :, None] + j) % v].astype(np.float32)
+    # shifted[s, k, j] = sigma_k((j+s) mod v).
+    shifted = np.ascontiguousarray(sigma[:, plus % v].transpose(1, 0, 2))
+    size = len(sigma)
+    for lo in range(0, size, step):
+        block = kernel * sigma[lo : lo + step, None, :, None]  # [h, s, j, r]
+        rows = np.matmul(shifted[:, lo:], block)  # [h, s, k, r]
+        yield lo, rows.transpose(0, 2, 3, 1).reshape(len(block), size - lo, v * v)
 
 
 def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     """Delta of a signal set: max |correlation| over ordered pairs and offsets.
 
     ``method`` selects the correlation path ("direct" or "fast"); the choice
-    is explicit, never silent. Both paths feed one scan and give the same
-    exact delta, witness positions and values. The scan ends with one
+    is explicit, never silent. "fast" reads the column identity or the
+    transform, as _correlation_rows sets out. Every path feeds one scan and
+    gives the same exact delta, witness positions and values. The scan ends with one
     packed int64 code per maximizer (see WitnessSequence).
     """
     members = list(members)

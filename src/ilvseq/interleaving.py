@@ -8,6 +8,8 @@ vector wrap with a +1 twist: entry v+j equals entry j plus one (mod v).
 
 Every correlation of a binary signal set is a signed sum of the base
 autocorrelation C_a taken at shift differences of e (``column_correlations``).
+The sum is computed by one batched float32 kernel in ``correlation``, the one
+the fast delta reads for interleaved member lists that span several blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlation import autocorrelation, is_two_level
+from .correlation import _identity_rows, is_two_level
 from .sequences import PeriodicSequence, _doubled, _integers, _same_shape, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
@@ -267,16 +269,15 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
 
     with C_a the autocorrelation of a, E the extension of e, sigma_0 = 1 and
     sigma_(1+k)(j) = (-1)^b_((j+k) mod v): column j of member 1+k is column j
-    of member 0 plus the constant b_((j+k) mod v). Exact integers throughout.
+    of member 0 plus the constant b_((j+k) mod v). Computed as one batched
+    float32 matmul over s against the table K[s, j, r] = C_a(E(j+s) - e_j + r)
+    (``correlation._identity_rows``, the kernel the fast delta reads): every
+    partial sum is an integer of size at most v^2, exact while v^2 <= 2^24.
     """
     v = _check_construction(a, b, e)
-    j = np.arange(v)
-    plus = j[:, None] + j  # plus[x, j] = j + x
-    ext = np.array(_extension(e), dtype=np.int64)
-    # c_a[s, r, j] = C_a(E(j+s) - e_j + r mod v).
-    t = (ext[plus] - ext[:v])[:, None, :] + j[:, None]
-    c_a = np.array(autocorrelation(a).values, dtype=np.int64)[t % v]
-    sigma = np.ones((v + 1, v), dtype=np.int64)
-    sigma[1:] = 1 - 2 * np.array(b.values, dtype=np.int64)[plus % v]
-    out = np.einsum("mj,nsj,srj->mnrs", sigma, sigma[:, plus % v], c_a)
-    return out.reshape(v + 1, v + 1, v * v)
+    plus = np.arange(v)[:, None] + np.arange(v)  # plus[k, j] = j + k
+    sigma = np.ones((v + 1, v), np.float32)
+    sigma[1:] -= 2 * np.frombuffer(b.value_bytes, np.uint8)[plus % v]
+    alpha = np.frombuffer(a.value_bytes, np.uint8)
+    ((_, rows),) = _identity_rows(alpha, np.array(_extension(e)), sigma, v + 1)
+    return rows.astype(np.int64)

@@ -488,21 +488,34 @@ def inverse_rows(members, name):
     return sum(rows)
 
 
+def flip_one_bit(members, m=-1, index=0):
+    """The members with bit ``index`` of member ``m`` flipped."""
+    members = list(members)
+    values = list(members[m].values)
+    values[index] ^= 1
+    members[m] = PeriodicSequence(2, tuple(values))
+    return members
+
+
 def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
-    # One member per block: r(r+1)/2 pairs, each (i, j) with i <= j once.
+    # One member per block: r(r+1)/2 pairs, each (i, j) with i <= j once. A
+    # set one bit away from interleaved has that shape and takes the transform.
     members = build_signal_set(*V31_QUADRATIC).members
     r = len(members)
-    assert inverse_rows(members, "irfft") == r * (r + 1) // 2 == 528
+    assert inverse_rows(flip_one_bit(members), "irfft") == r * (r + 1) // 2 == 528
+    # The interleaved set itself reads the column identity: no transform.
+    assert inverse_rows(members, "irfft") == 0
     # One block holds the worked set, and every ordered pair is computed.
     assert inverse_rows(WORKED_SET, "irfft") == 8 * 8
     # Split one member per block, a set again computes each pair once.
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
-    assert inverse_rows(WORKED_SET, "irfft") == 8 * 9 // 2
+    assert inverse_rows(flip_one_bit(WORKED_SET), "irfft") == 8 * 9 // 2
     assert inverse_rows(BINARY_SET_5, "irfft") == 5 * 6 // 2
 
 
 def test_transform_residue_is_checked_on_every_block(monkeypatch):
     # Only the last block, the last member against itself alone, is skewed.
+    # The flipped bit keeps the list off the column identity.
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
     irfft = np.fft.irfft
 
@@ -512,7 +525,77 @@ def test_transform_residue_is_checked_on_every_block(monkeypatch):
 
     monkeypatch.setattr(correlation.np.fft, "irfft", skewed)
     with pytest.raises(RuntimeError, match="transform residue"):
-        signal_set_delta(WORKED_SET, method="fast")
+        signal_set_delta(flip_one_bit(WORKED_SET), method="fast")
+
+
+@st.composite
+def interleaved_lists(draw):
+    """(members, step): r members whose column j is alpha from e_j on,
+    complemented where flips[m][j], and a block size that splits them."""
+    v = draw(st.integers(1, 9))
+    alpha = draw(st.lists(st.integers(0, 1), min_size=v, max_size=v))
+    e = draw(st.lists(st.integers(0, v - 1), min_size=v, max_size=v))
+    r = draw(st.integers(2, 5))
+    # Member 0's columns are complemented too, column 0 among them.
+    flips = draw(st.lists(st.lists(st.integers(0, 1), min_size=v, max_size=v), min_size=r, max_size=r))
+    members = [
+        PeriodicSequence(2, tuple(alpha[(i + e[j]) % v] ^ f[j] for i in range(v) for j in range(v)))
+        for f in flips
+    ]
+    return members, draw(st.integers(1, r - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(interleaved_lists())
+@example(([PeriodicSequence(2, (1, 0, 1, 0) * 4)] * 3, 1))  # a periodic alpha
+def test_column_identity_matches_reference(case):
+    # Any alpha, e and signs, two-level or not: blocks of step < r members
+    # read the column identity, with no inverse transform, and match the
+    # pair-by-pair cross_correlation scan exactly.
+    members, step = case
+    n = members[0].period
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation, "_BLOCK_VALUES", step * len(members) * n)
+        assert inverse_rows(members, "irfft") == 0
+        assert_engine_matches_reference(members)
+
+
+@pytest.mark.parametrize("m, index", [(0, 0), (0, 9), (-1, 48)], ids=["alpha", "member-0", "last"])
+def test_one_bit_from_interleaved_takes_the_transform(m, index, monkeypatch):
+    # A bit flipped in column 0 or 2 of member 0 or in the last member's
+    # last column: no decomposition exists, and every pair is transformed.
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
+    members = flip_one_bit(WORKED_SET, m, index)
+    assert correlation._interleaved_parts(members) is None
+    assert inverse_rows(members, "irfft") == 8 * 9 // 2
+    assert_engine_matches_reference(members)
+    # Above the float32 bound an interleaved list takes the transform too.
+    assert inverse_rows(WORKED_SET, "irfft") == 0
+    monkeypatch.setattr(correlation, "_FLOAT32_EXACT", 48)
+    assert inverse_rows(WORKED_SET, "irfft") == 8 * 9 // 2
+
+
+V59_LEGENDRE = (gen_legendre(59, 0), gen_legendre(59, 1), quadratic_shifts(59, 1, 3))
+
+
+@pytest.mark.parametrize("abe", [V31_QUADRATIC, V59_LEGENDRE], ids=["v31", "v59"])
+def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
+    # Built sets, one member per block: every block's rows, and then every
+    # witness code, equal the transform's.
+    members = build_signal_set(*abe).members
+    step = 1
+    identity = list(correlation._correlation_rows(members, "fast"))
+    assert [lo for lo, _ in identity] == list(range(len(members)))
+    for (lo, rows), (_, rows_t) in zip(identity, correlation._transform_rows(members, step)):
+        assert rows.dtype == np.float32 and np.array_equal(rows, rows_t)
+    del identity
+    report = signal_set_delta(members, method="fast")
+    monkeypatch.setattr(
+        correlation, "_correlation_rows", lambda members, method: correlation._transform_rows(members, step)
+    )
+    transform = signal_set_delta(members, method="fast")
+    assert report.delta == transform.delta and len(report.witnesses) > 0
+    assert np.array_equal(report.witnesses.code, transform.witnesses.code)
 
 
 def test_direct_path_refuses_periods_float32_cannot_sum_exactly(monkeypatch):

@@ -24,11 +24,14 @@ three row sources (``_correlation_rows``):
 * transform: one real float64 transform per member and one batched inverse
   per block, rounded back under a residue guard.
 
-``method="fast"`` reads the column identity when the list decomposes, spans
-more than one block and has n <= 2^24; otherwise the transform. The scan reads
-the rows as floats and keeps each maximizer as one int64 code, its position
-and sign; delta restores its value, and the witness columns are decoded from
-the codes when they are read.
+``method="fast"`` picks by cost: the circulants when one block's fit one slab
+of the direct path (the built sets at v = 3 and 7, pairs up to period 128),
+else the column identity when the list decomposes, n <= 2^24 and the list
+spans more than one block or has more than v members (every built set),
+else the transform. The scan reads the rows as floats and keeps each
+maximizer as one int64 code, its position and sign; delta restores its
+value, and the witness columns are decoded from the codes when they are
+read.
 """
 
 from __future__ import annotations
@@ -92,9 +95,10 @@ def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationPr
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
     """Correlation profile from the fast rows; agrees with cross_correlation.
 
-    A pair up to period 2^13 fits one block of the delta scan and takes the
-    transform, rounded back to exact integers; a transform residue above
-    1e-6 raises RuntimeError instead of rounding.
+    A pair up to period 128 takes the circulant matmul, exact in float32;
+    a longer one the source _correlation_rows picks, most often the
+    transform, rounded back to exact integers, where a transform residue
+    above 1e-6 raises RuntimeError instead of rounding.
     """
     _, rows = next(_correlation_rows([a, b], "fast"))
     return CorrelationProfile(tuple(rows[0, 1].astype(np.int64).tolist()))
@@ -226,24 +230,39 @@ def _correlation_rows(members, method: str):
       partial sum an integer of size at most n, exact in float32 in any BLAS
       order while n <= _FLOAT32_EXACT; a longer period raises here, before
       anything is lifted (_direct_rows).
-    * "fast" on an interleaved list that spans more than one block, with
-      n <= _FLOAT32_EXACT, reads the column identity (_identity_rows): one
-      batched float32 matmul per block.
-    * "fast" on any other list takes one real float64 transform per member
-      and one batched inverse per block, rounded under a residue guard
-      (_transform_rows). A set in one block keeps the transform: there the
-      identity measured slower (v = 7: 0.7-0.9x).
+
+    "fast" picks the cheapest source by one rule on the first block's
+    c = min(step, r) members:
+
+    * the circulants above when the block's c*n^2 values fit one slab (the
+      built sets at v = 3 and 7, pairs up to period 128): one matmul per
+      block, cheaper there than the others' set-up;
+    * else the column identity (_identity_rows), one batched float32 matmul
+      per block, for a list that decomposes as interleaved and either spans
+      more than one block or has more members than v = sqrt(n), as a built
+      set's v + 1 do. Folding each member's signs into the v^3-value table
+      K costs about v^3 a member, and the transform about n log n a pair, so
+      the identity gains with r/v: a one-block list of r <= v members (an
+      interleaved pair of period 256 read 0.3-0.4x) keeps the transform;
+    * else one real float64 transform per member and one batched inverse per
+      block, rounded under a residue guard (_transform_rows).
+
+    Both float32 sources need n <= _FLOAT32_EXACT; above it "fast" always
+    takes the transform.
     """
     r, n = len(members), members[0].period
     step = max(1, _BLOCK_VALUES // (r * n))
+    exact = n <= _FLOAT32_EXACT
     if method == "direct":
-        if n > _FLOAT32_EXACT:
+        if not exact:
             raise ValueError(
                 f"direct correlation is exact in float32 only up to period {_FLOAT32_EXACT} "
                 f"(2^24), not {n}; use method=\"fast\""
             )
         return _direct_rows(members, step)
-    parts = step < r and n <= _FLOAT32_EXACT and _interleaved_parts(members)
+    if exact and min(step, r) * n * n <= _BLOCK_VALUES:
+        return _direct_rows(members, step)
+    parts = exact and (step < r or r * r > n) and _interleaved_parts(members)
     return _identity_rows(*parts, step) if parts else _transform_rows(members, step)
 
 
@@ -356,9 +375,10 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     """Delta of a signal set: max |correlation| over ordered pairs and offsets.
 
     ``method`` selects the correlation path ("direct" or "fast"); the choice
-    is explicit, never silent. "fast" reads the column identity or the
-    transform, as _correlation_rows sets out. Every path feeds one scan and
-    gives the same exact delta, witness positions and values. The scan ends with one
+    is explicit, never silent. "fast" reads the circulants, the column
+    identity or the transform, whichever _correlation_rows finds cheapest
+    for the list's shape. Every path feeds one scan and gives the same
+    exact delta, witness positions and values. The scan ends with one
     packed int64 code per maximizer (see WitnessSequence).
     """
     members = list(members)

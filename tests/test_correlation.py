@@ -3,6 +3,7 @@
 import hashlib
 import random
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -437,6 +438,20 @@ def _random_members(r, n, seed):
     return [PeriodicSequence(2, tuple(rng.randrange(2) for _ in range(n))) for _ in range(r)]
 
 
+def interleaved_members(alpha, e, flips):
+    """Members of period v^2 whose column j is alpha from e_j on, complemented where flips[m][j]."""
+    v = len(alpha)
+    return [PeriodicSequence(2, tuple(alpha[(i + e[j]) % v] ^ f[j] for i in range(v) for j in range(v))) for f in flips]
+
+
+def _random_interleaved(v, r, seed):
+    rng = random.Random(seed)
+    alpha = [rng.randrange(2) for _ in range(v)]
+    e = [rng.randrange(v) for _ in range(v)]
+    flips = [[rng.randrange(2) for _ in range(v)] for _ in range(r)]
+    return interleaved_members(alpha, e, flips)
+
+
 @pytest.mark.parametrize(
     "members",
     [
@@ -497,6 +512,29 @@ def flip_one_bit(members, m=-1, index=0):
     return members
 
 
+def fast_route(members):
+    """The row sources, by name, that one fast delta of the members reads."""
+    called = []
+
+    def spy(name):
+        source = getattr(correlation, name)
+
+        def counting(*args):
+            called.append(name)
+            return source(*args)
+
+        return counting
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_direct_rows", "_identity_rows", "_transform_rows"):
+            patch.setattr(correlation, name, spy(name))
+        signal_set_delta(members, method="fast")
+    return called
+
+
+V11_LEGENDRE = build_signal_set(gen_legendre(11, 0), gen_legendre(11, 1), quadratic_shifts(11, 1, 3)).members
+
+
 def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
     # One member per block: r(r+1)/2 pairs, each (i, j) with i <= j once. A
     # set one bit away from interleaved has that shape and takes the transform.
@@ -505,8 +543,11 @@ def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
     assert inverse_rows(flip_one_bit(members), "irfft") == r * (r + 1) // 2 == 528
     # The interleaved set itself reads the column identity: no transform.
     assert inverse_rows(members, "irfft") == 0
-    # One block holds the worked set, and every ordered pair is computed.
-    assert inverse_rows(WORKED_SET, "irfft") == 8 * 8
+    # The worked set's circulants fit one slab: one matmul, no transform.
+    assert fast_route(WORKED_SET) == ["_direct_rows"]
+    assert inverse_rows(WORKED_SET, "irfft") == 0
+    # One block holds the flipped v = 11 set, and every ordered pair is computed.
+    assert inverse_rows(flip_one_bit(V11_LEGENDRE), "irfft") == 12 * 12
     # Split one member per block, a set again computes each pair once.
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
     assert inverse_rows(flip_one_bit(WORKED_SET), "irfft") == 8 * 9 // 2
@@ -538,11 +579,7 @@ def interleaved_lists(draw):
     r = draw(st.integers(2, 5))
     # Member 0's columns are complemented too, column 0 among them.
     flips = draw(st.lists(st.lists(st.integers(0, 1), min_size=v, max_size=v), min_size=r, max_size=r))
-    members = [
-        PeriodicSequence(2, tuple(alpha[(i + e[j]) % v] ^ f[j] for i in range(v) for j in range(v)))
-        for f in flips
-    ]
-    return members, draw(st.integers(1, r - 1))
+    return interleaved_members(alpha, e, flips), draw(st.integers(1, r - 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -552,12 +589,19 @@ def test_column_identity_matches_reference(case):
     # Any alpha, e and signs, two-level or not: blocks of step < r members
     # read the column identity, with no inverse transform, and match the
     # pair-by-pair cross_correlation scan exactly.
+    # Where n <= r (v <= 2) a block's circulants fit one slab, and the fast
+    # delta reads them instead: there the identity's rows are held to theirs.
     members, step = case
-    n = members[0].period
+    r, n = len(members), members[0].period
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(correlation, "_BLOCK_VALUES", step * len(members) * n)
+        patch.setattr(correlation, "_BLOCK_VALUES", step * r * n)
+        assert fast_route(members) == ["_identity_rows" if n > r else "_direct_rows"]
         assert inverse_rows(members, "irfft") == 0
         assert_engine_matches_reference(members)
+    parts = correlation._interleaved_parts(members)
+    identity = correlation._identity_rows(*parts, step)
+    for (lo, rows), (lo_d, rows_d) in zip(identity, correlation._direct_rows(members, step), strict=True):
+        assert lo == lo_d and np.array_equal(rows, rows_d)
 
 
 @pytest.mark.parametrize("m, index", [(0, 0), (0, 9), (-1, 48)], ids=["alpha", "member-0", "last"])
@@ -596,6 +640,67 @@ def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
     transform = signal_set_delta(members, method="fast")
     assert report.delta == transform.delta and len(report.witnesses) > 0
     assert np.array_equal(report.witnesses.code, transform.witnesses.code)
+
+
+V3_SET = build_signal_set(gen_legendre(3, 0), gen_legendre(3, 1), quadratic_shifts(3, 1, 1)).members
+
+
+@pytest.mark.parametrize(
+    "members, route",
+    [
+        # A pair's circulants, 2 n^2 values, fill one slab exactly at n = 128.
+        (_random_members(2, 128, 5), "_direct_rows"),
+        (_random_members(2, 129, 6), "_transform_rows"),
+        (V3_SET, "_direct_rows"),
+        (WORKED_SET, "_direct_rows"),
+        (V11_LEGENDRE, "_identity_rows"),
+        (flip_one_bit(V11_LEGENDRE), "_transform_rows"),
+        (build_signal_set(*V31_QUADRATIC).members, "_identity_rows"),
+    ],
+    ids=["pair-128", "pair-129", "v3", "v7-worked", "v11", "v11-flipped", "v31"],
+)
+def test_fast_delta_picks_its_row_source_by_cost(members, route):
+    assert fast_route(members) == [route]
+    assert_engine_matches_reference(members)
+
+
+def test_one_block_of_at_most_v_interleaved_members_keeps_the_transform():
+    # Both decompose, and neither spans two blocks nor has more than v members.
+    for members in (V11_LEGENDRE[:11], _random_interleaved(16, 2, 7)):
+        assert correlation._interleaved_parts(members) is not None
+        assert fast_route(members) == ["_transform_rows"]
+        assert_engine_matches_reference(members)
+
+
+def test_row_sources_give_equal_rows_and_codes(monkeypatch):
+    # Each source on its own, whatever the fast delta would pick: the worked
+    # set and seeded v = 7 A and B-not-A sets, in one block and in uneven
+    # blocks of three, some pairs read off their mirrors.
+    a_vectors = backtrack(SearchSpec(7, "A", limit=1000, strategy="backtrack")).witnesses
+    b_not_a = backtrack(SearchSpec(7, "B-not-A", limit=1000, strategy="backtrack")).witnesses
+    rng = random.Random(39)
+    vectors = rng.sample(a_vectors, 6) + rng.sample(b_not_a, 6)
+    for members in [WORKED_SET] + [build_signal_set(A7, B7, e).members for e in vectors]:
+        parts = correlation._interleaved_parts(members)
+        for step in (len(members), 3):
+            sources = [
+                partial(correlation._direct_rows, members, step),
+                partial(correlation._identity_rows, *parts, step),
+                partial(correlation._transform_rows, members, step),
+            ]
+            direct, *others = [list(source()) for source in sources]
+            for rows in others:
+                assert [lo for lo, _ in rows] == [lo for lo, _ in direct]
+                assert all(np.array_equal(got, want) for (_, got), (_, want) in zip(rows, direct))
+            reports = []
+            for source in sources:
+                monkeypatch.setattr(correlation, "_correlation_rows", lambda members, method, rows=source: rows())
+                reports.append(signal_set_delta(members, method="fast"))
+            first = reports[0]
+            assert len(first.witnesses) > 0
+            for report in reports[1:]:
+                assert report.delta == first.delta
+                assert np.array_equal(report.witnesses.code, first.witnesses.code)
 
 
 def test_direct_path_refuses_periods_float32_cannot_sum_exactly(monkeypatch):

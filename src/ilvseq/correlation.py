@@ -19,19 +19,24 @@ three row sources (``_correlation_rows``):
   member of an interleaved signal set is, has each correlation as a signed
   sum of v values of C_alpha at the shift differences. The members'
   decomposition is read off their bytes, and a block is one batched float32
-  matmul against the table of those values. Each partial sum is an integer
-  of size at most v^2 = n, exact in float32 under the same 2^24 bound.
+  matmul against the one shared table K of those values. The block's signs
+  fold into the members' operand, w*v^2 values a block member for w members
+  against v^3 for a copy of K: over blocks of one member no more while
+  r < 2v. Each partial sum is an integer of size at most v^2 = n, exact in
+  float32 under the same 2^24 bound.
 * transform: one real float64 transform per member and one batched inverse
   per block, rounded back under a residue guard.
 
-``method="fast"`` picks by cost: the circulants when one block's fit one slab
-of the direct path (the built sets at v = 3 and 7, pairs up to period 128),
-else the column identity when the list decomposes, n <= 2^24 and the list
-spans more than one block or has more than v members (every built set),
-else the transform. The scan reads the rows as floats and keeps each
-maximizer as one int64 code, its position and sign; delta restores its
-value, and the witness columns are decoded from the codes when they are
-read.
+Every source yields its blocks laid out [h, s, k, q], tau = q*m + s, with
+m = v for the column identity (its matmul's own output) and m = 1 for the
+others. ``method="fast"`` picks by cost: the circulants when one block's fit
+one slab of the direct path (the built sets at v = 3 and 7, pairs up to
+period 128), else the column identity when the list decomposes, n <= 2^24
+and it has more than sqrt(v) members (every built set), else the transform.
+The one scan reads each block in its memory order, as floats, and keeps
+each maximizer as one int64 code, its position and sign, decoded through
+the block's layout; delta restores its value, and the witness columns are
+decoded from the codes when they are read.
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> Correlat
     above 1e-6 raises RuntimeError instead of rounding.
     """
     _, rows = next(_correlation_rows([a, b], "fast"))
-    return CorrelationProfile(tuple(rows[0, 1].astype(np.int64).tolist()))
+    return CorrelationProfile(tuple(_by_offset(rows)[0, 1].astype(np.int64).tolist()))
 
 
 def autocorrelation(a: PeriodicSequence) -> CorrelationProfile:
@@ -215,12 +220,16 @@ def _correlation_rows(members, method: str):
     """An iterator of (lo, rows) for each block of the r members of period n.
 
     A block is the members lo .. lo+c-1, with c = max(1, _BLOCK_VALUES // (r*n)).
-    Its rows start at column lo: rows[h, k, tau] is the correlation of member
-    lo+h against member lo+k at offset tau, so at most c x r x n values are
-    alive at a time, and a pair against a member of an earlier block is left
-    to its mirror (see signal_set_delta). A signal set from v = 31 on has r*n
-    above _BLOCK_VALUES: one member per block. The rows are floats holding
-    exact integers, from one of three sources:
+    Its rows start at column lo and are laid out [h, s, k, q]: rows[h, s, k, q]
+    is the correlation of member lo+h against member lo+k at offset
+    tau = q*m + s, with m = rows.shape[1]. The column identity's blocks are
+    its matmul's output, m = v; the other sources have m = 1, [h, 0, k, tau].
+    signal_set_delta scans a block in this memory order, and _by_offset
+    brings one to [h, k, tau]. At most c x r x n values are alive at a time,
+    and a pair against a member of an earlier block is left to its mirror
+    (see _block_codes). A signal set from v = 31 on has r*n above
+    _BLOCK_VALUES: one member per block. The rows are floats holding exact
+    integers, from one of three sources:
 
     * "direct" multiplies the float32 +-1 rows x[lo:] by the circulants of
       the block's members, circ[h, tau, k] = x[lo+h, (k - tau) mod n]: one
@@ -231,19 +240,21 @@ def _correlation_rows(members, method: str):
       order while n <= _FLOAT32_EXACT; a longer period raises here, before
       anything is lifted (_direct_rows).
 
-    "fast" picks the cheapest source by one rule on the first block's
-    c = min(step, r) members:
+    "fast" picks the cheapest source by the list's shape:
 
-    * the circulants above when the block's c*n^2 values fit one slab (the
-      built sets at v = 3 and 7, pairs up to period 128): one matmul per
-      block, cheaper there than the others' set-up;
+    * the circulants above when the first block's c*n^2 values fit one slab
+      (the built sets at v = 3 and 7, pairs up to period 128): one matmul
+      per block, cheaper there than the others' set-up;
     * else the column identity (_identity_rows), one batched float32 matmul
-      per block, for a list that decomposes as interleaved and either spans
-      more than one block or has more members than v = sqrt(n), as a built
-      set's v + 1 do. Folding each member's signs into the v^3-value table
-      K costs about v^3 a member, and the transform about n log n a pair, so
-      the identity gains with r/v: a one-block list of r <= v members (an
-      interleaved pair of period 256 read 0.3-0.4x) keeps the transform;
+      per block, for a list of more than sqrt(v) members (r^2 > v, with
+      v = sqrt(n)) that decomposes as interleaved, as every built set's
+      v + 1 do. Its set-up writes the v^3-value table K once, and each pair
+      costs v^3 multiply-adds in BLAS; the transform costs about n log n a
+      pair and little set-up. So the identity gains with r: forced either
+      way, it overtook the transform from r = 3 or 4 members at v = 23..91,
+      from 8 at v = 128 and from about v/2 at v <= 16. r^2 > v lies between:
+      a pair at v >= 91 keeps the transform (0.26-0.57x of the identity's
+      time), and so do four members (0.67x at v = 128, 1.1x at v = 91);
     * else one real float64 transform per member and one batched inverse per
       block, rounded under a residue guard (_transform_rows).
 
@@ -262,8 +273,17 @@ def _correlation_rows(members, method: str):
         return _direct_rows(members, step)
     if exact and min(step, r) * n * n <= _BLOCK_VALUES:
         return _direct_rows(members, step)
-    parts = exact and (step < r or r * r > n) and _interleaved_parts(members)
+    parts = exact and r * r > math.isqrt(n) and _interleaved_parts(members)
     return _identity_rows(*parts, step) if parts else _transform_rows(members, step)
+
+
+def _by_offset(rows) -> np.ndarray:
+    """A block [h, s, k, q] of _correlation_rows as [h, k, tau], tau = q*m + s.
+
+    m is the block's s-axis length; a view where m = 1, else a copy.
+    """
+    c, _, w, _ = rows.shape
+    return rows.transpose(0, 2, 3, 1).reshape(c, w, -1)
 
 
 def _direct_rows(members, step: int):
@@ -282,7 +302,7 @@ def _direct_rows(members, step: int):
         for t in range(0, n, span):
             slab = block[:, t : t + span].copy()
             np.matmul(x[lo:], slab.transpose(0, 2, 1), out=rows[:, :, t : t + span])
-        yield lo, rows
+        yield lo, rows[:, None]
 
 
 def _transform_rows(members, step: int):
@@ -295,7 +315,7 @@ def _transform_rows(members, step: int):
         raw -= rounded
         if np.abs(raw, out=raw).max() > 1e-6:
             raise RuntimeError("transform residue too large to round safely")
-        yield lo, rounded
+        yield lo, rounded[:, None]
 
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements bytes of bits
@@ -343,32 +363,72 @@ def _identity_rows(alpha, ext, sigma, step: int):
     """Yield (lo, rows) of the members sigma_m(j) L^(e_j)(alpha), by the column identity.
 
     Column j of member h against column (j+s) mod v of member k, at offset
-    tau = r*v + s, meets it r rows down, and one row further when j+s wraps:
-    their products sum to sigma_h(j) sigma_k(j+s) C_alpha(E(j+s) - e_j + r),
+    tau = q*v + s, meets it q rows down, and one row further when j+s wraps:
+    their products sum to sigma_h(j) sigma_k(j+s) C_alpha(E(j+s) - e_j + q),
     with C_alpha the autocorrelation of alpha and E the extension of e
     (E(j) = e_j, E(v+j) = e_j + 1). So
 
-        rows[h, k, r*v + s] = sum over j of sigma_h(j) sigma_k(j+s) K[s, j, r],
+        rows[h, s, k, q] = sum over j of sigma_h(j) sigma_k(j+s) K[s, j, q],
 
-    K[s, j, r] = C_alpha(E(j+s) - e_j + r): one batched np.matmul over s per
-    block of step members, the members' signs at (j+s) mod v against K with
-    the block's signs folded in, transposed to tau = r*v + s. Every partial
-    sum is an integer of size at most v^2 = n, so float32 is exact in any
-    BLAS order while n <= _FLOAT32_EXACT, as on the direct path.
+    K[s, j, q] = C_alpha(E(j+s) - e_j + q): one batched np.matmul over h and
+    s per block of step members, against the one shared, read-only K. The
+    block's signs fold into the left operand, the members' signs at
+    (j+s) mod v: w*v^2 values a block member for the w = r - lo members from
+    lo on, where folding them into K would write v^3. Over blocks of one
+    member that is r(r+1)/2 * v^2 values against r*v^3, no more while r < 2v.
+    The block is the matmul's own output, [h, s, k, q] with tau = q*v + s,
+    the layout of _correlation_rows. Every partial sum is an integer of size
+    at most v^2 = n, so float32 is exact in any BLAS order while
+    n <= _FLOAT32_EXACT, as on the direct path.
     """
     v = len(alpha)
     j = np.arange(v)
     plus = j[:, None] + j  # plus[s, j] = j + s
+    wrapped = plus % v
     x = 1 - 2 * alpha.astype(np.int64)
-    c_alpha = x[plus % v] @ x  # c_alpha[d] = sum over i of x_(i+d) x_i
-    kernel = c_alpha[((ext[plus] - ext[:v])[:, :, None] + j) % v].astype(np.float32)
+    c_alpha = x[wrapped] @ x  # c_alpha[d] = sum over i of x_(i+d) x_i
+    # K[s, j] is C_alpha from E(j+s) - e_j on: a row of its circulant.
+    kernel = c_alpha.astype(np.float32)[wrapped][(ext[plus] - ext[:v]) % v]
+    kernel.flags.writeable = False
     # shifted[s, k, j] = sigma_k((j+s) mod v).
-    shifted = np.ascontiguousarray(sigma[:, plus % v].transpose(1, 0, 2))
-    size = len(sigma)
-    for lo in range(0, size, step):
-        block = kernel * sigma[lo : lo + step, None, :, None]  # [h, s, j, r]
-        rows = np.matmul(shifted[:, lo:], block)  # [h, s, k, r]
-        yield lo, rows.transpose(0, 2, 3, 1).reshape(len(block), size - lo, v * v)
+    shifted = np.ascontiguousarray(sigma[:, wrapped].transpose(1, 0, 2))
+    for lo in range(0, len(sigma), step):
+        # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]
+        yield lo, (shifted[:, lo:] * sigma[lo : lo + step, None, None, :]) @ kernel
+
+
+def _block_codes(lo, rows, best: int, r: int):
+    """(top, codes) of one block of _correlation_rows, read in its memory order.
+
+    top is the block's largest admissible magnitude, and codes are packed
+    witness codes (see WitnessSequence) of every value of magnitude at least
+    max(best, top), mirrored ones included. The decode arrays are freed on
+    return, before the next block is computed.
+    """
+    c, m, w, length = rows.shape  # [h, s, k, q]: lo+h against lo+k at tau = q*m + s
+    n = m * length
+    rows = rows.reshape(-1)
+    mags = np.abs(rows)
+    mags[:: (m * w + 1) * length] = -1  # trivial peaks (h, 0, h, 0), h < c <= w
+    top = int(mags.max())
+    (at,) = (mags >= max(best, top)).nonzero()
+    negative = rows[at] < 0
+    if m > 1:  # to [h, k, tau]: (h*w + k)*n + q*m + s, where k*n + q*m = (k*length + q)*m
+        hs, kq = np.divmod(at, w * length)
+        h, s = np.divmod(hs, m)
+        at = (h * (w * length) + kq) * m + s
+    if lo:  # each row h of the block skipped lo columns
+        at += at // (w * n) * (lo * n)
+    at += lo * (r + 1) * n
+    codes = [at << 1 | negative]
+    if w > c:
+        # A later block skips the pair (j, i) of its member j against
+        # member i of this one. C_ji(tau) = C_ij(-tau mod n) exactly for
+        # binary members, so its maximizers are (j, i, -tau mod n, value).
+        i, j, taus = np.unravel_index(at, (r, r, n))
+        later = j >= lo + c
+        codes.append(((j[later] * r + i[later]) * n + -taus[later] % n) << 1 | negative[later])
+    return top, codes
 
 
 def signal_set_delta(members, method: str = "direct") -> DeltaReport:
@@ -394,28 +454,12 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
     best = -1
     found = []  # packed witness codes per block (see WitnessSequence), every |value| >= best
     for lo, rows in _correlation_rows(members, method):
-        c, w = rows.shape[:2]  # w = r - lo columns, from member lo on
-        rows = rows.reshape(-1)  # value (h*w + k)*v + tau: member lo+h against member lo+k
-        mags = np.abs(rows)
-        mags[:: (w + 1) * v] = -1  # trivial peaks (i = j, tau = 0) at (h*w + h)*v, h < c <= w
-        top = int(mags.max())
+        top, codes = _block_codes(lo, rows, best, r)
+        del rows  # else the block stays alive while the next one is computed
         if top > best:  # every earlier hit is at most the old best: none is kept
             best = top
             found = []
-        (at,) = (mags >= best).nonzero()
-        negative = rows[at] < 0
-        if lo:  # each row h of the block skipped lo columns
-            at += at // (w * v) * (lo * v)
-        at += lo * (r + 1) * v
-        if w > c:
-            # A later block skips the pair (j, i) of its member j against
-            # member i of this one. C_ji(tau) = C_ij(-tau mod v) exactly for
-            # binary members, so its maximizers are (j, i, -tau mod v, value).
-            i, j, taus = np.unravel_index(at, (r, r, v))
-            later = j >= lo + c
-            mirror = (j[later] * r + i[later]) * v + -taus[later] % v
-            found.append(mirror << 1 | negative[later])
-        found.append(at << 1 | negative)
+        found += codes
 
     code = found[0] if len(found) == 1 else np.concatenate(found)
     del found  # else the per-block codes stay alive beside the whole array

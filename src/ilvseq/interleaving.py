@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlation import _identity_rows, is_two_level
+from .correlation import _by_offset, _identity_rows, is_two_level
 from .sequences import PeriodicSequence, _doubled, _integers, _same_shape, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
@@ -280,4 +280,4 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     sigma[1:] -= 2 * np.frombuffer(b.value_bytes, np.uint8)[plus % v]
     alpha = np.frombuffer(a.value_bytes, np.uint8)
     ((_, rows),) = _identity_rows(alpha, np.array(_extension(e)), sigma, v + 1)
-    return rows.astype(np.int64)
+    return _by_offset(rows).astype(np.int64)

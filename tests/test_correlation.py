@@ -1,6 +1,7 @@
 """Tests for correlation profiles, two-level detection, and delta sweeps."""
 
 import hashlib
+import math
 import random
 import tracemalloc
 from functools import partial
@@ -503,6 +504,18 @@ def inverse_rows(members, name):
     return sum(rows)
 
 
+def by_offset(rows):
+    """Any row source's block [h, s, k, q] as [h, k, tau], with tau = q * m + s.
+
+    m = rows.shape[1]: v for the column identity, 1 for the other sources.
+    """
+    c, m, w, length = rows.shape
+    out = np.empty((c, w, m * length), rows.dtype)
+    for s in range(m):
+        out[:, :, s::m] = rows[:, s]
+    return out
+
+
 def flip_one_bit(members, m=-1, index=0):
     """The members with bit ``index`` of member ``m`` flipped."""
     members = list(members)
@@ -533,6 +546,16 @@ def fast_route(members):
 
 
 V11_LEGENDRE = build_signal_set(gen_legendre(11, 0), gen_legendre(11, 1), quadratic_shifts(11, 1, 3)).members
+
+
+def test_engine_matches_reference_on_members_and_complements():
+    # 24 members of period 121 in blocks of 11: the first block's member
+    # operand is 24 members wide, more than v = 11, and the later blocks
+    # read earlier pairs off their mirrors.
+    complements = [PeriodicSequence(2, tuple(1 - x for x in m.values)) for m in V11_LEGENDRE]
+    members = list(V11_LEGENDRE) + complements
+    assert fast_route(members) == ["_identity_rows"]
+    assert_engine_matches_reference(members)
 
 
 def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
@@ -586,22 +609,26 @@ def interleaved_lists(draw):
 @given(interleaved_lists())
 @example(([PeriodicSequence(2, (1, 0, 1, 0) * 4)] * 3, 1))  # a periodic alpha
 def test_column_identity_matches_reference(case):
-    # Any alpha, e and signs, two-level or not: blocks of step < r members
-    # read the column identity, with no inverse transform, and match the
-    # pair-by-pair cross_correlation scan exactly.
+    # Any alpha, e and signs, two-level or not, in blocks of step < r
+    # members: a list of more than sqrt(v) members reads the column
+    # identity, with no inverse transform, and matches the pair-by-pair
+    # cross_correlation scan exactly.
     # Where n <= r (v <= 2) a block's circulants fit one slab, and the fast
-    # delta reads them instead: there the identity's rows are held to theirs.
+    # delta reads them instead; where r^2 <= v it reads the transform. On
+    # every draw the identity's rows are held to the circulants' below.
     members, step = case
     r, n = len(members), members[0].period
+    route = "_direct_rows" if n <= r else "_identity_rows" if r * r > math.isqrt(n) else "_transform_rows"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlation, "_BLOCK_VALUES", step * r * n)
-        assert fast_route(members) == ["_identity_rows" if n > r else "_direct_rows"]
-        assert inverse_rows(members, "irfft") == 0
+        assert fast_route(members) == [route]
+        if route != "_transform_rows":
+            assert inverse_rows(members, "irfft") == 0
         assert_engine_matches_reference(members)
     parts = correlation._interleaved_parts(members)
     identity = correlation._identity_rows(*parts, step)
     for (lo, rows), (lo_d, rows_d) in zip(identity, correlation._direct_rows(members, step), strict=True):
-        assert lo == lo_d and np.array_equal(rows, rows_d)
+        assert lo == lo_d and np.array_equal(by_offset(rows), by_offset(rows_d))
 
 
 @pytest.mark.parametrize("m, index", [(0, 0), (0, 9), (-1, 48)], ids=["alpha", "member-0", "last"])
@@ -631,7 +658,7 @@ def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
     identity = list(correlation._correlation_rows(members, "fast"))
     assert [lo for lo, _ in identity] == list(range(len(members)))
     for (lo, rows), (_, rows_t) in zip(identity, correlation._transform_rows(members, step)):
-        assert rows.dtype == np.float32 and np.array_equal(rows, rows_t)
+        assert rows.dtype == np.float32 and np.array_equal(by_offset(rows), by_offset(rows_t))
     del identity
     report = signal_set_delta(members, method="fast")
     monkeypatch.setattr(
@@ -664,12 +691,27 @@ def test_fast_delta_picks_its_row_source_by_cost(members, route):
     assert_engine_matches_reference(members)
 
 
-def test_one_block_of_at_most_v_interleaved_members_keeps_the_transform():
-    # Both decompose, and neither spans two blocks nor has more than v members.
-    for members in (V11_LEGENDRE[:11], _random_interleaved(16, 2, 7)):
-        assert correlation._interleaved_parts(members) is not None
-        assert fast_route(members) == ["_transform_rows"]
-        assert_engine_matches_reference(members)
+@pytest.mark.parametrize(
+    "members",
+    [V11_LEGENDRE[:3], _random_interleaved(16, 2, 7), _random_interleaved(91, 2, 8), _random_interleaved(91, 4, 9)],
+    ids=["v11-three", "v16-pair", "v91-pair", "v91-four"],
+)
+def test_at_most_sqrt_v_interleaved_members_keep_the_transform(members):
+    # Each decomposes, and has r^2 <= v members; the v = 91 lists span
+    # one block a member.
+    assert correlation._interleaved_parts(members) is not None
+    assert fast_route(members) == ["_transform_rows"]
+    assert_engine_matches_reference(members)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [V11_LEGENDRE[:11], _random_interleaved(31, 16, 10), _random_interleaved(31, 31, 11)],
+    ids=["v11-one-block", "v31-sixteen", "v31-thirty-one"],
+)
+def test_more_than_sqrt_v_interleaved_members_take_the_identity(members):
+    assert fast_route(members) == ["_identity_rows"]
+    assert_engine_matches_reference(members)
 
 
 def test_row_sources_give_equal_rows_and_codes(monkeypatch):
@@ -691,7 +733,7 @@ def test_row_sources_give_equal_rows_and_codes(monkeypatch):
             direct, *others = [list(source()) for source in sources]
             for rows in others:
                 assert [lo for lo, _ in rows] == [lo for lo, _ in direct]
-                assert all(np.array_equal(got, want) for (_, got), (_, want) in zip(rows, direct))
+                assert all(np.array_equal(by_offset(got), by_offset(want)) for (_, got), (_, want) in zip(rows, direct))
             reports = []
             for source in sources:
                 monkeypatch.setattr(correlation, "_correlation_rows", lambda members, method, rows=source: rows())

@@ -5,7 +5,8 @@ standard output; human-readable tables go to standard error under --pretty,
 which may come before or after the command. Each command returns its inputs,
 results, table lines and exit code; ``main`` alone times, emits and exits.
 Exit codes: 0 success, 1 verdict/reproduction failure, 2 input error
-(input too large for memory included), 3 exhaustive-search budget refusal.
+(input too large for memory included) or a report that cannot be encoded
+or written, 3 exhaustive-search budget refusal.
 A reader that closes standard output early (``| head``) cuts the report
 short but leaves the command's exit code, with no traceback.
 """
@@ -182,7 +183,7 @@ def _cmd_build(args):
     }
     pretty = [f"built {len(ss.members)} members of period {ss.period}"]
     if args.delta:
-        report = signal_set_delta(ss.members, method="fast")
+        report = signal_set_delta(ss.members)
         results["delta"] = _delta_json(report)
         pretty.append(
             f"delta {report.delta} attained at {len(report.witnesses)} (i, j, tau) points"
@@ -374,9 +375,12 @@ def main(argv=None) -> int:
     try:
         _emit(command, argv, inputs, results, started, lines, args.pretty)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except (OSError, MemoryError) as exc:
         # Python's SIGPIPE recipe: stdout to devnull, so the flush at exit cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a full disk, a report too large to encode
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return 2
     return code
 
 

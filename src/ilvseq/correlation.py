@@ -8,12 +8,11 @@ Every value, delta and witness is an exact integer.
 The delta engine computes in floats without giving that up, from one of
 three row sources (``_correlation_rows``):
 
-* direct: one float32 matrix product per slab of offsets, the rows against
-  copies of the members' circulants. Every product is +-1 and every partial
+* circulant: the rows against the circulants of a block's members, one
+  float32 matrix product per block. Every product is +-1 and every partial
   sum an integer of size at most the period n, and float32 holds every
   integer up to 2^24 exactly, so the sum is exact in any order BLAS takes,
-  with or without fused multiply-add; above period 2^24 the direct path
-  refuses.
+  with or without fused multiply-add.
 * column identity: a list of period n = v^2 whose every column (entries
   i*v + j) is a shift of one base alpha, complemented or not, as every
   member of an interleaved signal set is, has each correlation as a signed
@@ -29,10 +28,10 @@ three row sources (``_correlation_rows``):
 
 Every source yields its blocks laid out [h, s, k, q], tau = q*m + s, with
 m = v for the column identity (its matmul's own output) and m = 1 for the
-others. ``method="fast"`` picks by cost: the circulants when one block's fit
-one slab of the direct path (the built sets at v = 3 and 7, pairs up to
-period 128), else the column identity when the list decomposes, n <= 2^24
-and it has more than sqrt(v) members (every built set), else the transform.
+others. The engine picks by cost: the circulants when one block's fit
+_BLOCK_VALUES (the built sets at v = 3 and 7, pairs up to period 128), else
+the column identity when the list decomposes, n <= 2^24 and it has more
+than sqrt(v) members (every built set from v = 11 on), else the transform.
 The one scan reads each block in its memory order, as floats, and keeps
 each maximizer as one int64 code, its position and sign, decoded through
 the block's layout; delta restores its value, and the witness columns are
@@ -55,14 +54,14 @@ from .sequences import PeriodicSequence, _same_shape
 #: Most correlation values in one block of the delta scan: a block holds
 #: max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, so a small set
 #: is scanned in a few numpy calls and a set with r*n above it (v >= 31) one
-#: member at a time. A block of rows stays near 128 kB (float32, direct) or
-#: 256 kB (float64, fast). The direct path copies the block's circulants in
-#: slabs of at most as many values: c members at max(1, _BLOCK_VALUES // (c*n))
-#: offsets.
+#: member at a time. A block of rows stays near 128 kB (float32) or 256 kB
+#: (float64, transform). A list reads the circulants only when one block's
+#: c*n^2 circulant values fit in as many values.
 _BLOCK_VALUES = 1 << 15
 
-#: Longest period the direct path sums: float32 holds every integer up to 2^24
-#: exactly, and no partial sum of n products of +-1 exceeds n in size.
+#: Longest period the float32 sources sum: float32 holds every integer up to
+#: 2^24 exactly, and no partial sum of n products of +-1 exceeds n in size.
+#: A longer list reads the transform.
 _FLOAT32_EXACT = 1 << 24
 
 
@@ -98,14 +97,14 @@ def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationPr
 
 
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
-    """Correlation profile from the fast rows; agrees with cross_correlation.
+    """Correlation profile from the delta engine's rows; agrees with cross_correlation.
 
     A pair up to period 128 takes the circulant matmul, exact in float32;
     a longer one the source _correlation_rows picks, most often the
     transform, rounded back to exact integers, where a transform residue
     above 1e-6 raises RuntimeError instead of rounding.
     """
-    _, rows = next(_correlation_rows([a, b], "fast"))
+    _, rows = next(_correlation_rows([a, b]))
     return CorrelationProfile(tuple(_by_offset(rows)[0, 1].astype(np.int64).tolist()))
 
 
@@ -216,7 +215,7 @@ class DeltaReport:
     member_count: int
 
 
-def _correlation_rows(members, method: str):
+def _correlation_rows(members):
     """An iterator of (lo, rows) for each block of the r members of period n.
 
     A block is the members lo .. lo+c-1, with c = max(1, _BLOCK_VALUES // (r*n)).
@@ -229,22 +228,11 @@ def _correlation_rows(members, method: str):
     and a pair against a member of an earlier block is left to its mirror
     (see _block_codes). A signal set from v = 31 on has r*n above
     _BLOCK_VALUES: one member per block. The rows are floats holding exact
-    integers, from one of three sources:
+    integers, from the cheapest source for the list's shape:
 
-    * "direct" multiplies the float32 +-1 rows x[lo:] by the circulants of
-      the block's members, circ[h, tau, k] = x[lo+h, (k - tau) mod n]: one
-      read-only np.ndarray over the rows doubled, strides (row, -col, col),
-      copied in slabs of at most _BLOCK_VALUES values (the c circulants at a
-      run of offsets), one np.matmul per slab. Each product is +-1 and each
-      partial sum an integer of size at most n, exact in float32 in any BLAS
-      order while n <= _FLOAT32_EXACT; a longer period raises here, before
-      anything is lifted (_direct_rows).
-
-    "fast" picks the cheapest source by the list's shape:
-
-    * the circulants above when the first block's c*n^2 values fit one slab
-      (the built sets at v = 3 and 7, pairs up to period 128): one matmul
-      per block, cheaper there than the others' set-up;
+    * the circulants (_direct_rows) when one block's c*n^2 values fit
+      _BLOCK_VALUES (the built sets at v = 3 and 7, pairs up to period 128):
+      one matmul per block, cheaper there than the others' set-up;
     * else the column identity (_identity_rows), one batched float32 matmul
       per block, for a list of more than sqrt(v) members (r^2 > v, with
       v = sqrt(n)) that decomposes as interleaved, as every built set's
@@ -258,19 +246,12 @@ def _correlation_rows(members, method: str):
     * else one real float64 transform per member and one batched inverse per
       block, rounded under a residue guard (_transform_rows).
 
-    Both float32 sources need n <= _FLOAT32_EXACT; above it "fast" always
+    Both float32 sources need n <= _FLOAT32_EXACT; above it every list
     takes the transform.
     """
     r, n = len(members), members[0].period
     step = max(1, _BLOCK_VALUES // (r * n))
     exact = n <= _FLOAT32_EXACT
-    if method == "direct":
-        if not exact:
-            raise ValueError(
-                f"direct correlation is exact in float32 only up to period {_FLOAT32_EXACT} "
-                f"(2^24), not {n}; use method=\"fast\""
-            )
-        return _direct_rows(members, step)
     if exact and min(step, r) * n * n <= _BLOCK_VALUES:
         return _direct_rows(members, step)
     parts = exact and r * r > math.isqrt(n) and _interleaved_parts(members)
@@ -287,22 +268,25 @@ def _by_offset(rows) -> np.ndarray:
 
 
 def _direct_rows(members, step: int):
-    # The direct rows of _correlation_rows, in blocks of step members.
+    """Yield (lo, rows) of the members against their circulants, step members a block.
+
+    circ[h, tau, k] = x[h, (k - tau) mod n] is one read-only np.ndarray over
+    the float32 +-1 rows doubled, strides (row, -col, col); each block's c
+    circulants are copied, c*n^2 values, and the rows x[lo:] multiplied by
+    them in one np.matmul. Each product is +-1 and each partial sum an
+    integer of size at most n, exact in float32 in any BLAS order while
+    n <= _FLOAT32_EXACT.
+    """
     r, n = len(members), members[0].period
     x = _lift(members, np.float32)
     doubled = np.concatenate([x, x], axis=1)
     row, col = doubled.strides
-    # circ[j, tau, k] = doubled[j, n + k - tau]: no n^2 copy, only slabs.
+    # circ[j, tau, k] = doubled[j, n + k - tau]: a view, copied a block at a time.
     circ = np.ndarray((r, n, n), np.float32, doubled, n * col, (row, -col, col))
     circ.flags.writeable = False
     for lo in range(0, r, step):
-        block = circ[lo : lo + step]
-        span = max(1, _BLOCK_VALUES // (len(block) * n))  # offsets per slab
-        rows = np.empty((len(block), r - lo, n), np.float32)
-        for t in range(0, n, span):
-            slab = block[:, t : t + span].copy()
-            np.matmul(x[lo:], slab.transpose(0, 2, 1), out=rows[:, :, t : t + span])
-        yield lo, rows[:, None]
+        block = circ[lo : lo + step].copy()
+        yield lo, np.matmul(x[lo:], block.transpose(0, 2, 1))[:, None]
 
 
 def _transform_rows(members, step: int):
@@ -379,7 +363,7 @@ def _identity_rows(alpha, ext, sigma, step: int):
     The block is the matmul's own output, [h, s, k, q] with tau = q*v + s,
     the layout of _correlation_rows. Every partial sum is an integer of size
     at most v^2 = n, so float32 is exact in any BLAS order while
-    n <= _FLOAT32_EXACT, as on the direct path.
+    n <= _FLOAT32_EXACT, as for the circulants.
     """
     v = len(alpha)
     j = np.arange(v)
@@ -431,15 +415,17 @@ def _block_codes(lo, rows, best: int, r: int):
     return top, codes
 
 
-def signal_set_delta(members, method: str = "direct") -> DeltaReport:
+def signal_set_delta(members, method: str = "fast") -> DeltaReport:
     """Delta of a signal set: max |correlation| over ordered pairs and offsets.
 
-    ``method`` selects the correlation path ("direct" or "fast"); the choice
-    is explicit, never silent. "fast" reads the circulants, the column
-    identity or the transform, whichever _correlation_rows finds cheapest
-    for the list's shape. Every path feeds one scan and gives the same
-    exact delta, witness positions and values. The scan ends with one
-    packed int64 code per maximizer (see WitnessSequence).
+    The rows come from the circulants, the column identity or the
+    transform, whichever _correlation_rows finds cheapest for the list's
+    shape; every source feeds one scan and gives the same exact delta,
+    witness positions and values. The scan ends with one packed int64 code
+    per maximizer (see WitnessSequence). ``method`` selects nothing: it is
+    kept only because bench/workloads.py passes it, as SearchSpec keeps
+    ``normalize`` for bench/spans.py, and it still accepts only "direct"
+    and "fast" (anything else is a ValueError).
     """
     members = list(members)
     if not members:
@@ -453,7 +439,7 @@ def signal_set_delta(members, method: str = "direct") -> DeltaReport:
 
     best = -1
     found = []  # packed witness codes per block (see WitnessSequence), every |value| >= best
-    for lo, rows in _correlation_rows(members, method):
+    for lo, rows in _correlation_rows(members):
         top, codes = _block_codes(lo, rows, best, r)
         del rows  # else the block stays alive while the next one is computed
         if top > best:  # every earlier hit is at most the old best: none is kept

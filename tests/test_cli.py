@@ -26,6 +26,7 @@ from ilvseq import (
 from ilvseq import cli
 from ilvseq.cli import main
 from ilvseq.conditions import Condition
+from delta_oracle import reference_delta
 from test_conditions import _reference_report
 from test_search import _record_verdicts
 
@@ -179,7 +180,7 @@ def test_build_with_delta(capsys):
     assert len(results["delta"]["witnesses"]) == 80
     assert all(type(w["value"]) is int for w in results["delta"]["witnesses"])
     assert results["notes"] == []
-    # A v=11 Legendre set: the command's delta path gives the direct witnesses.
+    # A v=11 Legendre set: the command's delta gives the oracle's witnesses.
     a, b = gen_legendre(11), gen_legendre(11, 1)
     e = quadratic_shifts(11, 1, 3)
     code, out, err = run_cli(
@@ -187,11 +188,9 @@ def test_build_with_delta(capsys):
     )
     assert code == 0
     got = parse_report(out)["results"]["delta"]
-    want = signal_set_delta(build_signal_set(a, b, e).members, method="direct")
-    assert got["delta"] == want.delta
-    assert got["witnesses"] == [
-        {"i": w.i, "j": w.j, "tau": w.tau, "value": w.value} for w in want.witnesses
-    ]
+    delta, hits = reference_delta(build_signal_set(a, b, e).members)
+    assert got["delta"] == delta
+    assert got["witnesses"] == [dict(zip(("i", "j", "tau", "value"), hit)) for hit in hits]
 
 
 def test_build_refuses_non_two_level_base(capsys):
@@ -200,6 +199,38 @@ def test_build_refuses_non_two_level_base(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: base a fails the two-level autocorrelation test\n"
+
+
+def _run_module(*argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, stderr=subprocess.PIPE, text=True, timeout=120, **kwargs
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_full_disk_exits_2_with_an_error_line():
+    # The report's write fails (ENOSPC): an error: line and exit 2, and
+    # stdout is sent to devnull, so the flush at exit cannot fail again.
+    with open("/dev/full", "w") as full:
+        done = _run_module("-m", "ilvseq", "gen", "legendre", "--v", "7", stdout=full)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+def test_report_too_large_to_encode_exits_2():
+    # A MemoryError while the report is encoded, as json.dumps raised on a
+    # v = 127 set's witnesses: an error: line and exit 2, nothing on stdout.
+    script = (
+        "import json, sys\n"
+        "from ilvseq.cli import main\n"
+        "def exhausted(*args, **kwargs): raise MemoryError\n"
+        "json.dumps = exhausted\n"
+        "sys.exit(main(['gen', 'legendre', '--v', '7']))\n"
+    )
+    done = _run_module("-c", script, stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_build_accepts_b_equal_to_a(capsys):
@@ -497,11 +528,7 @@ def test_reproduce_json_output(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "ilvseq", "check", "--e", "0,0,1,0,6,3,5", "--cond", "B"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = _run_module("-m", "ilvseq", "check", "--e", "0,0,1,0,6,3,5", "--cond", "B", stdout=subprocess.PIPE)
     assert done.returncode == 0, done.stderr
     report = parse_report(done.stdout)
     assert report["command"] == "check" and report["results"]["verdict"] is True

@@ -33,6 +33,7 @@ from ilvseq import (
     signal_set_delta,
 )
 from ilvseq.cli import main
+from delta_oracle import reference_delta
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -162,11 +163,13 @@ def test_delta_single_two_level_member():
 
 
 def test_delta_direct_and_fast_agree():
+    # method is accepted for the bench and selects nothing: both values give
+    # the oracle's report.
     members = [A7, B7, left_shift(A7, 3)]
-    base = signal_set_delta(members)
-    fast = signal_set_delta(members, method="fast")
-    assert fast.delta == base.delta
-    assert fast.witnesses == base.witnesses
+    delta, hits = reference_delta(members)
+    for method in ("direct", "fast"):
+        report = signal_set_delta(members, method=method)
+        assert report.delta == delta and report.witnesses == tuple(hits)
 
 
 def test_delta_invariant_under_common_shift():
@@ -195,29 +198,14 @@ def test_delta_validation():
         signal_set_delta([PeriodicSequence(2, (1,))])
 
 
-def reference_delta(members):
-    """Per-pair cross_correlation scan: (delta, [(i, j, tau, value)]), exactly."""
-    scans = []
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            cells = [(t, c) for t, c in enumerate(cross_correlation(a, b).values) if i != j or t]
-            if cells:
-                top = max(abs(c) for _, c in cells)
-                scans.append((i, j, top, [(t, c) for t, c in cells if abs(c) == top]))
-    delta = max(top for _, _, top, _ in scans)
-    hits = [(i, j, t, c) for i, j, _, cells in scans for t, c in cells if abs(c) == delta]
-    return delta, hits
-
-
 def assert_engine_matches_reference(members):
     delta, hits = reference_delta(members)
-    for method in ("direct", "fast"):
-        report = signal_set_delta(members, method=method)
-        assert type(report.delta) is int and report.delta == delta
-        assert [(w.i, w.j, w.tau, w.value) for w in report.witnesses] == hits
-        assert (np.diff(report.witnesses.code) > 0).all()  # sorted, each code once
-        assert all(column.dtype == np.int64 for column in report.witnesses.columns())
-        assert all(type(w.value) is int for w in report.witnesses)
+    report = signal_set_delta(members)
+    assert type(report.delta) is int and report.delta == delta
+    assert [(w.i, w.j, w.tau, w.value) for w in report.witnesses] == hits
+    assert (np.diff(report.witnesses.code) > 0).all()  # sorted, each code once
+    assert all(column.dtype == np.int64 for column in report.witnesses.columns())
+    assert all(type(w.value) is int for w in report.witnesses)
 
 
 def test_engine_matches_reference_on_v7_a_vectors():
@@ -263,10 +251,9 @@ DEFAULT_BLOCK_VALUES = correlation._BLOCK_VALUES
 @example([A7, B7, left_shift(A7, 3)])  # an odd period
 def test_engine_matches_reference_binary(members):
     # Default blocks hold a whole small set, so nothing is mirrored, and the
-    # direct path takes all n offsets in one slab; blocks of one member fill
-    # in every pair (i, j) with j < i from its mirror (j, i), in slabs of one
-    # offset at a bound of 1 and of three offsets, not dividing n unless 3 | n,
-    # at a bound of 3n.
+    # engine reads the circulants; blocks of one member, at a bound of 1 or
+    # 3n, fill in every pair (i, j) with j < i from its mirror (j, i), and
+    # read the transform (or the column identity, where the list decomposes).
     n = members[0].period
     for block_values in (DEFAULT_BLOCK_VALUES, 1, 3 * n):
         with pytest.MonkeyPatch.context() as patch:
@@ -274,15 +261,27 @@ def test_engine_matches_reference_binary(members):
             assert_engine_matches_reference(members)
 
 
-def witnesses_from_profiles(members, delta):
-    """Every admissible (i, j, tau, value) with |value| = delta, pair by pair."""
-    return tuple(
-        Witness(i, j, tau, c)
-        for i, a in enumerate(members)
-        for j, b in enumerate(members)
-        for tau, c in enumerate(cross_correlation(a, b).values)
-        if (i != j or tau) and abs(c) == delta
-    )
+def test_reference_delta_is_the_cross_correlation_scan():
+    # The oracle against cross_correlation on every ordered pair of the
+    # worked set: the whole set, and each pair of its members alone.
+    profiles = [[cross_correlation(a, b).values for b in WORKED_SET] for a in WORKED_SET]
+
+    def scan(labels):
+        cells = [
+            (i, j, tau, c)
+            for i, a in enumerate(labels)
+            for j, b in enumerate(labels)
+            for tau, c in enumerate(profiles[a][b])
+            if i != j or tau
+        ]
+        delta = max(abs(c) for *_, c in cells)
+        return delta, [cell for cell in cells if abs(cell[3]) == delta]
+
+    want = scan(range(8))
+    assert want[0] == 17 and reference_delta(WORKED_SET) == want
+    for a in range(8):
+        for b in range(a + 1, 8):
+            assert reference_delta([WORKED_SET[a], WORKED_SET[b]]) == scan([a, b])
 
 
 def assert_same_witnesses(got, want):
@@ -297,11 +296,9 @@ WORKED_SET = build_signal_set(A7, B7, ShiftSequence((0, 0, 1, 0, 6, 3, 5))).memb
 
 
 @pytest.mark.parametrize("members", [WORKED_SET], ids=["p2-worked"])
-@pytest.mark.parametrize("method", ["direct", "fast"])
-def test_witness_sequence_reads_as_the_tuple(members, method):
-    report = signal_set_delta(members, method=method)
-    seq = report.witnesses
-    want = witnesses_from_profiles(members, report.delta)
+def test_witness_sequence_reads_as_the_tuple(members):
+    seq = signal_set_delta(members).witnesses
+    want = tuple(Witness(*hit) for hit in reference_delta(members)[1])
     assert len(seq) == len(want) == 80 and seq
     assert (np.diff(seq.code) > 0).all()  # one block: sorted, each code once
     assert_same_witnesses(seq, want)
@@ -323,15 +320,15 @@ def test_witness_sequence_reads_as_the_tuple(members, method):
 
 
 def test_witness_sequences_compare_by_columns():
-    direct = signal_set_delta(WORKED_SET)
-    fast = signal_set_delta(WORKED_SET, method="fast")
-    assert direct.witnesses == fast.witnesses and direct == fast
-    assert hash(direct) == hash(fast)
-    assert direct.witnesses != fast.witnesses[:-1]
+    # Two reports of one set, each over its own code array.
+    report, again = signal_set_delta(WORKED_SET), signal_set_delta(WORKED_SET)
+    assert report.witnesses == again.witnesses and report == again
+    assert hash(report) == hash(again)
+    assert report.witnesses != again.witnesses[:-1]
     # Reordering the members relabels i and j: same delta and count, other columns.
     relabelled = signal_set_delta(WORKED_SET[::-1])
-    assert relabelled.delta == direct.delta and len(relabelled.witnesses) == 80
-    assert relabelled.witnesses != direct.witnesses
+    assert relabelled.delta == report.delta and len(relabelled.witnesses) == 80
+    assert relabelled.witnesses != report.witnesses
 
 
 def test_witness_sequences_compare_decoded_columns_across_shapes():
@@ -368,11 +365,11 @@ def test_delta_report_holds_witnesses_as_arrays():
     mseq = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 0, 0, 0)))
     rev = PeriodicSequence(2, mseq.values[::-1])
     members = build_signal_set(mseq, rev, quadratic_shifts(31, 1, 3)).members
-    signal_set_delta(members, method="fast")  # let numpy's lazy set-up finish
+    signal_set_delta(members)  # let numpy's lazy set-up finish
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = signal_set_delta(members, method="fast")
+        report = signal_set_delta(members)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -390,44 +387,29 @@ BINARY_SET_5 = [
 ]
 
 
-def witness_columns(members, method, block_values, monkeypatch):
-    """(delta, columns, spans): spans lists the offsets of each direct slab."""
-    spans = []
-    matmul = np.matmul
-
-    def counting(a, b, *args, **kwargs):
-        spans.append(b.shape[-1])
-        return matmul(a, b, *args, **kwargs)
-
+def witness_columns(members, block_values, monkeypatch):
+    """(delta, columns) of the members' delta under the given block bound."""
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", block_values)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(correlation.np, "matmul", counting)
-        report = signal_set_delta(members, method=method)
-    w = report.witnesses
-    return report.delta, (w.i, w.j, w.tau, w.value), spans
+    report = signal_set_delta(members)
+    return report.delta, report.witnesses.columns()
 
 
 @pytest.mark.parametrize("members", [WORKED_SET, BINARY_SET_5], ids=["p2-worked", "p2-five"])
-@pytest.mark.parametrize("method", ["direct", "fast"])
-def test_block_boundaries_do_not_move_witnesses(members, method, monkeypatch):
-    # The block bound also bounds the direct path's slabs of offsets: one
-    # member per block and one offset per slab; one member per block in slabs
-    # of three offsets, which divide neither n = 49 nor n = 8; uneven blocks
-    # of three; and the whole set in one block and all n offsets in one slab.
+def test_block_boundaries_do_not_move_witnesses(members, monkeypatch):
+    # One member per block at bounds 1 and 3n; uneven blocks of three; and
+    # the whole set in one block. Split, the worked set reads the column
+    # identity and the five members the transform; whole, both read the
+    # circulants.
     r, n = len(members), members[0].period
     sizes = (1, 3 * n, 3 * r * n, 1 << 30)
-    runs = [witness_columns(members, method, size, monkeypatch) for size in sizes]
-    if method == "direct":
-        assert set(runs[0][2]) == {1} and len(runs[0][2]) == r * n
-        assert set(runs[1][2]) == {3, n % 3} and n % 3
-        assert runs[3][2] == [n]
-    for delta, columns, _ in runs:
+    runs = [witness_columns(members, size, monkeypatch) for size in sizes]
+    for delta, columns in runs:
         assert type(delta) is int and all(column.dtype == np.int64 for column in columns)
-    for delta, columns, _ in runs[1:]:
+    for delta, columns in runs[1:]:
         assert delta == runs[0][0]
         assert all(map(np.array_equal, columns, runs[0][1]))
     want_delta, hits = reference_delta(members)
-    delta, columns, _ = runs[0]
+    delta, columns = runs[0]
     assert delta == want_delta
     assert list(zip(*(column.tolist() for column in columns))) == hits
     if members is BINARY_SET_5:
@@ -458,17 +440,18 @@ def _random_interleaved(v, r, seed):
     [
         _random_members(3, 1, 1),  # period 1: each circulant is one value
         _random_members(1, 8, 2),  # a single member
-        # r*n = 2^15 - 2: blocks of 2^15 // (r*n) = 1 member, slabs of 2 offsets,
-        # the last one short; r*n = 2^15 + 2: blocks of max(1, 0) = 1 member,
-        # slabs of 1 offset. Either way the second member is read off its mirror.
+        # r*n = 2^15 - 2: blocks of 2^15 // (r*n) = 1 member; r*n = 2^15 + 2:
+        # blocks of max(1, 0) = 1 member. Either way the transform reads the
+        # pair, and the second member is read off its mirror.
         _random_members(2, DEFAULT_BLOCK_VALUES // 2 - 1, 3),
         _random_members(2, DEFAULT_BLOCK_VALUES // 2 + 1, 4),
     ],
     ids=["n1", "one-member", "rn-below-block", "rn-above-block"],
 )
 def test_direct_path_edge_shapes(members):
-    # The circulant view at its edge shapes, against the cross_correlation
-    # reference; the caller's members are read, never written.
+    # The engine at its edge shapes, against the oracle: a circulant of one
+    # value, a single member's circulants, and block bounds met within two
+    # values. The caller's members are read, never written.
     before = [m.values for m in members]
     assert_engine_matches_reference(members)
     assert [m.values for m in members] == before
@@ -482,15 +465,14 @@ def test_block_scan_drops_hits_of_earlier_blocks(monkeypatch):
     assert signal_set_delta(members[:3]).delta < 7
     want = [Witness(3, 3, tau, 7) for tau in range(1, 7)]
     assert reference_delta(members) == (7, [tuple(w) for w in want])
-    for method in ("direct", "fast"):
-        for size in (1, 3 * 4 * 7, 1 << 30):
-            monkeypatch.setattr(correlation, "_BLOCK_VALUES", size)
-            report = signal_set_delta(members, method=method)
-            assert report.delta == 7 and list(report.witnesses) == want
+    for size in (1, 3 * 4 * 7, 1 << 30):
+        monkeypatch.setattr(correlation, "_BLOCK_VALUES", size)
+        report = signal_set_delta(members)
+        assert report.delta == 7 and list(report.witnesses) == want
 
 
 def inverse_rows(members, name):
-    """Pair rows that one fast delta hands to the inverse transform np.fft.<name>."""
+    """Pair rows that one delta hands to the inverse transform np.fft.<name>."""
     inverse = getattr(np.fft, name)
     rows = []
 
@@ -500,7 +482,7 @@ def inverse_rows(members, name):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlation.np.fft, name, counting)
-        signal_set_delta(members, method="fast")
+        signal_set_delta(members)
     return sum(rows)
 
 
@@ -526,7 +508,7 @@ def flip_one_bit(members, m=-1, index=0):
 
 
 def fast_route(members):
-    """The row sources, by name, that one fast delta of the members reads."""
+    """The row sources, by name, that one delta of the members reads."""
     called = []
 
     def spy(name):
@@ -541,7 +523,7 @@ def fast_route(members):
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_direct_rows", "_identity_rows", "_transform_rows"):
             patch.setattr(correlation, name, spy(name))
-        signal_set_delta(members, method="fast")
+        signal_set_delta(members)
     return called
 
 
@@ -566,7 +548,7 @@ def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
     assert inverse_rows(flip_one_bit(members), "irfft") == r * (r + 1) // 2 == 528
     # The interleaved set itself reads the column identity: no transform.
     assert inverse_rows(members, "irfft") == 0
-    # The worked set's circulants fit one slab: one matmul, no transform.
+    # The worked set's circulants fit one block's bound: one matmul, no transform.
     assert fast_route(WORKED_SET) == ["_direct_rows"]
     assert inverse_rows(WORKED_SET, "irfft") == 0
     # One block holds the flipped v = 11 set, and every ordered pair is computed.
@@ -589,7 +571,7 @@ def test_transform_residue_is_checked_on_every_block(monkeypatch):
 
     monkeypatch.setattr(correlation.np.fft, "irfft", skewed)
     with pytest.raises(RuntimeError, match="transform residue"):
-        signal_set_delta(flip_one_bit(WORKED_SET), method="fast")
+        signal_set_delta(flip_one_bit(WORKED_SET))
 
 
 @st.composite
@@ -611,9 +593,8 @@ def interleaved_lists(draw):
 def test_column_identity_matches_reference(case):
     # Any alpha, e and signs, two-level or not, in blocks of step < r
     # members: a list of more than sqrt(v) members reads the column
-    # identity, with no inverse transform, and matches the pair-by-pair
-    # cross_correlation scan exactly.
-    # Where n <= r (v <= 2) a block's circulants fit one slab, and the fast
+    # identity, with no inverse transform, and matches the oracle exactly.
+    # Where n <= r (v <= 2) a block's circulants fit the block bound, and the
     # delta reads them instead; where r^2 <= v it reads the transform. On
     # every draw the identity's rows are held to the circulants' below.
     members, step = case
@@ -640,10 +621,6 @@ def test_one_bit_from_interleaved_takes_the_transform(m, index, monkeypatch):
     assert correlation._interleaved_parts(members) is None
     assert inverse_rows(members, "irfft") == 8 * 9 // 2
     assert_engine_matches_reference(members)
-    # Above the float32 bound an interleaved list takes the transform too.
-    assert inverse_rows(WORKED_SET, "irfft") == 0
-    monkeypatch.setattr(correlation, "_FLOAT32_EXACT", 48)
-    assert inverse_rows(WORKED_SET, "irfft") == 8 * 9 // 2
 
 
 V59_LEGENDRE = (gen_legendre(59, 0), gen_legendre(59, 1), quadratic_shifts(59, 1, 3))
@@ -655,16 +632,14 @@ def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
     # witness code, equal the transform's.
     members = build_signal_set(*abe).members
     step = 1
-    identity = list(correlation._correlation_rows(members, "fast"))
+    identity = list(correlation._correlation_rows(members))
     assert [lo for lo, _ in identity] == list(range(len(members)))
     for (lo, rows), (_, rows_t) in zip(identity, correlation._transform_rows(members, step)):
         assert rows.dtype == np.float32 and np.array_equal(by_offset(rows), by_offset(rows_t))
     del identity
-    report = signal_set_delta(members, method="fast")
-    monkeypatch.setattr(
-        correlation, "_correlation_rows", lambda members, method: correlation._transform_rows(members, step)
-    )
-    transform = signal_set_delta(members, method="fast")
+    report = signal_set_delta(members)
+    monkeypatch.setattr(correlation, "_correlation_rows", lambda members: correlation._transform_rows(members, step))
+    transform = signal_set_delta(members)
     assert report.delta == transform.delta and len(report.witnesses) > 0
     assert np.array_equal(report.witnesses.code, transform.witnesses.code)
 
@@ -675,7 +650,7 @@ V3_SET = build_signal_set(gen_legendre(3, 0), gen_legendre(3, 1), quadratic_shif
 @pytest.mark.parametrize(
     "members, route",
     [
-        # A pair's circulants, 2 n^2 values, fill one slab exactly at n = 128.
+        # A pair's circulants, 2 n^2 values, fill the block bound exactly at n = 128.
         (_random_members(2, 128, 5), "_direct_rows"),
         (_random_members(2, 129, 6), "_transform_rows"),
         (V3_SET, "_direct_rows"),
@@ -715,7 +690,7 @@ def test_more_than_sqrt_v_interleaved_members_take_the_identity(members):
 
 
 def test_row_sources_give_equal_rows_and_codes(monkeypatch):
-    # Each source on its own, whatever the fast delta would pick: the worked
+    # Each source on its own, whatever the engine would pick: the worked
     # set and seeded v = 7 A and B-not-A sets, in one block and in uneven
     # blocks of three, some pairs read off their mirrors.
     a_vectors = backtrack(SearchSpec(7, "A", limit=1000, strategy="backtrack")).witnesses
@@ -736,8 +711,8 @@ def test_row_sources_give_equal_rows_and_codes(monkeypatch):
                 assert all(np.array_equal(by_offset(got), by_offset(want)) for (_, got), (_, want) in zip(rows, direct))
             reports = []
             for source in sources:
-                monkeypatch.setattr(correlation, "_correlation_rows", lambda members, method, rows=source: rows())
-                reports.append(signal_set_delta(members, method="fast"))
+                monkeypatch.setattr(correlation, "_correlation_rows", lambda members, rows=source: rows())
+                reports.append(signal_set_delta(members))
             first = reports[0]
             assert len(first.witnesses) > 0
             for report in reports[1:]:
@@ -745,30 +720,20 @@ def test_row_sources_give_equal_rows_and_codes(monkeypatch):
                 assert np.array_equal(report.witnesses.code, first.witnesses.code)
 
 
-def test_direct_path_refuses_periods_float32_cannot_sum_exactly(monkeypatch):
+def test_interleaved_list_above_the_float32_bound_reads_the_transform(monkeypatch):
     # float32 holds every integer up to 2^24, and 2^24 + 1 is the first it rounds.
     assert correlation._FLOAT32_EXACT == 1 << 24
     assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
-    # A lowered bound stands in for period 2^24: no test builds a member that long.
-    want_delta, hits = reference_delta(WORKED_SET)
-    monkeypatch.setattr(correlation, "_FLOAT32_EXACT", 49)
-    assert signal_set_delta(WORKED_SET).delta == want_delta  # period 49 is within
-    monkeypatch.setattr(correlation, "_FLOAT32_EXACT", 48)
-    with pytest.raises(ValueError, match=r'up to period 48 \(2\^24\), not 49; use method="fast"'):
-        signal_set_delta(WORKED_SET)
-    report = signal_set_delta(WORKED_SET, method="fast")
-    assert report.delta == want_delta and list(report.witnesses) == hits
-    # The refusal comes before the members are lifted: at v=31 the lifted rows
-    # alone take 123 kB, and the refusal allocates a small fraction of that.
-    members = build_signal_set(*V31_QUADRATIC).members
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"2\^24"):
-            signal_set_delta(members)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 1024
+    # A lowered bound stands in for period 2^24: no test builds a member that
+    # long. Each float32 source reads its set up to the bound, and the
+    # transform one period above it.
+    for members, route in [(WORKED_SET, "_direct_rows"), (V11_LEGENDRE, "_identity_rows")]:
+        n = members[0].period
+        monkeypatch.setattr(correlation, "_FLOAT32_EXACT", n)
+        assert fast_route(members) == [route]
+        monkeypatch.setattr(correlation, "_FLOAT32_EXACT", n - 1)
+        assert fast_route(members) == ["_transform_rows"]
+        assert_engine_matches_reference(members)
 
 
 @pytest.mark.parametrize("block_values", [DEFAULT_BLOCK_VALUES, 1])

@@ -39,6 +39,7 @@ from ilvseq import (
 from ilvseq import interleaving
 from ilvseq.conditions import Condition, _count_table
 from ilvseq.interleaving import _extension
+from delta_oracle import reference_delta
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -566,20 +567,26 @@ def test_twisted_rotation_entries():
         assert twisted_rotation(once, -k) == e
 
 
-def assert_rotation_maps_the_set(a, b, e, method="direct"):
+def assert_rotation_maps_the_set(a, b, e, oracle=True):
     # Each step of the proof, exactly: the members, the delta, the witnesses.
+    # The original set's witnesses come from the oracle, or from the engine
+    # on the Legendre sets at v = 31 and 59, too large for the oracle here.
     pi = np.array([0] + [1 + (j + 1) % e.v for j in range(e.v)])  # pi(1+j) = 1 + (j+1 mod v)
     original = build_signal_set(a, b, e)
     rotated = build_signal_set(a, b, twisted_rotation(e))
     for m, member in enumerate(original.members):
         assert rotated.members[pi[m]] == left_shift(member, 1)
-    want = signal_set_delta(original.members, method)
-    got = signal_set_delta(rotated.members, method)
-    assert got.delta == want.delta
-    w = want.witnesses
-    i, j = pi[w.i], pi[w.j]
-    order = np.lexsort((w.tau, j, i))  # pi reorders (i, j): sort the image again
-    mapped = (i[order], j[order], w.tau[order], w.value[order])
+    if oracle:
+        delta, hits = reference_delta(original.members)
+        i, j, tau, value = np.array(hits, np.int64).T
+    else:
+        want = signal_set_delta(original.members)
+        delta, (i, j, tau, value) = want.delta, want.witnesses.columns()
+    got = signal_set_delta(rotated.members)
+    assert got.delta == delta
+    i, j = pi[i], pi[j]
+    order = np.lexsort((tau, j, i))  # pi reorders (i, j): sort the image again
+    mapped = (i[order], j[order], tau[order], value[order])
     columns = (got.witnesses.i, got.witnesses.j, got.witnesses.tau, got.witnesses.value)
     assert all(map(np.array_equal, columns, mapped))
     return got
@@ -598,8 +605,7 @@ def test_twisted_rotation_maps_seeded_v7_sets():
     for _ in range(24):
         a, b = (rng.choice(TWO_LEVEL[7]) for _ in "ab")
         e = ShiftSequence(tuple(rng.randrange(7) for _ in range(7)))
-        for method in ("direct", "fast"):
-            assert_rotation_maps_the_set(a, b, e, method)
+        assert_rotation_maps_the_set(a, b, e)
 
 
 @pytest.mark.parametrize("v, count", [(31, 35840), (59, 470400)])
@@ -610,7 +616,7 @@ def test_twisted_rotation_of_legendre_sets(v, count):
     rows = np.array([e.entries, twisted_rotation(e).entries])
     assert CONDITIONS["A"].holds_rows(rows).tolist() == [True, False]
     assert CONDITIONS["B"].holds_rows(rows).tolist() == [True, True]
-    got = assert_rotation_maps_the_set(gen_legendre(v, 0), gen_legendre(v, 1), e, "fast")
+    got = assert_rotation_maps_the_set(gen_legendre(v, 0), gen_legendre(v, 1), e, oracle=False)
     assert got.delta == 2 * v + 3 and len(got.witnesses) == count
 
 

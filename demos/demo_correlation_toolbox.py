@@ -2,8 +2,8 @@
 Exact periodic correlation and signal-set delta
 ===============================================
 
-Shows the two correlation paths (direct summation and the transform-based
-one), their exact agreement on binary inputs, and the delta sweep that
+Shows the two correlation paths (direct summation and the delta engine's
+rows, here the circulant matmul), their exact agreement on binary inputs, and the delta sweep that
 grades a whole family of sequences at once.
 """
 
@@ -23,10 +23,11 @@ b = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
 direct = cross_correlation(a, b)
 print("direct profile: ", direct.values)
 
-# The transform path computes the same profile through FFTs and rounds the
-# result back to integers; it is bit-identical to the direct path.
+# The fast path reads the delta engine's rows: at this period one float32
+# circulant matmul, past period 128 a transform rounded back to integers.
+# Either way it is bit-identical to the direct path.
 fast = fast_cross_correlation(a, b)
-print("transform path: ", fast.values)
+print("fast path:      ", fast.values)
 print("identical:", fast.values == direct.values)
 
 # Correlation profiles index cyclically, like the sequences themselves.

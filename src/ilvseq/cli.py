@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     corr.add_argument("--a", required=True)
     corr.add_argument("--b")
     corr.add_argument("--auto", action="store_true", help="correlate --a against itself")
-    corr.add_argument("--fast", action="store_true", help="transform-based path")
+    corr.add_argument("--fast", action="store_true", help="the delta engine's rows")
 
     build = command(sub, "build", _cmd_build, "construct the v+1 member signal set")
     build.add_argument("--a", required=True, help="two-level base, period v >= 3")

@@ -13,25 +13,24 @@ three row sources (``_correlation_rows``):
   sum an integer of size at most the period n, and float32 holds every
   integer up to 2^24 exactly, so the sum is exact in any order BLAS takes,
   with or without fused multiply-add.
-* column identity: a list of period n = v^2 whose every column (entries
-  i*v + j) is a shift of one base alpha, complemented or not, as every
-  member of an interleaved signal set is, has each correlation as a signed
-  sum of v values of C_alpha at the shift differences. The members'
-  decomposition is read off their bytes, and a block is one batched float32
-  matmul against the one shared table K of those values. The block's signs
-  fold into the members' operand, w*v^2 values a block member for w members
-  against v^3 for a copy of K: over blocks of one member no more while
-  r < 2v. Each partial sum is an integer of size at most v^2 = n, exact in
-  float32 under the same 2^24 bound.
+* column identity: every member of a signal set built from (a, b, e) has
+  column j (entries i*v + j) equal to sigma_m(j) L^(e_j)(a), so each
+  correlation is a signed sum of v values of C_a at the shift differences.
+  The built set's members carry their (a, b, e), and a block is one batched
+  float32 matmul against the one shared table K of those values. The
+  block's signs fold into the members' operand, w*v^2 values a block member
+  for w members against v^3 for a copy of K: over blocks of one member no
+  more while r < 2v. Each partial sum is an integer of size at most
+  v^2 = n, exact in float32 under the same 2^24 bound.
 * transform: one real float64 transform per member and one batched inverse
   per block, rounded back under a residue guard.
 
 Every source yields its blocks laid out [h, s, k, q], tau = q*m + s, with
 m = v for the column identity (its matmul's own output) and m = 1 for the
-others. The engine picks by cost: the circulants when one block's fit
-_BLOCK_VALUES (the built sets at v = 3 and 7, pairs up to period 128), else
-the column identity when the list decomposes, n <= 2^24 and it has more
-than sqrt(v) members (every built set from v = 11 on), else the transform.
+others. The engine reads the circulants when one block's fit _BLOCK_VALUES
+(the built sets at v = 3 and 7, pairs up to period 128), else the column
+identity for the members of a built set with n <= 2^24 (every built set
+from v = 11 on), else the transform.
 The one scan reads each block in its memory order, as floats, and keeps
 each maximizer as one int64 code, its position and sign, decoded through
 the block's layout; delta restores its value, and the witness columns are
@@ -40,7 +39,6 @@ decoded from the codes when they are read.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -100,9 +98,8 @@ def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> Correlat
     """Correlation profile from the delta engine's rows; agrees with cross_correlation.
 
     A pair up to period 128 takes the circulant matmul, exact in float32;
-    a longer one the source _correlation_rows picks, most often the
-    transform, rounded back to exact integers, where a transform residue
-    above 1e-6 raises RuntimeError instead of rounding.
+    a longer one the transform, rounded back to exact integers, where a
+    residue above 1e-6 raises RuntimeError instead of rounding.
     """
     _, rows = next(_correlation_rows([a, b]))
     return CorrelationProfile(tuple(_by_offset(rows)[0, 1].astype(np.int64).tolist()))
@@ -228,21 +225,14 @@ def _correlation_rows(members):
     and a pair against a member of an earlier block is left to its mirror
     (see _block_codes). A signal set from v = 31 on has r*n above
     _BLOCK_VALUES: one member per block. The rows are floats holding exact
-    integers, from the cheapest source for the list's shape:
+    integers, from one of three sources:
 
     * the circulants (_direct_rows) when one block's c*n^2 values fit
       _BLOCK_VALUES (the built sets at v = 3 and 7, pairs up to period 128):
       one matmul per block, cheaper there than the others' set-up;
-    * else the column identity (_identity_rows), one batched float32 matmul
-      per block, for a list of more than sqrt(v) members (r^2 > v, with
-      v = sqrt(n)) that decomposes as interleaved, as every built set's
-      v + 1 do. Its set-up writes the v^3-value table K once, and each pair
-      costs v^3 multiply-adds in BLAS; the transform costs about n log n a
-      pair and little set-up. So the identity gains with r: forced either
-      way, it overtook the transform from r = 3 or 4 members at v = 23..91,
-      from 8 at v = 128 and from about v/2 at v <= 16. r^2 > v lies between:
-      a pair at v >= 91 keeps the transform (0.26-0.57x of the identity's
-      time), and so do four members (0.67x at v = 128, 1.1x at v = 91);
+    * else, for the members of a built set, the column identity
+      (_identity_rows), one batched float32 matmul per block, fed from the
+      set's (a, b, e) by the members' column_parts;
     * else one real float64 transform per member and one batched inverse per
       block, rounded under a residue guard (_transform_rows).
 
@@ -254,8 +244,8 @@ def _correlation_rows(members):
     exact = n <= _FLOAT32_EXACT
     if exact and min(step, r) * n * n <= _BLOCK_VALUES:
         return _direct_rows(members, step)
-    parts = exact and r * r > math.isqrt(n) and _interleaved_parts(members)
-    return _identity_rows(*parts, step) if parts else _transform_rows(members, step)
+    built = exact and getattr(members, "column_parts", None)
+    return _identity_rows(*built(), step) if built else _transform_rows(members, step)
 
 
 def _by_offset(rows) -> np.ndarray:
@@ -300,47 +290,6 @@ def _transform_rows(members, step: int):
         if np.abs(raw, out=raw).max() > 1e-6:
             raise RuntimeError("transform residue too large to round safely")
         yield lo, rounded[:, None]
-
-
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements bytes of bits
-
-
-def _interleaved_parts(members):
-    """(alpha, ext, sigma) of an interleaved member list, or None.
-
-    The r members have period n = v^2, and column j of member m (its entries
-    at i*v + j) is sigma_m(j) L^(e_j)(alpha): alpha, column 0 of member 0,
-    read from index e_j on, complemented where sigma_m(j) = -1. alpha is a
-    uint8 array of v bits, ext the int64 extension (e_0, ..., e_(v-1),
-    e_0 + 1, ..., e_(v-1) + 1) mod v, sigma a float32 (r, v) array of +-1.
-    Each column is looked up among alpha's v shifts and their complements.
-    A periodic alpha or a column that is both a shift and a complemented
-    shift has several decompositions; any one is exact.
-    """
-    n = members[0].period
-    v = math.isqrt(n)
-    if v * v != n:
-        return None
-    table = np.frombuffer(b"".join([m.value_bytes for m in members]), np.uint8)
-    table = table.reshape(len(members), v, v)
-    first = table[0]
-    doubled = first[:, 0].tobytes() * 2
-    lookup = {}
-    for k in range(v):
-        shifted = doubled[k : k + v]
-        lookup.setdefault(shifted, (k, 0))
-        lookup.setdefault(shifted.translate(_FLIP), (k, 1))
-    columns = first.T.tobytes()
-    parts = [lookup.get(columns[j * v : (j + 1) * v]) for j in range(v)]
-    if None in parts:
-        return None
-    # Member m less member 0 must be constant down every column.
-    flips = table ^ first
-    if not (flips == flips[:, :1]).all():
-        return None
-    e, flipped = np.array(parts, np.int64).T
-    sigma = 1 - 2 * (flips[:, 0] ^ flipped).astype(np.float32)
-    return first[:, 0], np.concatenate([e, (e + 1) % v]), sigma
 
 
 def _identity_rows(alpha, ext, sigma, step: int):
@@ -418,16 +367,19 @@ def _block_codes(lo, rows, best: int, r: int):
 def signal_set_delta(members, method: str = "fast") -> DeltaReport:
     """Delta of a signal set: max |correlation| over ordered pairs and offsets.
 
-    The rows come from the circulants, the column identity or the
-    transform, whichever _correlation_rows finds cheapest for the list's
-    shape; every source feeds one scan and gives the same exact delta,
-    witness positions and values. The scan ends with one packed int64 code
-    per maximizer (see WitnessSequence). ``method`` selects nothing: it is
-    kept only because bench/workloads.py passes it, as SearchSpec keeps
+    The rows come from the circulants when a block's fit _BLOCK_VALUES,
+    else from the column identity when ``members`` is a built set's
+    ``SignalSet.members`` (it carries the set's (a, b, e); a slice, list or
+    copy of it does not), else from the transform (see _correlation_rows).
+    Every source feeds one scan and gives the same exact delta, witness
+    positions and values. The scan ends with one packed int64 code per
+    maximizer (see WitnessSequence). ``method`` selects nothing: it is kept
+    only because bench/workloads.py passes it, as SearchSpec keeps
     ``normalize`` for bench/spans.py, and it still accepts only "direct"
     and "fast" (anything else is a ValueError).
     """
-    members = list(members)
+    if not isinstance(members, tuple):  # a tuple is kept: a built set's carries (a, b, e)
+        members = list(members)
     if not members:
         raise ValueError("signal set must not be empty")
     v = members[0].period

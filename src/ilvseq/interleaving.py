@@ -8,8 +8,10 @@ vector wrap with a +1 twist: entry v+j equals entry j plus one (mod v).
 
 Every correlation of a binary signal set is a signed sum of the base
 autocorrelation C_a taken at shift differences of e (``column_correlations``).
-The sum is computed by one batched float32 kernel in ``correlation``, the one
-the fast delta reads for interleaved member lists that span several blocks.
+The sum is computed by one batched float32 kernel in ``correlation``, fed
+from (a, b, e) by ``_column_parts``. The delta of a built set's members
+reads the same kernel from v = 11 on: ``SignalSet.members`` carries the
+set's (a, b, e).
 """
 
 from __future__ import annotations
@@ -189,6 +191,19 @@ def recover_shifts(u: PeriodicSequence, a: PeriodicSequence, t_cols: int) -> Shi
     return ShiftSequence(tuple(entries))
 
 
+class _Members(tuple):
+    """``SignalSet.members`` of ``build_signal_set(a, b, e)``, carrying (a, b, e).
+
+    Equality, hashing and repr are the tuple's; a slice, list() or tuple()
+    of it is plain again. signal_set_delta reads the column identity of a
+    set only from this tuple.
+    """
+
+    def column_parts(self):
+        """(alpha, ext, sigma) of the set, for correlation._identity_rows."""
+        return _column_parts(*self.construction)
+
+
 @dataclass(frozen=True)
 class SignalSet:
     """An interleaved base u and its v offset companions u + L^j(b)."""
@@ -255,8 +270,23 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     # Each member keeps its row of the table's bytes as its cached bytes.
     data, n = table.tobytes(), v * v
     rows = [data[start : start + n] for start in range(0, len(data), n)]
-    members = map(PeriodicSequence._valid, map(tuple, table.tolist()), rows)
-    return SignalSet(a, b, e, tuple(members))
+    members = _Members(map(PeriodicSequence._valid, map(tuple, table.tolist()), rows))
+    members.construction = (a, b, e)
+    return SignalSet(a, b, e, members)
+
+
+def _column_parts(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence):
+    """(alpha, ext, sigma) of build_signal_set(a, b, e), the operands of _identity_rows.
+
+    alpha is a's uint8 bits, ext the int64 extension E(0), ..., E(2v-1) of
+    e, and sigma the float32 (v+1, v) signs: sigma_0 = 1 and
+    sigma_(1+k)(j) = (-1)^b_((j+k) mod v).
+    """
+    v = a.period
+    plus = np.arange(v)[:, None] + np.arange(v)  # plus[k, j] = j + k
+    sigma = np.ones((v + 1, v), np.float32)
+    sigma[1:] -= 2 * np.frombuffer(b.value_bytes, np.uint8)[plus % v]
+    return np.frombuffer(a.value_bytes, np.uint8), np.array(_extension(e)), sigma
 
 
 def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> np.ndarray:
@@ -271,13 +301,10 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     sigma_(1+k)(j) = (-1)^b_((j+k) mod v): column j of member 1+k is column j
     of member 0 plus the constant b_((j+k) mod v). Computed as one batched
     float32 matmul over s against the table K[s, j, r] = C_a(E(j+s) - e_j + r)
-    (``correlation._identity_rows``, the kernel the fast delta reads): every
-    partial sum is an integer of size at most v^2, exact while v^2 <= 2^24.
+    (``correlation._identity_rows`` on ``_column_parts(a, b, e)``, which the
+    delta of the built set's members reads too): every partial sum is an
+    integer of size at most v^2, exact while v^2 <= 2^24.
     """
     v = _check_construction(a, b, e)
-    plus = np.arange(v)[:, None] + np.arange(v)  # plus[k, j] = j + k
-    sigma = np.ones((v + 1, v), np.float32)
-    sigma[1:] -= 2 * np.frombuffer(b.value_bytes, np.uint8)[plus % v]
-    alpha = np.frombuffer(a.value_bytes, np.uint8)
-    ((_, rows),) = _identity_rows(alpha, np.array(_extension(e)), sigma, v + 1)
+    ((_, rows),) = _identity_rows(*_column_parts(a, b, e), v + 1)
     return _by_offset(rows).astype(np.int64)

@@ -252,7 +252,7 @@ def test_criterion_10_fast_path_equals_naive():
             if fast_cross_correlation(a, b).values != cross_correlation(a, b).values:
                 ok = False
             compared += 1
-    detail = f"transform path identical to direct summation on {compared} random pairs"
+    detail = f"fast path identical to direct summation on {compared} random pairs"
     assert verdict(10, ok, detail)
 
 

@@ -1,7 +1,7 @@
 """Tests for correlation profiles, two-level detection, and delta sweeps."""
 
+import dataclasses
 import hashlib
-import math
 import random
 import tracemalloc
 from functools import partial
@@ -253,7 +253,7 @@ def test_engine_matches_reference_binary(members):
     # Default blocks hold a whole small set, so nothing is mirrored, and the
     # engine reads the circulants; blocks of one member, at a bound of 1 or
     # 3n, fill in every pair (i, j) with j < i from its mirror (j, i), and
-    # read the transform (or the column identity, where the list decomposes).
+    # read the transform.
     n = members[0].period
     for block_values in (DEFAULT_BLOCK_VALUES, 1, 3 * n):
         with pytest.MonkeyPatch.context() as patch:
@@ -527,16 +527,22 @@ def fast_route(members):
     return called
 
 
-V11_LEGENDRE = build_signal_set(gen_legendre(11, 0), gen_legendre(11, 1), quadratic_shifts(11, 1, 3)).members
+V11_ABE = (gen_legendre(11, 0), gen_legendre(11, 1), quadratic_shifts(11, 1, 3))
+V11_LEGENDRE = build_signal_set(*V11_ABE).members
 
 
-def test_engine_matches_reference_on_members_and_complements():
-    # 24 members of period 121 in blocks of 11: the first block's member
-    # operand is 24 members wide, more than v = 11, and the later blocks
-    # read earlier pairs off their mirrors.
+def test_engine_matches_reference_on_members_and_complements(monkeypatch):
+    # 24 members of period 121, a plain list: it reads the transform. Read
+    # by the column identity in blocks of 11, with the complements' signs
+    # negated, the first block's member operand is 24 members wide, more
+    # than 2v = 22, and the later blocks read earlier pairs off their mirrors.
     complements = [PeriodicSequence(2, tuple(1 - x for x in m.values)) for m in V11_LEGENDRE]
     members = list(V11_LEGENDRE) + complements
-    assert fast_route(members) == ["_identity_rows"]
+    assert fast_route(members) == ["_transform_rows"]
+    assert_engine_matches_reference(members)
+    alpha, ext, sigma = V11_LEGENDRE.column_parts()
+    identity = partial(correlation._identity_rows, alpha, ext, np.concatenate([sigma, -sigma]), 11)
+    monkeypatch.setattr(correlation, "_correlation_rows", lambda members: identity())
     assert_engine_matches_reference(members)
 
 
@@ -561,7 +567,7 @@ def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
 
 def test_transform_residue_is_checked_on_every_block(monkeypatch):
     # Only the last block, the last member against itself alone, is skewed.
-    # The flipped bit keeps the list off the column identity.
+    # The flipped list is plain, so it reads the transform.
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
     irfft = np.fft.irfft
 
@@ -576,7 +582,7 @@ def test_transform_residue_is_checked_on_every_block(monkeypatch):
 
 @st.composite
 def interleaved_lists(draw):
-    """(members, step): r members whose column j is alpha from e_j on,
+    """(alpha, e, flips, step): r members whose column j is alpha from e_j on,
     complemented where flips[m][j], and a block size that splits them."""
     v = draw(st.integers(1, 9))
     alpha = draw(st.lists(st.integers(0, 1), min_size=v, max_size=v))
@@ -584,41 +590,41 @@ def interleaved_lists(draw):
     r = draw(st.integers(2, 5))
     # Member 0's columns are complemented too, column 0 among them.
     flips = draw(st.lists(st.lists(st.integers(0, 1), min_size=v, max_size=v), min_size=r, max_size=r))
-    return interleaved_members(alpha, e, flips), draw(st.integers(1, r - 1))
+    return alpha, e, flips, draw(st.integers(1, r - 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(interleaved_lists())
-@example(([PeriodicSequence(2, (1, 0, 1, 0) * 4)] * 3, 1))  # a periodic alpha
+@example(([1, 1, 1, 1], [0, 0, 0, 0], [[0, 1, 0, 1]] * 3, 1))  # a periodic alpha: members (1, 0, 1, 0) * 4
 def test_column_identity_matches_reference(case):
     # Any alpha, e and signs, two-level or not, in blocks of step < r
-    # members: a list of more than sqrt(v) members reads the column
-    # identity, with no inverse transform, and matches the oracle exactly.
-    # Where n <= r (v <= 2) a block's circulants fit the block bound, and the
-    # delta reads them instead; where r^2 <= v it reads the transform. On
-    # every draw the identity's rows are held to the circulants' below.
-    members, step = case
-    r, n = len(members), members[0].period
-    route = "_direct_rows" if n <= r else "_identity_rows" if r * r > math.isqrt(n) else "_transform_rows"
+    # members: the column identity's rows, fed the draw's own (alpha, ext,
+    # sigma), equal the circulants' block by block. As a plain list the
+    # members read the circulants where n <= r (v <= 2, a block's
+    # circulants fit the block bound), else the transform, and match the
+    # oracle exactly.
+    alpha, e, flips, step = case
+    members = interleaved_members(alpha, e, flips)
+    r, n, v = len(members), members[0].period, len(alpha)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlation, "_BLOCK_VALUES", step * r * n)
-        assert fast_route(members) == [route]
-        if route != "_transform_rows":
-            assert inverse_rows(members, "irfft") == 0
+        assert fast_route(members) == ["_direct_rows" if n <= r else "_transform_rows"]
         assert_engine_matches_reference(members)
-    parts = correlation._interleaved_parts(members)
-    identity = correlation._identity_rows(*parts, step)
+    ext = np.array(e + [(x + 1) % v for x in e])
+    sigma = 1 - 2 * np.array(flips, np.float32)
+    identity = correlation._identity_rows(np.array(alpha, np.uint8), ext, sigma, step)
     for (lo, rows), (lo_d, rows_d) in zip(identity, correlation._direct_rows(members, step), strict=True):
         assert lo == lo_d and np.array_equal(by_offset(rows), by_offset(rows_d))
 
 
 @pytest.mark.parametrize("m, index", [(0, 0), (0, 9), (-1, 48)], ids=["alpha", "member-0", "last"])
 def test_one_bit_from_interleaved_takes_the_transform(m, index, monkeypatch):
-    # A bit flipped in column 0 or 2 of member 0 or in the last member's
-    # last column: no decomposition exists, and every pair is transformed.
+    # One member per block, the worked set reads its column identity. A bit
+    # flipped in column 0 or 2 of member 0 or in the last member's last
+    # column leaves a plain list, and every pair is transformed.
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
+    assert fast_route(WORKED_SET) == ["_identity_rows"]
     members = flip_one_bit(WORKED_SET, m, index)
-    assert correlation._interleaved_parts(members) is None
     assert inverse_rows(members, "irfft") == 8 * 9 // 2
     assert_engine_matches_reference(members)
 
@@ -662,6 +668,8 @@ V3_SET = build_signal_set(gen_legendre(3, 0), gen_legendre(3, 1), quadratic_shif
     ids=["pair-128", "pair-129", "v3", "v7-worked", "v11", "v11-flipped", "v31"],
 )
 def test_fast_delta_picks_its_row_source_by_cost(members, route):
+    # The circulants where a block's fit the block bound; past it a built
+    # set's members read the column identity, and a plain list the transform.
     assert fast_route(members) == [route]
     assert_engine_matches_reference(members)
 
@@ -672,21 +680,32 @@ def test_fast_delta_picks_its_row_source_by_cost(members, route):
     ids=["v11-three", "v16-pair", "v91-pair", "v91-four"],
 )
 def test_at_most_sqrt_v_interleaved_members_keep_the_transform(members):
-    # Each decomposes, and has r^2 <= v members; the v = 91 lists span
-    # one block a member.
-    assert correlation._interleaved_parts(members) is not None
+    # Interleaved lists of r^2 <= v members, the v = 91 ones one block a
+    # member: like every plain list past the circulants' bound, whatever its
+    # shape, they read the transform.
     assert fast_route(members) == ["_transform_rows"]
     assert_engine_matches_reference(members)
 
 
-@pytest.mark.parametrize(
-    "members",
-    [V11_LEGENDRE[:11], _random_interleaved(31, 16, 10), _random_interleaved(31, 31, 11)],
-    ids=["v11-one-block", "v31-sixteen", "v31-thirty-one"],
-)
-def test_more_than_sqrt_v_interleaved_members_take_the_identity(members):
-    assert fast_route(members) == ["_identity_rows"]
-    assert_engine_matches_reference(members)
+@pytest.mark.parametrize("abe", [V11_ABE, V31_QUADRATIC], ids=["v11", "v31"])
+def test_plain_copies_of_a_built_set_read_the_transform(abe):
+    # Only the built set's own members tuple carries (a, b, e). A list, a
+    # tuple, a whole slice and the members of a dataclasses.replace copy are
+    # plain, read the transform, and give the set's exact report.
+    ss = build_signal_set(*abe)
+    report = signal_set_delta(ss.members)
+    copies = [
+        list(ss.members),
+        tuple(ss.members),
+        ss.members[:],
+        dataclasses.replace(ss, members=list(ss.members)).members,
+    ]
+    for members in copies:
+        assert fast_route(members) == ["_transform_rows"]
+        again = signal_set_delta(members)
+        assert again.delta == report.delta and np.array_equal(again.witnesses.code, report.witnesses.code)
+    # A replace that keeps the members keeps their (a, b, e).
+    assert fast_route(dataclasses.replace(ss, e=ss.e).members) == ["_identity_rows"]
 
 
 def test_row_sources_give_equal_rows_and_codes(monkeypatch):
@@ -698,7 +717,7 @@ def test_row_sources_give_equal_rows_and_codes(monkeypatch):
     rng = random.Random(39)
     vectors = rng.sample(a_vectors, 6) + rng.sample(b_not_a, 6)
     for members in [WORKED_SET] + [build_signal_set(A7, B7, e).members for e in vectors]:
-        parts = correlation._interleaved_parts(members)
+        parts = members.column_parts()
         for step in (len(members), 3):
             sources = [
                 partial(correlation._direct_rows, members, step),

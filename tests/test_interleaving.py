@@ -225,6 +225,18 @@ def test_build_signal_set_shape():
         assert ss.members[1 + j].values == expected
 
 
+def test_built_members_read_as_a_plain_tuple():
+    # The members carry (a, b, e) for the delta, and otherwise are the tuple.
+    ss = build_signal_set(A7, B7, E7)
+    plain = tuple(ss.members)
+    assert type(plain) is tuple and type(ss.members[:]) is tuple
+    assert ss.members == plain and plain == ss.members and hash(ss.members) == hash(plain)
+    assert repr(ss.members) == repr(plain) and str(ss.members) == str(plain)
+    copy = dataclasses.replace(ss, members=plain)
+    assert ss == copy and copy == ss and hash(ss) == hash(copy) and repr(ss) == repr(copy)
+    assert ss.members + () == plain and type(ss.members + ()) is tuple
+
+
 def test_build_signal_set_validation():
     # A ternary base never reaches the construction: it is refused when built.
     with pytest.raises(ValueError, match="binary"):

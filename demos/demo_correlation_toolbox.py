@@ -3,8 +3,8 @@ Exact periodic correlation and signal-set delta
 ===============================================
 
 Shows the two correlation paths (direct summation and the delta engine's
-rows, here the circulant matmul), their exact agreement on binary inputs, and the delta sweep that
-grades a whole family of sequences at once.
+rows, for a pair the transform), their exact agreement on binary inputs,
+and the delta sweep that grades a whole family of sequences at once.
 """
 
 from ilvseq import (
@@ -23,9 +23,9 @@ b = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
 direct = cross_correlation(a, b)
 print("direct profile: ", direct.values)
 
-# The fast path reads the delta engine's rows: at this period one float32
-# circulant matmul, past period 128 a transform rounded back to integers.
-# Either way it is bit-identical to the direct path.
+# The fast path reads the delta engine's rows: a pair is a plain list, so
+# one float64 transform per sequence and one inverse, rounded back to
+# integers under a residue guard. It is bit-identical to the direct path.
 fast = fast_cross_correlation(a, b)
 print("fast path:      ", fast.values)
 print("identical:", fast.values == direct.values)

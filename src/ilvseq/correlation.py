@@ -6,31 +6,24 @@ The construction is binary, and so is every ``PeriodicSequence``: it refuses
 any other modulus when it is built, so this module never checks the alphabet.
 Every value, delta and witness is an exact integer.
 The delta engine computes in floats without giving that up, from one of
-three row sources (``_correlation_rows``):
+two row sources (``_correlation_rows``), chosen by what the list is:
 
-* circulant: the rows against the circulants of a block's members, one
-  float32 matrix product per block. Every product is +-1 and every partial
-  sum an integer of size at most the period n, and float32 holds every
-  integer up to 2^24 exactly, so the sum is exact in any order BLAS takes,
-  with or without fused multiply-add.
-* column identity: every member of a signal set built from (a, b, e) has
-  column j (entries i*v + j) equal to sigma_m(j) L^(e_j)(a), so each
-  correlation is a signed sum of v values of C_a at the shift differences.
-  The built set's members carry their (a, b, e), and a block is one batched
-  float32 matmul against the one shared table K of those values. The
-  block's signs fold into the members' operand, w*v^2 values a block member
-  for w members against v^3 for a copy of K: over blocks of one member no
-  more while r < 2v. Each partial sum is an integer of size at most
-  v^2 = n, exact in float32 under the same 2^24 bound.
-* transform: one real float64 transform per member and one batched inverse
-  per block, rounded back under a residue guard.
+* column identity, for the members of a built set (``SignalSet.members``
+  carries its (a, b, e)) of period n <= 2^24: every member has column j
+  (entries i*v + j) equal to sigma_m(j) L^(e_j)(a), so each correlation is
+  a signed sum of v values of C_a at the shift differences. A block is one
+  batched float32 matmul against the one table K of those values, its
+  signs folded into the members' operand. Each product is +-1 times a
+  value of C_a and each partial sum an integer of size at most v^2 = n,
+  and float32 holds every integer up to 2^24 exactly, so the sum is exact
+  in any order BLAS takes, with or without fused multiply-add. The
+  operands that depend on the bases alone come from one builder, kept per
+  (a, b) for a set that one block holds (every built set up to v = 12).
+* transform, for every other list: one real float64 transform per member
+  and one batched inverse per block, rounded back under a residue guard.
 
-Every source yields its blocks laid out [h, s, k, q], tau = q*m + s, with
-m = v for the column identity (its matmul's own output) and m = 1 for the
-others. The engine reads the circulants when one block's fit _BLOCK_VALUES
-(the built sets at v = 3 and 7, pairs up to period 128), else the column
-identity for the members of a built set with n <= 2^24 (every built set
-from v = 11 on), else the transform.
+The identity's blocks are its matmul's own output, laid out [h, s, k, q]
+with tau = q*v + s; the transform's are [h, 0, k, tau].
 The one scan reads each block in its memory order, as floats, and keeps
 each maximizer as one int64 code, its position and sign, decoded through
 the block's layout; delta restores its value, and the witness columns are
@@ -42,24 +35,25 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .sequences import PeriodicSequence, _same_shape
+from .sequences import PeriodicSequence, _doubled, _same_shape
 
 #: Most correlation values in one block of the delta scan: a block holds
 #: max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, so a small set
 #: is scanned in a few numpy calls and a set with r*n above it (v >= 31) one
-#: member at a time. A block of rows stays near 128 kB (float32) or 256 kB
-#: (float64, transform). A list reads the circulants only when one block's
-#: c*n^2 circulant values fit in as many values.
+#: member at a time. A block of rows stays near 128 kB (float32, identity)
+#: or 256 kB (float64, transform).
 _BLOCK_VALUES = 1 << 15
 
-#: Longest period the float32 sources sum: float32 holds every integer up to
-#: 2^24 exactly, and no partial sum of n products of +-1 exceeds n in size.
-#: A longer list reads the transform.
+#: Longest period the column identity sums in float32: float32 holds every
+#: integer up to 2^24 exactly, and no partial sum of a correlation of
+#: period n exceeds n in size. A longer set reads the transform.
 _FLOAT32_EXACT = 1 << 24
 
 
@@ -97,9 +91,8 @@ def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationPr
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
     """Correlation profile from the delta engine's rows; agrees with cross_correlation.
 
-    A pair up to period 128 takes the circulant matmul, exact in float32;
-    a longer one the transform, rounded back to exact integers, where a
-    residue above 1e-6 raises RuntimeError instead of rounding.
+    A pair reads the transform, rounded back to exact integers; a residue
+    above 1e-6 raises RuntimeError instead of rounding.
     """
     _, rows = next(_correlation_rows([a, b]))
     return CorrelationProfile(tuple(_by_offset(rows)[0, 1].astype(np.int64).tolist()))
@@ -219,33 +212,27 @@ def _correlation_rows(members):
     Its rows start at column lo and are laid out [h, s, k, q]: rows[h, s, k, q]
     is the correlation of member lo+h against member lo+k at offset
     tau = q*m + s, with m = rows.shape[1]. The column identity's blocks are
-    its matmul's output, m = v; the other sources have m = 1, [h, 0, k, tau].
+    its matmul's output, m = v; the transform's have m = 1, [h, 0, k, tau].
     signal_set_delta scans a block in this memory order, and _by_offset
     brings one to [h, k, tau]. At most c x r x n values are alive at a time,
     and a pair against a member of an earlier block is left to its mirror
     (see _block_codes). A signal set from v = 31 on has r*n above
     _BLOCK_VALUES: one member per block. The rows are floats holding exact
-    integers, from one of three sources:
+    integers, from one of two sources, by what the list is:
 
-    * the circulants (_direct_rows) when one block's c*n^2 values fit
-      _BLOCK_VALUES (the built sets at v = 3 and 7, pairs up to period 128):
-      one matmul per block, cheaper there than the others' set-up;
-    * else, for the members of a built set, the column identity
-      (_identity_rows), one batched float32 matmul per block, fed from the
-      set's (a, b, e) by the members' column_parts;
-    * else one real float64 transform per member and one batched inverse per
-      block, rounded under a residue guard (_transform_rows).
-
-    Both float32 sources need n <= _FLOAT32_EXACT; above it every list
-    takes the transform.
+    * a list that carries its construction (a built set's members, with
+      their (a, b, e)) of period n <= _FLOAT32_EXACT reads the column
+      identity (_construction_rows), one batched float32 matmul per block;
+    * every other list reads one real float64 transform per member and one
+      batched inverse per block, rounded under a residue guard
+      (_transform_rows).
     """
     r, n = len(members), members[0].period
     step = max(1, _BLOCK_VALUES // (r * n))
-    exact = n <= _FLOAT32_EXACT
-    if exact and min(step, r) * n * n <= _BLOCK_VALUES:
-        return _direct_rows(members, step)
-    built = exact and getattr(members, "column_parts", None)
-    return _identity_rows(*built(), step) if built else _transform_rows(members, step)
+    construction = getattr(members, "construction", None)
+    if construction and n <= _FLOAT32_EXACT:
+        return _construction_rows(*construction, step)
+    return _transform_rows(members, step)
 
 
 def _by_offset(rows) -> np.ndarray:
@@ -255,28 +242,6 @@ def _by_offset(rows) -> np.ndarray:
     """
     c, _, w, _ = rows.shape
     return rows.transpose(0, 2, 3, 1).reshape(c, w, -1)
-
-
-def _direct_rows(members, step: int):
-    """Yield (lo, rows) of the members against their circulants, step members a block.
-
-    circ[h, tau, k] = x[h, (k - tau) mod n] is one read-only np.ndarray over
-    the float32 +-1 rows doubled, strides (row, -col, col); each block's c
-    circulants are copied, c*n^2 values, and the rows x[lo:] multiplied by
-    them in one np.matmul. Each product is +-1 and each partial sum an
-    integer of size at most n, exact in float32 in any BLAS order while
-    n <= _FLOAT32_EXACT.
-    """
-    r, n = len(members), members[0].period
-    x = _lift(members, np.float32)
-    doubled = np.concatenate([x, x], axis=1)
-    row, col = doubled.strides
-    # circ[j, tau, k] = doubled[j, n + k - tau]: a view, copied a block at a time.
-    circ = np.ndarray((r, n, n), np.float32, doubled, n * col, (row, -col, col))
-    circ.flags.writeable = False
-    for lo in range(0, r, step):
-        block = circ[lo : lo + step].copy()
-        yield lo, np.matmul(x[lo:], block.transpose(0, 2, 1))[:, None]
 
 
 def _transform_rows(members, step: int):
@@ -292,39 +257,96 @@ def _transform_rows(members, step: int):
         yield lo, rounded[:, None]
 
 
-def _identity_rows(alpha, ext, sigma, step: int):
+def _extension(e) -> tuple[int, ...]:
+    # E(0), ..., E(2v-1) of a finite shift vector e: E(j) = e_j, E(v+j) = e_j + 1 mod v.
+    if not e.is_finite:
+        raise ValueError("shift vector must be finite (no INFINITY entries)")
+    v = e.v
+    return e.entries + tuple([(x + 1) % v for x in e.entries])
+
+
+def _construction_rows(a, b, e, step: int):
+    """The column identity's (lo, rows) of build_signal_set(a, b, e)'s members.
+
+    A set that one block holds (every built set up to v = 12, its step then
+    at least v+1) reads its operands from _set_operands, kept per (a, b):
+    there they cost as much as the block's matmul. A larger set builds them.
+    """
+    v = a.period
+    one_block = (v + 1) ** 2 * v * v <= _BLOCK_VALUES
+    operands = _set_operands(a, b) if one_block else _identity_operands(*_base_parts(a, b), step)
+    return _identity_rows(*operands, np.array(_extension(e)), step)
+
+
+@lru_cache(maxsize=8)
+def _set_operands(a, b):
+    # The one-block operands of the sets on (a, b), read-only as every call
+    # shares them; at most about 100 kB each.
+    operands = _identity_operands(*_base_parts(a, b), a.period + 1)
+    for array in operands:
+        array.flags.writeable = False
+    return operands
+
+
+def _base_parts(a, b):
+    # (alpha, sigma) of build_signal_set(a, b, e): a's uint8 bits, and the
+    # float32 (v+1, v) signs sigma_0 = 1, sigma_(1+k)(j) = (-1)^b_((j+k) mod v),
+    # read at k + j from b's doubled bytes by a view of stride 1 in both axes.
+    v = a.period
+    sigma = np.ones((v + 1, v), np.float32)
+    sigma[1:] -= 2 * np.ndarray((v, v), np.uint8, _doubled(b), 0, (1, 1))
+    return np.frombuffer(a.value_bytes, np.uint8), sigma
+
+
+def _identity_operands(alpha, sigma, step: int):
+    """(circulant, sigma, shifted, folded): the operands of _identity_rows from the bases.
+
+    alpha is the base's bits and sigma the float32 (r, v) signs, a row a
+    member. circulant[d, q] = C_alpha(d + q) is the circulant of alpha's
+    autocorrelation, and shifted[s, k, j] = sigma_k((j+s) mod v) a view of
+    the v windows of each row of the signs doubled. When one block holds
+    all r members (step >= r), folded is their operand,
+    [h, s, k, j] = sigma_h(j) sigma_k((j+s) mod v); else it is None, and
+    each block is folded as it is read.
+    """
+    v = len(alpha)
+    wrapped = (np.arange(v)[:, None] + np.arange(v)) % v  # wrapped[s, j] = (j+s) mod v
+    x = 1 - 2 * alpha.astype(np.int64)
+    # c_alpha[d] = sum over i of x_(i+d) x_i; row d of its circulant starts at d.
+    circulant = (x[wrapped] @ x).astype(np.float32)[wrapped]
+    shifted = sliding_window_view(np.concatenate([sigma, sigma[:, :-1]], axis=1), v, axis=1).transpose(1, 0, 2)
+    folded = shifted * sigma[:, None, None, :] if step >= len(sigma) else None
+    return circulant, sigma, shifted, folded
+
+
+def _identity_rows(circulant, sigma, shifted, folded, ext, step: int):
     """Yield (lo, rows) of the members sigma_m(j) L^(e_j)(alpha), by the column identity.
 
     Column j of member h against column (j+s) mod v of member k, at offset
     tau = q*v + s, meets it q rows down, and one row further when j+s wraps:
     their products sum to sigma_h(j) sigma_k(j+s) C_alpha(E(j+s) - e_j + q),
-    with C_alpha the autocorrelation of alpha and E the extension of e
+    with C_alpha the autocorrelation of alpha and E = ext the extension of e
     (E(j) = e_j, E(v+j) = e_j + 1). So
 
         rows[h, s, k, q] = sum over j of sigma_h(j) sigma_k(j+s) K[s, j, q],
 
-    K[s, j, q] = C_alpha(E(j+s) - e_j + q): one batched np.matmul over h and
-    s per block of step members, against the one shared, read-only K. The
-    block's signs fold into the left operand, the members' signs at
+    K[s, j, q] = C_alpha(E(j+s) - e_j + q), row E(j+s) - e_j of the
+    circulant: one batched np.matmul over h and s per block of step members.
+    The block's signs fold into the left operand, the members' signs at
     (j+s) mod v: w*v^2 values a block member for the w = r - lo members from
     lo on, where folding them into K would write v^3. Over blocks of one
     member that is r(r+1)/2 * v^2 values against r*v^3, no more while r < 2v.
-    The block is the matmul's own output, [h, s, k, q] with tau = q*v + s,
-    the layout of _correlation_rows. Every partial sum is an integer of size
-    at most v^2 = n, so float32 is exact in any BLAS order while
-    n <= _FLOAT32_EXACT, as for the circulants.
+    A one-block set's operand comes folded (_identity_operands). The block
+    is the matmul's own output, [h, s, k, q] with tau = q*v + s, the layout
+    of _correlation_rows. Every partial sum is an integer of size at most
+    v^2 = n, so float32 is exact in any BLAS order while n <= _FLOAT32_EXACT.
     """
-    v = len(alpha)
-    j = np.arange(v)
-    plus = j[:, None] + j  # plus[s, j] = j + s
-    wrapped = plus % v
-    x = 1 - 2 * alpha.astype(np.int64)
-    c_alpha = x[wrapped] @ x  # c_alpha[d] = sum over i of x_(i+d) x_i
-    # K[s, j] is C_alpha from E(j+s) - e_j on: a row of its circulant.
-    kernel = c_alpha.astype(np.float32)[wrapped][(ext[plus] - ext[:v]) % v]
-    kernel.flags.writeable = False
-    # shifted[s, k, j] = sigma_k((j+s) mod v).
-    shifted = np.ascontiguousarray(sigma[:, wrapped].transpose(1, 0, 2))
+    v = len(circulant)
+    plus = np.arange(v)[:, None] + np.arange(v)  # plus[s, j] = j + s
+    kernel = circulant[(ext[plus] - ext[:v]) % v]
+    if folded is not None:
+        yield 0, folded @ kernel
+        return
     for lo in range(0, len(sigma), step):
         # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]
         yield lo, (shifted[:, lo:] * sigma[lo : lo + step, None, None, :]) @ kernel
@@ -367,16 +389,15 @@ def _block_codes(lo, rows, best: int, r: int):
 def signal_set_delta(members, method: str = "fast") -> DeltaReport:
     """Delta of a signal set: max |correlation| over ordered pairs and offsets.
 
-    The rows come from the circulants when a block's fit _BLOCK_VALUES,
-    else from the column identity when ``members`` is a built set's
-    ``SignalSet.members`` (it carries the set's (a, b, e); a slice, list or
-    copy of it does not), else from the transform (see _correlation_rows).
-    Every source feeds one scan and gives the same exact delta, witness
-    positions and values. The scan ends with one packed int64 code per
-    maximizer (see WitnessSequence). ``method`` selects nothing: it is kept
-    only because bench/workloads.py passes it, as SearchSpec keeps
-    ``normalize`` for bench/spans.py, and it still accepts only "direct"
-    and "fast" (anything else is a ValueError).
+    The rows come from the column identity when ``members`` is a built
+    set's ``SignalSet.members`` (it carries the set's (a, b, e); a slice,
+    list or copy of it does not), else from the transform (see
+    _correlation_rows). Both sources feed one scan and give the same exact
+    delta, witness positions and values. The scan ends with one packed
+    int64 code per maximizer (see WitnessSequence). ``method`` selects
+    nothing: it is kept only because bench/workloads.py passes it, as
+    SearchSpec keeps ``normalize`` for bench/spans.py, and it still accepts
+    only "direct" and "fast" (anything else is a ValueError).
     """
     if not isinstance(members, tuple):  # a tuple is kept: a built set's carries (a, b, e)
         members = list(members)

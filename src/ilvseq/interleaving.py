@@ -9,9 +9,8 @@ vector wrap with a +1 twist: entry v+j equals entry j plus one (mod v).
 Every correlation of a binary signal set is a signed sum of the base
 autocorrelation C_a taken at shift differences of e (``column_correlations``).
 The sum is computed by one batched float32 kernel in ``correlation``, fed
-from (a, b, e) by ``_column_parts``. The delta of a built set's members
-reads the same kernel from v = 11 on: ``SignalSet.members`` carries the
-set's (a, b, e).
+from (a, b, e). The delta of every built set's members reads the same
+kernel: ``SignalSet.members`` carries the set's (a, b, e).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlation import _by_offset, _identity_rows, is_two_level
+from .correlation import _by_offset, _construction_rows, is_two_level
 from .sequences import PeriodicSequence, _doubled, _integers, _same_shape, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
@@ -133,14 +132,6 @@ def extended_entry(e: ShiftSequence, k: int) -> int:
     return base if k < v else (base + 1) % v
 
 
-def _extension(e: ShiftSequence) -> tuple[int, ...]:
-    # E(0), ..., E(2v-1) of a finite e.
-    if not e.is_finite:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
-    v = e.v
-    return e.entries + tuple([(x + 1) % v for x in e.entries])
-
-
 def _interleaved(a: PeriodicSequence, shifts, out=None) -> np.ndarray:
     # The uint8 (s, t) array [i, j] = a_(shifts_j + i), shifts in [0, s): the
     # columns shifts of the view [i, k] = a_(i+k) over two periods of a's bytes.
@@ -196,12 +187,8 @@ class _Members(tuple):
 
     Equality, hashing and repr are the tuple's; a slice, list() or tuple()
     of it is plain again. signal_set_delta reads the column identity of a
-    set only from this tuple.
+    set only from this tuple's ``construction``.
     """
-
-    def column_parts(self):
-        """(alpha, ext, sigma) of the set, for correlation._identity_rows."""
-        return _column_parts(*self.construction)
 
 
 @dataclass(frozen=True)
@@ -275,20 +262,6 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     return SignalSet(a, b, e, members)
 
 
-def _column_parts(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence):
-    """(alpha, ext, sigma) of build_signal_set(a, b, e), the operands of _identity_rows.
-
-    alpha is a's uint8 bits, ext the int64 extension E(0), ..., E(2v-1) of
-    e, and sigma the float32 (v+1, v) signs: sigma_0 = 1 and
-    sigma_(1+k)(j) = (-1)^b_((j+k) mod v).
-    """
-    v = a.period
-    plus = np.arange(v)[:, None] + np.arange(v)  # plus[k, j] = j + k
-    sigma = np.ones((v + 1, v), np.float32)
-    sigma[1:] -= 2 * np.frombuffer(b.value_bytes, np.uint8)[plus % v]
-    return np.frombuffer(a.value_bytes, np.uint8), np.array(_extension(e)), sigma
-
-
 def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> np.ndarray:
     """Every correlation of ``build_signal_set(a, b, e)``, column by column.
 
@@ -301,10 +274,10 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     sigma_(1+k)(j) = (-1)^b_((j+k) mod v): column j of member 1+k is column j
     of member 0 plus the constant b_((j+k) mod v). Computed as one batched
     float32 matmul over s against the table K[s, j, r] = C_a(E(j+s) - e_j + r)
-    (``correlation._identity_rows`` on ``_column_parts(a, b, e)``, which the
-    delta of the built set's members reads too): every partial sum is an
-    integer of size at most v^2, exact while v^2 <= 2^24.
+    (``correlation._construction_rows``, which the delta of the built set's
+    members reads too): every partial sum is an integer of size at most
+    v^2, exact while v^2 <= 2^24.
     """
     v = _check_construction(a, b, e)
-    ((_, rows),) = _identity_rows(*_column_parts(a, b, e), v + 1)
+    ((_, rows),) = _construction_rows(a, b, e, v + 1)
     return _by_offset(rows).astype(np.int64)

@@ -235,7 +235,7 @@ def parse_sequence(text: str) -> PeriodicSequence:
         except ValueError:
             raise ValueError(f"bad bit in sequence text: {text!r}") from None
     else:
-        if not text.isdigit():
+        if not text.isdecimal():  # isdigit() also passes '²', which int() refuses
             raise ValueError(f"bad sequence text: {text!r}")
         values = tuple(int(ch) for ch in text)
     return PeriodicSequence(2, values)

@@ -85,6 +85,7 @@ def test_gen_bad_input_exits_2(capsys):
         ),
         (["gen", "mseq", "--degree", "3", "--poly", "1011", "--state", "10"], "state needs 3 bits, got 2"),
         (["correlate", "--a", "10x1", "--auto"], "bad sequence text: '10x1'"),
+        (["correlate", "--a", "10\u00b2", "--auto"], "bad sequence text: '10\u00b2'"),
         (["correlate", "--a", "1,0,x", "--auto"], "bad bit in sequence text: '1,0,x'"),
         (
             ["build", "--a", "1001110", "--b", "1001011", "--e", "0,0,1,0,6,3"],
@@ -108,6 +109,7 @@ def test_gen_bad_input_exits_2(capsys):
         "state-non-digit",
         "short-state",
         "bad-sequence-text",
+        "superscript-digit",
         "bad-comma-bit",
         "short-shift-vector",
         "sample-0",

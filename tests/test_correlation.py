@@ -21,6 +21,7 @@ from ilvseq import (
     autocorrelation,
     backtrack,
     build_signal_set,
+    column_correlations,
     correlation,
     cross_correlation,
     fast_cross_correlation,
@@ -33,7 +34,7 @@ from ilvseq import (
     signal_set_delta,
 )
 from ilvseq.cli import main
-from delta_oracle import reference_delta
+from delta_oracle import reference_delta, reference_grid
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -250,10 +251,9 @@ DEFAULT_BLOCK_VALUES = correlation._BLOCK_VALUES
 @example([parse_sequence("0101"), parse_sequence("1010")])
 @example([A7, B7, left_shift(A7, 3)])  # an odd period
 def test_engine_matches_reference_binary(members):
-    # Default blocks hold a whole small set, so nothing is mirrored, and the
-    # engine reads the circulants; blocks of one member, at a bound of 1 or
-    # 3n, fill in every pair (i, j) with j < i from its mirror (j, i), and
-    # read the transform.
+    # A plain list reads the transform. Default blocks hold a whole small
+    # set, so nothing is mirrored; blocks of one member, at a bound of 1 or
+    # 3n, fill in every pair (i, j) with j < i from its mirror (j, i).
     n = members[0].period
     for block_values in (DEFAULT_BLOCK_VALUES, 1, 3 * n):
         with pytest.MonkeyPatch.context() as patch:
@@ -292,7 +292,8 @@ def assert_same_witnesses(got, want):
         assert g == w
 
 
-WORKED_SET = build_signal_set(A7, B7, ShiftSequence((0, 0, 1, 0, 6, 3, 5))).members
+WORKED_ABE = (A7, B7, ShiftSequence((0, 0, 1, 0, 6, 3, 5)))
+WORKED_SET = build_signal_set(*WORKED_ABE).members
 
 
 @pytest.mark.parametrize("members", [WORKED_SET], ids=["p2-worked"])
@@ -397,9 +398,8 @@ def witness_columns(members, block_values, monkeypatch):
 @pytest.mark.parametrize("members", [WORKED_SET, BINARY_SET_5], ids=["p2-worked", "p2-five"])
 def test_block_boundaries_do_not_move_witnesses(members, monkeypatch):
     # One member per block at bounds 1 and 3n; uneven blocks of three; and
-    # the whole set in one block. Split, the worked set reads the column
-    # identity and the five members the transform; whole, both read the
-    # circulants.
+    # the whole set in one block. At every bound the worked set reads the
+    # column identity and the five members the transform.
     r, n = len(members), members[0].period
     sizes = (1, 3 * n, 3 * r * n, 1 << 30)
     runs = [witness_columns(members, size, monkeypatch) for size in sizes]
@@ -438,7 +438,7 @@ def _random_interleaved(v, r, seed):
 @pytest.mark.parametrize(
     "members",
     [
-        _random_members(3, 1, 1),  # period 1: each circulant is one value
+        _random_members(3, 1, 1),  # period 1: each row is one value
         _random_members(1, 8, 2),  # a single member
         # r*n = 2^15 - 2: blocks of 2^15 // (r*n) = 1 member; r*n = 2^15 + 2:
         # blocks of max(1, 0) = 1 member. Either way the transform reads the
@@ -449,9 +449,9 @@ def _random_interleaved(v, r, seed):
     ids=["n1", "one-member", "rn-below-block", "rn-above-block"],
 )
 def test_direct_path_edge_shapes(members):
-    # The engine at its edge shapes, against the oracle: a circulant of one
-    # value, a single member's circulants, and block bounds met within two
-    # values. The caller's members are read, never written.
+    # The engine at its edge shapes, against the oracle: a period of one
+    # value, a single member, and block bounds met within two values. The
+    # caller's members are read, never written.
     before = [m.values for m in members]
     assert_engine_matches_reference(members)
     assert [m.values for m in members] == before
@@ -484,6 +484,15 @@ def inverse_rows(members, name):
         patch.setattr(correlation.np.fft, name, counting)
         signal_set_delta(members)
     return sum(rows)
+
+
+def assert_rows_match_grid(blocks, grid, step):
+    """Each block (lo, rows) equals the oracle's grid[lo : lo+c, lo:], c = step or fewer."""
+    starts = []
+    for lo, rows in blocks:
+        starts.append(lo)
+        assert np.array_equal(by_offset(rows), grid[lo : lo + step, lo:])
+    assert starts == list(range(0, len(grid), step))
 
 
 def by_offset(rows):
@@ -521,7 +530,7 @@ def fast_route(members):
         return counting
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_direct_rows", "_identity_rows", "_transform_rows"):
+        for name in ("_identity_rows", "_transform_rows"):
             patch.setattr(correlation, name, spy(name))
         signal_set_delta(members)
     return called
@@ -540,8 +549,10 @@ def test_engine_matches_reference_on_members_and_complements(monkeypatch):
     members = list(V11_LEGENDRE) + complements
     assert fast_route(members) == ["_transform_rows"]
     assert_engine_matches_reference(members)
-    alpha, ext, sigma = V11_LEGENDRE.column_parts()
-    identity = partial(correlation._identity_rows, alpha, ext, np.concatenate([sigma, -sigma]), 11)
+    a, b, e = V11_ABE
+    alpha, sigma = correlation._base_parts(a, b)
+    operands = correlation._identity_operands(alpha, np.concatenate([sigma, -sigma]), 11)
+    identity = partial(correlation._identity_rows, *operands, np.array(correlation._extension(e)), 11)
     monkeypatch.setattr(correlation, "_correlation_rows", lambda members: identity())
     assert_engine_matches_reference(members)
 
@@ -554,8 +565,8 @@ def test_fast_path_transforms_each_binary_pair_once(monkeypatch):
     assert inverse_rows(flip_one_bit(members), "irfft") == r * (r + 1) // 2 == 528
     # The interleaved set itself reads the column identity: no transform.
     assert inverse_rows(members, "irfft") == 0
-    # The worked set's circulants fit one block's bound: one matmul, no transform.
-    assert fast_route(WORKED_SET) == ["_direct_rows"]
+    # The worked set, one block, reads its column identity too.
+    assert fast_route(WORKED_SET) == ["_identity_rows"]
     assert inverse_rows(WORKED_SET, "irfft") == 0
     # One block holds the flipped v = 11 set, and every ordered pair is computed.
     assert inverse_rows(flip_one_bit(V11_LEGENDRE), "irfft") == 12 * 12
@@ -597,31 +608,33 @@ def interleaved_lists(draw):
 @given(interleaved_lists())
 @example(([1, 1, 1, 1], [0, 0, 0, 0], [[0, 1, 0, 1]] * 3, 1))  # a periodic alpha: members (1, 0, 1, 0) * 4
 def test_column_identity_matches_reference(case):
-    # Any alpha, e and signs, two-level or not, in blocks of step < r
-    # members: the column identity's rows, fed the draw's own (alpha, ext,
-    # sigma), equal the circulants' block by block. As a plain list the
-    # members read the circulants where n <= r (v <= 2, a block's
-    # circulants fit the block bound), else the transform, and match the
-    # oracle exactly.
+    # Any alpha, e and signs, two-level or not: the column identity's rows,
+    # fed the draw's own (alpha, ext, sigma) through the uncached builder,
+    # equal the oracle's grid block by block, in blocks of step < r members
+    # and folded whole in one block. As a plain list the members read the
+    # transform and match the oracle exactly.
     alpha, e, flips, step = case
     members = interleaved_members(alpha, e, flips)
     r, n, v = len(members), members[0].period, len(alpha)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(correlation, "_BLOCK_VALUES", step * r * n)
-        assert fast_route(members) == ["_direct_rows" if n <= r else "_transform_rows"]
+        assert fast_route(members) == ["_transform_rows"]
         assert_engine_matches_reference(members)
     ext = np.array(e + [(x + 1) % v for x in e])
     sigma = 1 - 2 * np.array(flips, np.float32)
-    identity = correlation._identity_rows(np.array(alpha, np.uint8), ext, sigma, step)
-    for (lo, rows), (lo_d, rows_d) in zip(identity, correlation._direct_rows(members, step), strict=True):
-        assert lo == lo_d and np.array_equal(by_offset(rows), by_offset(rows_d))
+    grid = reference_grid(members)
+    for size in (step, r):
+        operands = correlation._identity_operands(np.array(alpha, np.uint8), sigma, size)
+        identity = correlation._identity_rows(*operands, ext, size)
+        assert_rows_match_grid(identity, grid, size)
 
 
 @pytest.mark.parametrize("m, index", [(0, 0), (0, 9), (-1, 48)], ids=["alpha", "member-0", "last"])
 def test_one_bit_from_interleaved_takes_the_transform(m, index, monkeypatch):
-    # One member per block, the worked set reads its column identity. A bit
-    # flipped in column 0 or 2 of member 0 or in the last member's last
-    # column leaves a plain list, and every pair is transformed.
+    # The worked set reads its column identity, in one block or one member
+    # per block. A bit flipped in column 0 or 2 of member 0 or in the last
+    # member's last column leaves a plain list, and every pair is transformed.
+    assert fast_route(WORKED_SET) == ["_identity_rows"]
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
     assert fast_route(WORKED_SET) == ["_identity_rows"]
     members = flip_one_bit(WORKED_SET, m, index)
@@ -650,17 +663,18 @@ def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
     assert np.array_equal(report.witnesses.code, transform.witnesses.code)
 
 
-V3_SET = build_signal_set(gen_legendre(3, 0), gen_legendre(3, 1), quadratic_shifts(3, 1, 1)).members
+V3_ABE = (gen_legendre(3, 0), gen_legendre(3, 1), quadratic_shifts(3, 1, 1))
+WORKED_SET_ON_LEGENDRE = build_signal_set(gen_legendre(7, 0), gen_legendre(7, 1), WORKED_ABE[2]).members
+V3_SET = build_signal_set(*V3_ABE).members
 
 
 @pytest.mark.parametrize(
     "members, route",
     [
-        # A pair's circulants, 2 n^2 values, fill the block bound exactly at n = 128.
-        (_random_members(2, 128, 5), "_direct_rows"),
+        (_random_members(2, 128, 5), "_transform_rows"),
         (_random_members(2, 129, 6), "_transform_rows"),
-        (V3_SET, "_direct_rows"),
-        (WORKED_SET, "_direct_rows"),
+        (V3_SET, "_identity_rows"),
+        (WORKED_SET, "_identity_rows"),
         (V11_LEGENDRE, "_identity_rows"),
         (flip_one_bit(V11_LEGENDRE), "_transform_rows"),
         (build_signal_set(*V31_QUADRATIC).members, "_identity_rows"),
@@ -668,8 +682,9 @@ V3_SET = build_signal_set(gen_legendre(3, 0), gen_legendre(3, 1), quadratic_shif
     ids=["pair-128", "pair-129", "v3", "v7-worked", "v11", "v11-flipped", "v31"],
 )
 def test_fast_delta_picks_its_row_source_by_cost(members, route):
-    # The circulants where a block's fit the block bound; past it a built
-    # set's members read the column identity, and a plain list the transform.
+    # By what the list is, whatever its size: a built set's members, in one
+    # block (v = 3, 7, 11) or many (v = 31), read the column identity, and a
+    # plain list, a pair of period 128 or a set one bit off, the transform.
     assert fast_route(members) == [route]
     assert_engine_matches_reference(members)
 
@@ -681,13 +696,13 @@ def test_fast_delta_picks_its_row_source_by_cost(members, route):
 )
 def test_at_most_sqrt_v_interleaved_members_keep_the_transform(members):
     # Interleaved lists of r^2 <= v members, the v = 91 ones one block a
-    # member: like every plain list past the circulants' bound, whatever its
-    # shape, they read the transform.
+    # member: like every plain list, whatever its shape, they read the
+    # transform.
     assert fast_route(members) == ["_transform_rows"]
     assert_engine_matches_reference(members)
 
 
-@pytest.mark.parametrize("abe", [V11_ABE, V31_QUADRATIC], ids=["v11", "v31"])
+@pytest.mark.parametrize("abe", [V3_ABE, WORKED_ABE, V11_ABE, V31_QUADRATIC], ids=["v3", "v7", "v11", "v31"])
 def test_plain_copies_of_a_built_set_read_the_transform(abe):
     # Only the built set's own members tuple carries (a, b, e). A list, a
     # tuple, a whole slice and the members of a dataclasses.replace copy are
@@ -708,35 +723,71 @@ def test_plain_copies_of_a_built_set_read_the_transform(abe):
     assert fast_route(dataclasses.replace(ss, e=ss.e).members) == ["_identity_rows"]
 
 
+def test_one_block_operands_are_kept_per_base_pair():
+    # A set that one block holds (v <= 12) reads identity operands kept per
+    # (a, b), read-only, which column_correlations shares; a larger set
+    # keeps none.
+    cache = correlation._set_operands
+    cache.cache_clear()
+    for e in (WORKED_ABE[2], quadratic_shifts(7, 1, 0)):
+        signal_set_delta(build_signal_set(A7, B7, e).members)
+    column_correlations(*WORKED_ABE)
+    assert cache.cache_info()[:2] == (2, 1)  # (hits, misses): one entry for three calls
+    operands = cache(A7, B7)
+    assert len(operands) == 4
+    for array in operands:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+    # Two base pairs at one v, read in turn, give what each gives from an
+    # empty cache, as in a fresh process, and what the oracle gives.
+    sets = [build_signal_set(A7, B7, WORKED_ABE[2]).members, WORKED_SET_ON_LEGENDRE]
+    fresh = []
+    for members in sets:
+        cache.cache_clear()
+        fresh.append(signal_set_delta(members))
+    for _ in range(2):
+        for members, want in zip(sets, fresh):
+            report = signal_set_delta(members)
+            assert report.delta == want.delta and np.array_equal(report.witnesses.code, want.witnesses.code)
+    assert cache.cache_info().currsize == 2
+    for members in sets:
+        assert_engine_matches_reference(members)
+    # v = 15, 16 members of period 225, reads its operands per call.
+    mseq = gen_mseq(LfsrSpec(4, tuple(int(c) for c in PRIMITIVE_POLYS[4]), (1, 0, 0, 0)))
+    members = build_signal_set(mseq, PeriodicSequence(2, mseq.values[::-1]), quadratic_shifts(15, 1, 3)).members
+    assert fast_route(members) == ["_identity_rows"]
+    assert cache.cache_info().currsize == 2
+
+
 def test_row_sources_give_equal_rows_and_codes(monkeypatch):
     # Each source on its own, whatever the engine would pick: the worked
     # set and seeded v = 7 A and B-not-A sets, in one block and in uneven
-    # blocks of three, some pairs read off their mirrors.
+    # blocks of three, some pairs read off their mirrors. Every block equals
+    # the oracle's grid, and both sources give one report.
     a_vectors = backtrack(SearchSpec(7, "A", limit=1000, strategy="backtrack")).witnesses
     b_not_a = backtrack(SearchSpec(7, "B-not-A", limit=1000, strategy="backtrack")).witnesses
     rng = random.Random(39)
     vectors = rng.sample(a_vectors, 6) + rng.sample(b_not_a, 6)
-    for members in [WORKED_SET] + [build_signal_set(A7, B7, e).members for e in vectors]:
-        parts = members.column_parts()
+    alpha, sigma = correlation._base_parts(A7, B7)
+    for e in [WORKED_ABE[2]] + vectors:
+        members = build_signal_set(A7, B7, e).members
+        grid = reference_grid(members)
+        ext = np.array(correlation._extension(e))
         for step in (len(members), 3):
+            operands = correlation._identity_operands(alpha, sigma, step)
             sources = [
-                partial(correlation._direct_rows, members, step),
-                partial(correlation._identity_rows, *parts, step),
+                partial(correlation._identity_rows, *operands, ext, step),
                 partial(correlation._transform_rows, members, step),
             ]
-            direct, *others = [list(source()) for source in sources]
-            for rows in others:
-                assert [lo for lo, _ in rows] == [lo for lo, _ in direct]
-                assert all(np.array_equal(by_offset(got), by_offset(want)) for (_, got), (_, want) in zip(rows, direct))
+            for source in sources:
+                assert_rows_match_grid(source(), grid, step)
             reports = []
             for source in sources:
                 monkeypatch.setattr(correlation, "_correlation_rows", lambda members, rows=source: rows())
                 reports.append(signal_set_delta(members))
-            first = reports[0]
-            assert len(first.witnesses) > 0
-            for report in reports[1:]:
-                assert report.delta == first.delta
-                assert np.array_equal(report.witnesses.code, first.witnesses.code)
+            identity, transform = reports
+            assert len(identity.witnesses) > 0 and transform.delta == identity.delta
+            assert np.array_equal(transform.witnesses.code, identity.witnesses.code)
 
 
 def test_interleaved_list_above_the_float32_bound_reads_the_transform(monkeypatch):
@@ -744,12 +795,12 @@ def test_interleaved_list_above_the_float32_bound_reads_the_transform(monkeypatc
     assert correlation._FLOAT32_EXACT == 1 << 24
     assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
     # A lowered bound stands in for period 2^24: no test builds a member that
-    # long. Each float32 source reads its set up to the bound, and the
+    # long. A built set reads its column identity up to the bound, and the
     # transform one period above it.
-    for members, route in [(WORKED_SET, "_direct_rows"), (V11_LEGENDRE, "_identity_rows")]:
+    for members in (WORKED_SET, V11_LEGENDRE):
         n = members[0].period
         monkeypatch.setattr(correlation, "_FLOAT32_EXACT", n)
-        assert fast_route(members) == [route]
+        assert fast_route(members) == ["_identity_rows"]
         monkeypatch.setattr(correlation, "_FLOAT32_EXACT", n - 1)
         assert fast_route(members) == ["_transform_rows"]
         assert_engine_matches_reference(members)

@@ -38,7 +38,7 @@ from ilvseq import (
 )
 from ilvseq import interleaving
 from ilvseq.conditions import Condition, _count_table
-from ilvseq.interleaving import _extension
+from ilvseq.correlation import _extension
 from delta_oracle import reference_delta
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))

@@ -36,11 +36,10 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .sequences import PeriodicSequence, _doubled, _same_shape
 
@@ -55,6 +54,8 @@ _BLOCK_VALUES = 1 << 15
 #: integer up to 2^24 exactly, and no partial sum of a correlation of
 #: period n exceeds n in size. A longer set reads the transform.
 _FLOAT32_EXACT = 1 << 24
+
+_SIGNS = np.array((1, -1), np.float32)  # (-1)^bit, indexed by bits
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,11 @@ def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationPr
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
     """Correlation profile from the delta engine's rows; agrees with cross_correlation.
 
-    A pair reads the transform, rounded back to exact integers; a residue
-    above 1e-6 raises RuntimeError instead of rounding.
+    The pair reads the transform, rounded back to exact integers; a residue
+    above 1e-6 raises RuntimeError instead of rounding. Its first block of
+    one member, a against a and b, is the only one computed: two inverses.
     """
-    _, rows = next(_correlation_rows([a, b]))
+    _, rows = next(_transform_rows([a, b], 1))
     return CorrelationProfile(tuple(_by_offset(rows)[0, 1].astype(np.int64).tolist()))
 
 
@@ -222,7 +224,9 @@ def _correlation_rows(members):
 
     * a list that carries its construction (a built set's members, with
       their (a, b, e)) of period n <= _FLOAT32_EXACT reads the column
-      identity (_construction_rows), one batched float32 matmul per block;
+      identity (_identity_rows), one batched float32 matmul per block. Its
+      operands come from _identity_operands; those of a set that one block
+      holds (c = r, every built set up to v = 12) are kept per (a, b).
     * every other list reads one real float64 transform per member and one
       batched inverse per block, rounded under a residue guard
       (_transform_rows).
@@ -231,7 +235,9 @@ def _correlation_rows(members):
     step = max(1, _BLOCK_VALUES // (r * n))
     construction = getattr(members, "construction", None)
     if construction and n <= _FLOAT32_EXACT:
-        return _construction_rows(*construction, step)
+        a, b, e = construction
+        operands = _set_operands(a, b) if step >= r else _identity_operands(*_base_parts(a, b), step)
+        return _identity_rows(*operands, e, step)
     return _transform_rows(members, step)
 
 
@@ -265,91 +271,77 @@ def _extension(e) -> tuple[int, ...]:
     return e.entries + tuple([(x + 1) % v for x in e.entries])
 
 
-def _construction_rows(a, b, e, step: int):
-    """The column identity's (lo, rows) of build_signal_set(a, b, e)'s members.
-
-    A set that one block holds (every built set up to v = 12, its step then
-    at least v+1) reads its operands from _set_operands, kept per (a, b):
-    there they cost as much as the block's matmul. A larger set builds them.
-    """
-    v = a.period
-    one_block = (v + 1) ** 2 * v * v <= _BLOCK_VALUES
-    operands = _set_operands(a, b) if one_block else _identity_operands(*_base_parts(a, b), step)
-    return _identity_rows(*operands, np.array(_extension(e)), step)
+def _windows(doubled: np.ndarray, v: int) -> np.ndarray:
+    # The (v, v) view [k, j] = doubled[..., j + k] of the last axis, of length 2v,
+    # of a C-contiguous array: the v windows of each row, in front of its rows.
+    *rows, col = doubled.strides
+    return np.ndarray((v, *doubled.shape[:-1], v), doubled.dtype, doubled, 0, (col, *rows, col))
 
 
 @lru_cache(maxsize=8)
 def _set_operands(a, b):
-    # The one-block operands of the sets on (a, b), read-only as every call
-    # shares them; at most about 100 kB each.
-    operands = _identity_operands(*_base_parts(a, b), a.period + 1)
-    for array in operands:
-        array.flags.writeable = False
-    return operands
+    # The operands of the sets on (a, b) that one block holds, read-only as
+    # every call shares them; at most about 100 kB each. They pay off only
+    # where calls repeat (a, b): at v = 7 a delta that builds them takes
+    # about 1.8 times as long as one that reads them.
+    circulant, (folded,) = _identity_operands(*_base_parts(a, b), a.period + 1)
+    return _readonly(circulant), (_readonly(folded),)
 
 
 def _base_parts(a, b):
     # (alpha, sigma) of build_signal_set(a, b, e): a's uint8 bits, and the
-    # float32 (v+1, v) signs sigma_0 = 1, sigma_(1+k)(j) = (-1)^b_((j+k) mod v),
-    # read at k + j from b's doubled bytes by a view of stride 1 in both axes.
-    v = a.period
-    sigma = np.ones((v + 1, v), np.float32)
-    sigma[1:] -= 2 * np.ndarray((v, v), np.uint8, _doubled(b), 0, (1, 1))
+    # float32 (v+1, v) signs sigma_0 = 1, sigma_(1+k)(j) = (-1)^b_((j+k) mod v).
+    sigma = np.ones((a.period + 1, a.period), np.float32)
+    sigma[1:] = _SIGNS[_windows(np.frombuffer(_doubled(b), np.uint8), a.period)]
     return np.frombuffer(a.value_bytes, np.uint8), sigma
 
 
 def _identity_operands(alpha, sigma, step: int):
-    """(circulant, sigma, shifted, folded): the operands of _identity_rows from the bases.
+    """(circulant, operands): the operands of _identity_rows from the bases.
 
     alpha is the base's bits and sigma the float32 (r, v) signs, a row a
     member. circulant[d, q] = C_alpha(d + q) is the circulant of alpha's
-    autocorrelation, and shifted[s, k, j] = sigma_k((j+s) mod v) a view of
-    the v windows of each row of the signs doubled. When one block holds
-    all r members (step >= r), folded is their operand,
-    [h, s, k, j] = sigma_h(j) sigma_k((j+s) mod v); else it is None, and
-    each block is folded as it is read.
+    autocorrelation, a view. operands lazily folds each block of step
+    members lo .. lo+c-1, against the members from lo on, as
+    [h, s, k, j] = sigma_(lo+h)(j) sigma_(lo+k)((j+s) mod v), read from a
+    view of the signs doubled, so only one block's is built at a time.
     """
     v = len(alpha)
-    wrapped = (np.arange(v)[:, None] + np.arange(v)) % v  # wrapped[s, j] = (j+s) mod v
-    x = 1 - 2 * alpha.astype(np.int64)
-    # c_alpha[d] = sum over i of x_(i+d) x_i; row d of its circulant starts at d.
-    circulant = (x[wrapped] @ x).astype(np.float32)[wrapped]
-    shifted = sliding_window_view(np.concatenate([sigma, sigma[:, :-1]], axis=1), v, axis=1).transpose(1, 0, 2)
-    folded = shifted * sigma[:, None, None, :] if step >= len(sigma) else None
-    return circulant, sigma, shifted, folded
+    x = _SIGNS[np.concatenate([alpha, alpha])]
+    # c_alpha[d] = sum over i of x_(i+d) x_i, exact in float32 as |c_alpha| <= v.
+    c_alpha = _windows(x, v) @ x[:v]
+    shifted = _windows(np.concatenate([sigma, sigma], axis=1), v)  # [s, k, j] = sigma_k((j+s) mod v)
+    folds = (shifted[:, lo:] * sigma[lo : lo + step, None, None, :] for lo in range(0, len(sigma), step))
+    return _windows(np.concatenate([c_alpha, c_alpha]), v), folds
 
 
-def _identity_rows(circulant, sigma, shifted, folded, ext, step: int):
-    """Yield (lo, rows) of the members sigma_m(j) L^(e_j)(alpha), by the column identity.
+def _identity_rows(circulant, operands, e, step: int):
+    """(lo, rows) of the members sigma_m(j) L^(e_j)(alpha), by the column identity.
 
     Column j of member h against column (j+s) mod v of member k, at offset
     tau = q*v + s, meets it q rows down, and one row further when j+s wraps:
     their products sum to sigma_h(j) sigma_k(j+s) C_alpha(E(j+s) - e_j + q),
-    with C_alpha the autocorrelation of alpha and E = ext the extension of e
+    with C_alpha the autocorrelation of alpha and E the extension of e
     (E(j) = e_j, E(v+j) = e_j + 1). So
 
         rows[h, s, k, q] = sum over j of sigma_h(j) sigma_k(j+s) K[s, j, q],
 
     K[s, j, q] = C_alpha(E(j+s) - e_j + q), row E(j+s) - e_j of the
-    circulant: one batched np.matmul over h and s per block of step members.
-    The block's signs fold into the left operand, the members' signs at
-    (j+s) mod v: w*v^2 values a block member for the w = r - lo members from
-    lo on, where folding them into K would write v^3. Over blocks of one
-    member that is r(r+1)/2 * v^2 values against r*v^3, no more while r < 2v.
-    A one-block set's operand comes folded (_identity_operands). The block
-    is the matmul's own output, [h, s, k, q] with tau = q*v + s, the layout
-    of _correlation_rows. Every partial sum is an integer of size at most
+    circulant: one batched np.matmul over h and s per block of step members,
+    each block's operand from _identity_operands. The block's signs fold
+    into that left operand, the members' signs at (j+s) mod v: w*v^2 values
+    a block member for the w = r - lo members from lo on, where folding them
+    into K would write v^3. Over blocks of one member that is
+    r(r+1)/2 * v^2 values against r*v^3, no more while r < 2v. The block is
+    the matmul's own output, [h, s, k, q] with tau = q*v + s, the layout of
+    _correlation_rows. Every partial sum is an integer of size at most
     v^2 = n, so float32 is exact in any BLAS order while n <= _FLOAT32_EXACT.
     """
     v = len(circulant)
-    plus = np.arange(v)[:, None] + np.arange(v)  # plus[s, j] = j + s
-    kernel = circulant[(ext[plus] - ext[:v]) % v]
-    if folded is not None:
-        yield 0, folded @ kernel
-        return
-    for lo in range(0, len(sigma), step):
-        # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]
-        yield lo, (shifted[:, lo:] * sigma[lo : lo + step, None, None, :]) @ kernel
+    ext = np.array(_extension(e))
+    kernel = circulant[(_windows(ext, v) - ext[:v]) % v]
+    # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]; map keeps neither past its turn.
+    return map(lambda lo, operand: (lo, operand @ kernel), count(0, step), operands)
 
 
 def _block_codes(lo, rows, best: int, r: int):

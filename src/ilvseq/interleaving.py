@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlation import _by_offset, _construction_rows, is_two_level
+from .correlation import _base_parts, _by_offset, _identity_operands, _identity_rows, is_two_level
 from .sequences import PeriodicSequence, _doubled, _integers, _same_shape, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
@@ -74,6 +74,8 @@ class ShiftSequence:
 
 def parse_shift_sequence(text: str) -> ShiftSequence:
     """Parse comma-separated entries; the token "inf" marks a zero column."""
+    if not text.isascii():  # int() reads every script's decimal digits
+        raise ValueError(f"bad shift text: {text!r}")
     toks = [tok.strip() for tok in text.strip().split(",")]
     entries = []
     for tok in toks:
@@ -274,10 +276,11 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     sigma_(1+k)(j) = (-1)^b_((j+k) mod v): column j of member 1+k is column j
     of member 0 plus the constant b_((j+k) mod v). Computed as one batched
     float32 matmul over s against the table K[s, j, r] = C_a(E(j+s) - e_j + r)
-    (``correlation._construction_rows``, which the delta of the built set's
+    (``correlation._identity_rows`` on the operands of
+    ``correlation._identity_operands``, which the delta of the built set's
     members reads too): every partial sum is an integer of size at most
     v^2, exact while v^2 <= 2^24.
     """
     v = _check_construction(a, b, e)
-    ((_, rows),) = _construction_rows(a, b, e, v + 1)
+    ((_, rows),) = _identity_rows(*_identity_operands(*_base_parts(a, b), v + 1), e, v + 1)
     return _by_offset(rows).astype(np.int64)

@@ -229,13 +229,15 @@ def parse_sequence(text: str) -> PeriodicSequence:
     text = text.strip()
     if not text:
         raise ValueError("empty sequence text")
+    if not text.isascii():  # int() reads every script's decimal digits, and isdigit() passes '²'
+        raise ValueError(f"bad sequence text: {text!r}")
     if "," in text:
         try:
             values = tuple(int(tok) for tok in text.split(","))
         except ValueError:
             raise ValueError(f"bad bit in sequence text: {text!r}") from None
     else:
-        if not text.isdecimal():  # isdigit() also passes '²', which int() refuses
+        if not text.isdigit():
             raise ValueError(f"bad sequence text: {text!r}")
         values = tuple(int(ch) for ch in text)
     return PeriodicSequence(2, values)

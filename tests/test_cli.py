@@ -86,10 +86,16 @@ def test_gen_bad_input_exits_2(capsys):
         (["gen", "mseq", "--degree", "3", "--poly", "1011", "--state", "10"], "state needs 3 bits, got 2"),
         (["correlate", "--a", "10x1", "--auto"], "bad sequence text: '10x1'"),
         (["correlate", "--a", "10\u00b2", "--auto"], "bad sequence text: '10\u00b2'"),
+        (["correlate", "--a", "\u0661\u0660\u0660", "--auto"], "bad sequence text: '\u0661\u0660\u0660'"),
+        (["correlate", "--a", "1,\u0660,0", "--auto"], "bad sequence text: '1,\u0660,0'"),
         (["correlate", "--a", "1,0,x", "--auto"], "bad bit in sequence text: '1,0,x'"),
         (
             ["build", "--a", "1001110", "--b", "1001011", "--e", "0,0,1,0,6,3"],
             "shift vector length 6 does not match period 7",
+        ),
+        (
+            ["build", "--a", "1001110", "--b", "1001011", "--e", "0,0,1,0,6,3,\u0661"],
+            "bad shift text: '0,0,1,0,6,3,\u0661'",
         ),
         (["search", "--v", "5", "--pred", "B", "--sample", "0"], "sample size must be positive"),
         (
@@ -110,8 +116,11 @@ def test_gen_bad_input_exits_2(capsys):
         "short-state",
         "bad-sequence-text",
         "superscript-digit",
+        "arabic-indic-digits",
+        "arabic-indic-comma-bit",
         "bad-comma-bit",
         "short-shift-vector",
+        "arabic-indic-shift",
         "sample-0",
         "sample-with-strategy",
         "sample-with-force",

@@ -552,7 +552,7 @@ def test_engine_matches_reference_on_members_and_complements(monkeypatch):
     a, b, e = V11_ABE
     alpha, sigma = correlation._base_parts(a, b)
     operands = correlation._identity_operands(alpha, np.concatenate([sigma, -sigma]), 11)
-    identity = partial(correlation._identity_rows, *operands, np.array(correlation._extension(e)), 11)
+    identity = partial(correlation._identity_rows, *operands, e, 11)
     monkeypatch.setattr(correlation, "_correlation_rows", lambda members: identity())
     assert_engine_matches_reference(members)
 
@@ -609,7 +609,7 @@ def interleaved_lists(draw):
 @example(([1, 1, 1, 1], [0, 0, 0, 0], [[0, 1, 0, 1]] * 3, 1))  # a periodic alpha: members (1, 0, 1, 0) * 4
 def test_column_identity_matches_reference(case):
     # Any alpha, e and signs, two-level or not: the column identity's rows,
-    # fed the draw's own (alpha, ext, sigma) through the uncached builder,
+    # fed the draw's own (alpha, e, sigma) through the uncached builder,
     # equal the oracle's grid block by block, in blocks of step < r members
     # and folded whole in one block. As a plain list the members read the
     # transform and match the oracle exactly.
@@ -620,12 +620,11 @@ def test_column_identity_matches_reference(case):
         patch.setattr(correlation, "_BLOCK_VALUES", step * r * n)
         assert fast_route(members) == ["_transform_rows"]
         assert_engine_matches_reference(members)
-    ext = np.array(e + [(x + 1) % v for x in e])
     sigma = 1 - 2 * np.array(flips, np.float32)
     grid = reference_grid(members)
     for size in (step, r):
         operands = correlation._identity_operands(np.array(alpha, np.uint8), sigma, size)
-        identity = correlation._identity_rows(*operands, ext, size)
+        identity = correlation._identity_rows(*operands, ShiftSequence(tuple(e)), size)
         assert_rows_match_grid(identity, grid, size)
 
 
@@ -725,17 +724,17 @@ def test_plain_copies_of_a_built_set_read_the_transform(abe):
 
 def test_one_block_operands_are_kept_per_base_pair():
     # A set that one block holds (v <= 12) reads identity operands kept per
-    # (a, b), read-only, which column_correlations shares; a larger set
-    # keeps none.
+    # (a, b), read-only; column_correlations builds its own, and a larger
+    # set keeps none.
     cache = correlation._set_operands
     cache.cache_clear()
     for e in (WORKED_ABE[2], quadratic_shifts(7, 1, 0)):
         signal_set_delta(build_signal_set(A7, B7, e).members)
+    assert cache.cache_info()[:2] == (1, 1)  # (hits, misses): one entry for two calls
     column_correlations(*WORKED_ABE)
-    assert cache.cache_info()[:2] == (2, 1)  # (hits, misses): one entry for three calls
-    operands = cache(A7, B7)
-    assert len(operands) == 4
-    for array in operands:
+    assert cache.cache_info()[:2] == (1, 1)
+    circulant, (folded,) = cache(A7, B7)
+    for array in (circulant, folded):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
     # Two base pairs at one v, read in turn, give what each gives from an
@@ -772,11 +771,9 @@ def test_row_sources_give_equal_rows_and_codes(monkeypatch):
     for e in [WORKED_ABE[2]] + vectors:
         members = build_signal_set(A7, B7, e).members
         grid = reference_grid(members)
-        ext = np.array(correlation._extension(e))
         for step in (len(members), 3):
-            operands = correlation._identity_operands(alpha, sigma, step)
             sources = [
-                partial(correlation._identity_rows, *operands, ext, step),
+                lambda: correlation._identity_rows(*correlation._identity_operands(alpha, sigma, step), e, step),
                 partial(correlation._transform_rows, members, step),
             ]
             for source in sources:

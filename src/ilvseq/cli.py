@@ -68,6 +68,7 @@ def _delta_json(report: DeltaReport) -> dict:
         "delta": report.delta,
         "period": report.period,
         "member_count": report.member_count,
+        "witness_count": len(report.witnesses),
         "witnesses": [
             {"i": i, "j": j, "tau": tau, "value": value} for i, j, tau, value in zip(*columns)
         ],

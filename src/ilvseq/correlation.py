@@ -12,8 +12,9 @@ two row sources (``_correlation_rows``), chosen by what the list is:
   carries its (a, b, e)) of period n <= 2^24: every member has column j
   (entries i*v + j) equal to sigma_m(j) L^(e_j)(a), so each correlation is
   a signed sum of v values of C_a at the shift differences. A block is one
-  batched float32 matmul against the one table K of those values, its
-  signs folded into the members' operand. Each product is +-1 times a
+  batched float32 matmul against the one table K of those values (gathered
+  through two index tables kept per v), its signs folded into the members'
+  operand. Each product is +-1 times a
   value of C_a and each partial sum an integer of size at most v^2 = n,
   and float32 holds every integer up to 2^24 exactly, so the sum is exact
   in any order BLAS takes, with or without fused multiply-add. The
@@ -25,9 +26,12 @@ two row sources (``_correlation_rows``), chosen by what the list is:
 The identity's blocks are its matmul's own output, laid out [h, s, k, q]
 with tau = q*v + s; the transform's are [h, 0, k, tau].
 The one scan reads each block in its memory order, as floats, and keeps
-each maximizer as one int64 code, its position and sign, decoded through
-the block's layout; delta restores its value, and the witness columns are
-decoded from the codes when they are read.
+each maximizer as one int64 code, its position and sign. A set that one
+identity block holds (every built set up to v = 12) decodes the positions
+with one gather from a table of codes kept per (r, v); any other block
+decodes them by arithmetic on its layout. The codes come in the blocks'
+memory order, so one sort puts them in (i, j, tau) order. Delta restores
+each value, and the witness columns are decoded from the codes when read.
 """
 
 from __future__ import annotations
@@ -263,14 +267,6 @@ def _transform_rows(members, step: int):
         yield lo, rounded[:, None]
 
 
-def _extension(e) -> tuple[int, ...]:
-    # E(0), ..., E(2v-1) of a finite shift vector e: E(j) = e_j, E(v+j) = e_j + 1 mod v.
-    if not e.is_finite:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
-    v = e.v
-    return e.entries + tuple([(x + 1) % v for x in e.entries])
-
-
 def _windows(doubled: np.ndarray, v: int) -> np.ndarray:
     # The (v, v) view [k, j] = doubled[..., j + k] of the last axis, of length 2v,
     # of a C-contiguous array: the v windows of each row, in front of its rows.
@@ -294,6 +290,28 @@ def _base_parts(a, b):
     sigma = np.ones((a.period + 1, a.period), np.float32)
     sigma[1:] = _SIGNS[_windows(np.frombuffer(_doubled(b), np.uint8), a.period)]
     return np.frombuffer(a.value_bytes, np.uint8), sigma
+
+
+@lru_cache(maxsize=8)
+def _shift_tables(v: int):
+    # The (v, v) tables [s, j] that _kernel_index reads: (j+s) mod v, and the
+    # twist j+s >= v as 0 or 1. Read-only, as every call on v shares them.
+    plus = np.add.outer(np.arange(v), np.arange(v))
+    return _readonly(plus % v), _readonly((plus >= v).astype(np.int64))
+
+
+def _kernel_index(e) -> np.ndarray:
+    """The (v, v) int64 [s, j] = E(j+s) - e_j mod v: K[s, j]'s circulant row.
+
+    E is the extension of a finite e: E(j) = e_j and E(v+j) = e_j + 1 mod v,
+    so E(j+s) is e at (j+s) mod v plus the twist j+s >= v, mod v. An
+    INFINITY entry has no extension and raises ValueError.
+    """
+    if not e.is_finite:
+        raise ValueError("shift vector must be finite (no INFINITY entries)")
+    wrap, twist = _shift_tables(e.v)
+    x = np.array(e.entries)
+    return (x[wrap] + twist - x) % e.v
 
 
 def _identity_operands(alpha, sigma, step: int):
@@ -337,11 +355,21 @@ def _identity_rows(circulant, operands, e, step: int):
     _correlation_rows. Every partial sum is an integer of size at most
     v^2 = n, so float32 is exact in any BLAS order while n <= _FLOAT32_EXACT.
     """
-    v = len(circulant)
-    ext = np.array(_extension(e))
-    kernel = circulant[(_windows(ext, v) - ext[:v]) % v]
+    kernel = circulant[_kernel_index(e)]
     # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]; map keeps neither past its turn.
     return map(lambda lo, operand: (lo, operand @ kernel), count(0, step), operands)
+
+
+@lru_cache(maxsize=8)
+def _one_block_codes(r: int, v: int) -> np.ndarray:
+    # The position code (h*r + k)*n + q*v + s, n = v^2, of each [h, s, k, q]
+    # of an identity block of all r members, in memory order: the flat index
+    # of [h, k, q, s] in an (r, r, v, v) array. Read-only, as every call on
+    # (r, v) shares it; 139 kB at v = 11. A block of fewer members decodes by
+    # arithmetic, as one table per block shape would hold some w*v^2 values
+    # a block, about 50 MB at v = 59.
+    codes = np.arange(r * r * v * v, dtype=np.int64).reshape(r, r, v, v)
+    return _readonly(codes.transpose(0, 3, 1, 2).reshape(-1))
 
 
 def _block_codes(lo, rows, best: int, r: int):
@@ -349,8 +377,12 @@ def _block_codes(lo, rows, best: int, r: int):
 
     top is the block's largest admissible magnitude, and codes are packed
     witness codes (see WitnessSequence) of every value of magnitude at least
-    max(best, top), mirrored ones included. The decode arrays are freed on
-    return, before the next block is computed.
+    max(best, top), mirrored ones included, in the block's memory order. That
+    is (i, j, tau) order only in the transform's m = 1 blocks, mirrored codes
+    aside. An identity block of the whole set decodes its maximizers with one
+    gather from a cached table (_one_block_codes), any other block through
+    its layout's arithmetic. The decode arrays are freed on return, before
+    the next block is computed.
     """
     c, m, w, length = rows.shape  # [h, s, k, q]: lo+h against lo+k at tau = q*m + s
     n = m * length
@@ -360,7 +392,9 @@ def _block_codes(lo, rows, best: int, r: int):
     top = int(mags.max())
     (at,) = (mags >= max(best, top)).nonzero()
     negative = rows[at] < 0
-    if m > 1:  # to [h, k, tau]: (h*w + k)*n + q*m + s, where k*n + q*m = (k*length + q)*m
+    if m > 1 and c == r:  # the whole set in one identity block (lo = 0, w = r)
+        at = _one_block_codes(r, m)[at]
+    elif m > 1:  # to [h, k, tau]: (h*w + k)*n + q*m + s, where k*n + q*m = (k*length + q)*m
         hs, kq = np.divmod(at, w * length)
         h, s = np.divmod(hs, m)
         at = (h * (w * length) + kq) * m + s
@@ -415,7 +449,8 @@ def signal_set_delta(members, method: str = "fast") -> DeltaReport:
     code = found[0] if len(found) == 1 else np.concatenate(found)
     del found  # else the per-block codes stay alive beside the whole array
     # Every maximizer is +-delta and its sign rides in the lowest bit of its
-    # code, so one sort in place puts the mirrored hits in (i, j, tau) order.
+    # code, so one sort in place puts the hits in (i, j, tau) order: those of
+    # an identity block come in its [h, s, k, q] order, mirrored ones last.
     code.sort()
     witnesses = WitnessSequence(code, best, r, v)
     return DeltaReport(best, witnesses, v, r)

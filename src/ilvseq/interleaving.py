@@ -57,7 +57,7 @@ class ShiftSequence:
         # A shift sequence from entries already known to be a tuple of Python
         # ints in [0, v): the checks of __post_init__ are skipped.
         e = object.__new__(cls)
-        object.__setattr__(e, "entries", entries)
+        e.__dict__["entries"] = entries
         return e
 
     @property

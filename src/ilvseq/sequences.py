@@ -82,11 +82,14 @@ class PeriodicSequence:
         # A sequence from values already known to be a tuple of Python ints in
         # {0, 1}: the checks of __post_init__ are skipped. ``value_bytes``,
         # when given, must be bytes(values); it fills the cached property.
+        # object.__setattr__ would store each field in the instance dict;
+        # storing them there directly saves a call a field.
         seq = object.__new__(cls)
-        object.__setattr__(seq, "modulus", 2)
-        object.__setattr__(seq, "values", values)
+        fields = seq.__dict__
+        fields["modulus"] = 2
+        fields["values"] = values
         if value_bytes is not None:
-            seq.__dict__["value_bytes"] = value_bytes
+            fields["value_bytes"] = value_bytes
         return seq
 
     @cached_property

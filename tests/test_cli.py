@@ -188,7 +188,7 @@ def test_build_with_delta(capsys):
     assert results["member_count"] == 8
     assert results["period"] == 49
     assert results["delta"]["delta"] == 17
-    assert len(results["delta"]["witnesses"]) == 80
+    assert len(results["delta"]["witnesses"]) == results["delta"]["witness_count"] == 80
     assert all(type(w["value"]) is int for w in results["delta"]["witnesses"])
     assert results["notes"] == []
     # A v=11 Legendre set: the command's delta gives the oracle's witnesses.
@@ -202,6 +202,9 @@ def test_build_with_delta(capsys):
     delta, hits = reference_delta(build_signal_set(a, b, e).members)
     assert got["delta"] == delta
     assert got["witnesses"] == [dict(zip(("i", "j", "tau", "value"), hit)) for hit in hits]
+    assert got["witness_count"] == len(hits) == 480
+    # The count is additive: the keys before it keep their order.
+    assert list(got) == ["delta", "period", "member_count", "witness_count", "witnesses"]
 
 
 def test_build_refuses_non_two_level_base(capsys):

@@ -229,7 +229,7 @@ def test_engine_matches_reference_on_v31_quadratic_set():
 
 # sha256 of `ilvseq build --delta` standard output for V31_QUADRATIC up to
 # its timing key (3,926,198 bytes), recorded from the engine that computed all
-# r^2 ordered pairs.
+# r^2 ordered pairs, before the additive "witness_count" key.
 V31_BUILD_DELTA_SHA256 = "6526b0a9d804792207d256bb699fc08ba81047f68c67afe1d5aa6f2fc76262d6"
 
 
@@ -237,6 +237,9 @@ def test_build_delta_json_of_v31_set_is_byte_identical(capsys):
     a, b, e = V31_QUADRATIC
     assert main(["build", "--a", str(a), "--b", str(b), "--e", str(e), "--delta"]) == 0
     head, timing, _ = capsys.readouterr().out.partition('  "timing"')
+    count = '      "witness_count": 38080,\n'
+    assert head.count(count) == 1
+    head = head.replace(count, "")
     assert timing and len(head) == 3926198
     assert hashlib.sha256(head.encode()).hexdigest() == V31_BUILD_DELTA_SHA256
 
@@ -725,16 +728,22 @@ def test_plain_copies_of_a_built_set_read_the_transform(abe):
 def test_one_block_operands_are_kept_per_base_pair():
     # A set that one block holds (v <= 12) reads identity operands kept per
     # (a, b), read-only; column_correlations builds its own, and a larger
-    # set keeps none.
+    # set keeps none. The code table is kept per (r, v), the kernel's index
+    # tables per v.
     cache = correlation._set_operands
-    cache.cache_clear()
+    caches = (cache, correlation._one_block_codes, correlation._shift_tables)
+    for each in caches:
+        each.cache_clear()
     for e in (WORKED_ABE[2], quadratic_shifts(7, 1, 0)):
         signal_set_delta(build_signal_set(A7, B7, e).members)
-    assert cache.cache_info()[:2] == (1, 1)  # (hits, misses): one entry for two calls
+    for each in caches:
+        assert each.cache_info()[:2] == (1, 1)  # (hits, misses): one entry for two calls
     column_correlations(*WORKED_ABE)
     assert cache.cache_info()[:2] == (1, 1)
+    assert correlation._one_block_codes.cache_info()[:2] == (1, 1)
+    assert correlation._shift_tables.cache_info()[:2] == (2, 1)  # the same kernel index
     circulant, (folded,) = cache(A7, B7)
-    for array in (circulant, folded):
+    for array in (circulant, folded, correlation._one_block_codes(8, 7), *correlation._shift_tables(7)):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
     # Two base pairs at one v, read in turn, give what each gives from an
@@ -756,6 +765,56 @@ def test_one_block_operands_are_kept_per_base_pair():
     members = build_signal_set(mseq, PeriodicSequence(2, mseq.values[::-1]), quadratic_shifts(15, 1, 3)).members
     assert fast_route(members) == ["_identity_rows"]
     assert cache.cache_info().currsize == 2
+    # Its blocks decode by arithmetic: no code table, one more index table.
+    assert correlation._one_block_codes.cache_info().currsize == 1
+    assert correlation._shift_tables.cache_info().currsize == 2
+
+
+MSEQ7 = gen_mseq(LfsrSpec(3, tuple(int(c) for c in PRIMITIVE_POLYS[3]), (1, 0, 0)))
+ONE_BLOCK_BASES = [
+    *((gen_legendre(v, zero), gen_legendre(v, 1 - zero)) for v in (3, 7, 11) for zero in (0, 1)),
+    (MSEQ7, PeriodicSequence(2, MSEQ7.values[::-1])),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b", ONE_BLOCK_BASES, ids=["v3-01", "v3-10", "v7-01", "v7-10", "v11-01", "v11-10", "v7-mseq"]
+)
+def test_one_block_decode_matches_reference(a, b):
+    # Every built set up to v = 12 is one identity block, and its maximizers
+    # are decoded by one gather from the cached table of position codes. On
+    # the worked e (v = 7) or quadratic_shifts(v, 1, 3), and on 20 seeded
+    # finite e of any kind, the delta and every packed code equal the oracle's.
+    v = a.period
+    rng = random.Random(44 * v + a.values[0])
+    vectors = [WORKED_ABE[2] if v == 7 else quadratic_shifts(v, 1, 3)]
+    vectors += [ShiftSequence(tuple(rng.randrange(v) for _ in range(v))) for _ in range(20)]
+    table = correlation._one_block_codes
+    table.cache_clear()
+    for e in vectors:
+        members = build_signal_set(a, b, e).members
+        r, n = len(members), members[0].period
+        report = signal_set_delta(members)
+        delta, hits = reference_delta(members)
+        assert report.delta == delta
+        want = [((i * r + j) * n + tau) << 1 | (value < 0) for i, j, tau, value in hits]
+        assert report.witnesses.code.tolist() == want
+    assert table.cache_info()[:2] == (20, 1)  # (hits, misses): every call read one table
+
+
+@pytest.mark.parametrize("v", [1, 3, 7, 11, 12])
+def test_one_block_code_table_equals_the_arithmetic_decode(v):
+    # Position [h, s, k, q] of the identity block of r = v+1 members holds
+    # the correlation of member h against member k at tau = q*v + s: its code
+    # is (h*r + k)*n + tau. The table is read-only, as every call shares it.
+    r, n = v + 1, v * v
+    table = correlation._one_block_codes(r, v)
+    assert table.dtype == np.int64 and table.shape == (r * v * r * v,)
+    h, s, k, q = np.unravel_index(np.arange(r * v * r * v), (r, v, r, v))
+    assert np.array_equal(table, (h * r + k) * n + q * v + s)
+    assert correlation._one_block_codes(r, v) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
 
 
 def test_row_sources_give_equal_rows_and_codes(monkeypatch):

@@ -36,9 +36,9 @@ from ilvseq import (
     signal_set_delta,
     twisted_rotation,
 )
-from ilvseq import interleaving
+from ilvseq import correlation, interleaving
 from ilvseq.conditions import Condition, _count_table
-from ilvseq.correlation import _extension
+from ilvseq.correlation import _kernel_index
 from delta_oracle import reference_delta
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
@@ -99,8 +99,15 @@ def test_shift_sequence_rejects_non_integral_entries():
     lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
 ))
 def test_extension_matches_extended_entry(entries):
+    # The kernel's row index, read from the cached (j+s) mod v and twist
+    # tables, is E(j+s) - e_j mod v, E the extension, at every s and j.
     e = ShiftSequence(entries)
-    assert _extension(e) == tuple(extended_entry(e, k) for k in range(2 * e.v))
+    v = e.v
+    index = _kernel_index(e)
+    assert index.dtype == np.int64 and index.shape == (v, v)
+    assert index.tolist() == [
+        [(extended_entry(e, j + s) - e.entries[j]) % v for j in range(v)] for s in range(v)
+    ]
 
 
 def test_parse_format_shift_sequence():
@@ -139,7 +146,18 @@ def test_extended_entry():
     with pytest.raises(ValueError):
         extended_entry(ShiftSequence((0, INFINITY)), 3)
     with pytest.raises(ValueError, match="finite"):
-        _extension(ShiftSequence((0, INFINITY)))
+        _kernel_index(ShiftSequence((0, INFINITY)))
+
+
+@pytest.mark.parametrize("position", range(7))
+def test_identity_rows_refuse_an_infinite_entry(position):
+    # The column identity has no kernel row for a zero column: the rows of a
+    # vector with one INFINITY entry raise, before any block is computed.
+    entries = list(E7.entries)
+    entries[position] = INFINITY
+    operands = correlation._identity_operands(*correlation._base_parts(A7, B7), 8)
+    with pytest.raises(ValueError, match="finite"):
+        correlation._identity_rows(*operands, ShiftSequence(tuple(entries)), 8)
 
 
 def test_interleave_known_first_row():

@@ -9,6 +9,7 @@ from ilvseq import (
     PRIMITIVE_POLYS,
     LfsrSpec,
     PeriodicSequence,
+    ShiftSequence,
     format_sequence,
     gen_legendre,
     gen_mseq,
@@ -54,6 +55,22 @@ def test_periodic_sequence_rejects_non_integral_values():
     spec = LfsrSpec(3, np.array([1, 0, 1, 1]), (np.int64(1), 0, False))
     assert (spec.poly, spec.state) == ((1, 0, 1, 1), (1, 0, 0))
     assert all(type(x) is int for x in spec.poly + spec.state)
+
+
+def test_unchecked_constructors_equal_the_checked_ones():
+    # _valid skips the checks for values already known good; what it builds
+    # compares, hashes and prints as the checked constructor's, with or
+    # without the bytes it is handed for the cached value_bytes.
+    for fast in (PeriodicSequence._valid(A7.values), PeriodicSequence._valid(A7.values, bytes(A7.values))):
+        checked = PeriodicSequence(2, A7.values)
+        assert fast == checked and checked == fast
+        assert hash(fast) == hash(checked) and repr(fast) == repr(checked)
+        assert fast.value_bytes == checked.value_bytes == bytes(A7.values)
+        assert fast != B7
+    e = ShiftSequence._valid((0, 0, 1, 0, 6, 3, 5))
+    checked = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
+    assert e == checked and hash(e) == hash(checked) and repr(e) == repr(checked)
+    assert e != ShiftSequence((0, 0, 1, 0, 6, 3, 4))
 
 
 def test_cyclic_indexing():

@@ -29,9 +29,10 @@ all v extended ones, the latter counted at s <= v/2 only and copied to
 v-s. A report's verdict and first failing shift read only those counts. A
 shift's extended row (its unextended row, then phi of row v-s), the
 multiplicities of both its profiles (one count pass) and its
-``DifferenceProfile``s are built the first time ``differences``,
-``cond2_sum_residue`` or a report's checks read them, and kept with the
-table, so B and OPEN share theirs. A report's ``checks`` are a read-only
+``DifferenceProfile``s are built the first time ``differences`` or a
+report's checks read them, and kept with the table, so B and OPEN share
+theirs. ``cond2_sum_residue`` sums one shift's row by the same definition
+and builds neither the table nor a count. A report's ``checks`` are a read-only
 ``ShiftChecks`` sequence whose ``ShiftCheck`` tuples are built on first
 read, so a caller that reads only the verdict builds no check and no
 profile. The reports serve the tests as the oracle, so they use no numpy;
@@ -125,6 +126,13 @@ def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:
     return rows.profile(s, bool(extended))
 
 
+def _finite_entries(e: ShiftSequence) -> tuple[int, ...]:
+    # e's entries; an INFINITY entry raises ValueError.
+    if not e.is_finite:
+        raise ValueError("shift vector must be finite (no INFINITY entries)")
+    return e.entries
+
+
 @lru_cache(maxsize=8)
 def _count_table(e: ShiftSequence) -> tuple[_Rows, tuple[tuple[int, ...], ...]]:
     # (rows, tops): rows builds shift s's extended row and profiles on first
@@ -135,9 +143,7 @@ def _count_table(e: ShiftSequence) -> tuple[_Rows, tuple[tuple[int, ...], ...]]:
     # extended multiset at s and so the extended top of both. A negative
     # list index counts from the end, so counts[a - b] counts (a - b) mod v
     # and counts[b - a - 1] its phi-image, with no % v.
-    if not e.is_finite:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
-    x = e.entries
+    x = _finite_entries(e)
     v = len(x)
     tops = ([0] * (v - 1), [0] * (v - 1))
     for s in range(1, v // 2 + 1):
@@ -168,7 +174,13 @@ class _Rows:
         self._profiles = ({}, {})
 
     def row(self, s: int) -> tuple[int, ...]:
-        return self.shift(s)[0]
+        # Shift s's extended row, with no count pass; shift() keeps it.
+        x = self._x
+        v = len(x)
+        if not 1 <= s < v:
+            raise ValueError(f"shift s must lie in [1, {v}), got {s}")
+        wrapped = [(b - a - 1) % v for a, b in zip(x, x[v - s :])]
+        return tuple([(a - b) % v for a, b in zip(x, x[s:])] + wrapped)
 
     def shift(self, s: int):
         # (row, unextended, extended): shift s's extended row and the
@@ -176,17 +188,13 @@ class _Rows:
         # count pass that adds the s wrapped values on top.
         shift = self._shifts.get(s)
         if shift is None:
-            x = self._x
-            v = len(x)
-            if not 1 <= s < v:
-                raise ValueError(f"shift s must lie in [1, {v}), got {s}")
-            wrapped = [(b - a - 1) % v for a, b in zip(x, x[v - s :])]
-            row = tuple([(a - b) % v for a, b in zip(x, x[s:])] + wrapped)
+            row = self.row(s)
+            v = len(row)
             counts = [0] * v
             for d in row[: v - s]:
                 counts[d] += 1
             unextended = tuple([(d, c) for d, c in enumerate(counts) if c])
-            for d in wrapped:
+            for d in row[v - s :]:
                 counts[d] += 1
             extended = tuple([(d, c) for d, c in enumerate(counts) if c])
             shift = self._shifts[s] = (row, unextended, extended)
@@ -309,7 +317,9 @@ def check_condition_open(e: ShiftSequence) -> ConditionReport:
 
 
 def cond2_sum_residue(e: ShiftSequence, s: int) -> int:
-    """Sum of the extended differences at s, mod v; (-s) mod v for every finite e."""
-    rows, _ = _count_table(e)  # raises first on an INFINITY entry
-    return sum(rows.row(s)) % e.v
+    """Sum of the extended differences at s, mod v; (-s) mod v for every finite e.
+
+    It reads shift s's row alone: no count table, no multiplicities.
+    """
+    return sum(_Rows(_finite_entries(e)).row(s)) % e.v
 

@@ -86,11 +86,14 @@ def _lift(seqs, dtype=np.int64) -> np.ndarray:
 
 
 def cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:
-    """Direct-summation correlation profile of a against b (all offsets)."""
-    v = a.period
+    """Direct-summation correlation profile of a against b (all offsets).
+
+    One int64 product of a's +-1 row against the (v, v) window view
+    [tau, i] = b_(i+tau) of b doubled: every offset is a sum of v products,
+    no transform and no identity, and the view is never copied.
+    """
     x, y = _lift([a, b])
-    y2 = np.tile(y, 2)
-    return CorrelationProfile(tuple(int(x @ y2[tau : tau + v]) for tau in range(v)))
+    return CorrelationProfile(tuple((_windows(np.concatenate([y, y]), a.period) @ x).tolist()))
 
 
 def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> CorrelationProfile:

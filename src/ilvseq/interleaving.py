@@ -150,7 +150,7 @@ def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
     """
     u = _interleaved(a, [0 if x == INFINITY else x % a.period for x in e.entries])
     u[:, [x == INFINITY for x in e.entries]] = 0
-    return PeriodicSequence._valid(tuple(u.ravel().tolist()))
+    return PeriodicSequence._from_bytes(u.tobytes())
 
 
 def matrix_form(u: PeriodicSequence, s_rows: int, t_cols: int) -> np.ndarray:
@@ -161,7 +161,7 @@ def matrix_form(u: PeriodicSequence, s_rows: int, t_cols: int) -> np.ndarray:
         raise ValueError(
             f"period {u.period} does not factor as {s_rows} x {t_cols}"
         )
-    return np.asarray(u.values, dtype=np.int64).reshape(s_rows, t_cols)
+    return np.frombuffer(u.value_bytes, np.uint8).astype(np.int64).reshape(s_rows, t_cols)
 
 
 def recover_shifts(u: PeriodicSequence, a: PeriodicSequence, t_cols: int) -> ShiftSequence:
@@ -256,10 +256,9 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     _interleaved(a, e.entries, out=table[0].reshape(v, v))
     offsets = np.ndarray((v, v * v), np.uint8, b.value_bytes * (v + 1), 0, (1, 1))
     np.bitwise_xor(table[0], offsets, out=table[1:])
-    # Each member keeps its row of the table's bytes as its cached bytes.
-    data, n = table.tobytes(), v * v
-    rows = [data[start : start + n] for start in range(0, len(data), n)]
-    members = _Members(map(PeriodicSequence._valid, map(tuple, table.tolist()), rows))
+    # Each member is its row of the table's bytes; its values are decoded
+    # only if something reads them.
+    members = _Members(map(PeriodicSequence._from_bytes, map(np.ndarray.tobytes, table)))
     members.construction = (a, b, e)
     return SignalSet(a, b, e, members)
 

@@ -4,7 +4,10 @@ A sequence is a fixed tuple of bits, read cyclically: index i always means
 index i mod v, where v is the stored period. Sequences are immutable; every
 operation returns a new object. ``PeriodicSequence`` is the one place that
 decides the alphabet: it refuses a modulus other than 2 and a value outside
-{0, 1}, so no other module checks either.
+{0, 1}, so no other module checks either. Sequences are bytes-first: one
+built from bytes (a member of a signal set, an interleaved sequence, a
+shift) decodes its ``values`` tuple only when something reads it, and the
+period, indexing, iteration, formatting and the shift scan read the bytes.
 """
 
 from __future__ import annotations
@@ -59,9 +62,13 @@ class PeriodicSequence:
     ``modulus`` must be 2 and every value 0 or 1; anything else raises
     ValueError. The period is the declared length of ``values``; it is not
     reduced to the minimal period, so a doubled-up sequence keeps its
-    declared length. ``value_bytes``, one byte per value, is computed on
-    first use and kept; it is not a field, so equality, hashing and repr
-    ignore it.
+    declared length. ``value_bytes`` holds one byte per value. Each of
+    ``values`` and ``value_bytes`` is computed from the other on first read
+    and kept: a checked sequence starts from its values, one built from
+    bytes (``_from_bytes``) from its bytes, and neither copy is built until
+    it is read. ``value_bytes`` is not a field, so equality, hashing and
+    repr read ``values`` alone, and equal sequences compare, hash and print
+    alike whichever way they were built.
     """
 
     modulus: int
@@ -78,18 +85,15 @@ class PeriodicSequence:
                 raise ValueError(f"value {x} is outside [0, 2)")
 
     @classmethod
-    def _valid(cls, values: tuple[int, ...], value_bytes: bytes | None = None) -> PeriodicSequence:
-        # A sequence from values already known to be a tuple of Python ints in
-        # {0, 1}: the checks of __post_init__ are skipped. ``value_bytes``,
-        # when given, must be bytes(values); it fills the cached property.
-        # object.__setattr__ would store each field in the instance dict;
-        # storing them there directly saves a call a field.
+    def _from_bytes(cls, value_bytes: bytes) -> PeriodicSequence:
+        # A sequence from non-empty bytes already known to hold only 0 and 1:
+        # the checks of __post_init__ are skipped, and ``values`` is decoded
+        # on first read. object.__setattr__ would store each attribute in the
+        # instance dict; storing them there directly saves a call each.
         seq = object.__new__(cls)
         fields = seq.__dict__
         fields["modulus"] = 2
-        fields["values"] = values
-        if value_bytes is not None:
-            fields["value_bytes"] = value_bytes
+        fields["value_bytes"] = value_bytes
         return seq
 
     @cached_property
@@ -99,26 +103,36 @@ class PeriodicSequence:
 
     @property
     def period(self) -> int:
-        return len(self.values)
+        return len(self.value_bytes)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.value_bytes)
 
     def __getitem__(self, i: int) -> int:
-        return self.values[i % len(self.values)]
+        return self.value_bytes[i % len(self.value_bytes)]
 
     def __iter__(self):
-        return iter(self.values)
+        return iter(self.value_bytes)
 
     def __str__(self) -> str:
         return format_sequence(self)
+
+
+# ``values`` is a field, so a descriptor named ``values`` in the class body
+# would become its default (and PeriodicSequence(2) would no longer raise
+# TypeError). Set after @dataclass, it is only the lazy read of a sequence
+# built from bytes: a checked sequence's __init__ stores its values in the
+# instance dict, which this non-data descriptor then never overrides.
+PeriodicSequence.values = cached_property(lambda self: tuple(self.value_bytes))
+PeriodicSequence.values.__set_name__(PeriodicSequence, "values")
 
 
 def left_shift(seq: PeriodicSequence, i: int) -> PeriodicSequence:
     """Return L^i(seq), the sequence starting i places later (i reduced mod v)."""
     v = seq.period
     i %= v
-    return PeriodicSequence(2, seq.values[i:] + seq.values[:i])
+    data = seq.value_bytes
+    return PeriodicSequence._from_bytes(data[i:] + data[:i])
 
 
 def _doubled(seq: PeriodicSequence) -> bytes:
@@ -246,6 +260,9 @@ def parse_sequence(text: str) -> PeriodicSequence:
     return PeriodicSequence(2, values)
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def format_sequence(seq: PeriodicSequence) -> str:
     """Compact bit string, as ``parse_sequence`` reads it."""
-    return "".join(str(x) for x in seq.values)
+    return seq.value_bytes.translate(_DIGITS).decode("ascii")

@@ -74,6 +74,9 @@ def test_shift_range_validation():
             differences(E7, 7, extended)
         with pytest.raises(ValueError):
             differences(ShiftSequence((0, INFINITY)), 1, extended)
+    for s in (0, 7, -1):
+        with pytest.raises(ValueError, match=r"shift s must lie in \[1, 7\)"):
+            cond2_sum_residue(E7, s)
 
 
 def test_check_condition_A_worked_example():
@@ -506,6 +509,18 @@ def test_infinity_entry_raises_when_the_report_is_made(call):
             cond2_sum_residue(e, 1)
         else:
             CHECKERS[call](e)
+
+
+def test_sum_residue_builds_no_count_table():
+    # The sum reads one shift's row and builds neither the vector's count
+    # table nor any multiplicity; the row is the extended profile's.
+    e = ShiftSequence((0, 3, 1, 4, 2, 2, 0, 5, 6, 1, 9, 7, 8, 11))
+    before = _count_table.cache_info()
+    for s in range(1, e.v):
+        assert cond2_sum_residue(e, s) == (-s) % e.v
+    assert _count_table.cache_info() == before
+    for s in range(1, e.v):
+        assert cond2_sum_residue(e, s) == sum(differences(e, s, True).values) % e.v
 
 
 @given(entries7, st.integers(1, 6))

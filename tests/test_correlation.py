@@ -75,6 +75,26 @@ def test_cross_correlation_known_value():
     assert isinstance(prof[0], int)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 49])
+def test_cross_correlation_is_the_per_offset_sum(n):
+    # The oracle's one product against an inline int64 sum of the n
+    # products at each offset, on seeded pairs.
+    rng = np.random.default_rng(n)
+    for _ in range(6):
+        bits = rng.integers(0, 2, (2, n))
+        a, b = (PeriodicSequence(2, row) for row in bits)
+        x, y = 1 - 2 * bits.astype(np.int64)
+        want = []
+        for tau in range(n):
+            total = np.int64(0)
+            for i in range(n):
+                total += x[i] * y[(i + tau) % n]
+            want.append(int(total))
+        values = cross_correlation(a, b).values
+        assert values == tuple(want)
+        assert all(type(c) is int for c in values)
+
+
 def test_not_two_level():
     spike = PeriodicSequence(2, (1, 0, 0, 0, 0, 0, 0))
     assert not is_two_level(spike)

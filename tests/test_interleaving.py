@@ -2,7 +2,11 @@
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from ilvseq import (
     cross_correlation,
     differences,
     extended_entry,
+    fast_cross_correlation,
+    format_sequence,
     format_shift_sequence,
     gen_legendre,
     gen_mseq,
@@ -399,6 +405,57 @@ def test_built_members_equal_checked_sequences(a, b, e):
     members = build_signal_set(a, b, e).members
     assert all("value_bytes" in vars(m) for m in members)  # filled by the build
     assert_members_checked((*members, interleave(a, e)))
+
+
+@pytest.mark.parametrize(
+    "a, b, e",
+    [(A7, B7, E7), (M31, REV31, quadratic_shifts(31, 1, 3))],
+    ids=["worked", "v31-quadratic"],
+)
+def test_built_members_decode_values_only_when_read(a, b, e):
+    # A built member holds its row's bytes alone. The delta and every reader
+    # that needs only bytes leave its values undecoded; the first read of
+    # values decodes them from those bytes, and keeps them.
+    members = build_signal_set(a, b, e).members
+    u = interleave(a, e)
+    signal_set_delta(members)
+    n = u.period
+    for m in (*members, u):
+        assert shift_equivalence(m, u) in (None, 0)
+        assert len(format_sequence(m)) == len(str(m)) == len(m) == m.period == n
+        assert (m[0], m[n], m[-1]) == (m.value_bytes[0], m.value_bytes[0], m.value_bytes[-1])
+        assert list(m) == list(m.value_bytes) and len(left_shift(m, 3)) == n
+        assert cross_correlation(m, u) == fast_cross_correlation(m, u)
+    assert all("values" not in vars(m) for m in (*members, u))
+    for m in (*members, u):
+        assert m.values == tuple(m.value_bytes) and "values" in vars(m)
+        assert vars(m)["values"] is m.values
+        assert format_sequence(m) == "".join(str(x) for x in m.values)
+        assert list(m) == list(m.values) and m[-1] == m.values[-1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_v255_build_stays_small():
+    # The 256 members of a v = 255 set hold 16.6 MB of row bytes. Decoded to
+    # tuples of ints they held about 330 MB; bytes-first, the whole process
+    # stays under 150 MB at its peak. The child reads its own VmHWM (kB):
+    # its ru_maxrss would carry over the peak of the test runner's image,
+    # which its exec replaced.
+    script = (
+        "import re\n"
+        "from ilvseq import LfsrSpec, PRIMITIVE_POLYS, PeriodicSequence, build_signal_set, gen_mseq, "
+        "quadratic_shifts\n"
+        "m = gen_mseq(LfsrSpec(8, tuple(int(c) for c in PRIMITIVE_POLYS[8]), (1,) + (0,) * 7))\n"
+        "ss = build_signal_set(m, PeriodicSequence(2, m.values[::-1]), quadratic_shifts(255, 1, 0))\n"
+        "assert len(ss.members) == 256 and ss.period == 65025\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 150 * 1024
 
 
 def assert_members_checked(members, want=None):

@@ -1,5 +1,7 @@
 """Tests for periodic sequences, shifts, and the base-sequence generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -58,15 +60,42 @@ def test_periodic_sequence_rejects_non_integral_values():
 
 
 def test_unchecked_constructors_equal_the_checked_ones():
-    # _valid skips the checks for values already known good; what it builds
-    # compares, hashes and prints as the checked constructor's, with or
-    # without the bytes it is handed for the cached value_bytes.
-    for fast in (PeriodicSequence._valid(A7.values), PeriodicSequence._valid(A7.values, bytes(A7.values))):
+    # _from_bytes skips the checks for bytes already known good and decodes
+    # values only when read; what it builds compares, hashes and prints as
+    # the checked constructor's, before and after either side's cache fills.
+    def pair(fill_fast, fill_checked):
+        fast = PeriodicSequence._from_bytes(bytes(A7.values))
         checked = PeriodicSequence(2, A7.values)
+        assert "values" not in vars(fast) and "value_bytes" not in vars(checked)
+        if fill_fast:
+            assert fast.values == A7.values and "values" in vars(fast)
+        if fill_checked:
+            assert checked.value_bytes == bytes(A7.values) and "value_bytes" in vars(checked)
+        return fast, checked
+
+    for fills in ((False, False), (True, False), (False, True), (True, True)):
+        fast, checked = pair(*fills)
         assert fast == checked and checked == fast
+        fast, checked = pair(*fills)
+        assert checked == fast and fast == checked
+        fast, checked = pair(*fills)
         assert hash(fast) == hash(checked) and repr(fast) == repr(checked)
+        fast, checked = pair(*fills)
+        assert repr(checked) == repr(fast) and hash(checked) == hash(fast)
+        fast, checked = pair(*fills)
         assert fast.value_bytes == checked.value_bytes == bytes(A7.values)
+        assert fast.values == checked.values == A7.values
+        assert all(type(x) is int for x in fast.values)
         assert fast != B7
+    # Both constructors make one frozen dataclass of two fields, neither
+    # with a default.
+    with pytest.raises(TypeError):
+        PeriodicSequence(2)
+    assert [f.name for f in dataclasses.fields(PeriodicSequence)] == ["modulus", "values"]
+    for seq in (PeriodicSequence._from_bytes(b"\x01\x00"), PeriodicSequence(2, (1, 0))):
+        for field in ("modulus", "values"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(seq, field, (0, 1))
     e = ShiftSequence._valid((0, 0, 1, 0, 6, 3, 5))
     checked = ShiftSequence((0, 0, 1, 0, 6, 3, 5))
     assert e == checked and hash(e) == hash(checked) and repr(e) == repr(checked)

@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build = command(sub, "build", _cmd_build, "construct the v+1 member signal set")
     build.add_argument("--a", required=True, help="two-level base, period v >= 3")
     build.add_argument("--b", required=True, help="two-level offset sequence, period v")
-    build.add_argument("--e", required=True, help="comma-separated finite shifts in [0, v)")
+    build.add_argument("--e", required=True, help="comma-separated shifts in [0, v); inf marks a zero column")
     build.add_argument("--delta", action="store_true", help="also sweep the set's delta")
 
     check = command(sub, "check", _cmd_check, "check a condition on a shift vector")

@@ -10,12 +10,14 @@ two row sources (``_correlation_rows``), chosen by what the list is:
 
 * column identity, for the members of a built set (``SignalSet.members``
   carries its (a, b, e)) of period n <= 2^24: every member has column j
-  (entries i*v + j) equal to sigma_m(j) L^(e_j)(a), so each correlation is
-  a signed sum of v values of C_a at the shift differences. A block is one
+  (entries i*v + j) equal to sigma_m(j) L^(e_j)(a), or the constant
+  sigma_m(j) where e_j is INFINITY, so each correlation is a signed sum of
+  v values of C_a at the shift differences, of S_a = sum of (-1)^(a_i)
+  where one column is INFINITY, and of v where both are. A block is one
   batched float32 matmul against the one table K of those values (gathered
   through two index tables kept per v), its signs folded into the members'
-  operand. Each product is +-1 times a
-  value of C_a and each partial sum an integer of size at most v^2 = n,
+  operand. Each product is +-1 times a value of size at most v
+  and each partial sum an integer of size at most v^2 = n,
   and float32 holds every integer up to 2^24 exactly, so the sum is exact
   in any order BLAS takes, with or without fused multiply-add. The
   operands that depend on the bases alone come from one builder, kept per
@@ -304,26 +306,34 @@ def _shift_tables(v: int):
 
 
 def _kernel_index(e) -> np.ndarray:
-    """The (v, v) int64 [s, j] = E(j+s) - e_j mod v: K[s, j]'s circulant row.
+    """The (v, v) int64 [s, j]: K[s, j]'s row of the (v+2, v) circulant.
 
-    E is the extension of a finite e: E(j) = e_j and E(v+j) = e_j + 1 mod v,
-    so E(j+s) is e at (j+s) mod v plus the twist j+s >= v, mod v. An
-    INFINITY entry has no extension and raises ValueError.
+    Where columns j and (j+s) mod v are finite it is E(j+s) - e_j mod v, E
+    the extension of e: E(j) = e_j and E(v+j) = e_j + 1 mod v, so E(j+s) is
+    e at (j+s) mod v plus the twist j+s >= v, mod v. A pair with one
+    INFINITY side reads row v (S_a), and one with two reads row v+1 (v).
+    A finite e skips that patch, which takes about 1.5 times the index's
+    own time at v = 7.
     """
-    if not e.is_finite:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
     wrap, twist = _shift_tables(e.v)
     x = np.array(e.entries)
-    return (x[wrap] + twist - x) % e.v
+    if e.is_finite:
+        return (x[wrap] + twist - x) % e.v
+    zero = np.isinf(x)
+    x = np.where(zero, 0, x).astype(np.int64)
+    sides = zero[wrap] + zero.astype(np.int64)  # [s, j]: INFINITY columns among j and (j+s) mod v
+    return np.where(sides, e.v - 1 + sides, (x[wrap] + twist - x) % e.v)
 
 
 def _identity_operands(alpha, sigma, step: int):
     """(circulant, operands): the operands of _identity_rows from the bases.
 
     alpha is the base's bits and sigma the float32 (r, v) signs, a row a
-    member. circulant[d, q] = C_alpha(d + q) is the circulant of alpha's
-    autocorrelation, a view. operands lazily folds each block of step
-    members lo .. lo+c-1, against the members from lo on, as
+    member. The (v+2, v) circulant holds C_alpha(d + q) at [d, q] for d < v,
+    the circulant of alpha's autocorrelation, then two constant rows: S_a,
+    the sum of (-1)^(alpha_i), and v, the kernel of an INFINITY column
+    against a finite one and against another. operands lazily folds each
+    block of step members lo .. lo+c-1, against the members from lo on, as
     [h, s, k, j] = sigma_(lo+h)(j) sigma_(lo+k)((j+s) mod v), read from a
     view of the signs doubled, so only one block's is built at a time.
     """
@@ -333,7 +343,8 @@ def _identity_operands(alpha, sigma, step: int):
     c_alpha = _windows(x, v) @ x[:v]
     shifted = _windows(np.concatenate([sigma, sigma], axis=1), v)  # [s, k, j] = sigma_k((j+s) mod v)
     folds = (shifted[:, lo:] * sigma[lo : lo + step, None, None, :] for lo in range(0, len(sigma), step))
-    return _windows(np.concatenate([c_alpha, c_alpha]), v), folds
+    constants = np.repeat(np.float32([[x[:v].sum()], [v]]), v, axis=1)
+    return np.concatenate([_windows(np.concatenate([c_alpha, c_alpha]), v), constants]), folds
 
 
 def _identity_rows(circulant, operands, e, step: int):
@@ -348,8 +359,12 @@ def _identity_rows(circulant, operands, e, step: int):
         rows[h, s, k, q] = sum over j of sigma_h(j) sigma_k(j+s) K[s, j, q],
 
     K[s, j, q] = C_alpha(E(j+s) - e_j + q), row E(j+s) - e_j of the
-    circulant: one batched np.matmul over h and s per block of step members,
-    each block's operand from _identity_operands. The block's signs fold
+    circulant. An INFINITY column is the constant sigma(j) in every row, so
+    against a finite column its products sum to sigma_h(j) sigma_k(j+s) S_a,
+    and against another to sigma_h(j) sigma_k(j+s) v: there K reads the
+    circulant's constant rows v and v+1 (_kernel_index). One batched
+    np.matmul over h and s per block of step members, each block's operand
+    from _identity_operands. The block's signs fold
     into that left operand, the members' signs at (j+s) mod v: w*v^2 values
     a block member for the w = r - lo members from lo on, where folding them
     into K would write v^3. Over blocks of one member that is

@@ -7,10 +7,12 @@ shift sequence e; the marker INFINITY denotes a zero column. Indices past the
 vector wrap with a +1 twist: entry v+j equals entry j plus one (mod v).
 
 Every correlation of a binary signal set is a signed sum of the base
-autocorrelation C_a taken at shift differences of e (``column_correlations``).
-The sum is computed by one batched float32 kernel in ``correlation``, fed
-from (a, b, e). The delta of every built set's members reads the same
-kernel: ``SignalSet.members`` carries the set's (a, b, e).
+autocorrelation C_a taken at shift differences of e (``column_correlations``),
+with S_a = sum of (-1)^(a_i) for a pair of columns of which one is INFINITY
+and v for two. The sum is computed by one batched float32 kernel in
+``correlation``, fed from (a, b, e). The delta of every built set's members,
+INFINITY columns or not, reads the same kernel: ``SignalSet.members``
+carries the set's (a, b, e).
 """
 
 from __future__ import annotations
@@ -134,11 +136,17 @@ def extended_entry(e: ShiftSequence, k: int) -> int:
     return base if k < v else (base + 1) % v
 
 
-def _interleaved(a: PeriodicSequence, shifts, out=None) -> np.ndarray:
-    # The uint8 (s, t) array [i, j] = a_(shifts_j + i), shifts in [0, s): the
-    # columns shifts of the view [i, k] = a_(i+k) over two periods of a's bytes.
+def _interleaved(a: PeriodicSequence, e: ShiftSequence, out=None) -> np.ndarray:
+    # The uint8 (s, t) array [i, j] = a_((e_j + i) mod s), or 0 where e_j is
+    # INFINITY: the columns e_j mod s of the view [i, k] = a_(i+k) over two
+    # periods of a's bytes, with an INFINITY column read at 0 and zeroed.
     window = np.ndarray((a.period, a.period), np.uint8, _doubled(a), 0, (1, 1))
-    return np.take(window, shifts, axis=1, out=out)
+    if e.is_finite:
+        return np.take(window, e.entries, axis=1, mode="wrap", out=out)
+    zero = [x == INFINITY for x in e.entries]
+    u = np.take(window, [0 if z else x for z, x in zip(zero, e.entries)], axis=1, mode="wrap", out=out)
+    u[:, zero] = 0
+    return u
 
 
 def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
@@ -146,11 +154,9 @@ def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
 
     The result has period s*t, with s the period of a and t the length of
     e: entry i*t + j is a_((e_j + i) mod s), or 0 where e_j is INFINITY.
-    Member 0 of ``build_signal_set`` is gathered from a's bytes the same way.
+    Member 0 of ``build_signal_set`` is the same gather from a's bytes.
     """
-    u = _interleaved(a, [0 if x == INFINITY else x % a.period for x in e.entries])
-    u[:, [x == INFINITY for x in e.entries]] = 0
-    return PeriodicSequence._from_bytes(u.tobytes())
+    return PeriodicSequence._from_bytes(_interleaved(a, e).tobytes())
 
 
 def matrix_form(u: PeriodicSequence, s_rows: int, t_cols: int) -> np.ndarray:
@@ -212,13 +218,13 @@ class SignalSet:
 
 
 def _check_construction(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence) -> int:
-    # a and b of one period v and a finite length-v e; returns v.
+    # a and b of one period v and a length-v e with a finite entry; returns v.
     _same_shape((a, b))
     v = a.period
     if e.v != v:
         raise ValueError(f"shift vector length {e.v} does not match period {v}")
-    if not e.is_finite:
-        raise ValueError("shift vector must be finite (no INFINITY entries)")
+    if e.entries.count(INFINITY) == v:
+        raise ValueError("shift vector needs a finite entry: an all-INFINITY e gives coincident members")
     return v
 
 
@@ -234,15 +240,20 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     Member 0 is u = interleave(a, e); member 1+j is u + L^j(b) with b read
     cyclically up to period v^2; all are rows of one uint8 (v+1, v^2) table.
     Requires two-level a and b of one period v >= 3 (v = 2 has none) and a
-    finite length-v shift vector; anything else raises ValueError before the
-    table is built. The premise keeps the members pairwise shift-distinct,
-    whatever e is: members m != m' coincide under r*v + s only if their
-    correlation there, a sum of v terms sigma*sigma'*C_a(E(j+s) - e_j + r),
-    is v^2, so every term is +v. At s >= 1 that makes the v differences
-    E(j+s) - e_j all -r mod v, but they sum to s. At s = 0 the signs force
-    b = 0 (m = 0) or b invariant under k'-k (1+k, 1+k'), so C_b = v off 0.
-    At v = 1 the two-level test is vacuous, and a = 1, b = 0 coincide, so
-    v = 1 is refused. The README has the full proof.
+    length-v shift vector with at least one finite entry (an all-INFINITY e
+    makes member 1+k equal member 1 shifted by k); anything else raises
+    ValueError before the table is built. The premise keeps the members
+    pairwise shift-distinct for every finite e: members m != m' coincide
+    under r*v + s only if their correlation there, a sum of v terms
+    sigma*sigma'*C_a(E(j+s) - e_j + r), is v^2, so every term is +v. At
+    s >= 1 that makes the v differences E(j+s) - e_j all -r mod v, but they
+    sum to s. At s = 0 the signs force b = 0 (m = 0) or b invariant under
+    k'-k (1+k, 1+k'), so C_b = v off 0. With INFINITY columns a term with
+    one INFINITY side is +-S_a = +-1, so at s >= 1 the proof holds when s
+    moves the INFINITY columns off themselves, as at every prime v; the
+    s = 0 step is unchanged. The tests check distinctness on INFINITY sets
+    at v = 3 and 7. At v = 1 the two-level test is vacuous, and a = 1,
+    b = 0 coincide, so v = 1 is refused. The README has the full proof.
     """
     v = _check_construction(a, b, e)
     if v == 1:
@@ -253,7 +264,7 @@ def build_signal_set(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequence)
     # Row 0 is u. Row 1+k adds b_((t+k) mod v) to u_t in one XOR, read at
     # k + t from v+1 periods of b's bytes by a view of stride 1 in both axes.
     table = np.empty((v + 1, v * v), np.uint8)
-    _interleaved(a, e.entries, out=table[0].reshape(v, v))
+    _interleaved(a, e, out=table[0].reshape(v, v))
     offsets = np.ndarray((v, v * v), np.uint8, b.value_bytes * (v + 1), 0, (1, 1))
     np.bitwise_xor(table[0], offsets, out=table[1:])
     # Each member is its row of the table's bytes; its values are decoded
@@ -273,7 +284,10 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
 
     with C_a the autocorrelation of a, E the extension of e, sigma_0 = 1 and
     sigma_(1+k)(j) = (-1)^b_((j+k) mod v): column j of member 1+k is column j
-    of member 0 plus the constant b_((j+k) mod v). Computed as one batched
+    of member 0 plus the constant b_((j+k) mod v). A term whose columns j
+    and (j+s) mod v are one INFINITY and one finite has S_a = sum of
+    (-1)^(a_i) in place of C_a, and one whose columns are both INFINITY has
+    v; e is checked as ``build_signal_set`` checks it. Computed as one batched
     float32 matmul over s against the table K[s, j, r] = C_a(E(j+s) - e_j + r)
     (``correlation._identity_rows`` on the operands of
     ``correlation._identity_operands``, which the delta of the built set's

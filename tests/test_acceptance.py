@@ -29,7 +29,6 @@ from ilvseq import (
     fast_cross_correlation,
     gen_legendre,
     gen_mseq,
-    interleave,
     is_prime,
     is_two_level,
     quadratic_shifts,
@@ -292,24 +291,12 @@ def test_criterion_11_rotation_closure_of_the_quadratic_family():
     assert verdict(11, ok, detail)
 
 
-def members(a, b, e):
-    # build_signal_set refuses INFINITY, so the members are built as it
-    # builds them: u = interleave(a, e) and u + L^k(b) mod 2, entry t of the
-    # latter being u_t XOR b_(t+k) (b is read cyclically).
-    u = interleave(a, e)
-    return [u, *(
-        PeriodicSequence(2, tuple(x ^ b[t + k] for t, x in enumerate(u.values)))
-        for k in range(e.v)
-    )]
-
-
 def test_criterion_12_two_or_more_infinity_columns_never_reach_v_plus_2():
     # With m >= 2 INFINITY columns (and at least one finite), the pair
     # (0, 1+k) at tau = v is -sum(beta) + (v+1)*G(k), beta = (-1)^b and G(k)
     # the sum of beta(p+k) over the INFINITY columns p; at the k maximizing
-    # |G(k)| >= 2 it is at least 2v+1 in size (README has the proof). The
-    # members are built by hand (``members``).
-    ok = members(A7, B7, E7) == list(build_signal_set(A7, B7, E7).members)
+    # |G(k)| >= 2 it is at least 2v+1 in size (README has the proof).
+    ok = True
     a3, b3 = PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1))
     cases = [  # every v = 3 vector with two INFINITY columns
         (a3, b3, ShiftSequence(tuple(INFINITY if j in columns else x for j in range(3))))
@@ -330,7 +317,7 @@ def test_criterion_12_two_or_more_infinity_columns_never_reach_v_plus_2():
         g = [sum(beta[(p + k) % v] for p in infinite) for k in range(v)]
         k = max(range(v), key=lambda k: abs(g[k]))
         predicted = -sum(beta) + (v + 1) * g[k]
-        sets = members(a, b, e)
+        sets = build_signal_set(a, b, e).members
         delta = signal_set_delta(sets).delta
         ok &= cross_correlation(sets[0], sets[1 + k])[v] == predicted
         ok &= abs(predicted) >= 2 * v + 1 and delta >= abs(predicted)
@@ -349,7 +336,7 @@ def test_criterion_13_one_infinity_hits_reach_v_plus_2():
     # finite terms are OPEN (``finite_term_open``); each must give delta
     # v + 2. At v = 3 that is every one-∞ vector, 27 at all three
     # positions; at v = 7 it is the 140 with ∞ last and e_0 = 0 that the
-    # census counts. The members are built by hand (``members``).
+    # census counts.
     a3, b3 = PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1))
     hits3 = [
         finite[:p] + (INFINITY,) + finite[p:]
@@ -363,7 +350,39 @@ def test_criterion_13_one_infinity_hits_reach_v_plus_2():
     deltas = {}
     for a, b, entries in [(a3, b3, e) for e in hits3] + [(A7, B7, e) for e in hits7]:
         e = ShiftSequence(entries)
-        deltas.setdefault(e.v, set()).add(signal_set_delta(members(a, b, e)).delta)
+        deltas.setdefault(e.v, set()).add(signal_set_delta(build_signal_set(a, b, e).members).delta)
     ok = (len(hits3), len(hits7)) == (27, 140) and deltas == {3: {5}, 7: {9}}
     detail = f"one-∞ hits: {len(hits3)} at v=3, {len(hits7)} at v=7; deltas {deltas}"
     assert verdict(13, ok, detail)
+
+
+def test_criterion_14_one_infinity_reaches_v_plus_2_exactly_on_open_finite_terms():
+    # ROADMAP item 2's rule, both halves, through the library: with one ∞
+    # column, delta = v + 2 exactly when the finite terms are OPEN
+    # (``finite_term_open``). At v = 3 every vector with one ∞ (a = 110,
+    # b = 011); at v = 7 all 16,807 vectors with e_0 = 0 and ∞ last, on the
+    # worked bases. Every other vector gives more.
+    started = time.perf_counter()
+    a3, b3 = PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1))
+    cases = [
+        (a3, b3, finite[:p] + (INFINITY,) + finite[p:], p)
+        for p in range(3) for finite in itertools.product(range(3), repeat=2)
+    ]
+    cases += [(A7, B7, (0, *tail, INFINITY), 6) for tail in itertools.product(range(7), repeat=5)]
+    ok = len(cases) == 27 + 16807
+    hits, others = {}, {}
+    for a, b, entries, p in cases:
+        v = len(entries)
+        delta = signal_set_delta(build_signal_set(a, b, ShiftSequence(entries)).members).delta
+        open_terms = finite_term_open(entries[:p] + (None,) + entries[p + 1 :], p)
+        ok &= (delta == v + 2) == open_terms
+        if open_terms:
+            hits[v] = hits.get(v, 0) + 1
+        else:
+            others[v] = min(others.get(v, delta), delta)
+    ok &= hits == {3: 27, 7: 140} and others == {7: 17}
+    detail = (
+        f"delta = v+2 exactly on the open one-∞ vectors: {hits.get(3, 0)} of 27 at v=3, "
+        f"{hits.get(7, 0)} of 16807 at v=7, least other delta {others} ({time.perf_counter() - started:.2f}s)"
+    )
+    assert verdict(14, ok, detail)

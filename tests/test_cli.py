@@ -275,12 +275,23 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, exc, line):
 
 
 def test_build_rejects_infinite_vector(capsys):
-    code, out, err = run_cli(
-        capsys, "build", "--a", "1001110", "--b", "1001011", "--e", "0,inf,1,0,6,3,5"
-    )
-    assert code == 2
-    assert out == ""
-    assert "error: shift vector must be finite" in err
+    # An all-INFINITY vector makes the offset members coincide: refused.
+    code, out, err = run_cli(capsys, "build", "--a", "110", "--b", "011", "--e", "inf,inf,inf", "--delta")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: shift vector needs a finite entry") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "a, b, e, delta, count",
+    [("110", "011", "0,1,inf", 5, 16), ("1001110", "1001011", "0,0,1,0,5,2,inf", 9, 864)],
+    ids=["v3", "v7"],
+)
+def test_build_reads_infinity_columns(capsys, a, b, e, delta, count):
+    # One INFINITY column on finite terms that are OPEN: delta v + 2.
+    code, out, err = run_cli(capsys, "build", "--a", a, "--b", b, "--e", e, "--delta")
+    assert (code, err) == (0, "")
+    report = parse_report(out)["results"]["delta"]
+    assert (report["delta"], report["witness_count"], len(report["witnesses"])) == (delta, count, count)
 
 
 def test_build_period_mismatch_reads_as_correlate(capsys):

@@ -45,7 +45,7 @@ from ilvseq import (
 from ilvseq import correlation, interleaving
 from ilvseq.conditions import Condition, _count_table
 from ilvseq.correlation import _kernel_index
-from delta_oracle import reference_delta
+from delta_oracle import reference_delta, reference_grid
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -151,19 +151,37 @@ def test_extended_entry():
         extended_entry(E7, -1)
     with pytest.raises(ValueError):
         extended_entry(ShiftSequence((0, INFINITY)), 3)
-    with pytest.raises(ValueError, match="finite"):
-        _kernel_index(ShiftSequence((0, INFINITY)))
+    # An INFINITY column has no extension: the kernel reads row v (S_a) for a
+    # pair with one INFINITY side, row v + 1 (v) for two.
+    assert _kernel_index(ShiftSequence((0, INFINITY))).tolist() == [[0, 3], [2, 2]]
+
+
+def test_circulant_rows_past_v_are_S_a_and_v():
+    # S_a = sum of (-1)^(a_i) is -1 for the worked a and +1 for the v = 11
+    # Legendre sequence of zero convention 0: it is read from a's bits.
+    for a, s_a in [(A7, -1), (gen_legendre(11, 0), 1), (gen_legendre(11, 1), -1)]:
+        v = a.period
+        circulant, _ = correlation._identity_operands(*correlation._base_parts(a, a), v + 1)
+        assert circulant.shape == (v + 2, v)
+        assert circulant[:v].tolist() == [[autocorrelation(a)[d + q] for q in range(v)] for d in range(v)]
+        assert circulant[v:].tolist() == [[s_a] * v, [v] * v]
 
 
 @pytest.mark.parametrize("position", range(7))
-def test_identity_rows_refuse_an_infinite_entry(position):
-    # The column identity has no kernel row for a zero column: the rows of a
-    # vector with one INFINITY entry raise, before any block is computed.
+def test_identity_rows_read_an_infinite_entry(position):
+    # A zero column reads the circulant's constant rows: the identity's
+    # rows of a vector with one INFINITY entry equal the oracle's grid, in
+    # one block and in blocks of three.
     entries = list(E7.entries)
     entries[position] = INFINITY
-    operands = correlation._identity_operands(*correlation._base_parts(A7, B7), 8)
-    with pytest.raises(ValueError, match="finite"):
-        correlation._identity_rows(*operands, ShiftSequence(tuple(entries)), 8)
+    e = ShiftSequence(tuple(entries))
+    grid = reference_grid(build_signal_set(A7, B7, e).members)
+    for step in (8, 3):
+        operands = correlation._identity_operands(*correlation._base_parts(A7, B7), step)
+        blocks = list(correlation._identity_rows(*operands, e, step))
+        assert [lo for lo, _ in blocks] == list(range(0, 8, step))
+        for lo, rows in blocks:
+            assert np.array_equal(correlation._by_offset(rows), grid[lo : lo + step, lo:])
 
 
 def test_interleave_known_first_row():
@@ -269,10 +287,8 @@ def test_build_signal_set_validation():
         build_signal_set(A7, PeriodicSequence(2, (1, 0)), E7)
     with pytest.raises(ValueError):
         build_signal_set(A7, B7, ShiftSequence((0, 1, 2)))
-    with pytest.raises(ValueError):
-        build_signal_set(
-            A7, B7, ShiftSequence((0, 0, 1, 0, 6, 3, INFINITY))
-        )
+    with pytest.raises(ValueError, match="finite entry"):
+        build_signal_set(A7, B7, ShiftSequence((INFINITY,) * 7))
 
 
 SPIKE7 = PeriodicSequence(2, (1, 0, 0, 0, 0, 0, 0))
@@ -567,8 +583,8 @@ def test_column_correlations_validation():
         column_correlations(A7, PeriodicSequence(2, (1, 0)), E7)
     with pytest.raises(ValueError):
         column_correlations(A7, B7, ShiftSequence((0, 1, 2)))
-    with pytest.raises(ValueError):
-        column_correlations(A7, B7, ShiftSequence((0, 0, 1, 0, 6, 3, INFINITY)))
+    with pytest.raises(ValueError, match="finite entry"):
+        column_correlations(A7, B7, ShiftSequence((INFINITY,) * 7))
 
 
 def test_zero_count_worked_example():
@@ -705,6 +721,77 @@ def test_twisted_rotation_of_legendre_sets(v, count):
     assert CONDITIONS["B"].holds_rows(rows).tolist() == [True, True]
     got = assert_rotation_maps_the_set(gen_legendre(v, 0), gen_legendre(v, 1), e, oracle=False)
     assert got.delta == 2 * v + 3 and len(got.witnesses) == count
+
+
+def _infinity_vectors(rng, v, count):
+    # count seeded length-v vectors, each with 1 to v - 1 INFINITY columns.
+    vectors = []
+    for _ in range(count):
+        columns = rng.sample(range(v), rng.randint(1, v - 1))
+        vectors.append(ShiftSequence(tuple(INFINITY if j in columns else rng.randrange(v) for j in range(v))))
+    return vectors
+
+
+#: Every v = 3 vector with an INFINITY entry and a finite one.
+INFINITY_V3 = [
+    ShiftSequence(x) for x in itertools.product((0, 1, 2, INFINITY), repeat=3) if 0 < x.count(INFINITY) < 3
+]
+
+#: Built sets with INFINITY columns, by v: every v = 3 vector on a = 110,
+#: b = 011; seeded vectors on the worked pair, on the v = 11 Legendre pair
+#: in both orders (S_a = +1 and -1), on the v = 19 Legendre pair, and on
+#: the v = 31 m-sequence and its reversal, which the identity reads in
+#: blocks of one member.
+INFINITY_SETS = {
+    3: [(PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1)), e) for e in INFINITY_V3],
+    7: [(A7, B7, e) for e in _infinity_vectors(random.Random(7), 7, 60)],
+    11: [
+        (gen_legendre(11, zero), gen_legendre(11, 1 - zero), e)
+        for zero in (0, 1)
+        for e in _infinity_vectors(random.Random(11 + zero), 11, 25)
+    ],
+    19: [(gen_legendre(19, 0), gen_legendre(19, 1), e) for e in _infinity_vectors(random.Random(19), 19, 10)],
+    31: [(M31, REV31, e) for e in _infinity_vectors(random.Random(31), 31, 2)],
+}
+
+
+@pytest.mark.parametrize("v", sorted(INFINITY_SETS))
+def test_identity_reads_infinity_columns(v, monkeypatch):
+    # With the transform out of reach, the delta of each built set and
+    # every witness equal the oracle's: the column identity reads them all.
+    monkeypatch.setattr(correlation, "_transform_rows", None)
+    for a, b, e in INFINITY_SETS[v]:
+        members = build_signal_set(a, b, e).members
+        delta, hits = reference_delta(members)
+        report = signal_set_delta(members)
+        assert report.delta == delta and list(report.witnesses) == hits
+
+
+@pytest.mark.parametrize("v", [3, 7, 11])
+def test_column_correlations_read_infinity_columns(v):
+    for a, b, e in INFINITY_SETS[v]:
+        assert np.array_equal(column_correlations(a, b, e), reference_grid(build_signal_set(a, b, e).members))
+
+
+def test_infinity_sets_have_distinct_members():
+    # build_signal_set proves distinctness for finite e; with INFINITY
+    # columns it is checked: every two-level v = 3 pair on every v = 3
+    # vector with an INFINITY entry, and 500 seeded v = 7 sets.
+    cases = [(a, b, e) for a, b in itertools.product(TWO_LEVEL[3], repeat=2) for e in INFINITY_V3]
+    rng = random.Random(46)
+    for e in _infinity_vectors(rng, 7, 500):
+        cases.append((rng.choice(TWO_LEVEL[7]), rng.choice(TWO_LEVEL[7]), e))
+    assert len(cases) == 1796
+    for a, b, e in cases:
+        assert _coincident_pairs(build_signal_set(a, b, e).members) == []
+
+
+def test_twisted_rotation_maps_seeded_infinity_sets():
+    # INFINITY entries stay INFINITY, and the members, delta and witnesses map.
+    rng = random.Random(10)
+    for e in _infinity_vectors(rng, 7, 300):
+        a, b = (rng.choice(TWO_LEVEL[7]) for _ in "ab")
+        assert_rotation_maps_the_set(a, b, e, oracle=False)
 
 
 #: The two-level bases of acceptance criterion 12 (two or more INFINITY

@@ -26,17 +26,19 @@ The definition lives in one count table per vector, built in one
 pure-Python pass over the v(v-1)/2 unextended differences and cached: per
 shift, the largest multiplicity among its unextended differences and among
 all v extended ones, the latter counted at s <= v/2 only and copied to
-v-s. A report's verdict and first failing shift read only those counts. A
-shift's extended row (its unextended row, then phi of row v-s), the
-multiplicities of both its profiles (one count pass) and its
-``DifferenceProfile``s are built the first time ``differences`` or a
-report's checks read them, and kept with the table, so B and OPEN share
-theirs. ``cond2_sum_residue`` sums one shift's row by the same definition
-and builds neither the table nor a count. A report's ``checks`` are a read-only
-``ShiftChecks`` sequence whose ``ShiftCheck`` tuples are built on first
-read, so a caller that reads only the verdict builds no check and no
-profile. The reports serve the tests as the oracle, so they use no numpy;
-bad input (an INFINITY entry) raises when the report is made.
+v-s. A report's verdict and first failing shift read only those counts.
+Everything else is built from the entries by one definition, ``_row``:
+shift s's extended row is its v-s unextended differences, then phi of shift
+v-s's. A ``DifferenceProfile`` is one row, cut to v-s values unextended,
+and one count pass; ``differences`` builds one per call, and
+``cond2_sum_residue`` sums a row; neither builds the table. A report's
+``checks`` are a read-only ``ShiftChecks`` sequence whose ``ShiftCheck``
+tuples, and their profiles, are built on first read and kept, so a caller
+that reads only the verdict builds no check and no profile, and one that
+reads a report in full builds each of its profiles once. Reports share
+their table and nothing else: no caller reads all three in full. The
+reports serve the tests as the oracle, so they use no numpy; bad input (an
+INFINITY entry) raises when the report is made.
 ``Condition.holds_rows`` judges a block of candidates at once (random
 sampling, ``reproduce`` and the tests' enumeration oracle): shift s is the
 difference of two column slices of the block's extended rows, and B and
@@ -122,8 +124,7 @@ class DifferenceProfile(NamedTuple):
 def differences(e: ShiftSequence, s: int, extended: bool) -> DifferenceProfile:
     """The differences e_j - E(j+s) mod v at shift s, for j in [0, v) if
     extended, else for j in [0, v-s)."""
-    rows, _ = _count_table(e)  # raises first on an INFINITY entry
-    return rows.profile(s, bool(extended))
+    return _profile(_finite_entries(e), s, bool(extended))
 
 
 def _finite_entries(e: ShiftSequence) -> tuple[int, ...]:
@@ -134,15 +135,14 @@ def _finite_entries(e: ShiftSequence) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8)
-def _count_table(e: ShiftSequence) -> tuple[_Rows, tuple[tuple[int, ...], ...]]:
-    # (rows, tops): rows builds shift s's extended row and profiles on first
-    # read; tops[extended][s-1] is the largest multiplicity among shift s's
-    # v-s unextended or all v extended differences. Each pass takes a shift
-    # s <= v/2 and its mirror m = v - s: it counts the unextended terms of
-    # both and adds the phi-images of m's to s's counts, which gives the
-    # extended multiset at s and so the extended top of both. A negative
-    # list index counts from the end, so counts[a - b] counts (a - b) mod v
-    # and counts[b - a - 1] its phi-image, with no % v.
+def _count_table(e: ShiftSequence) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    # (entries, tops): tops[extended][s-1] is the largest multiplicity among
+    # shift s's v-s unextended or all v extended differences. Each pass
+    # takes a shift s <= v/2 and its mirror m = v - s: it counts the
+    # unextended terms of both and adds the phi-images of m's to s's counts,
+    # which gives the extended multiset at s and so the extended top of
+    # both. A negative list index counts from the end, so counts[a - b]
+    # counts (a - b) mod v and counts[b - a - 1] its phi-image, with no % v.
     x = _finite_entries(e)
     v = len(x)
     tops = ([0] * (v - 1), [0] * (v - 1))
@@ -158,62 +158,31 @@ def _count_table(e: ShiftSequence) -> tuple[_Rows, tuple[tuple[int, ...], ...]]:
             counts[b - a - 1] += 1
         tops[False][m - 1] = max(mirror)
         tops[True][s - 1] = tops[True][m - 1] = max(counts)
-    return _Rows(x), (tuple(tops[False]), tuple(tops[True]))
+    return x, (tuple(tops[False]), tuple(tops[True]))
 
 
-class _Rows:
-    # One vector's extended difference rows and their profiles, each built
-    # on first read and kept with the vector's count table. Shift s's row is
-    # its v-s unextended differences, then the phi-images of shift v-s's.
-
-    __slots__ = ("_x", "_shifts", "_profiles")
-
-    def __init__(self, x: tuple[int, ...]):
-        self._x = x
-        self._shifts = {}
-        self._profiles = ({}, {})
-
-    def row(self, s: int) -> tuple[int, ...]:
-        # Shift s's extended row, with no count pass; shift() keeps it.
-        x = self._x
-        v = len(x)
-        if not 1 <= s < v:
-            raise ValueError(f"shift s must lie in [1, {v}), got {s}")
-        wrapped = [(b - a - 1) % v for a, b in zip(x, x[v - s :])]
-        return tuple([(a - b) % v for a, b in zip(x, x[s:])] + wrapped)
-
-    def shift(self, s: int):
-        # (row, unextended, extended): shift s's extended row and the
-        # multiplicities of its first v-s values and of all v, from one
-        # count pass that adds the s wrapped values on top.
-        shift = self._shifts.get(s)
-        if shift is None:
-            row = self.row(s)
-            v = len(row)
-            counts = [0] * v
-            for d in row[: v - s]:
-                counts[d] += 1
-            unextended = tuple([(d, c) for d, c in enumerate(counts) if c])
-            for d in row[v - s :]:
-                counts[d] += 1
-            extended = tuple([(d, c) for d, c in enumerate(counts) if c])
-            shift = self._shifts[s] = (row, unextended, extended)
-        return shift
-
-    def profile(self, s: int, extended: bool) -> DifferenceProfile:
-        profiles = self._profiles[extended]
-        profile = profiles.get(s)
-        if profile is None:
-            profile = profiles[s] = _profile(self.shift(s), s, extended)
-        return profile
+def _row(x: tuple[int, ...], s: int) -> tuple[int, ...]:
+    # Shift s's extended row of the entries x: its v-s unextended
+    # differences, then the phi-images of shift v-s's.
+    v = len(x)
+    if not 1 <= s < v:
+        raise ValueError(f"shift s must lie in [1, {v}), got {s}")
+    wrapped = [(b - a - 1) % v for a, b in zip(x, x[v - s :])]
+    return tuple([(a - b) % v for a, b in zip(x, x[s:])] + wrapped)
 
 
-def _profile(shift, s: int, extended: bool) -> DifferenceProfile:
-    # Shift s's profile from its row and multiplicities (see _Rows.shift).
-    row = shift[0]
-    values = row if extended else row[: len(row) - s]
-    # tuple.__new__ skips the named tuple's Python __new__: one C call.
-    return tuple.__new__(DifferenceProfile, (len(row), s, extended, values, shift[1 + extended]))
+def _profile(x: tuple[int, ...], s: int, extended: bool) -> DifferenceProfile:
+    # Shift s's profile: its row, cut to v-s values unextended, and one
+    # count pass over them.
+    v = len(x)
+    values = _row(x, s)
+    if not extended:
+        values = values[: v - s]
+    counts = [0] * v
+    for d in values:
+        counts[d] += 1
+    multiplicity = tuple([(d, c) for d, c in enumerate(counts) if c])
+    return DifferenceProfile(v, s, extended, values, multiplicity)
 
 
 class ShiftCheck(NamedTuple):
@@ -229,31 +198,30 @@ class ShiftCheck(NamedTuple):
 class ShiftChecks(Sequence):
     """Read-only sequence of a report's ShiftChecks, one per shift in [1, v).
 
-    The checks are built from the vector's count table on first read and
-    kept; ``len`` needs no build. It equals, hashes and reprs as the tuple
-    of the same ShiftChecks, and an index or a slice reads that tuple.
+    The checks are built from the vector's entries and count table on first
+    read and kept; ``len`` needs no build. It equals, hashes and reprs as the
+    tuple of the same ShiftChecks, and an index or a slice reads that tuple.
     """
 
-    __slots__ = ("_rows", "_tops", "_extended", "_cap", "_checks")
+    __slots__ = ("_x", "_tops", "_extended", "_cap", "_checks")
 
-    def __init__(self, rows, tops, extended: bool, cap: int):
-        self._rows, self._tops, self._extended, self._cap = rows, tops, extended, cap
+    def __init__(self, x, tops, extended: bool, cap: int):
+        self._x, self._tops, self._extended, self._cap = x, tops, extended, cap
         self._checks = None
 
     def _tuple(self) -> tuple[ShiftCheck, ...]:
         # Cap-1 conditions report the distinct count against the number of
         # differences, B its largest multiplicity against the cap.
         if self._checks is None:
-            new = tuple.__new__
-            cap, extended, profile = self._cap, self._extended, self._rows.profile
+            x, cap, extended = self._x, self._cap, self._extended
             checks = []
             for s, top in enumerate(self._tops, 1):
-                prof = profile(s, extended)
+                prof = _profile(x, s, extended)
                 if cap == 1:
                     observed, required = len(prof.multiplicity), len(prof.values)
                 else:
                     observed, required = top, cap
-                checks.append(new(ShiftCheck, (s, top <= cap, observed, required, prof)))
+                checks.append(ShiftCheck(s, top <= cap, observed, required, prof))
             self._checks = tuple(checks)
         return self._checks
 
@@ -293,14 +261,15 @@ def _check(e: ShiftSequence, name: str) -> ConditionReport:
     # A shift passes when no difference occurs more than the cap times: the
     # verdict reads only the table's largest multiplicities.
     extended, cap = CONDITIONS[name]
-    rows, tops = _count_table(e)
+    x, tops = _count_table(e)
     first_failure = None
     for s, top in enumerate(tops[extended], 1):
         if top > cap:
             first_failure = s
             break
-    checks = ShiftChecks(rows, tops[extended], extended, cap)
-    # tuple.__new__ builds the named tuple in one C call, as in _profile.
+    checks = ShiftChecks(x, tops[extended], extended, cap)
+    # tuple.__new__ skips the named tuple's Python __new__: one C call, for
+    # the report that every verdict-only caller builds.
     return tuple.__new__(ConditionReport, (name, first_failure is None, checks, first_failure))
 
 
@@ -321,5 +290,5 @@ def cond2_sum_residue(e: ShiftSequence, s: int) -> int:
 
     It reads shift s's row alone: no count table, no multiplicities.
     """
-    return sum(_Rows(_finite_entries(e)).row(s)) % e.v
+    return sum(_row(_finite_entries(e), s)) % e.v
 

@@ -15,11 +15,11 @@ two row sources (``_correlation_rows``), chosen by what the list is:
   v values of C_a at the shift differences, of S_a = sum of (-1)^(a_i)
   where one column is INFINITY, and of v where both are. A block is one
   batched float32 matmul against the one table K of those values (gathered
-  through two index tables kept per v), its signs folded into the members'
-  operand. Each product is +-1 times a value of size at most v
-  and each partial sum an integer of size at most v^2 = n,
-  and float32 holds every integer up to 2^24 exactly, so the sum is exact
-  in any order BLAS takes, with or without fused multiply-add. The
+  through a table of circulant rows kept per v, indexed by the entries),
+  its signs folded into the members' operand. Each product is +-1 times a
+  value of size at most v and each partial sum an integer of size at most
+  v^2 = n, and float32 holds every integer up to 2^24 exactly, so the sum
+  is exact in any order BLAS takes, with or without fused multiply-add. The
   operands that depend on the bases alone come from one builder, kept per
   (a, b) for a set that one block holds (every built set up to v = 12).
 * transform, for every other list: one real float64 transform per member
@@ -299,10 +299,18 @@ def _base_parts(a, b):
 
 @lru_cache(maxsize=8)
 def _shift_tables(v: int):
-    # The (v, v) tables [s, j] that _kernel_index reads: (j+s) mod v, and the
-    # twist j+s >= v as 0 or 1. Read-only, as every call on v shares them.
+    # The tables that _kernel_index reads: the (v, v) [s, j] = (j+s) mod v
+    # and (v+1) times the twist j+s >= v, and the (v+1, 2v+2) circulant rows
+    # [x, y + (v+1)*t] for entries x, y read with INFINITY as v and the
+    # twist t: (y + t - x) mod v where both are finite, v (S_a) where one is
+    # INFINITY, v + 1 (v) where both are. Read-only, as every call on v
+    # shares them.
     plus = np.add.outer(np.arange(v), np.arange(v))
-    return _readonly(plus % v), _readonly((plus >= v).astype(np.int64))
+    x, y = np.ogrid[: v + 1, : 2 * v + 2]
+    y, twist = y % (v + 1), y // (v + 1)
+    sides = (x == v) + (y == v).astype(np.int64)  # an int sum: bools would OR
+    rows = np.where(sides, v - 1 + sides, (y + twist - x) % v)
+    return _readonly(plus % v), _readonly((plus >= v) * (v + 1)), _readonly(rows)
 
 
 def _kernel_index(e) -> np.ndarray:
@@ -312,17 +320,12 @@ def _kernel_index(e) -> np.ndarray:
     the extension of e: E(j) = e_j and E(v+j) = e_j + 1 mod v, so E(j+s) is
     e at (j+s) mod v plus the twist j+s >= v, mod v. A pair with one
     INFINITY side reads row v (S_a), and one with two reads row v+1 (v).
-    A finite e skips that patch, which takes about 1.5 times the index's
-    own time at v = 7.
+    One gather from the rows table of _shift_tables, at column j's entry
+    (INFINITY read as v) and its partner's entry plus (v+1) times the twist.
     """
-    wrap, twist = _shift_tables(e.v)
-    x = np.array(e.entries)
-    if e.is_finite:
-        return (x[wrap] + twist - x) % e.v
-    zero = np.isinf(x)
-    x = np.where(zero, 0, x).astype(np.int64)
-    sides = zero[wrap] + zero.astype(np.int64)  # [s, j]: INFINITY columns among j and (j+s) mod v
-    return np.where(sides, e.v - 1 + sides, (x[wrap] + twist - x) % e.v)
+    wrap, twist, rows = _shift_tables(e.v)
+    x = np.minimum(e.entries, e.v).astype(np.int64, copy=False)  # INFINITY as v
+    return rows[x, x[wrap] + twist]
 
 
 def _identity_operands(alpha, sigma, step: int):
@@ -434,12 +437,13 @@ def signal_set_delta(members, method: str = "fast") -> DeltaReport:
     """Delta of a signal set: max |correlation| over ordered pairs and offsets.
 
     The rows come from the column identity when ``members`` is a built
-    set's ``SignalSet.members`` (it carries the set's (a, b, e); a slice,
-    list or copy of it does not), else from the transform (see
-    _correlation_rows). Both sources feed one scan and give the same exact
-    delta, witness positions and values. The scan ends with one packed
-    int64 code per maximizer (see WitnessSequence). ``method`` selects
-    nothing: it is kept only because bench/workloads.py passes it, as
+    set's ``SignalSet.members``, which carries the set's (a, b, e), or a
+    ``copy.copy``, ``copy.deepcopy`` or pickle round trip of it, which keep
+    its type and (a, b, e); a slice, a list or a tuple() of it reads the
+    transform (see _correlation_rows). Both sources feed one scan and give
+    the same exact delta, witness positions and values. The scan ends with
+    one packed int64 code per maximizer (see WitnessSequence). ``method``
+    selects nothing: it is kept only because bench/workloads.py passes it, as
     SearchSpec keeps ``normalize`` for bench/spans.py, and it still accepts
     only "direct" and "fast" (anything else is a ValueError).
     """

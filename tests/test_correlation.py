@@ -1,7 +1,9 @@
 """Tests for correlation profiles, two-level detection, and delta sweeps."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import tracemalloc
 from functools import partial
@@ -471,7 +473,7 @@ def _random_interleaved(v, r, seed):
     ],
     ids=["n1", "one-member", "rn-below-block", "rn-above-block"],
 )
-def test_direct_path_edge_shapes(members):
+def test_engine_edge_shapes(members):
     # The engine at its edge shapes, against the oracle: a period of one
     # value, a single member, and block bounds met within two values. The
     # caller's members are read, never written.
@@ -726,9 +728,9 @@ def test_at_most_sqrt_v_interleaved_members_keep_the_transform(members):
 
 @pytest.mark.parametrize("abe", [V3_ABE, WORKED_ABE, V11_ABE, V31_QUADRATIC], ids=["v3", "v7", "v11", "v31"])
 def test_plain_copies_of_a_built_set_read_the_transform(abe):
-    # Only the built set's own members tuple carries (a, b, e). A list, a
-    # tuple, a whole slice and the members of a dataclasses.replace copy are
-    # plain, read the transform, and give the set's exact report.
+    # Only the built set's members tuple and its copies carry (a, b, e). A
+    # list, a tuple, a whole slice and the members of a dataclasses.replace
+    # copy are plain, read the transform, and give the set's exact report.
     ss = build_signal_set(*abe)
     report = signal_set_delta(ss.members)
     copies = [
@@ -743,6 +745,21 @@ def test_plain_copies_of_a_built_set_read_the_transform(abe):
         assert again.delta == report.delta and np.array_equal(again.witnesses.code, report.witnesses.code)
     # A replace that keeps the members keeps their (a, b, e).
     assert fast_route(dataclasses.replace(ss, e=ss.e).members) == ["_identity_rows"]
+
+
+@pytest.mark.parametrize("abe", [V3_ABE, WORKED_ABE, V11_ABE, V31_QUADRATIC], ids=["v3", "v7", "v11", "v31"])
+def test_copies_of_a_built_set_read_the_identity(abe):
+    # copy.copy, copy.deepcopy and a pickle round trip keep the members'
+    # type and its (a, b, e): they read the column identity and give the
+    # set's exact report.
+    ss = build_signal_set(*abe)
+    report = signal_set_delta(ss.members)
+    copies = [copy.copy(ss.members), copy.deepcopy(ss.members), pickle.loads(pickle.dumps(ss.members))]
+    for members in copies:
+        assert members == ss.members and members.construction == ss.members.construction
+        assert fast_route(members) == ["_identity_rows"]
+        again = signal_set_delta(members)
+        assert again.delta == report.delta and np.array_equal(again.witnesses.code, report.witnesses.code)
 
 
 def test_one_block_operands_are_kept_per_base_pair():

@@ -105,8 +105,8 @@ def test_shift_sequence_rejects_non_integral_entries():
     lambda v: st.lists(st.integers(0, v - 1), min_size=v, max_size=v).map(tuple)
 ))
 def test_extension_matches_extended_entry(entries):
-    # The kernel's row index, read from the cached (j+s) mod v and twist
-    # tables, is E(j+s) - e_j mod v, E the extension, at every s and j.
+    # The kernel's row index, one gather from the cached table of circulant
+    # rows, is E(j+s) - e_j mod v, E the extension, at every s and j.
     e = ShiftSequence(entries)
     v = e.v
     index = _kernel_index(e)

@@ -106,7 +106,7 @@ def fast_cross_correlation(a: PeriodicSequence, b: PeriodicSequence) -> Correlat
     one member, a against a and b, is the only one computed: two inverses.
     """
     _, rows = next(_transform_rows([a, b], 1))
-    return CorrelationProfile(tuple(_by_offset(rows)[0, 1].astype(np.int64).tolist()))
+    return CorrelationProfile(tuple(rows[0, 0, 1].astype(np.int64).tolist()))
 
 
 def autocorrelation(a: PeriodicSequence) -> CorrelationProfile:
@@ -224,12 +224,11 @@ def _correlation_rows(members):
     is the correlation of member lo+h against member lo+k at offset
     tau = q*m + s, with m = rows.shape[1]. The column identity's blocks are
     its matmul's output, m = v; the transform's have m = 1, [h, 0, k, tau].
-    signal_set_delta scans a block in this memory order, and _by_offset
-    brings one to [h, k, tau]. At most c x r x n values are alive at a time,
-    and a pair against a member of an earlier block is left to its mirror
-    (see _block_codes). A signal set from v = 31 on has r*n above
-    _BLOCK_VALUES: one member per block. The rows are floats holding exact
-    integers, from one of two sources, by what the list is:
+    signal_set_delta scans a block in this memory order. At most c x r x n
+    values are alive at a time, and a pair against a member of an earlier
+    block is left to its mirror (see _block_codes). A signal set from v = 31
+    on has r*n above _BLOCK_VALUES: one member per block. The rows are floats
+    holding exact integers, from one of two sources, by what the list is:
 
     * a list that carries its construction (a built set's members, with
       their (a, b, e)) of period n <= _FLOAT32_EXACT reads the column
@@ -248,15 +247,6 @@ def _correlation_rows(members):
         operands = _set_operands(a, b) if step >= r else _identity_operands(*_base_parts(a, b), step)
         return _identity_rows(*operands, e, step)
     return _transform_rows(members, step)
-
-
-def _by_offset(rows) -> np.ndarray:
-    """A block [h, s, k, q] of _correlation_rows as [h, k, tau], tau = q*m + s.
-
-    m is the block's s-axis length; a view where m = 1, else a copy.
-    """
-    c, _, w, _ = rows.shape
-    return rows.transpose(0, 2, 3, 1).reshape(c, w, -1)
 
 
 def _transform_rows(members, step: int):
@@ -379,6 +369,18 @@ def _identity_rows(circulant, operands, e, step: int):
     kernel = circulant[_kernel_index(e)]
     # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]; map keeps neither past its turn.
     return map(lambda lo, operand: (lo, operand @ kernel), count(0, step), operands)
+
+
+def _identity_grid(a, b, e) -> np.ndarray:
+    """The int64 (v+1, v+1, v^2) [m, m', tau] of build_signal_set(a, b, e).
+
+    One identity block of all v + 1 members, from operands built for this
+    call, taken from its [h, s, k, q] layout to [h, k, tau], tau = q*v + s;
+    exact while v^2 <= _FLOAT32_EXACT, as every identity block is.
+    """
+    v = a.period
+    ((_, rows),) = _identity_rows(*_identity_operands(*_base_parts(a, b), v + 1), e, v + 1)
+    return rows.transpose(0, 2, 3, 1).reshape(v + 1, v + 1, v * v).astype(np.int64)
 
 
 @lru_cache(maxsize=8)

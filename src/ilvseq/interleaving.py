@@ -7,11 +7,11 @@ shift sequence e; the marker INFINITY denotes a zero column. Indices past the
 vector wrap with a +1 twist: entry v+j equals entry j plus one (mod v).
 
 Every correlation of a binary signal set is a signed sum of the base
-autocorrelation C_a taken at shift differences of e (``column_correlations``),
-with S_a = sum of (-1)^(a_i) for a pair of columns of which one is INFINITY
-and v for two. The sum is computed by one batched float32 kernel in
-``correlation``, fed from (a, b, e). The delta of every built set's members,
-INFINITY columns or not, reads the same kernel: ``SignalSet.members``
+autocorrelation C_a taken at shift differences of e, with S_a = sum of
+(-1)^(a_i) for a pair of columns of which one is INFINITY and v for two.
+``column_correlations`` returns all of them as one int64 grid, read from
+``correlation._identity_grid``. The delta of every built set's members,
+INFINITY columns or not, reads the same identity: ``SignalSet.members``
 carries the set's (a, b, e).
 """
 
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlation import _base_parts, _by_offset, _identity_operands, _identity_rows, is_two_level
+from .correlation import _identity_grid, is_two_level
 from .sequences import PeriodicSequence, _doubled, _integers, _same_shape, shift_equivalence
 
 #: Marker for an all-zero column (column carries no shift of the base).
@@ -138,15 +138,11 @@ def extended_entry(e: ShiftSequence, k: int) -> int:
 
 def _interleaved(a: PeriodicSequence, e: ShiftSequence, out=None) -> np.ndarray:
     # The uint8 (s, t) array [i, j] = a_((e_j + i) mod s), or 0 where e_j is
-    # INFINITY: the columns e_j mod s of the view [i, k] = a_(i+k) over two
-    # periods of a's bytes, with an INFINITY column read at 0 and zeroed.
-    window = np.ndarray((a.period, a.period), np.uint8, _doubled(a), 0, (1, 1))
-    if e.is_finite:
-        return np.take(window, e.entries, axis=1, mode="wrap", out=out)
-    zero = [x == INFINITY for x in e.entries]
-    u = np.take(window, [0 if z else x for z, x in zip(zero, e.entries)], axis=1, mode="wrap", out=out)
-    u[:, zero] = 0
-    return u
+    # INFINITY: column e_j mod s, or the all-zero column 2s, of the view
+    # [i, k] = c_(i+k) over c = two periods of a's bytes, then s zero bytes.
+    s = a.period
+    window = np.ndarray((s, 2 * s + 1), np.uint8, _doubled(a) + bytes(s), 0, (1, 1))
+    return np.take(window, [2 * s if x == INFINITY else x % s for x in e.entries], axis=1, out=out)
 
 
 def interleave(a: PeriodicSequence, e: ShiftSequence) -> PeriodicSequence:
@@ -287,13 +283,9 @@ def column_correlations(a: PeriodicSequence, b: PeriodicSequence, e: ShiftSequen
     of member 0 plus the constant b_((j+k) mod v). A term whose columns j
     and (j+s) mod v are one INFINITY and one finite has S_a = sum of
     (-1)^(a_i) in place of C_a, and one whose columns are both INFINITY has
-    v; e is checked as ``build_signal_set`` checks it. Computed as one batched
-    float32 matmul over s against the table K[s, j, r] = C_a(E(j+s) - e_j + r)
-    (``correlation._identity_rows`` on the operands of
-    ``correlation._identity_operands``, which the delta of the built set's
-    members reads too): every partial sum is an integer of size at most
-    v^2, exact while v^2 <= 2^24.
+    v; e is checked as ``build_signal_set`` checks it. The grid is
+    ``correlation._identity_grid(a, b, e)``, the identity that the delta of
+    the built set's members reads too.
     """
-    v = _check_construction(a, b, e)
-    ((_, rows),) = _identity_rows(*_identity_operands(*_base_parts(a, b), v + 1), e, v + 1)
-    return _by_offset(rows).astype(np.int64)
+    _check_construction(a, b, e)
+    return _identity_grid(a, b, e)

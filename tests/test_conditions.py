@@ -356,9 +356,6 @@ def test_verdict_only_reports_build_no_checks(monkeypatch):
     # A report read for its verdict, first failure and number of shifts
     # builds no ShiftCheck and no DifferenceProfile; reading one check
     # builds all of them, once.
-    # The table keeps the profiles it has built, and an earlier test may
-    # have read every check of E7, so start from an empty cache.
-    _count_table.cache_clear()
     built = []
 
     def profile(row, s, extended, _profile=conditions_mod._profile):

@@ -705,7 +705,7 @@ V3_SET = build_signal_set(*V3_ABE).members
     ],
     ids=["pair-128", "pair-129", "v3", "v7-worked", "v11", "v11-flipped", "v31"],
 )
-def test_fast_delta_picks_its_row_source_by_cost(members, route):
+def test_fast_delta_row_source_follows_the_list_kind(members, route):
     # By what the list is, whatever its size: a built set's members, in one
     # block (v = 3, 7, 11) or many (v = 31), read the column identity, and a
     # plain list, a pair of period 128 or a set one bit off, the transform.
@@ -718,10 +718,10 @@ def test_fast_delta_picks_its_row_source_by_cost(members, route):
     [V11_LEGENDRE[:3], _random_interleaved(16, 2, 7), _random_interleaved(91, 2, 8), _random_interleaved(91, 4, 9)],
     ids=["v11-three", "v16-pair", "v91-pair", "v91-four"],
 )
-def test_at_most_sqrt_v_interleaved_members_keep_the_transform(members):
-    # Interleaved lists of r^2 <= v members, the v = 91 ones one block a
-    # member: like every plain list, whatever its shape, they read the
-    # transform.
+def test_plain_interleaved_lists_read_the_transform(members):
+    # Lists of interleaved members that carry no construction, the v = 91
+    # ones one block a member: like every plain list, whatever its size,
+    # they read the transform.
     assert fast_route(members) == ["_transform_rows"]
     assert_engine_matches_reference(members)
 

@@ -181,7 +181,7 @@ def test_identity_rows_read_an_infinite_entry(position):
         blocks = list(correlation._identity_rows(*operands, e, step))
         assert [lo for lo, _ in blocks] == list(range(0, 8, step))
         for lo, rows in blocks:
-            assert np.array_equal(correlation._by_offset(rows), grid[lo : lo + step, lo:])
+            assert np.array_equal(rows.transpose(0, 2, 3, 1).reshape(len(rows), 8 - lo, 49), grid[lo : lo + step, lo:])
 
 
 def test_interleave_known_first_row():

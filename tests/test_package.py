@@ -75,6 +75,18 @@ def test_no_module_defines_an_unread_private_name():
     assert unread == []
 
 
+def test_interleaving_reads_one_private_name_of_correlation():
+    # The column identity is the engine's: interleaving reads it through
+    # _identity_grid, and no other helper of correlation.
+    tree = ast.parse(Path(ilvseq.interleaving.__file__).read_text())
+    imported = [
+        alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "correlation" and node.level == 1
+        for alias in node.names
+    ]
+    assert [name for name in imported if name.startswith("_")] == ["_identity_grid"]
+
+
 def test_condition_reports_use_no_fast_path():
     # The reports are the oracle that the block verdicts and the search are
     # tested against, so they compute without numpy and the block verdict:

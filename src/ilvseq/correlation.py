@@ -15,13 +15,15 @@ two row sources (``_correlation_rows``), chosen by what the list is:
   v values of C_a at the shift differences, of S_a = sum of (-1)^(a_i)
   where one column is INFINITY, and of v where both are. A block is one
   batched float32 matmul against the one table K of those values (gathered
-  through a table of circulant rows kept per v, indexed by the entries),
-  its signs folded into the members' operand. Each product is +-1 times a
-  value of size at most v and each partial sum an integer of size at most
-  v^2 = n, and float32 holds every integer up to 2^24 exactly, so the sum
-  is exact in any order BLAS takes, with or without fused multiply-add. The
-  operands that depend on the bases alone come from one builder, kept per
-  (a, b) for a set that one block holds (every built set up to v = 12).
+  through a table of circulant rows kept per v, indexed by the entries).
+  Its left operand is the members' signs sigma_h(j) sigma_k(j+s): for a set
+  that one block holds (every built set up to v = 12) multiplied once and
+  kept per (a, b); over several blocks member 0 alone, whose sigma_0 is 1,
+  and then strided views of one table of products of b's signs, so no
+  block multiplies. Each product is +-1 times a value of size at most v
+  and each partial sum an integer of size at most v^2 = n, and float32
+  holds every integer up to 2^24 exactly, so the sum is exact in any order
+  BLAS takes, with or without fused multiply-add.
 * transform, for every other list: one real float64 transform per member
   and one batched inverse per block, rounded back under a residue guard.
 
@@ -30,10 +32,12 @@ with tau = q*v + s; the transform's are [h, 0, k, tau].
 The one scan reads each block in its memory order, as floats, and keeps
 each maximizer as one int64 code, its position and sign. A set that one
 identity block holds (every built set up to v = 12) decodes the positions
-with one gather from a table of codes kept per (r, v); any other block
-decodes them by arithmetic on its layout. The codes come in the blocks'
-memory order, so one sort puts them in (i, j, tau) order. Delta restores
-each value, and the witness columns are decoded from the codes when read.
+with one gather from a table of codes kept per (r, v), and a transform
+block of the whole set reads its positions as codes; any other block
+decodes them with two floor divisions by its layout. The codes come in the
+blocks' memory order, so one sort puts them in (i, j, tau) order. Delta
+restores each value, and the witness columns are decoded from the codes
+when read.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import chain, repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +56,10 @@ from .sequences import PeriodicSequence, _doubled, _same_shape
 #: Most correlation values in one block of the delta scan: a block holds
 #: max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, so a small set
 #: is scanned in a few numpy calls and a set with r*n above it (v >= 31) one
-#: member at a time. A block of rows stays near 128 kB (float32, identity)
-#: or 256 kB (float64, transform).
+#: member at a time. A built set that one block does not hold (v >= 13)
+#: reads member 0 alone first, then blocks of that many members as views of
+#: one sign table (_identity_operands). A block of rows stays near 128 kB
+#: (float32, identity) or 256 kB (float64, transform).
 _BLOCK_VALUES = 1 << 15
 
 #: Longest period the column identity sums in float32: float32 holds every
@@ -219,7 +225,10 @@ class DeltaReport:
 def _correlation_rows(members):
     """An iterator of (lo, rows) for each block of the r members of period n.
 
-    A block is the members lo .. lo+c-1, with c = max(1, _BLOCK_VALUES // (r*n)).
+    A block is the members lo .. lo+c-1, with c at most
+    step = max(1, _BLOCK_VALUES // (r*n)): the transform's start at lo = 0,
+    step, 2*step, ...; a built set's that one block does not hold start at
+    0, 1, 1+step, ..., as member 0 is a block alone (see _identity_operands).
     Its rows start at column lo and are laid out [h, s, k, q]: rows[h, s, k, q]
     is the correlation of member lo+h against member lo+k at offset
     tau = q*m + s, with m = rows.shape[1]. The column identity's blocks are
@@ -234,7 +243,8 @@ def _correlation_rows(members):
       their (a, b, e)) of period n <= _FLOAT32_EXACT reads the column
       identity (_identity_rows), one batched float32 matmul per block. Its
       operands come from _identity_operands; those of a set that one block
-      holds (c = r, every built set up to v = 12) are kept per (a, b).
+      holds (c = r, every built set up to v = 12) are kept per (a, b), and
+      those of a larger set are views, built per call.
     * every other list reads one real float64 transform per member and one
       batched inverse per block, rounded under a residue guard
       (_transform_rows).
@@ -245,7 +255,7 @@ def _correlation_rows(members):
     if construction and n <= _FLOAT32_EXACT:
         a, b, e = construction
         operands = _set_operands(a, b) if step >= r else _identity_operands(*_base_parts(a, b), step)
-        return _identity_rows(*operands, e, step)
+        return _identity_rows(*operands, e)
     return _transform_rows(members, step)
 
 
@@ -275,8 +285,8 @@ def _set_operands(a, b):
     # every call shares them; at most about 100 kB each. They pay off only
     # where calls repeat (a, b): at v = 7 a delta that builds them takes
     # about 1.8 times as long as one that reads them.
-    circulant, (folded,) = _identity_operands(*_base_parts(a, b), a.period + 1)
-    return _readonly(circulant), (_readonly(folded),)
+    circulant, ((_, folded),) = _identity_operands(*_base_parts(a, b), a.period + 1)
+    return _readonly(circulant), ((0, _readonly(folded)),)
 
 
 def _base_parts(a, b):
@@ -325,22 +335,45 @@ def _identity_operands(alpha, sigma, step: int):
     member. The (v+2, v) circulant holds C_alpha(d + q) at [d, q] for d < v,
     the circulant of alpha's autocorrelation, then two constant rows: S_a,
     the sum of (-1)^(alpha_i), and v, the kernel of an INFINITY column
-    against a finite one and against another. operands lazily folds each
-    block of step members lo .. lo+c-1, against the members from lo on, as
-    [h, s, k, j] = sigma_(lo+h)(j) sigma_(lo+k)((j+s) mod v), read from a
-    view of the signs doubled, so only one block's is built at a time.
+    against a finite one and against another. operands yields (lo, operand)
+    for each block: its members lo .. lo+c-1 against the members from lo
+    on, [h, s, k, j] = sigma_(lo+h)(j) sigma_(lo+k)((j+s) mod v).
+
+    One block of all r members (step >= r) multiplies its signs once, for
+    any sigma. More blocks multiply nothing, and need the signs of
+    _base_parts: sigma_0 = 1 and sigma_(1+k)(j) = beta(j+k), beta = (-1)^b,
+    indices mod v. Member 0 is a block alone, and its operand is the view
+    [s, k, j] = sigma_k((j+s) mod v) of the signs doubled. Each later block
+    of step members from lo = 1 on reads sigma_(lo+h)(j) sigma_(lo+k)(j+s)
+    = Q[v+s+k-h, j+lo-1+h] as a strided view of one (3v, 2v) table
+    Q[t, u] = beta(u) beta(u+t-v), built per call: of r = v+1 members a
+    block from lo >= 1 has h < c <= v and k < w <= v, so t = v+s+k-h is in
+    1 .. 3v-2, and lo+h <= v keeps u = j+lo-1+h below 2v.
+    So every operand of a split set is a view, and nothing is multiplied
+    past the one table.
     """
-    v = len(alpha)
+    v, r = len(alpha), len(sigma)
     x = _SIGNS[np.concatenate([alpha, alpha])]
     # c_alpha[d] = sum over i of x_(i+d) x_i, exact in float32 as |c_alpha| <= v.
     c_alpha = _windows(x, v) @ x[:v]
-    shifted = _windows(np.concatenate([sigma, sigma], axis=1), v)  # [s, k, j] = sigma_k((j+s) mod v)
-    folds = (shifted[:, lo:] * sigma[lo : lo + step, None, None, :] for lo in range(0, len(sigma), step))
     constants = np.repeat(np.float32([[x[:v].sum()], [v]]), v, axis=1)
-    return np.concatenate([_windows(np.concatenate([c_alpha, c_alpha]), v), constants]), folds
+    circulant = np.concatenate([_windows(np.concatenate([c_alpha, c_alpha]), v), constants])
+    shifted = _windows(np.concatenate([sigma, sigma], axis=1), v)  # [s, k, j] = sigma_k((j+s) mod v)
+    if step >= r:
+        return circulant, ((0, shifted * sigma[:, None, None, :]),)
+    beta = np.tile(sigma[1], 5)  # beta(u mod v) for u < 5v
+    # The Hankel view [t, u] = beta(t+u) = beta(u+t-v), times beta(u).
+    q = np.ndarray((3 * v, 2 * v), np.float32, beta, 0, beta.strides * 2) * beta[: 2 * v]
+    row, col = q.strides
+    strides = (col - row, row, row, col)  # [h, s, k, j] -> Q[v+s+k-h, j+lo-1+h]
+    views = (
+        (lo, np.ndarray((min(step, r - lo), v, r - lo, v), np.float32, q, v * row + (lo - 1) * col, strides))
+        for lo in range(1, r, step)
+    )
+    return circulant, chain([(0, shifted[None])], views)
 
 
-def _identity_rows(circulant, operands, e, step: int):
+def _identity_rows(circulant, operands, e):
     """(lo, rows) of the members sigma_m(j) L^(e_j)(alpha), by the column identity.
 
     Column j of member h against column (j+s) mod v of member k, at offset
@@ -356,19 +389,15 @@ def _identity_rows(circulant, operands, e, step: int):
     against a finite column its products sum to sigma_h(j) sigma_k(j+s) S_a,
     and against another to sigma_h(j) sigma_k(j+s) v: there K reads the
     circulant's constant rows v and v+1 (_kernel_index). One batched
-    np.matmul over h and s per block of step members, each block's operand
-    from _identity_operands. The block's signs fold
-    into that left operand, the members' signs at (j+s) mod v: w*v^2 values
-    a block member for the w = r - lo members from lo on, where folding them
-    into K would write v^3. Over blocks of one member that is
-    r(r+1)/2 * v^2 values against r*v^3, no more while r < 2v. The block is
-    the matmul's own output, [h, s, k, q] with tau = q*v + s, the layout of
+    np.matmul over h and s per block, against its lo and sign operand
+    sigma_h(j) sigma_k(j+s) from _identity_operands. The block is the
+    matmul's own output, [h, s, k, q] with tau = q*v + s, the layout of
     _correlation_rows. Every partial sum is an integer of size at most
     v^2 = n, so float32 is exact in any BLAS order while n <= _FLOAT32_EXACT.
     """
     kernel = circulant[_kernel_index(e)]
-    # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]; map keeps neither past its turn.
-    return map(lambda lo, operand: (lo, operand @ kernel), count(0, step), operands)
+    # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]; starmap keeps no block past its turn.
+    return starmap(lambda lo, operand: (lo, operand @ kernel), operands)
 
 
 def _identity_grid(a, b, e) -> np.ndarray:
@@ -379,7 +408,7 @@ def _identity_grid(a, b, e) -> np.ndarray:
     exact while v^2 <= _FLOAT32_EXACT, as every identity block is.
     """
     v = a.period
-    ((_, rows),) = _identity_rows(*_identity_operands(*_base_parts(a, b), v + 1), e, v + 1)
+    ((_, rows),) = _identity_rows(*_identity_operands(*_base_parts(a, b), v + 1), e)
     return rows.transpose(0, 2, 3, 1).reshape(v + 1, v + 1, v * v).astype(np.int64)
 
 
@@ -402,10 +431,15 @@ def _block_codes(lo, rows, best: int, r: int):
     witness codes (see WitnessSequence) of every value of magnitude at least
     max(best, top), mirrored ones included, in the block's memory order. That
     is (i, j, tau) order only in the transform's m = 1 blocks, mirrored codes
-    aside. An identity block of the whole set decodes its maximizers with one
-    gather from a cached table (_one_block_codes), any other block through
-    its layout's arithmetic. The decode arrays are freed on return, before
-    the next block is computed.
+    aside. A block of the whole set returns at once: an identity block's
+    maximizers read their codes with one gather from a cached table
+    (_one_block_codes), and a transform block's positions are their codes.
+    Any other block decodes with two floor divisions by scalars, numpy's
+    cheapest integer op here (see README): hs = h*m + s, then x = k*n + tau,
+    so the code is ((lo+h)*r + lo)*n + x. A maximizer against a later block
+    (k >= c, so x >= c*n) is mirrored, with -tau mod n as n - tau, or 0 at
+    tau = 0. The decode arrays are freed on return, before the next block
+    is computed.
     """
     c, m, w, length = rows.shape  # [h, s, k, q]: lo+h against lo+k at tau = q*m + s
     n = m * length
@@ -415,23 +449,21 @@ def _block_codes(lo, rows, best: int, r: int):
     top = int(mags.max())
     (at,) = (mags >= max(best, top)).nonzero()
     negative = rows[at] < 0
-    if m > 1 and c == r:  # the whole set in one identity block (lo = 0, w = r)
-        at = _one_block_codes(r, m)[at]
-    elif m > 1:  # to [h, k, tau]: (h*w + k)*n + q*m + s, where k*n + q*m = (k*length + q)*m
-        hs, kq = np.divmod(at, w * length)
-        h, s = np.divmod(hs, m)
-        at = (h * (w * length) + kq) * m + s
-    if lo:  # each row h of the block skipped lo columns
-        at += at // (w * n) * (lo * n)
-    at += lo * (r + 1) * n
-    codes = [at << 1 | negative]
+    if c == r:  # the whole set (lo = 0): at is the transform's code, the identity's table index
+        return top, [(_one_block_codes(r, m)[at] if m > 1 else at) << 1 | negative]
+    hs = at // (w * length)  # h*m + s
+    h = hs // m
+    x = (at - hs * (w * length)) * m + hs - h * m  # k*n + tau: (k*length + q)*m + s
+    codes = [(((h + lo) * r + lo) * n + x) << 1 | negative]
     if w > c:
         # A later block skips the pair (j, i) of its member j against
         # member i of this one. C_ji(tau) = C_ij(-tau mod n) exactly for
         # binary members, so its maximizers are (j, i, -tau mod n, value).
-        i, j, taus = np.unravel_index(at, (r, r, n))
-        later = j >= lo + c
-        codes.append(((j[later] * r + i[later]) * n + -taus[later] % n) << 1 | negative[later])
+        later = x >= c * n  # k >= c: member lo+k is in a later block
+        h, x = h[later] + lo, x[later]
+        k = x // n
+        tau = x - k * n
+        codes.append((((k + lo) * r + h) * n + (n - tau) * (tau > 0)) << 1 | negative[later])
     return top, codes
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilvseq import (
+    INFINITY,
     PRIMITIVE_POLYS,
     LfsrSpec,
     PeriodicSequence,
@@ -420,13 +421,23 @@ def witness_columns(members, block_values, monkeypatch):
     return report.delta, report.witnesses.columns()
 
 
-@pytest.mark.parametrize("members", [WORKED_SET, BINARY_SET_5], ids=["p2-worked", "p2-five"])
+# v = 15, the first v past one block at the default bound that has two-level
+# bases (v = 13 and 14 have none): 16 members, read as member 0 alone, then
+# 9 and 6 at the default, 3 at a time at 3rn.
+MSEQ15 = gen_mseq(LfsrSpec(4, tuple(int(c) for c in PRIMITIVE_POLYS[4]), (1, 0, 0, 0)))
+V15_SET = build_signal_set(MSEQ15, PeriodicSequence(2, MSEQ15.values[::-1]), quadratic_shifts(15, 1, 3)).members
+
+
+@pytest.mark.parametrize(
+    "members", [WORKED_SET, BINARY_SET_5, V15_SET], ids=["p2-worked", "p2-five", "v15-mseq"]
+)
 def test_block_boundaries_do_not_move_witnesses(members, monkeypatch):
     # One member per block at bounds 1 and 3n; uneven blocks of three; and
-    # the whole set in one block. At every bound the worked set reads the
-    # column identity and the five members the transform.
+    # the whole set in one block. At every bound the worked set and the
+    # v = 15 set read the column identity and the five members the
+    # transform. The default bound splits the v = 15 set unevenly.
     r, n = len(members), members[0].period
-    sizes = (1, 3 * n, 3 * r * n, 1 << 30)
+    sizes = (1, 3 * n, 3 * r * n, 1 << 30, DEFAULT_BLOCK_VALUES)
     runs = [witness_columns(members, size, monkeypatch) for size in sizes]
     for delta, columns in runs:
         assert type(delta) is int and all(column.dtype == np.int64 for column in columns)
@@ -439,6 +450,8 @@ def test_block_boundaries_do_not_move_witnesses(members, monkeypatch):
     assert list(zip(*(column.tolist() for column in columns))) == hits
     if members is BINARY_SET_5:
         assert len(hits) == 8 and sum(i >= 3 > j for i, j, _, _ in hits) == 4
+    if members is V15_SET:  # later blocks' pairs with member 0, read off its lone block
+        assert sum(i > 0 == j for i, j, _, _ in hits) > 0
 
 
 def _random_members(r, n, seed):
@@ -511,13 +524,25 @@ def inverse_rows(members, name):
     return sum(rows)
 
 
-def assert_rows_match_grid(blocks, grid, step):
-    """Each block (lo, rows) equals the oracle's grid[lo : lo+c, lo:], c = step or fewer."""
-    starts = []
-    for lo, rows in blocks:
-        starts.append(lo)
-        assert np.array_equal(by_offset(rows), grid[lo : lo + step, lo:])
-    assert starts == list(range(0, len(grid), step))
+def assert_rows_match_grid(blocks, grid, starts):
+    """The blocks (lo, rows) start at starts, and each equals the oracle's
+    grid[lo : end, lo:], end the next block's lo or the last member's end."""
+    blocks, starts = list(blocks), list(starts)
+    assert [lo for lo, _ in blocks] == starts
+    for (lo, rows), end in zip(blocks, starts[1:] + [len(grid)]):
+        assert np.array_equal(by_offset(rows), grid[lo:end, lo:])
+
+
+def block_starts(r, step, source):
+    """The lo of each block of step members of r that a row source yields.
+
+    The transform's blocks start at 0, step, 2*step, ... The column
+    identity's hold member 0 alone, then step members each from member 1
+    on, unless one block holds the whole set.
+    """
+    if source == "identity" and step < r:
+        return [0, *range(1, r, step)]
+    return list(range(0, r, step))
 
 
 def by_offset(rows):
@@ -567,17 +592,20 @@ V11_LEGENDRE = build_signal_set(*V11_ABE).members
 
 def test_engine_matches_reference_on_members_and_complements(monkeypatch):
     # 24 members of period 121, a plain list: it reads the transform. Read
-    # by the column identity in blocks of 11, with the complements' signs
-    # negated, the first block's member operand is 24 members wide, more
-    # than 2v = 22, and the later blocks read earlier pairs off their mirrors.
+    # by the column identity in one block, with the complements' signs
+    # negated, the member operand is 24 members wide, more than 2v = 22.
+    # Several identity blocks take a built set's signs alone (see
+    # test_column_identity_matches_reference), so the split is the transform's.
     complements = [PeriodicSequence(2, tuple(1 - x for x in m.values)) for m in V11_LEGENDRE]
     members = list(V11_LEGENDRE) + complements
     assert fast_route(members) == ["_transform_rows"]
     assert_engine_matches_reference(members)
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", 11 * 24 * 121)
+    assert_engine_matches_reference(members)
     a, b, e = V11_ABE
     alpha, sigma = correlation._base_parts(a, b)
-    operands = correlation._identity_operands(alpha, np.concatenate([sigma, -sigma]), 11)
-    identity = partial(correlation._identity_rows, *operands, e, 11)
+    operands = correlation._identity_operands(alpha, np.concatenate([sigma, -sigma]), 24)
+    identity = partial(correlation._identity_rows, *operands, e)
     monkeypatch.setattr(correlation, "_correlation_rows", lambda members: identity())
     assert_engine_matches_reference(members)
 
@@ -635,9 +663,15 @@ def interleaved_lists(draw):
 def test_column_identity_matches_reference(case):
     # Any alpha, e and signs, two-level or not: the column identity's rows,
     # fed the draw's own (alpha, e, sigma) through the uncached builder,
-    # equal the oracle's grid block by block, in blocks of step < r members
-    # and folded whole in one block. As a plain list the members read the
-    # transform and match the oracle exactly.
+    # equal the oracle's grid, folded whole in one block. Split into blocks,
+    # the identity reads a built set's signs as views, so there the v + 1
+    # members take the flips of member 0 as b: member 0 unflipped, member
+    # 1+k flipped by b from k on. Those blocks, member 0 alone and then
+    # step members each, equal the oracle's grid too, as does the whole
+    # set in one block, and the delta read from them is the oracle's: a
+    # periodic alpha or b puts maximizers at tau = 0, mirrored ones among
+    # them. As a plain list the members read the transform and match the
+    # oracle exactly.
     alpha, e, flips, step = case
     members = interleaved_members(alpha, e, flips)
     r, n, v = len(members), members[0].period, len(alpha)
@@ -645,12 +679,19 @@ def test_column_identity_matches_reference(case):
         patch.setattr(correlation, "_BLOCK_VALUES", step * r * n)
         assert fast_route(members) == ["_transform_rows"]
         assert_engine_matches_reference(members)
-    sigma = 1 - 2 * np.array(flips, np.float32)
+    e, bits = ShiftSequence(tuple(e)), np.array(alpha, np.uint8)
+    operands = correlation._identity_operands(bits, 1 - 2 * np.array(flips, np.float32), r)
+    assert_rows_match_grid(correlation._identity_rows(*operands, e), reference_grid(members), [0])
+    b = flips[0]
+    built = [[0] * v] + [[b[(j + k) % v] for j in range(v)] for k in range(v)]
+    members = interleaved_members(alpha, e.entries, built)
     grid = reference_grid(members)
-    for size in (step, r):
-        operands = correlation._identity_operands(np.array(alpha, np.uint8), sigma, size)
-        identity = correlation._identity_rows(*operands, ShiftSequence(tuple(e)), size)
-        assert_rows_match_grid(identity, grid, size)
+    for size in (step, v + 1):
+        identity = partial(correlation._identity_operands, bits, 1 - 2 * np.array(built, np.float32), size)
+        assert_rows_match_grid(correlation._identity_rows(*identity(), e), grid, block_starts(v + 1, size, "identity"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlation, "_correlation_rows", lambda members: correlation._identity_rows(*identity(), e))
+            assert_engine_matches_reference(members)
 
 
 @pytest.mark.parametrize("m, index", [(0, 0), (0, 9), (-1, 48)], ids=["alpha", "member-0", "last"])
@@ -669,22 +710,54 @@ def test_one_bit_from_interleaved_takes_the_transform(m, index, monkeypatch):
 V59_LEGENDRE = (gen_legendre(59, 0), gen_legendre(59, 1), quadratic_shifts(59, 1, 3))
 
 
-@pytest.mark.parametrize("abe", [V31_QUADRATIC, V59_LEGENDRE], ids=["v31", "v59"])
+# v = 19 Legendre bases, zero conventions 0 and 1 either way round, with
+# INFINITY for 4 of the 19 entries of quadratic_shifts(19, 1, 3): 20 members,
+# 4 of them to a block at the default bound.
+V19_E_INF = ShiftSequence(tuple(INFINITY if j % 5 == 3 else x for j, x in enumerate(quadratic_shifts(19, 1, 3).entries)))
+V19_INF = [(gen_legendre(19, zero), gen_legendre(19, 1 - zero), V19_E_INF) for zero in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "abe", [V31_QUADRATIC, V59_LEGENDRE, *V19_INF], ids=["v31", "v59", "v19-inf-01", "v19-inf-10"]
+)
 def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
     # Built sets, one member per block: every block's rows, and then every
-    # witness code, equal the transform's.
+    # witness code, equal the transform's. At bounds 1, 3n and the default
+    # the delta reads member 0 alone and then blocks of step members, and
+    # each block's operand is a view that owns no data, equal elementwise
+    # to the signs multiplied out: sigma_(lo+h)(j) sigma_(lo+k)((j+s) mod v).
     members = build_signal_set(*abe).members
-    step = 1
+    r, n = len(members), members[0].period
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", 1)
     identity = list(correlation._correlation_rows(members))
-    assert [lo for lo, _ in identity] == list(range(len(members)))
-    for (lo, rows), (_, rows_t) in zip(identity, correlation._transform_rows(members, step)):
+    assert [lo for lo, _ in identity] == list(range(r))
+    for (lo, rows), (_, rows_t) in zip(identity, correlation._transform_rows(members, 1)):
         assert rows.dtype == np.float32 and np.array_equal(by_offset(rows), by_offset(rows_t))
     del identity
-    report = signal_set_delta(members)
-    monkeypatch.setattr(correlation, "_correlation_rows", lambda members: correlation._transform_rows(members, step))
-    transform = signal_set_delta(members)
-    assert report.delta == transform.delta and len(report.witnesses) > 0
-    assert np.array_equal(report.witnesses.code, transform.witnesses.code)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation, "_correlation_rows", lambda members: correlation._transform_rows(members, 1))
+        transform = signal_set_delta(members)
+    assert len(transform.witnesses) > 0
+    alpha, sigma = correlation._base_parts(*abe[:2])
+    shifted = np.stack([np.roll(sigma, -s, axis=1) for s in range(len(alpha))])  # [s, k, j]
+    build = correlation._identity_operands
+    for block_values in (1, 3 * n, DEFAULT_BLOCK_VALUES):
+        read = []
+
+        def spy(*args):
+            circulant, operands = build(*args)
+            return circulant, (read.append(block) or block for block in operands)
+
+        monkeypatch.setattr(correlation, "_identity_operands", spy)
+        monkeypatch.setattr(correlation, "_BLOCK_VALUES", block_values)
+        report = signal_set_delta(members)
+        assert report.delta == transform.delta
+        assert np.array_equal(report.witnesses.code, transform.witnesses.code)
+        starts = block_starts(r, max(1, block_values // (r * n)), "identity")
+        assert len(starts) > 1 and [lo for lo, _ in read] == starts
+        for (lo, operand), end in zip(read, starts[1:] + [r]):
+            assert not operand.flags.owndata
+            assert np.array_equal(operand, sigma[lo:end, None, None, :] * shifted[:, lo:])
 
 
 V3_ABE = (gen_legendre(3, 0), gen_legendre(3, 1), quadratic_shifts(3, 1, 1))
@@ -779,7 +852,7 @@ def test_one_block_operands_are_kept_per_base_pair():
     assert cache.cache_info()[:2] == (1, 1)
     assert correlation._one_block_codes.cache_info()[:2] == (1, 1)
     assert correlation._shift_tables.cache_info()[:2] == (2, 1)  # the same kernel index
-    circulant, (folded,) = cache(A7, B7)
+    circulant, ((_, folded),) = cache(A7, B7)
     for array in (circulant, folded, correlation._one_block_codes(8, 7), *correlation._shift_tables(7)):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
@@ -798,8 +871,7 @@ def test_one_block_operands_are_kept_per_base_pair():
     for members in sets:
         assert_engine_matches_reference(members)
     # v = 15, 16 members of period 225, reads its operands per call.
-    mseq = gen_mseq(LfsrSpec(4, tuple(int(c) for c in PRIMITIVE_POLYS[4]), (1, 0, 0, 0)))
-    members = build_signal_set(mseq, PeriodicSequence(2, mseq.values[::-1]), quadratic_shifts(15, 1, 3)).members
+    members = V15_SET
     assert fast_route(members) == ["_identity_rows"]
     assert cache.cache_info().currsize == 2
     # Its blocks decode by arithmetic: no code table, one more index table.
@@ -869,11 +941,11 @@ def test_row_sources_give_equal_rows_and_codes(monkeypatch):
         grid = reference_grid(members)
         for step in (len(members), 3):
             sources = [
-                lambda: correlation._identity_rows(*correlation._identity_operands(alpha, sigma, step), e, step),
+                lambda: correlation._identity_rows(*correlation._identity_operands(alpha, sigma, step), e),
                 partial(correlation._transform_rows, members, step),
             ]
-            for source in sources:
-                assert_rows_match_grid(source(), grid, step)
+            for source, name in zip(sources, ("identity", "transform")):
+                assert_rows_match_grid(source(), grid, block_starts(len(members), step, name))
             reports = []
             for source in sources:
                 monkeypatch.setattr(correlation, "_correlation_rows", lambda members, rows=source: rows())

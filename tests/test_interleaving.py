@@ -171,17 +171,17 @@ def test_circulant_rows_past_v_are_S_a_and_v():
 def test_identity_rows_read_an_infinite_entry(position):
     # A zero column reads the circulant's constant rows: the identity's
     # rows of a vector with one INFINITY entry equal the oracle's grid, in
-    # one block and in blocks of three.
+    # one block, and in member 0 alone then blocks of three.
     entries = list(E7.entries)
     entries[position] = INFINITY
     e = ShiftSequence(tuple(entries))
     grid = reference_grid(build_signal_set(A7, B7, e).members)
-    for step in (8, 3):
+    for step, starts in ((8, [0]), (3, [0, 1, 4, 7])):
         operands = correlation._identity_operands(*correlation._base_parts(A7, B7), step)
-        blocks = list(correlation._identity_rows(*operands, e, step))
-        assert [lo for lo, _ in blocks] == list(range(0, 8, step))
-        for lo, rows in blocks:
-            assert np.array_equal(rows.transpose(0, 2, 3, 1).reshape(len(rows), 8 - lo, 49), grid[lo : lo + step, lo:])
+        blocks = list(correlation._identity_rows(*operands, e))
+        assert [lo for lo, _ in blocks] == starts
+        for (lo, rows), end in zip(blocks, starts[1:] + [8]):
+            assert np.array_equal(rows.transpose(0, 2, 3, 1).reshape(end - lo, 8 - lo, 49), grid[lo:end, lo:])
 
 
 def test_interleave_known_first_row():

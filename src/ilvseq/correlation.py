@@ -16,14 +16,14 @@ two row sources (``_correlation_rows``), chosen by what the list is:
   where one column is INFINITY, and of v where both are. A block is one
   batched float32 matmul against the one table K of those values (gathered
   through a table of circulant rows kept per v, indexed by the entries).
-  Its left operand is the members' signs sigma_h(j) sigma_k(j+s): for a set
-  that one block holds (every built set up to v = 12) multiplied once and
-  kept per (a, b); over several blocks member 0 alone, whose sigma_0 is 1,
-  and then strided views of one table of products of b's signs, so no
-  block multiplies. Each product is +-1 times a value of size at most v
-  and each partial sum an integer of size at most v^2 = n, and float32
-  holds every integer up to 2^24 exactly, so the sum is exact in any order
-  BLAS takes, with or without fused multiply-add.
+  Its left operand is the members' signs sigma_h(j) sigma_k(j+s), which b
+  fixes, kept per (a, b, step): multiplied once for a set that one block
+  holds (every built set up to v = 12), and over several blocks member 0
+  alone, whose sigma_0 is 1, and then strided views of one table of
+  products of b's signs, so no block multiplies. Each product is +-1 times
+  a value of size at most v and each partial sum an integer of size at
+  most v^2 = n, and float32 holds every integer up to 2^24 exactly, so the
+  sum is exact in any order BLAS takes, with or without fused multiply-add.
 * transform, for every other list: one real float64 transform per member
   and one batched inverse per block, rounded back under a residue guard.
 
@@ -32,8 +32,7 @@ with tau = q*v + s; the transform's are [h, 0, k, tau].
 The one scan reads each block in its memory order, as floats, and keeps
 each maximizer as one int64 code, its position and sign. A set that one
 identity block holds (every built set up to v = 12) decodes the positions
-with one gather from a table of codes kept per (r, v), and a transform
-block of the whole set reads its positions as codes; any other block
+with one gather from a table of codes kept per (r, v); any other block
 decodes them with two floor divisions by its layout. The codes come in the
 blocks' memory order, so one sort puts them in (i, j, tau) order. Delta
 restores each value, and the witness columns are decoded from the codes
@@ -46,12 +45,12 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat, starmap
+from itertools import repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
 
-from .sequences import PeriodicSequence, _doubled, _same_shape
+from .sequences import PeriodicSequence, _same_shape
 
 #: Most correlation values in one block of the delta scan: a block holds
 #: max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, so a small set
@@ -241,10 +240,8 @@ def _correlation_rows(members):
 
     * a list that carries its construction (a built set's members, with
       their (a, b, e)) of period n <= _FLOAT32_EXACT reads the column
-      identity (_identity_rows), one batched float32 matmul per block. Its
-      operands come from _identity_operands; those of a set that one block
-      holds (c = r, every built set up to v = 12) are kept per (a, b), and
-      those of a larger set are views, built per call.
+      identity (_identity_rows), one batched float32 matmul per block, on
+      the operands of _identity_operands, kept per (a, b, step).
     * every other list reads one real float64 transform per member and one
       batched inverse per block, rounded under a residue guard
       (_transform_rows).
@@ -254,8 +251,7 @@ def _correlation_rows(members):
     construction = getattr(members, "construction", None)
     if construction and n <= _FLOAT32_EXACT:
         a, b, e = construction
-        operands = _set_operands(a, b) if step >= r else _identity_operands(*_base_parts(a, b), step)
-        return _identity_rows(*operands, e)
+        return _identity_rows(*_identity_operands(a, b, step), e)
     return _transform_rows(members, step)
 
 
@@ -277,24 +273,6 @@ def _windows(doubled: np.ndarray, v: int) -> np.ndarray:
     # of a C-contiguous array: the v windows of each row, in front of its rows.
     *rows, col = doubled.strides
     return np.ndarray((v, *doubled.shape[:-1], v), doubled.dtype, doubled, 0, (col, *rows, col))
-
-
-@lru_cache(maxsize=8)
-def _set_operands(a, b):
-    # The operands of the sets on (a, b) that one block holds, read-only as
-    # every call shares them; at most about 100 kB each. They pay off only
-    # where calls repeat (a, b): at v = 7 a delta that builds them takes
-    # about 1.8 times as long as one that reads them.
-    circulant, ((_, folded),) = _identity_operands(*_base_parts(a, b), a.period + 1)
-    return _readonly(circulant), ((0, _readonly(folded)),)
-
-
-def _base_parts(a, b):
-    # (alpha, sigma) of build_signal_set(a, b, e): a's uint8 bits, and the
-    # float32 (v+1, v) signs sigma_0 = 1, sigma_(1+k)(j) = (-1)^b_((j+k) mod v).
-    sigma = np.ones((a.period + 1, a.period), np.float32)
-    sigma[1:] = _SIGNS[_windows(np.frombuffer(_doubled(b), np.uint8), a.period)]
-    return np.frombuffer(a.value_bytes, np.uint8), sigma
 
 
 @lru_cache(maxsize=8)
@@ -328,49 +306,52 @@ def _kernel_index(e) -> np.ndarray:
     return rows[x, x[wrap] + twist]
 
 
-def _identity_operands(alpha, sigma, step: int):
-    """(circulant, operands): the operands of _identity_rows from the bases.
+@lru_cache(maxsize=8)
+def _identity_operands(a, b, step: int):
+    """(circulant, operands): the operands of _identity_rows, from the bases.
 
-    alpha is the base's bits and sigma the float32 (r, v) signs, a row a
-    member. The (v+2, v) circulant holds C_alpha(d + q) at [d, q] for d < v,
-    the circulant of alpha's autocorrelation, then two constant rows: S_a,
-    the sum of (-1)^(alpha_i), and v, the kernel of an INFINITY column
-    against a finite one and against another. operands yields (lo, operand)
-    for each block: its members lo .. lo+c-1 against the members from lo
-    on, [h, s, k, j] = sigma_(lo+h)(j) sigma_(lo+k)((j+s) mod v).
+    They are those of build_signal_set(a, b, e) for every e, whose members
+    have the signs sigma_0 = 1 and sigma_(1+k)(j) = beta(j+k), beta = (-1)^b,
+    indices mod v. The (v+2, v) circulant holds C_a(d + q) at [d, q] for
+    d < v, the circulant of a's autocorrelation, then two constant rows:
+    S_a, the sum of (-1)^(a_i), and v, the kernel of an INFINITY column
+    against a finite one and against another. operands is a tuple of
+    (lo, operand) for each block: its members lo .. lo+c-1 against the
+    members from lo on, [h, s, k, j] = sigma_(lo+h)(j) sigma_(lo+k)((j+s) mod v).
 
-    One block of all r members (step >= r) multiplies its signs once, for
-    any sigma. More blocks multiply nothing, and need the signs of
-    _base_parts: sigma_0 = 1 and sigma_(1+k)(j) = beta(j+k), beta = (-1)^b,
-    indices mod v. Member 0 is a block alone, and its operand is the view
-    [s, k, j] = sigma_k((j+s) mod v) of the signs doubled. Each later block
-    of step members from lo = 1 on reads sigma_(lo+h)(j) sigma_(lo+k)(j+s)
-    = Q[v+s+k-h, j+lo-1+h] as a strided view of one (3v, 2v) table
-    Q[t, u] = beta(u) beta(u+t-v), built per call: of r = v+1 members a
-    block from lo >= 1 has h < c <= v and k < w <= v, so t = v+s+k-h is in
-    1 .. 3v-2, and lo+h <= v keeps u = j+lo-1+h below 2v.
-    So every operand of a split set is a view, and nothing is multiplied
-    past the one table.
+    The signs are read from one tiled copy of beta, whose Hankel view
+    [t, u] = beta(t+u) holds the signs sigma_(1+k)(u) at [k, u] for u < 2v.
+    One block of all r = v+1 members (step >= r) multiplies its signs once.
+    More blocks multiply nothing: member 0 is a block alone, and its
+    operand is the view [s, k, j] = sigma_k((j+s) mod v) of the signs
+    doubled. Each later block of step members from lo = 1 on reads
+    sigma_(lo+h)(j) sigma_(lo+k)(j+s) = Q[v+s+k-h, j+lo-1+h] as a strided
+    view of one (3v, 2v) table Q[t, u] = beta(u) beta(u+t-v): a block from
+    lo >= 1 has h < c <= v and k < w <= v, so t = v+s+k-h is in 1 .. 3v-2,
+    and lo+h <= v keeps u = j+lo-1+h below 2v. Kept per (a, b, step) and
+    read-only, as every call on them shares them: about 35 kB at v = 31.
     """
-    v, r = len(alpha), len(sigma)
-    x = _SIGNS[np.concatenate([alpha, alpha])]
-    # c_alpha[d] = sum over i of x_(i+d) x_i, exact in float32 as |c_alpha| <= v.
-    c_alpha = _windows(x, v) @ x[:v]
+    v, r = a.period, a.period + 1
+    x = _SIGNS[np.frombuffer(a.value_bytes * 2, np.uint8)]
+    # c_a[d] = sum over i of x_(i+d) x_i, exact in float32 as |c_a| <= v.
+    c_a = _windows(x, v) @ x[:v]
     constants = np.repeat(np.float32([[x[:v].sum()], [v]]), v, axis=1)
-    circulant = np.concatenate([_windows(np.concatenate([c_alpha, c_alpha]), v), constants])
-    shifted = _windows(np.concatenate([sigma, sigma], axis=1), v)  # [s, k, j] = sigma_k((j+s) mod v)
+    circulant = np.concatenate([_windows(np.concatenate([c_a, c_a]), v), constants])
+    beta = np.tile(_SIGNS[np.frombuffer(b.value_bytes, np.uint8)], 5)  # beta(u mod v) for u < 5v
+    hankel = np.ndarray((3 * v, 2 * v), np.float32, beta, 0, beta.strides * 2)  # [t, u] = beta(t+u)
+    sigma = np.concatenate([np.ones((1, 2 * v), np.float32), hankel[:v]])  # [k, u] = sigma_k(u mod v)
+    shifted = _windows(sigma, v)  # [s, k, j] = sigma_k((j+s) mod v)
     if step >= r:
-        return circulant, ((0, shifted * sigma[:, None, None, :]),)
-    beta = np.tile(sigma[1], 5)  # beta(u mod v) for u < 5v
-    # The Hankel view [t, u] = beta(t+u) = beta(u+t-v), times beta(u).
-    q = np.ndarray((3 * v, 2 * v), np.float32, beta, 0, beta.strides * 2) * beta[: 2 * v]
-    row, col = q.strides
-    strides = (col - row, row, row, col)  # [h, s, k, j] -> Q[v+s+k-h, j+lo-1+h]
-    views = (
-        (lo, np.ndarray((min(step, r - lo), v, r - lo, v), np.float32, q, v * row + (lo - 1) * col, strides))
-        for lo in range(1, r, step)
-    )
-    return circulant, chain([(0, shifted[None])], views)
+        operands = [(0, shifted * sigma[:, None, None, :v])]
+    else:
+        q = hankel * beta[: 2 * v]
+        row, col = q.strides
+        strides = (col - row, row, row, col)  # [h, s, k, j] -> Q[v+s+k-h, j+lo-1+h]
+        operands = [(0, shifted[None])] + [
+            (lo, np.ndarray((min(step, r - lo), v, r - lo, v), np.float32, q, v * row + (lo - 1) * col, strides))
+            for lo in range(1, r, step)
+        ]
+    return _readonly(circulant), tuple((lo, _readonly(operand)) for lo, operand in operands)
 
 
 def _identity_rows(circulant, operands, e):
@@ -403,12 +384,14 @@ def _identity_rows(circulant, operands, e):
 def _identity_grid(a, b, e) -> np.ndarray:
     """The int64 (v+1, v+1, v^2) [m, m', tau] of build_signal_set(a, b, e).
 
-    One identity block of all v + 1 members, from operands built for this
-    call, taken from its [h, s, k, q] layout to [h, k, tau], tau = q*v + s;
-    exact while v^2 <= _FLOAT32_EXACT, as every identity block is.
+    One identity block of all v + 1 members, from operands that
+    _identity_operands builds for this call and does not keep (at v = 59
+    the one block's signs take about 50 MB), taken from its [h, s, k, q]
+    layout to [h, k, tau], tau = q*v + s; exact while v^2 <= _FLOAT32_EXACT,
+    as every identity block is.
     """
     v = a.period
-    ((_, rows),) = _identity_rows(*_identity_operands(*_base_parts(a, b), v + 1), e)
+    ((_, rows),) = _identity_rows(*_identity_operands.__wrapped__(a, b, v + 1), e)
     return rows.transpose(0, 2, 3, 1).reshape(v + 1, v + 1, v * v).astype(np.int64)
 
 
@@ -431,15 +414,14 @@ def _block_codes(lo, rows, best: int, r: int):
     witness codes (see WitnessSequence) of every value of magnitude at least
     max(best, top), mirrored ones included, in the block's memory order. That
     is (i, j, tau) order only in the transform's m = 1 blocks, mirrored codes
-    aside. A block of the whole set returns at once: an identity block's
-    maximizers read their codes with one gather from a cached table
-    (_one_block_codes), and a transform block's positions are their codes.
-    Any other block decodes with two floor divisions by scalars, numpy's
-    cheapest integer op here (see README): hs = h*m + s, then x = k*n + tau,
-    so the code is ((lo+h)*r + lo)*n + x. A maximizer against a later block
-    (k >= c, so x >= c*n) is mirrored, with -tau mod n as n - tau, or 0 at
-    tau = 0. The decode arrays are freed on return, before the next block
-    is computed.
+    aside. An identity block of the whole set reads its maximizers' codes
+    with one gather from a cached table (_one_block_codes). Any other block
+    decodes with two floor divisions by scalars, numpy's cheapest integer op
+    here (see README): hs = h*m + s, then x = k*n + tau, so the code is
+    ((lo+h)*r + lo)*n + x; a transform block of the whole set gets its
+    positions back as codes. A maximizer against a later block (k >= c, so
+    x >= c*n) is mirrored, with -tau mod n as n - tau, or 0 at tau = 0. The
+    decode arrays are freed on return, before the next block is computed.
     """
     c, m, w, length = rows.shape  # [h, s, k, q]: lo+h against lo+k at tau = q*m + s
     n = m * length
@@ -449,8 +431,8 @@ def _block_codes(lo, rows, best: int, r: int):
     top = int(mags.max())
     (at,) = (mags >= max(best, top)).nonzero()
     negative = rows[at] < 0
-    if c == r:  # the whole set (lo = 0): at is the transform's code, the identity's table index
-        return top, [(_one_block_codes(r, m)[at] if m > 1 else at) << 1 | negative]
+    if c == r and m > 1:  # an identity block of the whole set (lo = 0): at is the table index
+        return top, [_one_block_codes(r, m)[at] << 1 | negative]
     hs = at // (w * length)  # h*m + s
     h = hs // m
     x = (at - hs * (w * length)) * m + hs - h * m  # k*n + tau: (k*length + q)*m + s

@@ -34,3 +34,18 @@ def reference_delta(members):
     delta = int(mags.max())
     at = mags == delta
     return delta, [(*index, value) for index, value in zip(np.argwhere(at).tolist(), grid[at].tolist())]
+
+
+def built_signs(b):
+    """The int64 (v+1, v) signs of the members of build_signal_set(a, b, e).
+
+    Row 0 is all 1, and row 1+k holds (-1)^b_((j+k) mod v) at column j.
+    """
+    x = 1 - 2 * np.array(b.values, np.int64)
+    return np.stack([np.ones_like(x)] + [np.roll(x, -k) for k in range(len(x))])
+
+
+def sign_operand(sigma):
+    """[h, s, k, j] = sigma_h(j) sigma_k((j+s) mod v) of an (r, v) sign table, in its dtype."""
+    sigma = np.asarray(sigma)
+    return np.stack([sigma[:, None, :] * np.roll(sigma, -s, axis=1)[None] for s in range(sigma.shape[1])], axis=1)

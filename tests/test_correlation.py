@@ -37,7 +37,7 @@ from ilvseq import (
     signal_set_delta,
 )
 from ilvseq.cli import main
-from delta_oracle import reference_delta, reference_grid
+from delta_oracle import built_signs, reference_delta, reference_grid, sign_operand
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -592,9 +592,10 @@ V11_LEGENDRE = build_signal_set(*V11_ABE).members
 
 def test_engine_matches_reference_on_members_and_complements(monkeypatch):
     # 24 members of period 121, a plain list: it reads the transform. Read
-    # by the column identity in one block, with the complements' signs
-    # negated, the member operand is 24 members wide, more than 2v = 22.
-    # Several identity blocks take a built set's signs alone (see
+    # by the column identity in one block, the set's circulant and kernel
+    # against the oracle's sign operand of [sigma, -sigma], the member
+    # operand is 24 members wide, more than 2v = 22. The library builds the
+    # operands of a built set's signs alone (see
     # test_column_identity_matches_reference), so the split is the transform's.
     complements = [PeriodicSequence(2, tuple(1 - x for x in m.values)) for m in V11_LEGENDRE]
     members = list(V11_LEGENDRE) + complements
@@ -603,9 +604,10 @@ def test_engine_matches_reference_on_members_and_complements(monkeypatch):
     monkeypatch.setattr(correlation, "_BLOCK_VALUES", 11 * 24 * 121)
     assert_engine_matches_reference(members)
     a, b, e = V11_ABE
-    alpha, sigma = correlation._base_parts(a, b)
-    operands = correlation._identity_operands(alpha, np.concatenate([sigma, -sigma]), 24)
-    identity = partial(correlation._identity_rows, *operands, e)
+    circulant, _ = correlation._identity_operands(a, b, 12)
+    sigma = built_signs(b)
+    operand = sign_operand(np.concatenate([sigma, -sigma])).astype(np.float32)
+    identity = partial(correlation._identity_rows, circulant, [(0, operand)], e)
     monkeypatch.setattr(correlation, "_correlation_rows", lambda members: identity())
     assert_engine_matches_reference(members)
 
@@ -662,16 +664,16 @@ def interleaved_lists(draw):
 @example(([1, 1, 1, 1], [0, 0, 0, 0], [[0, 1, 0, 1]] * 3, 1))  # a periodic alpha: members (1, 0, 1, 0) * 4
 def test_column_identity_matches_reference(case):
     # Any alpha, e and signs, two-level or not: the column identity's rows,
-    # fed the draw's own (alpha, e, sigma) through the uncached builder,
-    # equal the oracle's grid, folded whole in one block. Split into blocks,
-    # the identity reads a built set's signs as views, so there the v + 1
-    # members take the flips of member 0 as b: member 0 unflipped, member
-    # 1+k flipped by b from k on. Those blocks, member 0 alone and then
-    # step members each, equal the oracle's grid too, as does the whole
-    # set in one block, and the delta read from them is the oracle's: a
-    # periodic alpha or b puts maximizers at tau = 0, mirrored ones among
-    # them. As a plain list the members read the transform and match the
-    # oracle exactly.
+    # the draw's signs folded by the oracle (sign_operand) against the
+    # library's circulant of alpha and kernel of e, equal the oracle's grid
+    # in one block. The library builds the operands of a built set's signs
+    # alone, so there the v + 1 members take the flips of member 0 as b:
+    # member 0 unflipped, member 1+k flipped by b from k on. Those blocks,
+    # member 0 alone and then step members each, equal the oracle's grid
+    # too, as does the whole set in one block, and the delta read from them
+    # is the oracle's: a periodic alpha or b puts maximizers at tau = 0,
+    # mirrored ones among them. As a plain list the members read the
+    # transform and match the oracle exactly.
     alpha, e, flips, step = case
     members = interleaved_members(alpha, e, flips)
     r, n, v = len(members), members[0].period, len(alpha)
@@ -679,15 +681,16 @@ def test_column_identity_matches_reference(case):
         patch.setattr(correlation, "_BLOCK_VALUES", step * r * n)
         assert fast_route(members) == ["_transform_rows"]
         assert_engine_matches_reference(members)
-    e, bits = ShiftSequence(tuple(e)), np.array(alpha, np.uint8)
-    operands = correlation._identity_operands(bits, 1 - 2 * np.array(flips, np.float32), r)
-    assert_rows_match_grid(correlation._identity_rows(*operands, e), reference_grid(members), [0])
+    e, a = ShiftSequence(tuple(e)), PeriodicSequence(2, tuple(alpha))
+    circulant, _ = correlation._identity_operands(a, a, v + 1)
+    operand = sign_operand(1 - 2 * np.array(flips)).astype(np.float32)
+    assert_rows_match_grid(correlation._identity_rows(circulant, [(0, operand)], e), reference_grid(members), [0])
     b = flips[0]
     built = [[0] * v] + [[b[(j + k) % v] for j in range(v)] for k in range(v)]
     members = interleaved_members(alpha, e.entries, built)
     grid = reference_grid(members)
     for size in (step, v + 1):
-        identity = partial(correlation._identity_operands, bits, 1 - 2 * np.array(built, np.float32), size)
+        identity = partial(correlation._identity_operands, a, PeriodicSequence(2, tuple(b)), size)
         assert_rows_match_grid(correlation._identity_rows(*identity(), e), grid, block_starts(v + 1, size, "identity"))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(correlation, "_correlation_rows", lambda members: correlation._identity_rows(*identity(), e))
@@ -738,15 +741,15 @@ def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
         patch.setattr(correlation, "_correlation_rows", lambda members: correlation._transform_rows(members, 1))
         transform = signal_set_delta(members)
     assert len(transform.witnesses) > 0
-    alpha, sigma = correlation._base_parts(*abe[:2])
-    shifted = np.stack([np.roll(sigma, -s, axis=1) for s in range(len(alpha))])  # [s, k, j]
+    want = sign_operand(built_signs(abe[1]).astype(np.int8))  # [h, s, k, j], 12.5 MB at v = 59
     build = correlation._identity_operands
     for block_values in (1, 3 * n, DEFAULT_BLOCK_VALUES):
         read = []
 
         def spy(*args):
             circulant, operands = build(*args)
-            return circulant, (read.append(block) or block for block in operands)
+            read.extend(operands)
+            return circulant, operands
 
         monkeypatch.setattr(correlation, "_identity_operands", spy)
         monkeypatch.setattr(correlation, "_BLOCK_VALUES", block_values)
@@ -757,7 +760,7 @@ def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
         assert len(starts) > 1 and [lo for lo, _ in read] == starts
         for (lo, operand), end in zip(read, starts[1:] + [r]):
             assert not operand.flags.owndata
-            assert np.array_equal(operand, sigma[lo:end, None, None, :] * shifted[:, lo:])
+            assert np.array_equal(operand, want[lo:end, :, lo:])
 
 
 V3_ABE = (gen_legendre(3, 0), gen_legendre(3, 1), quadratic_shifts(3, 1, 1))
@@ -835,12 +838,11 @@ def test_copies_of_a_built_set_read_the_identity(abe):
         assert again.delta == report.delta and np.array_equal(again.witnesses.code, report.witnesses.code)
 
 
-def test_one_block_operands_are_kept_per_base_pair():
-    # A set that one block holds (v <= 12) reads identity operands kept per
-    # (a, b), read-only; column_correlations builds its own, and a larger
-    # set keeps none. The code table is kept per (r, v), the kernel's index
-    # tables per v.
-    cache = correlation._set_operands
+def test_identity_operands_are_kept_per_base_pair_and_step():
+    # Every built set reads identity operands kept per (a, b, step),
+    # read-only; column_correlations builds its own and leaves the cache as
+    # it is. The code table is kept per (r, v), the kernel's index tables per v.
+    cache = correlation._identity_operands
     caches = (cache, correlation._one_block_codes, correlation._shift_tables)
     for each in caches:
         each.cache_clear()
@@ -848,11 +850,13 @@ def test_one_block_operands_are_kept_per_base_pair():
         signal_set_delta(build_signal_set(A7, B7, e).members)
     for each in caches:
         assert each.cache_info()[:2] == (1, 1)  # (hits, misses): one entry for two calls
+    before = cache.cache_info()
     column_correlations(*WORKED_ABE)
-    assert cache.cache_info()[:2] == (1, 1)
+    assert cache.cache_info() == before
     assert correlation._one_block_codes.cache_info()[:2] == (1, 1)
     assert correlation._shift_tables.cache_info()[:2] == (2, 1)  # the same kernel index
-    circulant, ((_, folded),) = cache(A7, B7)
+    circulant, ((_, folded),) = cache(A7, B7, DEFAULT_BLOCK_VALUES // (8 * 49))
+    assert cache.cache_info()[:2] == (2, 1)  # the delta's own entry
     for array in (circulant, folded, correlation._one_block_codes(8, 7), *correlation._shift_tables(7)):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0
@@ -870,10 +874,19 @@ def test_one_block_operands_are_kept_per_base_pair():
     assert cache.cache_info().currsize == 2
     for members in sets:
         assert_engine_matches_reference(members)
-    # v = 15, 16 members of period 225, reads its operands per call.
+    # v = 15, 16 members of period 225 in blocks of 9, keeps its operands
+    # too: member 0's and then views, and a second delta reads them again.
     members = V15_SET
     assert fast_route(members) == ["_identity_rows"]
-    assert cache.cache_info().currsize == 2
+    hits, misses, _, size = cache.cache_info()
+    signal_set_delta(members)
+    assert cache.cache_info() == (hits + 1, misses, 8, size) and size == 3
+    assert_engine_matches_reference(members)
+    circulant, operands = cache(*members.construction[:2], DEFAULT_BLOCK_VALUES // (16 * 225))
+    assert [lo for lo, _ in operands] == [0, 1, 10]
+    for array in (circulant, *(operand for _, operand in operands)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
     # Its blocks decode by arithmetic: no code table, one more index table.
     assert correlation._one_block_codes.cache_info().currsize == 1
     assert correlation._shift_tables.cache_info().currsize == 2
@@ -935,13 +948,12 @@ def test_row_sources_give_equal_rows_and_codes(monkeypatch):
     b_not_a = backtrack(SearchSpec(7, "B-not-A", limit=1000, strategy="backtrack")).witnesses
     rng = random.Random(39)
     vectors = rng.sample(a_vectors, 6) + rng.sample(b_not_a, 6)
-    alpha, sigma = correlation._base_parts(A7, B7)
     for e in [WORKED_ABE[2]] + vectors:
         members = build_signal_set(A7, B7, e).members
         grid = reference_grid(members)
         for step in (len(members), 3):
             sources = [
-                lambda: correlation._identity_rows(*correlation._identity_operands(alpha, sigma, step), e),
+                lambda: correlation._identity_rows(*correlation._identity_operands(A7, B7, step), e),
                 partial(correlation._transform_rows, members, step),
             ]
             for source, name in zip(sources, ("identity", "transform")):

@@ -161,7 +161,7 @@ def test_circulant_rows_past_v_are_S_a_and_v():
     # Legendre sequence of zero convention 0: it is read from a's bits.
     for a, s_a in [(A7, -1), (gen_legendre(11, 0), 1), (gen_legendre(11, 1), -1)]:
         v = a.period
-        circulant, _ = correlation._identity_operands(*correlation._base_parts(a, a), v + 1)
+        circulant, _ = correlation._identity_operands(a, a, v + 1)
         assert circulant.shape == (v + 2, v)
         assert circulant[:v].tolist() == [[autocorrelation(a)[d + q] for q in range(v)] for d in range(v)]
         assert circulant[v:].tolist() == [[s_a] * v, [v] * v]
@@ -177,7 +177,7 @@ def test_identity_rows_read_an_infinite_entry(position):
     e = ShiftSequence(tuple(entries))
     grid = reference_grid(build_signal_set(A7, B7, e).members)
     for step, starts in ((8, [0]), (3, [0, 1, 4, 7])):
-        operands = correlation._identity_operands(*correlation._base_parts(A7, B7), step)
+        operands = correlation._identity_operands(A7, B7, step)
         blocks = list(correlation._identity_rows(*operands, e))
         assert [lo for lo, _ in blocks] == starts
         for (lo, rows), end in zip(blocks, starts[1:] + [8]):

@@ -18,7 +18,7 @@ two row sources (``_correlation_rows``), chosen by what the list is:
   through a table of circulant rows kept per v, indexed by the entries).
   Its left operand is the members' signs sigma_h(j) sigma_k(j+s), which b
   fixes, kept per (a, b, step): multiplied once for a set that one block
-  holds (every built set up to v = 12), and over several blocks member 0
+  holds (every built set up to v = 18), and over several blocks member 0
   alone, whose sigma_0 is 1, and then strided views of one table of
   products of b's signs, so no block multiplies. Each product is +-1 times
   a value of size at most v and each partial sum an integer of size at
@@ -27,13 +27,14 @@ two row sources (``_correlation_rows``), chosen by what the list is:
 * transform, for every other list: one real float64 transform per member
   and one batched inverse per block, rounded back under a residue guard.
 
-The identity's blocks are its matmul's own output, laid out [h, s, k, q]
-with tau = q*v + s; the transform's are [h, 0, k, tau].
-The one scan reads each block in its memory order, as floats, and keeps
-each maximizer as one int64 code, its position and sign. A set that one
-identity block holds (every built set up to v = 12) decodes the positions
-with one gather from a table of codes kept per (r, v); any other block
-decodes them with two floor divisions by its layout. The codes come in the
+The identity's matmul writes each block in C order [h, s, k, q], with
+tau = q*v + s; the transform's blocks are [h, 0, k, tau].
+The one scan reads each block in its memory order, as floats, overwriting
+it with its magnitudes, and keeps each maximizer as one int64 code, its
+position and sign. A set that one identity block holds (every built set up
+to v = 18) decodes the positions with one gather from a table of codes kept
+per (r, v); any other block decodes them with floor divisions by its
+layout. The codes come in the
 blocks' memory order, so one sort puts them in (i, j, tau) order. Delta
 restores each value, and the witness columns are decoded from the codes
 when read.
@@ -52,13 +53,16 @@ import numpy as np
 
 from .sequences import PeriodicSequence, _same_shape
 
-#: Most correlation values in one block of the delta scan: a block holds
-#: max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, so a small set
-#: is scanned in a few numpy calls and a set with r*n above it (v >= 31) one
-#: member at a time. A built set that one block does not hold (v >= 13)
-#: reads member 0 alone first, then blocks of that many members as views of
-#: one sign table (_identity_operands). A block of rows stays near 128 kB
-#: (float32, identity) or 256 kB (float64, transform).
+#: Most correlation values in one transform block of the delta scan: it
+#: holds max(1, _BLOCK_VALUES // (r*n)) of the r members of period n, near
+#: 256 kB of float64 rows. An identity block holds four times the values,
+#: near 512 kB of float32 rows, as its rows are read against strided views
+#: of one sign table, while a transform row is float64 and pays a complex
+#: product per value. So one identity block holds a built set while
+#: r^2 n <= 4 * _BLOCK_VALUES (every built set up to v = 18), and from
+#: v = 40 on (every built set from v = 43) a block is one member. A built
+#: set that one block does not hold reads member 0 alone first, then blocks
+#: of that many members (_identity_operands).
 _BLOCK_VALUES = 1 << 15
 
 #: Longest period the column identity sums in float32: float32 holds every
@@ -224,19 +228,23 @@ class DeltaReport:
 def _correlation_rows(members):
     """An iterator of (lo, rows) for each block of the r members of period n.
 
-    A block is the members lo .. lo+c-1, with c at most
-    step = max(1, _BLOCK_VALUES // (r*n)): the transform's start at lo = 0,
-    step, 2*step, ...; a built set's that one block does not hold start at
-    0, 1, 1+step, ..., as member 0 is a block alone (see _identity_operands).
+    A block is the members lo .. lo+c-1, with c at most step = max(1,
+    _BLOCK_VALUES // (r*n)) for the transform and max(1, 4 * _BLOCK_VALUES
+    // (r*n)) for the identity (see _BLOCK_VALUES): the transform's start at
+    lo = 0, step, 2*step, ...; a built set's that one block does not hold
+    start at 0, 1, 1+step, ..., as member 0 is a block alone (see
+    _identity_operands).
     Its rows start at column lo and are laid out [h, s, k, q]: rows[h, s, k, q]
     is the correlation of member lo+h against member lo+k at offset
     tau = q*m + s, with m = rows.shape[1]. The column identity's blocks are
     its matmul's output, m = v; the transform's have m = 1, [h, 0, k, tau].
     signal_set_delta scans a block in this memory order. At most c x r x n
     values are alive at a time, and a pair against a member of an earlier
-    block is left to its mirror (see _block_codes). A signal set from v = 31
-    on has r*n above _BLOCK_VALUES: one member per block. The rows are floats
-    holding exact integers, from one of two sources, by what the list is:
+    block is left to its mirror (see _block_codes). A built set from v = 43
+    on reads one member per identity block, and a plain list of r members
+    of period n with r*n above _BLOCK_VALUES one per transform block. The
+    rows are floats holding exact integers, from one of two sources, by
+    what the list is:
 
     * a list that carries its construction (a built set's members, with
       their (a, b, e)) of period n <= _FLOAT32_EXACT reads the column
@@ -247,12 +255,11 @@ def _correlation_rows(members):
       (_transform_rows).
     """
     r, n = len(members), members[0].period
-    step = max(1, _BLOCK_VALUES // (r * n))
     construction = getattr(members, "construction", None)
     if construction and n <= _FLOAT32_EXACT:
         a, b, e = construction
-        return _identity_rows(*_identity_operands(a, b, step), e)
-    return _transform_rows(members, step)
+        return _identity_rows(*_identity_operands(a, b, max(1, 4 * _BLOCK_VALUES // (r * n))), e)
+    return _transform_rows(members, max(1, _BLOCK_VALUES // (r * n)))
 
 
 def _transform_rows(members, step: int):
@@ -371,14 +378,16 @@ def _identity_rows(circulant, operands, e):
     and against another to sigma_h(j) sigma_k(j+s) v: there K reads the
     circulant's constant rows v and v+1 (_kernel_index). One batched
     np.matmul over h and s per block, against its lo and sign operand
-    sigma_h(j) sigma_k(j+s) from _identity_operands. The block is the
-    matmul's own output, [h, s, k, q] with tau = q*v + s, the layout of
-    _correlation_rows. Every partial sum is an integer of size at most
+    sigma_h(j) sigma_k(j+s) from _identity_operands. The matmul writes the
+    block in C order [h, s, k, q], with tau = q*v + s, the layout of
+    _correlation_rows: in its default order numpy lays the product of a
+    strided operand out [s, h, k, q], and the scan's flat view of the block
+    would copy it. Every partial sum is an integer of size at most
     v^2 = n, so float32 is exact in any BLAS order while n <= _FLOAT32_EXACT.
     """
     kernel = circulant[_kernel_index(e)]
     # [h, s, k, j] @ K[s, j, q] -> [h, s, k, q]; starmap keeps no block past its turn.
-    return starmap(lambda lo, operand: (lo, operand @ kernel), operands)
+    return starmap(lambda lo, operand: (lo, np.matmul(operand, kernel, order="C")), operands)
 
 
 def _identity_grid(a, b, e) -> np.ndarray:
@@ -414,39 +423,65 @@ def _block_codes(lo, rows, best: int, r: int):
     witness codes (see WitnessSequence) of every value of magnitude at least
     max(best, top), mirrored ones included, in the block's memory order. That
     is (i, j, tau) order only in the transform's m = 1 blocks, mirrored codes
-    aside. An identity block of the whole set reads its maximizers' codes
-    with one gather from a cached table (_one_block_codes). Any other block
-    decodes with two floor divisions by scalars, numpy's cheapest integer op
-    here (see README): hs = h*m + s, then x = k*n + tau, so the code is
-    ((lo+h)*r + lo)*n + x; a transform block of the whole set gets its
-    positions back as codes. A maximizer against a later block (k >= c, so
-    x >= c*n) is mirrored, with -tau mod n as n - tau, or 0 at tau = 0. The
-    decode arrays are freed on return, before the next block is computed.
+    aside. The block is overwritten with its magnitudes once its signs are
+    read, so the scan allocates no second float block. An identity block of
+    the whole set reads its maximizers' codes with one gather from a cached
+    table (_one_block_codes). Any other block decodes in place, with floor
+    divisions by scalars, numpy's cheapest integer op here (see README): at
+    position at = hs*w*length + k*length + q, hs = h*m + s, one division
+    gives hs, and at*m - hs*(w*n - 1) = x + h*m with x = k*n + tau; the
+    second, h = hs // m, only where the block holds more than one member.
+    The code is ((lo+h)*r + lo)*n + x, so a transform block of the whole set
+    gets its positions back as codes. A maximizer against a later block
+    (k >= c, so x >= c*n) is mirrored, with -tau mod n as n - tau, or 0 at
+    tau = 0. The decode arrays are freed on return, before the next block
+    is computed.
     """
     c, m, w, length = rows.shape  # [h, s, k, q]: lo+h against lo+k at tau = q*m + s
     n = m * length
     rows = rows.reshape(-1)
-    mags = np.abs(rows)
+    negative = rows < 0
+    mags = np.abs(rows, out=rows)
     mags[:: (m * w + 1) * length] = -1  # trivial peaks (h, 0, h, 0), h < c <= w
     top = int(mags.max())
     (at,) = (mags >= max(best, top)).nonzero()
-    negative = rows[at] < 0
+    negative = negative[at]
     if c == r and m > 1:  # an identity block of the whole set (lo = 0): at is the table index
         return top, [_one_block_codes(r, m)[at] << 1 | negative]
     hs = at // (w * length)  # h*m + s
-    h = hs // m
-    x = (at - hs * (w * length)) * m + hs - h * m  # k*n + tau: (k*length + q)*m + s
-    codes = [(((h + lo) * r + lo) * n + x) << 1 | negative]
+    h = hs // m if c > 1 else 0
+    x = np.multiply(at, m, out=at)  # hs*w*n + k*n + q*m
+    hs *= w * n - 1
+    x -= hs  # k*n + tau + h*m
+    if c > 1:
+        x -= h * m
+    base = lo * (r + 1) * n  # the code of (lo, lo, 0)
+    mirrored = []
     if w > c:
         # A later block skips the pair (j, i) of its member j against
         # member i of this one. C_ji(tau) = C_ij(-tau mod n) exactly for
         # binary members, so its maximizers are (j, i, -tau mod n, value).
         later = x >= c * n  # k >= c: member lo+k is in a later block
-        h, x = h[later] + lo, x[later]
-        k = x // n
-        tau = x - k * n
-        codes.append((((k + lo) * r + h) * n + (n - tau) * (tau > 0)) << 1 | negative[later])
-    return top, codes
+        mirror = x[later]  # k*n + tau
+        kn = mirror // n
+        kn *= n
+        mirror -= kn  # tau
+        np.subtract(n, mirror, out=mirror, where=mirror > 0)  # -tau mod n
+        kn *= r
+        mirror += kn
+        if c > 1:
+            mirror += h[later] * n
+        mirror += base  # ((lo+k)*r + lo+h)*n + (-tau mod n)
+        mirror <<= 1
+        mirror |= negative[later]
+        mirrored.append(mirror)
+    if c > 1:
+        h *= r * n
+        x += h
+    x += base
+    x <<= 1
+    x |= negative
+    return top, [x, *mirrored]
 
 
 def signal_set_delta(members, method: str = "fast") -> DeltaReport:

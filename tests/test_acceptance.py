@@ -357,8 +357,9 @@ def test_criterion_13_one_infinity_hits_reach_v_plus_2():
 
 
 def test_criterion_14_one_infinity_reaches_v_plus_2_exactly_on_open_finite_terms():
-    # ROADMAP item 2's rule, both halves, through the library: with one ∞
-    # column, delta = v + 2 exactly when the finite terms are OPEN
+    # The one-∞ rule (README, acceptance criterion 14, with its premise
+    # S_a = -1), both halves, through the library: with one ∞ column,
+    # delta = v + 2 exactly when the finite terms are OPEN
     # (``finite_term_open``). At v = 3 every vector with one ∞ (a = 110,
     # b = 011); at v = 7 all 16,807 vectors with e_0 = 0 and ∞ last, on the
     # worked bases. Every other vector gives more.

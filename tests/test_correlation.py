@@ -241,7 +241,8 @@ def test_engine_matches_reference_on_v7_a_vectors():
 
 
 MSEQ31 = gen_mseq(LfsrSpec(5, tuple(int(c) for c in PRIMITIVE_POLYS[5]), (1, 0, 1, 1, 0)))
-# a, b and e of a v=31 set: 32 members of period 961, one member per block.
+# a, b and e of a v=31 set: 32 members of period 961, read as member 0 alone
+# and then blocks of 4 at the default bound.
 V31_QUADRATIC = (MSEQ31, PeriodicSequence(2, MSEQ31.values[::-1]), quadratic_shifts(31, 2, 7))
 
 
@@ -268,6 +269,12 @@ def test_build_delta_json_of_v31_set_is_byte_identical(capsys):
 
 
 DEFAULT_BLOCK_VALUES = correlation._BLOCK_VALUES
+
+
+def identity_step(r, n, block_values=DEFAULT_BLOCK_VALUES):
+    """Members per identity block of r members of period n: an identity
+    block holds four times the values of a transform block."""
+    return max(1, 4 * block_values // (r * n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,9 +428,9 @@ def witness_columns(members, block_values, monkeypatch):
     return report.delta, report.witnesses.columns()
 
 
-# v = 15, the first v past one block at the default bound that has two-level
-# bases (v = 13 and 14 have none): 16 members, read as member 0 alone, then
-# 9 and 6 at the default, 3 at a time at 3rn.
+# v = 15: 16 members of period 225, one identity block at the default bound
+# (every built set up to v = 18 is); at a bound of 3rn member 0 alone, then
+# 12 and 3, and at 1 and 3n one member at a time.
 MSEQ15 = gen_mseq(LfsrSpec(4, tuple(int(c) for c in PRIMITIVE_POLYS[4]), (1, 0, 0, 0)))
 V15_SET = build_signal_set(MSEQ15, PeriodicSequence(2, MSEQ15.values[::-1]), quadratic_shifts(15, 1, 3)).members
 
@@ -432,10 +439,12 @@ V15_SET = build_signal_set(MSEQ15, PeriodicSequence(2, MSEQ15.values[::-1]), qua
     "members", [WORKED_SET, BINARY_SET_5, V15_SET], ids=["p2-worked", "p2-five", "v15-mseq"]
 )
 def test_block_boundaries_do_not_move_witnesses(members, monkeypatch):
-    # One member per block at bounds 1 and 3n; uneven blocks of three; and
-    # the whole set in one block. At every bound the worked set and the
-    # v = 15 set read the column identity and the five members the
-    # transform. The default bound splits the v = 15 set unevenly.
+    # One member per block at bounds 1 and 3n; at 3rn uneven blocks, of
+    # three members for the transform and twelve for the identity, whose
+    # blocks hold four times the values; and the whole set in one block.
+    # At every bound the worked set and the v = 15 set read the column
+    # identity and the five members the transform. The default bound holds
+    # the v = 15 set in one block, and 3rn splits it unevenly.
     r, n = len(members), members[0].period
     sizes = (1, 3 * n, 3 * r * n, 1 << 30, DEFAULT_BLOCK_VALUES)
     runs = [witness_columns(members, size, monkeypatch) for size in sizes]
@@ -715,7 +724,7 @@ V59_LEGENDRE = (gen_legendre(59, 0), gen_legendre(59, 1), quadratic_shifts(59, 1
 
 # v = 19 Legendre bases, zero conventions 0 and 1 either way round, with
 # INFINITY for 4 of the 19 entries of quadratic_shifts(19, 1, 3): 20 members,
-# 4 of them to a block at the default bound.
+# member 0 alone and then 18 of them to a block at the default bound.
 V19_E_INF = ShiftSequence(tuple(INFINITY if j % 5 == 3 else x for j, x in enumerate(quadratic_shifts(19, 1, 3).entries)))
 V19_INF = [(gen_legendre(19, zero), gen_legendre(19, 1 - zero), V19_E_INF) for zero in (0, 1)]
 
@@ -756,7 +765,7 @@ def test_column_identity_rows_equal_the_transform_rows(abe, monkeypatch):
         report = signal_set_delta(members)
         assert report.delta == transform.delta
         assert np.array_equal(report.witnesses.code, transform.witnesses.code)
-        starts = block_starts(r, max(1, block_values // (r * n)), "identity")
+        starts = block_starts(r, identity_step(r, n, block_values), "identity")
         assert len(starts) > 1 and [lo for lo, _ in read] == starts
         for (lo, operand), end in zip(read, starts[1:] + [r]):
             assert not operand.flags.owndata
@@ -838,7 +847,7 @@ def test_copies_of_a_built_set_read_the_identity(abe):
         assert again.delta == report.delta and np.array_equal(again.witnesses.code, report.witnesses.code)
 
 
-def test_identity_operands_are_kept_per_base_pair_and_step():
+def test_identity_operands_are_kept_per_base_pair_and_step(monkeypatch):
     # Every built set reads identity operands kept per (a, b, step),
     # read-only; column_correlations builds its own and leaves the cache as
     # it is. The code table is kept per (r, v), the kernel's index tables per v.
@@ -855,7 +864,7 @@ def test_identity_operands_are_kept_per_base_pair_and_step():
     assert cache.cache_info() == before
     assert correlation._one_block_codes.cache_info()[:2] == (1, 1)
     assert correlation._shift_tables.cache_info()[:2] == (2, 1)  # the same kernel index
-    circulant, ((_, folded),) = cache(A7, B7, DEFAULT_BLOCK_VALUES // (8 * 49))
+    circulant, ((_, folded),) = cache(A7, B7, identity_step(8, 49))
     assert cache.cache_info()[:2] == (2, 1)  # the delta's own entry
     for array in (circulant, folded, correlation._one_block_codes(8, 7), *correlation._shift_tables(7)):
         with pytest.raises(ValueError, match="read-only"):
@@ -874,15 +883,18 @@ def test_identity_operands_are_kept_per_base_pair_and_step():
     assert cache.cache_info().currsize == 2
     for members in sets:
         assert_engine_matches_reference(members)
-    # v = 15, 16 members of period 225 in blocks of 9, keeps its operands
-    # too: member 0's and then views, and a second delta reads them again.
+    # v = 15, 16 members of period 225, split at a quarter of the default
+    # bound into member 0 alone and blocks of 9, keeps its operands too:
+    # member 0's and then views, and a second delta reads them again.
     members = V15_SET
+    quarter = DEFAULT_BLOCK_VALUES // 4
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", quarter)
     assert fast_route(members) == ["_identity_rows"]
     hits, misses, _, size = cache.cache_info()
     signal_set_delta(members)
     assert cache.cache_info() == (hits + 1, misses, 8, size) and size == 3
     assert_engine_matches_reference(members)
-    circulant, operands = cache(*members.construction[:2], DEFAULT_BLOCK_VALUES // (16 * 225))
+    circulant, operands = cache(*members.construction[:2], identity_step(16, 225, quarter))
     assert [lo for lo, _ in operands] == [0, 1, 10]
     for array in (circulant, *(operand for _, operand in operands)):
         with pytest.raises(ValueError, match="read-only"):
@@ -890,6 +902,12 @@ def test_identity_operands_are_kept_per_base_pair_and_step():
     # Its blocks decode by arithmetic: no code table, one more index table.
     assert correlation._one_block_codes.cache_info().currsize == 1
     assert correlation._shift_tables.cache_info().currsize == 2
+    # At the default bound one block holds it: one more operand entry, and
+    # its hits read a second code table.
+    monkeypatch.setattr(correlation, "_BLOCK_VALUES", DEFAULT_BLOCK_VALUES)
+    signal_set_delta(members)
+    assert cache.cache_info().currsize == 4
+    assert correlation._one_block_codes.cache_info().currsize == 2
 
 
 MSEQ7 = gen_mseq(LfsrSpec(3, tuple(int(c) for c in PRIMITIVE_POLYS[3]), (1, 0, 0)))
@@ -903,7 +921,7 @@ ONE_BLOCK_BASES = [
     "a, b", ONE_BLOCK_BASES, ids=["v3-01", "v3-10", "v7-01", "v7-10", "v11-01", "v11-10", "v7-mseq"]
 )
 def test_one_block_decode_matches_reference(a, b):
-    # Every built set up to v = 12 is one identity block, and its maximizers
+    # Every built set up to v = 18 is one identity block, and its maximizers
     # are decoded by one gather from the cached table of position codes. On
     # the worked e (v = 7) or quadratic_shifts(v, 1, 3), and on 20 seeded
     # finite e of any kind, the delta and every packed code equal the oracle's.
@@ -924,7 +942,7 @@ def test_one_block_decode_matches_reference(a, b):
     assert table.cache_info()[:2] == (20, 1)  # (hits, misses): every call read one table
 
 
-@pytest.mark.parametrize("v", [1, 3, 7, 11, 12])
+@pytest.mark.parametrize("v", [1, 3, 7, 11, 12, 18])
 def test_one_block_code_table_equals_the_arithmetic_decode(v):
     # Position [h, s, k, q] of the identity block of r = v+1 members holds
     # the correlation of member h against member k at tau = q*v + s: its code
@@ -937,6 +955,43 @@ def test_one_block_code_table_equals_the_arithmetic_decode(v):
     assert correlation._one_block_codes(r, v) is table
     with pytest.raises(ValueError, match="read-only"):
         table[0] = 0
+
+
+def identity_block_starts(members):
+    """The lo of each identity block that one delta of the members reads."""
+    starts = []
+    rows = correlation._identity_rows
+
+    def spy(*args):
+        for lo, block in rows(*args):
+            starts.append(lo)
+            yield lo, block
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation, "_identity_rows", spy)
+        signal_set_delta(members)
+    return starts
+
+
+V19_LEGENDRE = build_signal_set(gen_legendre(19, 0), gen_legendre(19, 1), quadratic_shifts(19, 1, 3)).members
+
+
+@pytest.mark.parametrize(
+    "members, starts",
+    [(V15_SET, [0]), (V19_LEGENDRE, [0, 1, 19]), (build_signal_set(*V31_QUADRATIC).members, [0, *range(1, 32, 4)])],
+    ids=["v15", "v19", "v31"],
+)
+def test_default_identity_blocks_on_each_side_of_a_bound(members, starts):
+    # The default bound holds a built set in one identity block while
+    # r^2 n <= 4 * _BLOCK_VALUES, up to v = 18: v = 15 is one block, its
+    # hits read through the code table, and v = 19 the first split, member
+    # 0 alone and then 18. v = 31 reads blocks of 4, where every built set
+    # from v = 43 reads one member a block. Each delta is the oracle's.
+    table = correlation._one_block_codes
+    table.cache_clear()
+    assert identity_block_starts(members) == starts
+    assert table.cache_info().misses == (len(starts) == 1)
+    assert_engine_matches_reference(members)
 
 
 def test_row_sources_give_equal_rows_and_codes(monkeypatch):

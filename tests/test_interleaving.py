@@ -46,6 +46,7 @@ from ilvseq import correlation, interleaving
 from ilvseq.conditions import Condition, _count_table
 from ilvseq.correlation import _kernel_index
 from delta_oracle import reference_delta, reference_grid
+from search_oracle import finite_term_open
 
 A7 = PeriodicSequence(2, (1, 0, 0, 1, 1, 1, 0))
 B7 = PeriodicSequence(2, (1, 0, 0, 1, 0, 1, 1))
@@ -741,7 +742,7 @@ INFINITY_V3 = [
 #: b = 011; seeded vectors on the worked pair, on the v = 11 Legendre pair
 #: in both orders (S_a = +1 and -1), on the v = 19 Legendre pair, and on
 #: the v = 31 m-sequence and its reversal, which the identity reads in
-#: blocks of one member.
+#: blocks of four members.
 INFINITY_SETS = {
     3: [(PeriodicSequence(2, (1, 1, 0)), PeriodicSequence(2, (0, 1, 1)), e) for e in INFINITY_V3],
     7: [(A7, B7, e) for e in _infinity_vectors(random.Random(7), 7, 60)],
@@ -829,3 +830,40 @@ def test_infinity_sign_sums_square_to_m_v_minus_m_plus_1():
                 g = shifted[list(columns)].sum(axis=0)
                 assert int((g * g).sum()) == m * (v - m + 1)
                 assert np.abs(g).max() >= 2
+
+
+def test_one_infinity_rule_needs_s_a_minus_one():
+    # The premise of the one-infinity v + 2 rule (README, acceptance
+    # criterion 14), as measured where S_a = +1. At v = 7 the complement
+    # of the worked a is two-level with S_a = +1: with the worked b, the
+    # 140 finite-term-OPEN vectors with e_0 = 0 and INFINITY last give
+    # delta 13, where the worked a (S_a = -1) gives 9. At v = 3, a = 110
+    # (S_a = -1) and its complement 001 (S_a = +1), with b = 011, give 5 on
+    # all 27 one-INFINITY vectors.
+    def deltas(a, b, vectors):
+        found = {}
+        for entries in vectors:
+            delta = signal_set_delta(build_signal_set(a, b, ShiftSequence(entries)).members).delta
+            found[delta] = found.get(delta, 0) + 1
+        return found
+
+    def s_a(a):
+        return int((1 - 2 * np.array(a.values)).sum())
+
+    complement = PeriodicSequence(2, tuple(1 - x for x in A7.values))
+    assert is_two_level(complement) and (s_a(A7), s_a(complement)) == (-1, 1)
+    hits7 = [
+        (0, *tail, INFINITY) for tail in itertools.product(range(7), repeat=5)
+        if finite_term_open((0, *tail, None), 6)
+    ]
+    assert len(hits7) == 140
+    assert deltas(complement, B7, hits7) == {13: 140}
+    assert deltas(A7, B7, hits7) == {9: 140}
+    one_infinity3 = [
+        finite[:p] + (INFINITY,) + finite[p:] for p in range(3) for finite in itertools.product(range(3), repeat=2)
+    ]
+    b3 = PeriodicSequence(2, (0, 1, 1))
+    for bits, sign in (((1, 1, 0), -1), ((0, 0, 1), 1)):
+        a3 = PeriodicSequence(2, bits)
+        assert is_two_level(a3) and s_a(a3) == sign
+        assert deltas(a3, b3, one_infinity3) == {5: 27}
